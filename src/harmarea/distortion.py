@@ -20,6 +20,7 @@ from .maps import HarmonicMap, PolynomialMap, shear, validate
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
+    _gauss,
     check_tol,
     integrate_grid,
     integrate_polar,
@@ -230,11 +231,23 @@ def quantitative_bounds(
 
     k is the sampled sup of |dilatation| on E; k >= 1 is a hypothesis error.
     """
+    k = _dilatation_bound(f, E)
+    area = image_area(f, E, tol, workers=workers, check_sense=False)
+    energy = analytic_energy(f, E, tol, workers=workers)
+    return _sandwich_reports(k, area, energy, tol)
+
+
+def _dilatation_bound(f: HarmonicMap, E: Region) -> float:
     k = sup_dilatation(f, E)
     if k >= 1.0:
         raise HypothesisError(f"sampled dilatation bound k = {k:.6g} is not < 1")
-    area = image_area(f, E, tol, workers=workers, check_sense=False)
-    energy = analytic_energy(f, E, tol, workers=workers)
+    return k
+
+
+def _sandwich_reports(
+    k: float, area: QuadResult, energy: QuadResult, tol: float
+) -> tuple[VerificationReport, VerificationReport]:
+    """Lower and upper sandwich rows from k and the two integrals."""
     tolerance = default_tolerance(tol, area.error_estimate, energy.error_estimate)
     detail = (
         f"k={k:.17g} area_err={area.error_estimate:.3e} "
@@ -296,7 +309,7 @@ def radial_bound_profile(
     if M < 16:
         raise HypothesisError("need at least 16 directions")
     theta = 2.0 * np.pi * np.arange(M) / M
-    x, w = np.polynomial.legendre.leggauss(_RADIAL_Q)
+    x, w = _gauss(_RADIAL_Q)
     t = r * (x + 1.0) / 2.0
     z = t[None, :] * np.exp(1j * theta)[:, None]
     vals = np.asarray(f.jacobian(z), dtype=float)
@@ -658,7 +671,9 @@ def verification_suite(
                 detail=f"{star_row.detail} {hyp}",
             )
         )
-        lower, upper = quantitative_bounds(f, disk, tol, workers=workers)
+        lower, upper = _sandwich_reports(
+            _dilatation_bound(f, disk), area, energy, tol
+        )
         rows.append(replace(lower, name=f"sandwich-lower r={r:.1f}"))
         rows.append(replace(upper, name=f"sandwich-upper r={r:.1f}"))
         rows.extend(

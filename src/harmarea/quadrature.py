@@ -6,15 +6,16 @@ angle (per-segment Gauss nodes on star regions, whose piecewise-linear
 boundary puts kinks at known angles).  Both directions refine by doubling
 until two successive levels agree to the requested tolerance.
 
-Determinism contract: partial results are written into index-ordered
-arrays and reduced with math.fsum, so identical inputs give bitwise
-identical results for any worker count.
+Determinism contract: each refinement level evaluates the field once on
+the whole (angular x radial) node array, in one thread, and reduces the
+index-ordered terms with math.fsum, so identical inputs give bitwise
+identical results.  The workers keyword is accepted for compatibility and
+changes neither the result nor the work done.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,6 @@ DEFAULT_Q0 = 16
 DEFAULT_M0 = 64
 Q_CAP = 256
 M_CAP = 4096
-
-# Angular work is dispatched in fixed-size chunks so the evaluation order
-# (and therefore the reduction) is independent of the worker count.
-_CHUNK = 64
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -96,33 +93,17 @@ def _angular_layout(E, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta.ravel(), np.ascontiguousarray(w).ravel(), radii.ravel()
 
 
-def _polar_level(field, E, q: int, m: int, workers: int) -> tuple[float, int]:
+def _polar_level(field, E, q: int, m: int) -> tuple[float, int]:
     theta, wtheta, radii = _angular_layout(E, m)
     x, gw = _gauss(q)
     frac = (x + 1.0) / 2.0
-    total = theta.size
-    terms = np.empty((total, q), dtype=float)
-
-    def fill(start: int) -> None:
-        stop = min(start + _CHUNK, total)
-        th = theta[start:stop, None]
-        rad = radii[start:stop, None]
-        t = rad * frac[None, :]
-        z = t * np.exp(1j * th)
-        vals = np.asarray(field(z), dtype=float)
-        # dA = t dt dtheta: radial Gauss weight gw*rad/2 times the factor t.
-        terms[start:stop, :] = (
-            wtheta[start:stop, None] * (rad / 2.0) * gw[None, :] * t * vals
-        )
-
-    starts = range(0, total, _CHUNK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for s in starts:
-            fill(s)
-    return math.fsum(terms.ravel().tolist()), total * q
+    rad = radii[:, None]
+    t = rad * frac[None, :]
+    z = t * np.exp(1j * theta[:, None])
+    vals = np.asarray(field(z), dtype=float)
+    # dA = t dt dtheta: radial Gauss weight gw*rad/2 times the factor t.
+    terms = wtheta[:, None] * (rad / 2.0) * gw[None, :] * t * vals
+    return math.fsum(terms.ravel().tolist()), terms.size
 
 
 def integrate_polar(
@@ -142,6 +123,7 @@ def integrate_polar(
     the same shape.  Radial and angular node counts double together until
     the two finest levels agree to tol*max(1, |value|); hitting both caps
     with the estimate above 10x that target raises NonConvergenceError.
+    Every level runs serially; workers is accepted and ignored.
     """
     if isinstance(E, PixelGrid):
         raise ConstructionError("integrate_polar needs a Disk or StarShaped region")
@@ -155,7 +137,7 @@ def integrate_polar(
 
     q = q0
     m = start
-    value, evals = _polar_level(field, E, q, m, workers)
+    value, evals = _polar_level(field, E, q, m)
     total_evals = evals
     while True:
         q_next = min(2 * q, q_cap)
@@ -168,7 +150,7 @@ def integrate_polar(
                 value,
             )
         q, m = q_next, m_next
-        new_value, evals = _polar_level(field, E, q, m, workers)
+        new_value, evals = _polar_level(field, E, q, m)
         total_evals += evals
         err = abs(new_value - value)
         scale = max(1.0, abs(new_value))

@@ -3,6 +3,7 @@
 import cmath
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -506,6 +507,18 @@ class TestVerificationSuite:
         # the disk rows of the identity take the closed form
         areasp = [row for row in rows if row.name.startswith("areasp")]
         assert all(row.evals == 1 and row.margin == 0.0 for row in areasp)
+
+    @pytest.mark.parametrize("f", [automorphism(0.5), shear(0.3, 2)])
+    def test_sandwich_rows_match_quantitative_bounds(self, f):
+        rows = {row.name: row for row in verification_suite(f)}
+        for r in (0.1, 0.5, 0.9):
+            lower, upper = quantitative_bounds(f, Disk(r))
+            assert rows[f"sandwich-lower r={r:.1f}"] == replace(
+                lower, name=f"sandwich-lower r={r:.1f}"
+            )
+            assert rows[f"sandwich-upper r={r:.1f}"] == replace(
+                upper, name=f"sandwich-upper r={r:.1f}"
+            )
 
     def test_claimed_rows_never_counted(self):
         rows = verification_suite(rotation_map(0.0))

@@ -96,6 +96,22 @@ class TestIntegratePolar:
         sb = integrate_polar(f.jacobian, E, workers=8)
         assert sa.value == sb.value
 
+    @pytest.mark.parametrize("E", [Disk(0.9), star_cos3(64)])
+    def test_one_field_call_per_level(self, E):
+        shapes = []
+
+        def counted(z):
+            shapes.append(z.shape)
+            return automorphism(0.6).jacobian(z)
+
+        res = integrate_polar(counted, E, workers=4)
+        # both node counts double per level, so each call covers a whole level
+        assert len(shapes) >= 2
+        assert shapes == [
+            (shapes[0][0] << k, shapes[0][1] << k) for k in range(len(shapes))
+        ]
+        assert sum(a * b for a, b in shapes) == res.evals
+
     def test_nonconvergence_raises(self):
         f = automorphism(0.999)
         with pytest.raises(NonConvergenceError) as exc:

@@ -17,6 +17,7 @@ from harmarea import (
     bounding_radius,
     contains,
     contains_points,
+    integrate_polar,
     radial_profile,
     rasterize,
     region_measure,
@@ -79,12 +80,19 @@ class TestMeasure:
     def test_star_matches_piecewise_linear_closed_form(self, m):
         E = star_cos3(m)
         exact = oracles.pl_star_measure(E.profile)
-        assert abs(region_measure(E) - exact) <= 1e-10 * exact
+        assert abs(region_measure(E) - exact) <= 1e-14 * exact
 
     def test_irregular_star_matches_closed_form(self):
         prof = (0.4, 0.6, 0.5, 0.9, 0.3, 0.7, 0.8, 0.55)
         exact = oracles.pl_star_measure(prof)
-        assert abs(region_measure(StarShaped(prof)) - exact) <= 1e-10 * exact
+        assert abs(region_measure(StarShaped(prof)) - exact) <= 1e-14 * exact
+
+    @given(st.lists(st.floats(0.05, 1.0, exclude_min=True), min_size=8, max_size=128))
+    def test_star_measure_matches_polar_quadrature(self, prof):
+        E = StarShaped(prof)
+        quad = integrate_polar(lambda z: np.ones(z.shape), E)
+        exact = region_measure(E)
+        assert abs(quad.value - exact) <= 1e-9 * max(1.0, exact)
 
     @given(st.floats(0.05, 1.0))
     def test_star_dilation_law(self, t):
