@@ -16,12 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CriticalPointError, DomainError, HypothesisError
-from .maps import HarmonicMap, PolynomialMap, shear, validate
+from .maps import DiskAutomorphism, HarmonicMap, shear, validate
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
     _gauss,
     check_tol,
+    integrate_boundary,
     integrate_grid,
     integrate_polar,
 )
@@ -123,37 +124,51 @@ def default_tolerance(tol: float, *error_estimates: float) -> float:
     return max(tol, 1e-9, 10.0 * math.fsum(error_estimates))
 
 
-def _disk_series_integral(
+def _area_integral(
     f: HarmonicMap, E: Region, tol: float, *, energy: bool
-) -> QuadResult | None:
-    """Closed-form integral of J_f (or |h'|^2 if energy) over a disk.
+) -> QuadResult:
+    """Integral of J_f (or |h'|^2 if energy) over a Disk or StarShaped E.
 
-    For h = sum a_n z^n and g = sum b_n z^n the area formula gives
-    int_{D_r} J_f = pi sum n (|a_n|^2 - |b_n|^2) r^{2n} (Duren, Harmonic
-    Mappings in the Plane, 2004, sec. 1); the energy drops the b_n terms.
-    The value is m(D_r) * S with S = fsum of n (|a_n|^2 - |b_n|^2) r^{2(n-1)},
-    so a map with J_f = 1 reproduces pi r^2 bit for bit.  A rotation (an
-    automorphism with a = 0) has S = 1.  Returns None where no closed form
-    is used: non-disk regions and Mobius maps with a != 0.
+    Closed forms, exact up to rounding (error_estimate 0.0):
+    - a disk under a polynomial map: for h = sum a_n z^n, g = sum b_n z^n
+      the area formula gives int_{D_r} J_f = pi sum n (|a_n|^2 - |b_n|^2)
+      r^{2n} (Duren, Harmonic Mappings in the Plane, 2004, sec. 1); the
+      energy drops the b_n terms.  The value is m(D_r) * S with S = fsum
+      of n (|a_n|^2 - |b_n|^2) r^{2(n-1)}, so a map with J_f = 1
+      reproduces pi r^2 bit for bit.
+    - a disk under an automorphism: its image is a disk, and the value is
+      m(D_r) * S with S = ((1 - |a|^2) / (1 - |a|^2 r^2))^2, so S = 1 for
+      a rotation.  An automorphism's energy density is its Jacobian.
+    - a star under a rotation: J_f = 1, so the value is m(E).
+    Other stars take the boundary integral of the canonical decomposition,
+    int_E J_f = (1/2i) oint (conj(h) dh - conj(g) dg), with g = 0 for an
+    automorphism.
     """
-    if not isinstance(E, Disk):
-        return None
     check_tol(tol)
-    if isinstance(f, PolynomialMap):
-        plus = f.h.coefficients
-        minus = () if energy else f.g.coefficients
+    if isinstance(f, DiskAutomorphism):
+        if isinstance(E, Disk):
+            a2 = abs(f.a) ** 2
+            s = (1.0 - a2) / (1.0 - a2 * E.r * E.r)
+            return QuadResult(region_measure(E) * (s * s), 0.0, 1)
+        if f.a == 0:
+            return QuadResult(region_measure(E), 0.0, 1)
+        parts = [(1.0, f.evaluate, f.analytic_derivative)]
+        return integrate_boundary(parts, E, tol, pole=1.0 / f.a.conjugate())
+    series = [(1.0, f.h)] if energy else [(1.0, f.h), (-1.0, f.g)]
+    degree = max(part.degree for _, part in series)
+    if isinstance(E, Disk):
         r = E.r
-        terms = [n * abs(c) ** 2 * r ** (2 * n - 2) for n, c in enumerate(plus[1:], 1)]
-        terms += [
-            -n * abs(c) ** 2 * r ** (2 * n - 2) for n, c in enumerate(minus[1:], 1)
+        terms = [
+            sign * n * abs(c) ** 2 * r ** (2 * n - 2)
+            for sign, part in series
+            for n, c in enumerate(part.coefficients[1:], 1)
         ]
-        series = math.fsum(terms)
-        count = max(len(plus), len(minus)) - 1
-    elif f.a == 0:
-        series, count = 1.0, 1
-    else:
-        return None
-    return QuadResult(region_measure(E) * series, 0.0, max(1, count))
+        return QuadResult(region_measure(E) * math.fsum(terms), 0.0, max(1, degree))
+    parts = [
+        (sign, part._evaluate_unchecked, part.derivative()._evaluate_unchecked)
+        for sign, part in series
+    ]
+    return integrate_boundary(parts, E, tol, min_nodes=4 * (degree + 1))
 
 
 def image_area(
@@ -166,10 +181,11 @@ def image_area(
 ) -> QuadResult:
     """m(f(E)) via the area formula: integral of the Jacobian over E.
 
-    Disks under polynomial maps and rotations use the closed form of
-    _disk_series_integral, exact up to rounding (error_estimate 0.0).
-    Other disks and star regions use adaptive polar quadrature, pixel grids
-    the midpoint rule.
+    Disks under any map, and stars under rotations, use a closed form that
+    is exact up to rounding (error_estimate 0.0).  Other stars use the
+    boundary integral of quadrature.integrate_boundary, pixel grids the
+    midpoint rule; see _area_integral.  Polar quadrature is never used.
+    workers is accepted and ignored.
     """
     if check_sense:
         rep = validate(f)
@@ -181,10 +197,7 @@ def image_area(
             )
     if isinstance(E, PixelGrid):
         return integrate_grid(f.jacobian, E)
-    exact = _disk_series_integral(f, E, tol, energy=False)
-    if exact is not None:
-        return exact
-    return integrate_polar(f.jacobian, E, tol, workers=workers)
+    return _area_integral(f, E, tol, energy=False)
 
 
 def analytic_energy(
@@ -192,14 +205,13 @@ def analytic_energy(
 ) -> QuadResult:
     """Integral of |h'|^2 over E (the analytic part's area integral).
 
-    Exact on disks under polynomial maps and rotations, as in image_area.
+    Closed form on disks under any map and on stars under rotations, the
+    boundary integral of h alone on other stars, and the midpoint rule on
+    pixel grids, as in image_area.
     """
     if isinstance(E, PixelGrid):
         return integrate_grid(f.analytic_energy_density, E)
-    exact = _disk_series_integral(f, E, tol, energy=True)
-    if exact is not None:
-        return exact
-    return integrate_polar(f.analytic_energy_density, E, tol, workers=workers)
+    return _area_integral(f, E, tol, energy=True)
 
 
 def sup_dilatation(

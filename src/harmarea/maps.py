@@ -9,6 +9,7 @@ array of complex values and are pure functions of immutable data.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -31,9 +32,10 @@ SENSE_MARGIN = 1e-9
 
 
 def _require_finite(values, what: str) -> None:
-    arr = np.asarray(values)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ConstructionError(f"{what} must have finite components")
+    for v in values:
+        c = complex(v)
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ConstructionError(f"{what} must have finite components")
 
 
 def _check_disk(z) -> None:
@@ -57,7 +59,7 @@ class AnalyticSeries:
             raise ConstructionError(
                 f"series degree {len(self.coefficients) - 1} exceeds cap {DEGREE_CAP}"
             )
-        _require_finite(list(self.coefficients), "series coefficients")
+        _require_finite(self.coefficients, "series coefficients")
         object.__setattr__(
             self, "coefficients", tuple(complex(c) for c in self.coefficients)
         )
@@ -162,6 +164,12 @@ class DiskAutomorphism:
             return np.ones_like(shaped) if shaped is not None else 1.0
         denom = self._denominator(z)
         return (1.0 - abs(self.a) ** 2) ** 2 / np.abs(denom) ** 4
+
+    def analytic_derivative(self, z):
+        """h'(z) = e^{i rotation} (1 - |a|^2) / (1 - conj(a) z)^2; here g = 0."""
+        _check_disk(z)
+        denom = self._denominator(z)
+        return cmath.exp(1j * self.rotation) * (1.0 - abs(self.a) ** 2) / denom**2
 
     def dilatation(self, z):
         """Conformal maps have identically zero dilatation."""

@@ -6,15 +6,22 @@ angle (per-segment Gauss nodes on star regions, whose piecewise-linear
 boundary puts kinks at known angles).  Both directions refine by doubling
 until two successive levels agree to the requested tolerance.
 
-Determinism contract: each refinement level evaluates the field once on
-the whole (angular x radial) node array, in one thread, and reduces the
-index-ordered terms with math.fsum, so identical inputs give bitwise
-identical results.  The workers keyword is accepted for compatibility and
-changes neither the result nor the work done.
+Area integrals of analytic functions over star regions reduce to boundary
+integrals by Green's formula, int_E |F'|^2 dA = (1/2i) oint conj(F) dF
+(Duren, Harmonic Mappings in the Plane, 2004); integrate_boundary sums
+those over Gauss-Legendre nodes on each profile segment, where the
+integrand is smooth, and refines by doubling in the same way.
+
+Determinism contract: each refinement level evaluates its fields once on
+the whole node array, in one thread, and reduces the index-ordered terms
+with math.fsum, so identical inputs give bitwise identical results.  The
+workers keyword is accepted for compatibility and changes neither the
+result nor the work done.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,6 +36,11 @@ DEFAULT_Q0 = 16
 DEFAULT_M0 = 64
 Q_CAP = 256
 M_CAP = 4096
+# Boundary levels are 1-D: start at 4 Gauss nodes per profile segment and
+# allow up to 2^15 nodes per level, enough to resolve a Mobius pole 1e-3
+# outside the unit circle.
+BOUNDARY_M0 = 4
+BOUNDARY_NODE_CAP = 2 ** 15
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -51,9 +63,9 @@ def check_tol(tol: float) -> None:
 class QuadResult:
     """Integral value, two-level error estimate, and evaluation count.
 
-    A value from a closed form (disks under polynomial maps and rotations,
-    see distortion.image_area) is exact up to rounding: its error_estimate
-    is 0.0 and evals counts the series terms summed, at least 1.
+    A value from a closed form (see distortion.image_area) is exact up to
+    rounding: its error_estimate is 0.0 and evals counts the series terms
+    summed, at least 1.
     """
 
     value: float
@@ -134,37 +146,147 @@ def integrate_polar(
         cap = max(2 * start, m_cap // p)
     else:
         start, cap = m0, m_cap
-
-    q = q0
-    m = start
-    value, evals = _polar_level(field, E, q, m)
-    total_evals = evals
+    levels = [(q0, start)]
     while True:
-        q_next = min(2 * q, q_cap)
-        m_next = min(2 * m, cap)
-        if q_next == q and m_next == m:
-            raise NonConvergenceError(
-                f"quadrature caps reached (q={q}, angular nodes at cap) with "
-                "no refinement left",
-                value,
-                value,
-            )
-        q, m = q_next, m_next
-        new_value, evals = _polar_level(field, E, q, m)
+        q, m = levels[-1]
+        step = (min(2 * q, q_cap), min(2 * m, cap))
+        if step == (q, m):
+            break
+        levels.append(step)
+    return _refine(
+        lambda qm: _polar_level(field, E, *qm),
+        levels,
+        tol,
+        f"q={q_cap}, angular cap {cap}",
+    )
+
+
+def _refine(level, params, tol: float, caps: str) -> QuadResult:
+    """Evaluate level(p) for p in params until two successive values agree.
+
+    Agreement means a difference within tol*max(1, |value|), or within 10x
+    that at the last level; the difference is the error estimate.  Running
+    out of levels first raises NonConvergenceError naming the caps.
+    """
+    value, total_evals = level(params[0])
+    if len(params) == 1:
+        raise NonConvergenceError(
+            f"quadrature caps reached ({caps}) with no refinement left", value, value
+        )
+    for k, p in enumerate(params[1:], 2):
+        new_value, evals = level(p)
         total_evals += evals
         err = abs(new_value - value)
-        scale = max(1.0, abs(new_value))
-        capped = q >= q_cap and m >= cap
-        if err <= tol * scale or (capped and err <= 10.0 * tol * scale):
+        slack = 10.0 if k == len(params) else 1.0
+        if err <= slack * tol * max(1.0, abs(new_value)):
             return QuadResult(new_value, err, total_evals)
-        if capped:
-            raise NonConvergenceError(
-                f"quadrature caps reached (q={q_cap}, angular cap {cap}) with "
-                f"error estimate {err:.3e} above 10*tol",
-                new_value,
-                value,
-            )
-        value = new_value
+        previous, value = value, new_value
+    raise NonConvergenceError(
+        f"quadrature caps reached ({caps}) with error estimate {err:.3e} "
+        "above 10*tol",
+        value,
+        previous,
+    )
+
+
+def _boundary_nodes(E: StarShaped, m: int):
+    """Boundary points, tangents dgamma/dtheta and weights for one level.
+
+    gamma(theta) = R(theta) e^{i theta} with R linear on each segment, so
+    gamma' = (R' + i R) e^{i theta} and R' is the segment slope.
+    """
+    theta, w, radii = _angular_layout(E, m)
+    prof = np.asarray(E.profile, dtype=float)
+    slope = np.repeat((np.roll(prof, -1) - prof) / (2.0 * np.pi / prof.size), m)
+    rot = np.exp(1j * theta)
+    return radii * rot, (slope + 1j * radii) * rot, w
+
+
+def _node_gaps(E: StarShaped) -> np.ndarray:
+    """Per segment, m times a bound on the distance between neighbouring nodes.
+
+    Neighbouring m-point Gauss-Legendre nodes lie less than pi/m apart on
+    [-1, 1], so less than (pi/m) * h/2 in angle on a segment of width h,
+    and |gamma'| <= hypot(R', max R) there.
+    """
+    prof = np.asarray(E.profile, dtype=float)
+    nxt = np.roll(prof, -1)
+    h = 2.0 * np.pi / prof.size
+    return np.hypot((nxt - prof) / h, np.maximum(prof, nxt)) * (h * np.pi / 2.0)
+
+
+def _pole_distances(E: StarShaped, pole: complex) -> np.ndarray:
+    """Per segment, a lower bound on the distance from pole to the boundary.
+
+    Segment j lies in the sector r <= max(R_j, R_{j+1}), theta_j <= theta
+    <= theta_{j+1}; this is the pole's distance to that sector.
+    """
+    prof = np.asarray(E.profile, dtype=float)
+    rmax = np.maximum(prof, np.roll(prof, -1))
+    h = 2.0 * np.pi / prof.size
+    rho = abs(pole)
+    past = np.mod(cmath.phase(pole) - h * np.arange(prof.size), 2.0 * np.pi)
+    inside = past <= h
+    # Angle from the pole to the nearer bounding ray of the sector.
+    delta = np.minimum(np.minimum(past - h, 2.0 * np.pi - past), np.pi / 2.0)
+    to_ray = np.where(
+        rho * np.cos(delta) <= rmax,
+        rho * np.sin(delta),
+        np.sqrt(rho * rho + rmax * rmax - 2.0 * rho * rmax * np.cos(delta)),
+    )
+    return np.where(inside, rho - rmax, to_ray)
+
+
+def _boundary_level(parts, E: StarShaped, m: int) -> tuple[float, int]:
+    z, dz, w = _boundary_nodes(E, m)
+    terms = []
+    for sign, F, dF in parts:
+        # Shifting F by the constant F(0) leaves oint conj(F) dF unchanged.
+        flux = np.conjugate(F(z) - F(0j)) * dF(z) * dz
+        terms.append((0.5 * sign) * w * flux.imag)
+    return math.fsum(np.concatenate(terms).tolist()), z.size
+
+
+def integrate_boundary(
+    parts,
+    E: StarShaped,
+    tol: float = DEFAULT_TOL,
+    *,
+    min_nodes: int = 1,
+    pole: complex | None = None,
+) -> QuadResult:
+    """Sum of sign * int_E |F'|^2 dA over (sign, F, dF) parts, on the boundary.
+
+    F must be analytic on a neighbourhood of E and, like dF, accept a
+    complex numpy array; pole, if given, is a singularity outside E.  Each
+    part contributes Im(conj(F - F(0)) F' gamma')/2 at Gauss-Legendre nodes
+    on every profile segment.  Nodes per segment double from BOUNDARY_M0
+    until two levels agree, as in integrate_polar.  The first level has at
+    least min_nodes nodes, and on each segment neighbouring nodes lie no
+    farther apart than the pole lies from the segment, so agreement is only
+    tested once the nodes resolve the pole.  Needing more than
+    BOUNDARY_NODE_CAP nodes raises NonConvergenceError.
+    """
+    if not isinstance(E, StarShaped):
+        raise ConstructionError("integrate_boundary needs a StarShaped region")
+    check_tol(tol)
+    p = len(E.profile)
+    cap = max(2 * BOUNDARY_M0, BOUNDARY_NODE_CAP // p)
+    gaps = _node_gaps(E)
+    reach = np.inf if pole is None else _pole_distances(E, pole)
+    m = BOUNDARY_M0
+    while m <= cap and (m * p < min_nodes or np.any(gaps > m * reach)):
+        m *= 2
+    if 2 * m > cap:
+        raise NonConvergenceError(
+            f"resolving the integrand needs more than the cap of {cap} "
+            "boundary nodes per segment",
+            math.nan,
+            math.nan,
+        )
+    levels = [m << k for k in range((cap // m).bit_length())]
+    caps = f"{cap} boundary nodes per segment"
+    return _refine(lambda k: _boundary_level(parts, E, k), levels, tol, caps)
 
 
 def integrate_grid(field, E: PixelGrid) -> QuadResult:

@@ -180,6 +180,11 @@ class FamilySpec:
     def build(self, params) -> HarmonicMap:
         """Construct and constraint-check; raises on infeasibility."""
         f = self.kind.construct(params)
+        self.check(f)
+        return f
+
+    def check(self, f: HarmonicMap) -> None:
+        """Raise HypothesisError when f violates a constraint."""
         if self.require_self_map or self.require_sense_preserving:
             rep = validate(f)
             if self.require_sense_preserving and not rep.sense_preserving:
@@ -188,7 +193,6 @@ class FamilySpec:
                 raise HypothesisError(
                     f"not a self-map (sup |f| = {rep.self_map_sup:.6g})"
                 )
-        return f
 
 
 @dataclass(frozen=True)
@@ -252,19 +256,18 @@ def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
         feasible = True
         ratio = math.nan
         try:
-            f = family.build(params)
-            ratio = image_area(f, E, check_sense=False).value / m_e
-        except HypothesisError as exc:
-            feasible = False
-            note = f"constraint: {exc}"
+            f = family.kind.construct(params)
             try:
-                f = family.kind.construct(params)
-                ratio = image_area(f, E, check_sense=False).value / m_e
-            except ConstructionError:
-                pass
+                family.check(f)
+            except HypothesisError as exc:
+                feasible = False
+                note = f"constraint: {exc}"
+            # Infeasible maps still get their unconstrained ratio.
+            ratio = image_area(f, E, check_sense=False).value / m_e
         except ConstructionError as exc:
-            feasible = False
-            note = f"construction: {exc}"
+            if feasible:
+                feasible = False
+                note = f"construction: {exc}"
         rows.append(SweepRow(index, params, ratio, feasible, note))
     return sorted(
         rows,

@@ -109,15 +109,34 @@ class TestArea:
         assert "invalid JSON" in err
 
     def test_nonconvergent_quadrature_exit_code(self, capsys, tmp_path):
+        # The Mobius pole sits 1e-6 outside the circle: no boundary level
+        # under the node cap resolves it.
         map_path = write_json(
-            tmp_path / "m.json", {"form": "automorphism", "a": [0.999, 0.0]}
+            tmp_path / "m.json", {"form": "automorphism", "a": [0.999999, 0.0]}
+        )
+        region = write_json(
+            tmp_path / "region.json", {"kind": "star", "profile": [1.0] * 16}
         )
         code, _, err = run(
             capsys,
-            ["area", "--map", map_path, "--r", "0.999", "--out", str(tmp_path)],
+            ["area", "--map", map_path, "--region", region, "--out", str(tmp_path)],
         )
         assert code == 3
         assert "converge" in err
+
+    def test_mobius_disk_near_circle_is_closed_form(self, capsys, tmp_path):
+        map_path = write_json(
+            tmp_path / "m.json", {"form": "automorphism", "a": [0.999, 0.0]}
+        )
+        code, out, _ = run(
+            capsys,
+            ["area", "--map", map_path, "--r", "0.999", "--out", str(tmp_path)],
+        )
+        assert code == 0
+        got = float(stdout_value(out, "m(f(E))"))
+        expected = oracles.mobius_disk_area(0.999, 0.999)
+        assert abs(got - expected) <= 1e-14 * expected
+        assert stdout_value(out, "evals") == "1"
 
     def test_tol_floor(self, capsys, tmp_path):
         code, _, _ = run(

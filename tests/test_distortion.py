@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -17,6 +17,8 @@ from harmarea import (
     Disk,
     DomainError,
     HypothesisError,
+    NonConvergenceError,
+    StarShaped,
     VerificationReport,
     affine,
     analytic_energy,
@@ -155,9 +157,14 @@ class TestClosedFormDiskArea:
             with pytest.raises(ConstructionError):
                 analytic_energy(f, Disk(0.5), tol=1e-13)
 
-    def test_mobius_and_star_stay_on_quadrature(self):
-        assert image_area(automorphism(0.5), Disk(0.5)).evals >= ONE_POLAR_LEVEL
-        assert image_area(affine(0.2), star_cos3(64)).evals >= ONE_POLAR_LEVEL
+    def test_mobius_disk_exact_and_star_on_boundary_kernel(self):
+        for f in (automorphism(0.5), automorphism(0.3 - 0.6j, 1.1)):
+            res = image_area(f, Disk(0.5))
+            assert res.evals == 1 and res.error_estimate == 0.0
+            assert analytic_energy(f, Disk(0.5)) == res
+        for f in (affine(0.2), automorphism(0.5)):
+            assert image_area(f, star_cos3(64)).evals < ONE_POLAR_LEVEL
+            assert analytic_energy(f, star_cos3(64)).evals < ONE_POLAR_LEVEL
 
     @given(
         h=series,
@@ -176,6 +183,100 @@ class TestClosedFormDiskArea:
             assert abs(exact.value - quad.value) <= DEFAULT_TOL * max(
                 1.0, abs(quad.value)
             )
+
+
+profiles = st.lists(
+    st.floats(0.05, 1.0, exclude_min=True), min_size=8, max_size=128
+).map(StarShaped)
+
+
+def _agrees_with_polar(result, field, E):
+    quad = integrate_polar(field, E)
+    assert abs(result.value - quad.value) <= DEFAULT_TOL * max(1.0, abs(quad.value))
+
+
+class TestStarBoundaryKernel:
+    @given(h=series, g=series, E=profiles)
+    def test_polynomial_matches_polar_quadrature(self, h, g, E):
+        f = raw_polynomial(h, g)
+        _agrees_with_polar(image_area(f, E, check_sense=False), f.jacobian, E)
+        _agrees_with_polar(analytic_energy(f, E), f.analytic_energy_density, E)
+
+    @given(
+        a=disk_points.map(lambda z: z / 0.9 * 0.95),
+        phi=st.floats(-math.pi, math.pi),
+        E=profiles,
+    )
+    def test_mobius_matches_polar_quadrature(self, a, phi, E):
+        f = automorphism(a, phi)
+        area = image_area(f, E, check_sense=False)
+        _agrees_with_polar(area, f.jacobian, E)
+        assert analytic_energy(f, E) == area
+
+    @given(
+        modulus=st.floats(0.0, 1.0, exclude_max=True),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        phi=st.floats(-math.pi, math.pi),
+        samples=st.integers(8, 128),
+    )
+    @example(modulus=0.999, phase=0.0, phi=0.0, samples=16)
+    def test_mobius_on_unit_disk_is_pi_or_raises(self, modulus, phase, phi, samples):
+        f = automorphism(modulus * cmath.exp(1j * phase), phi)
+        E = StarShaped((1.0,) * samples)
+        try:
+            res = image_area(f, E, check_sense=False)
+        except NonConvergenceError:
+            assert modulus > 0.99
+            return
+        assert abs(res.value - math.pi) <= DEFAULT_TOL * math.pi
+
+    def test_pole_next_to_circle_raises(self):
+        # Two coarse levels agree on about 7.6e-10 here; only the guard
+        # keeps that from being returned as the area.  The second pole
+        # faces the middle of a segment rather than a profile sample.
+        for phase in (0.0, math.pi / 16.0):
+            f = automorphism((1.0 - 1e-6) * cmath.exp(1j * phase))
+            with pytest.raises(NonConvergenceError):
+                image_area(f, StarShaped((1.0,) * 16))
+
+    def test_pole_guard_measures_distance_to_the_star(self):
+        # The pole is 1e-4 outside the unit circle at angle 0; the star
+        # reaches the circle only at angle pi, about 2 away from it.
+        f = automorphism(0.9999)
+        E = StarShaped((0.5,) * 8 + (1.0,) + (0.5,) * 7)
+        res = image_area(f, E, check_sense=False)
+        assert res.evals < ONE_POLAR_LEVEL
+        _agrees_with_polar(res, f.jacobian, E)
+
+    def test_rotation_on_star_is_region_measure(self):
+        E = star_cos3(256, scale=0.7)
+        for f in (rotation_map(0.4), identity_map()):
+            res = image_area(f, E)
+            assert res == analytic_energy(f, E)
+            assert res.value == region_measure(E)
+            assert res.error_estimate == 0.0 and res.evals == 1
+
+
+class TestMobiusDiskClosedForm:
+    @given(
+        a=st.floats(-0.95, 0.95),
+        r=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_matches_circle_image_oracle(self, a, r):
+        expected = oracles.mobius_disk_area(a, r)
+        for f in (automorphism(a), automorphism(a * 1j, 2.0)):
+            got = image_area(f, Disk(r)).value
+            assert abs(got - expected) <= 1e-14 * expected
+            assert analytic_energy(f, Disk(r)).value == got
+
+    @given(
+        a=disk_points.map(lambda z: z / 0.9 * 0.95),
+        phi=st.floats(-math.pi, math.pi),
+        r=st.floats(0.0, 0.95, exclude_min=True),
+    )
+    def test_matches_polar_quadrature(self, a, phi, r):
+        f = automorphism(a, phi)
+        _agrees_with_polar(image_area(f, Disk(r)), f.jacobian, Disk(r))
 
 
 class TestEnergyAndDilatation:

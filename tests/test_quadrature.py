@@ -1,5 +1,6 @@
 """Polar and grid quadrature plus the raster cross-check estimator."""
 
+import cmath
 import math
 
 import numpy as np
@@ -14,9 +15,11 @@ from harmarea import (
     NonConvergenceError,
     PixelGrid,
     QuadResult,
+    StarShaped,
     affine,
     automorphism,
     identity_map,
+    integrate_boundary,
     integrate_grid,
     integrate_polar,
     mc_image_area,
@@ -26,6 +29,7 @@ from harmarea import (
     shear,
     star_cos3,
 )
+from harmarea.quadrature import _boundary_nodes, _pole_distances
 
 
 def one(z):
@@ -126,6 +130,95 @@ class TestIntegratePolar:
         g = rasterize(Disk(0.5), 16)
         with pytest.raises(ConstructionError):
             integrate_polar(one, g)
+
+
+def _identity(z):
+    return z
+
+
+def _unit(z):
+    return np.ones_like(z)
+
+
+class TestIntegrateBoundary:
+    def test_identity_gives_region_measure(self):
+        # F = z has |F'|^2 = 1, so the boundary integral is m(E).
+        irregular = StarShaped((0.4, 0.6, 0.5, 0.9, 0.3, 0.7, 0.8, 0.55))
+        for E in (star_cos3(64), irregular):
+            res = integrate_boundary([(1.0, _identity, _unit)], E)
+            exact = oracles.pl_star_measure(E.profile)
+            assert abs(res.value - exact) <= 1e-14 * exact
+            assert res.error_estimate <= 1e-9
+
+    def test_signed_parts_subtract(self):
+        # h = z, g = 0.5 z: J = 1 - 0.25 everywhere.
+        E = star_cos3(64)
+        half = lambda z: 0.5 * z
+        res = integrate_boundary(
+            [(1.0, _identity, _unit), (-1.0, half, lambda z: 0.5 * np.ones_like(z))], E
+        )
+        exact = 0.75 * oracles.pl_star_measure(E.profile)
+        assert abs(res.value - exact) <= 1e-14 * exact
+
+    def test_constant_shift_does_not_matter(self):
+        E = star_cos3(64)
+        plain = integrate_boundary([(1.0, _identity, _unit)], E)
+        shifted = integrate_boundary([(1.0, lambda z: z + 5.0 - 3.0j, _unit)], E)
+        assert abs(plain.value - shifted.value) <= 1e-15
+
+    def test_min_nodes_sets_first_level(self):
+        E = StarShaped((0.5,) * 8)
+        res = integrate_boundary([(1.0, _identity, _unit)], E, min_nodes=260)
+        # 8 segments need 64 nodes each for 260 nodes: levels 64 and 128.
+        assert res.evals == 8 * (64 + 128)
+
+    def test_unresolvable_pole_raises_before_evaluating(self):
+        f = automorphism(1.0 - 1e-6)
+        calls = []
+
+        def h(z):
+            calls.append(z.size)
+            return f.evaluate(z)
+
+        with pytest.raises(NonConvergenceError) as exc:
+            integrate_boundary(
+                [(1.0, h, f.analytic_derivative)],
+                StarShaped((1.0,) * 16),
+                pole=1.0 / (1.0 - 1e-6),
+            )
+        assert "cap" in str(exc.value)
+        assert calls == []
+
+    @given(
+        prof=st.lists(st.floats(0.05, 1.0, exclude_min=True), min_size=8, max_size=64),
+        rho=st.floats(1.0 + 1e-6, 3.0),
+        psi=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_pole_distances_bound_the_boundary(self, prof, rho, psi):
+        E = StarShaped(prof)
+        pole = rho * complex(math.cos(psi), math.sin(psi))
+        bound = _pole_distances(E, pole)
+        z, _, _ = _boundary_nodes(E, 64)
+        seen = np.abs(z - pole).reshape(len(prof), 64).min(axis=1)
+        assert np.all(bound <= seen * (1.0 + 1e-12))
+
+    def test_pole_distance_facing_a_segment(self):
+        bound = _pole_distances(StarShaped((0.5,) * 16), 1.5 * cmath.exp(0.1j))
+        assert bound[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.all(bound[1:] > 1.0)
+
+    def test_deterministic(self):
+        f = automorphism(0.6j, rotation=0.7)
+        parts = [(1.0, f.evaluate, f.analytic_derivative)]
+        E = star_cos3(64, scale=0.9)
+        assert integrate_boundary(parts, E) == integrate_boundary(parts, E)
+
+    def test_rejects_other_regions_and_tiny_tol(self):
+        parts = [(1.0, _identity, _unit)]
+        with pytest.raises(ConstructionError):
+            integrate_boundary(parts, Disk(0.5))
+        with pytest.raises(ConstructionError):
+            integrate_boundary(parts, star_cos3(64), tol=1e-13)
 
 
 class TestIntegrateGrid:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import harmarea.search
 import oracles
 from harmarea import (
     AffineFamily,
@@ -115,6 +116,19 @@ class TestSweep:
         for row in flagged:
             assert "constraint" in row.note
             assert abs(row.ratio - (1.0 - row.params[0] ** 2)) < 1e-12
+
+    def test_each_map_constructed_once(self, monkeypatch):
+        calls = []
+
+        def counted(alpha):
+            calls.append(alpha)
+            return affine(alpha)
+
+        monkeypatch.setattr(harmarea.search, "affine", counted)
+        fam = FamilySpec(AffineFamily((0.0, 0.6)), require_self_map=True)
+        rows = sweep(fam, Disk(0.5), 4)
+        assert len(calls) == len(rows) == 4
+        assert sum(not row.feasible for row in rows) == 3
 
     def test_budget_enforced(self):
         fam = FamilySpec(RawBall(degree=8, coeff_bound=0.05))
