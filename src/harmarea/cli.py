@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .distortion import (
@@ -26,9 +25,9 @@ from .distortion import (
 from .errors import (
     BudgetError,
     ConstructionError,
-    DomainError,
-    HypothesisError,
+    CriticalPointError,
     NonConvergenceError,
+    PoleError,
 )
 from .presets import preset_map, preset_names
 from .quadrature import DEFAULT_TOL, mc_image_area
@@ -46,18 +45,6 @@ from .serialize import (
     search_result_to_csv,
     sweep_to_csv,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide knobs shared by all subcommands."""
-
-    tol: float = DEFAULT_TOL
-    n: int | None = None
-    seed: int = 42
-    out: Path = Path(".")
-    format: str = "csv"
-    workers: int = 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,19 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _check_args(args: argparse.Namespace) -> None:
     if args.tol < 1e-12:
         raise ParseError("--tol must be at least 1e-12")
+    # --workers is accepted for compatibility; every command runs serially.
     if args.workers < 1:
         raise ParseError("--workers must be >= 1")
-    return RunConfig(
-        tol=args.tol,
-        n=args.n,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        workers=args.workers,
-    )
 
 
 def _read_json(path: Path) -> dict:
@@ -158,19 +138,19 @@ def _load_family(args: argparse.Namespace) -> FamilySpec:
     return family_from_json(_read_json(args.family))
 
 
-def _emit(config: RunConfig, stem: str, csv_text: str | None, json_text: str | None):
-    config.out.mkdir(parents=True, exist_ok=True)
-    if csv_text is not None and config.format in ("csv", "both"):
-        (config.out / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
-    if json_text is not None and config.format in ("json", "both"):
-        (config.out / f"{stem}.json").write_text(json_text, encoding="utf-8")
+def _emit(args: argparse.Namespace, stem: str, csv_text: str | None, json_text: str | None):
+    args.out.mkdir(parents=True, exist_ok=True)
+    if csv_text is not None and args.format in ("csv", "both"):
+        (args.out / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
+    if json_text is not None and args.format in ("json", "both"):
+        (args.out / f"{stem}.json").write_text(json_text, encoding="utf-8")
 
 
-def cmd_area(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_area(args: argparse.Namespace) -> int:
     f = _load_map(args)
     region = _load_region(args)
     measure = region_measure(region)
-    result = image_area(f, region, config.tol, workers=config.workers)
+    result = image_area(f, region, args.tol)
     ratio = result.value / measure
     print(f"m(E) = {fmt(measure)}")
     print(f"m(f(E)) = {fmt(result.value)}")
@@ -181,7 +161,7 @@ def cmd_area(args: argparse.Namespace, config: RunConfig) -> int:
         "area-ratio",
         result.value,
         measure,
-        default_tolerance(config.tol, result.error_estimate),
+        default_tolerance(args.tol, result.error_estimate),
         f"ratio={fmt(ratio)}",
         evals=result.evals,
     )
@@ -195,7 +175,7 @@ def cmd_area(args: argparse.Namespace, config: RunConfig) -> int:
         "report": report_to_dict(row),
     }
     _emit(
-        config,
+        args,
         "area",
         reports_to_csv([row]),
         json.dumps(payload, indent=2, sort_keys=True),
@@ -203,9 +183,9 @@ def cmd_area(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     f = _load_map(args)
-    rows = verification_suite(f, config.tol, workers=config.workers)
+    rows = verification_suite(f, args.tol)
     failed = 0
     for row in rows:
         if not row.checked:
@@ -219,15 +199,15 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
             f"{row.name}: lhs={fmt(row.lhs)} rhs={fmt(row.rhs)} "
             f"margin={fmt(row.margin)} [{status}]"
         )
-    _emit(config, "verify", reports_to_csv(rows), reports_to_json(rows))
+    _emit(args, "verify", reports_to_csv(rows), reports_to_json(rows))
     print(f"checked rows failing: {failed}")
     return 1 if failed else 0
 
 
-def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     family = _load_family(args)
     region = _load_region(args)
-    grid = config.n if config.n is not None else 33
+    grid = args.n if args.n is not None else 33
     rows = sweep(family, region, grid)
     best = rows[0]
     names = family.param_names
@@ -236,25 +216,25 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     )
     feasible = "true" if best.feasible else "false"
     print(f"best: {best_params} ratio={fmt(best.ratio)} feasible={feasible}")
-    _emit(config, "sweep", sweep_to_csv(rows, names), None)
+    _emit(args, "sweep", sweep_to_csv(rows, names), None)
     return 0
 
 
-def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_search(args: argparse.Namespace) -> int:
     region = _load_region(args)
-    iterations = config.n if config.n is not None else 200
+    iterations = args.n if args.n is not None else 200
     if args.family and (args.map or args.preset):
         raise ParseError("search takes --family or a map (--map/--preset), not both")
     if args.family:
         family = _load_family(args)
         result = maximize_area_ratio(
-            family, region, iterations, config.seed, tol=config.tol
+            family, region, iterations, args.seed, tol=args.tol
         )
         names = family.param_names
         objective = "area-ratio"
     else:
         f = _load_map(args)
-        result = maximize_sp_ratio(f, region, iterations, config.seed)
+        result = maximize_sp_ratio(f, region, iterations, args.seed)
         names = ("x", "y")
         objective = "sp-ratio"
     best_params = " ".join(
@@ -264,18 +244,18 @@ def cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
     print(f"best: {best_params} value={fmt(result.best_value)}")
     print(f"evaluations = {result.evaluations}")
     if objective == "sp-ratio":
-        exceeds = result.best_value > 1.0 + 10.0 * config.tol
+        exceeds = result.best_value > 1.0 + 10.0 * args.tol
         print(f"exceeds_one = {'true' if exceeds else 'false'}")
-    _emit(config, "search", search_result_to_csv(result, names), None)
+    _emit(args, "search", search_result_to_csv(result, names), None)
     return 0
 
 
-def cmd_oracle(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_oracle(args: argparse.Namespace) -> int:
     f = _load_map(args)
     region = _load_region(args)
-    n = config.n if config.n is not None else 1024
-    raster = mc_image_area(f, region, n, config.seed)
-    integral = image_area(f, region, config.tol, workers=config.workers)
+    n = args.n if args.n is not None else 1024
+    raster = mc_image_area(f, region, n, args.seed)
+    integral = image_area(f, region, args.tol)
     gap = abs(raster.value - integral.value)
     rel_gap = gap / abs(integral.value) if integral.value else math.inf
     threshold = max(
@@ -304,7 +284,7 @@ def cmd_oracle(args: argparse.Namespace, config: RunConfig) -> int:
             evals=raster.evals + integral.evals,
         ),
     ]
-    _emit(config, "oracle", reports_to_csv(rows), reports_to_json(rows))
+    _emit(args, "oracle", reports_to_csv(rows), reports_to_json(rows))
     return 0 if gap <= threshold else 1
 
 
@@ -321,16 +301,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config(args)
-        return _COMMANDS[args.command](args, config)
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except NonConvergenceError as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return 3
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
-    # BudgetError subclasses ValueError, so this catch-all must come last
-    except (ParseError, ConstructionError, HypothesisError, DomainError, ValueError) as exc:
+    # BudgetError subclasses ValueError, so this catch-all must come last.
+    # ParseError and the package's input and hypothesis errors subclass
+    # ValueError.  CriticalPointError and PoleError mean the map cannot be
+    # evaluated where the command needs it: a precondition, not a failed
+    # inequality.
+    except (ValueError, CriticalPointError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,7 @@ from .quadrature import (
     integrate_boundary,
     integrate_grid,
     integrate_polar,
+    quarter_cells,
 )
 from .regions import (
     Disk,
@@ -176,7 +177,6 @@ def image_area(
     E: Region,
     tol: float = DEFAULT_TOL,
     *,
-    workers: int = 1,
     check_sense: bool = True,
 ) -> QuadResult:
     """m(f(E)) via the area formula: integral of the Jacobian over E.
@@ -185,7 +185,6 @@ def image_area(
     is exact up to rounding (error_estimate 0.0).  Other stars use the
     boundary integral of quadrature.integrate_boundary, pixel grids the
     midpoint rule; see _area_integral.  Polar quadrature is never used.
-    workers is accepted and ignored.
     """
     if check_sense:
         rep = validate(f)
@@ -200,9 +199,7 @@ def image_area(
     return _area_integral(f, E, tol, energy=False)
 
 
-def analytic_energy(
-    f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL, *, workers: int = 1
-) -> QuadResult:
+def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of |h'|^2 over E (the analytic part's area integral).
 
     Closed form on disks under any map and on stars under rotations, the
@@ -237,15 +234,15 @@ def sup_dilatation(
 
 
 def quantitative_bounds(
-    f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL, *, workers: int = 1
+    f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL
 ) -> tuple[VerificationReport, VerificationReport]:
     """Sandwich (1-k^2) * int |h'|^2 <= m(f(E)) <= int |h'|^2.
 
     k is the sampled sup of |dilatation| on E; k >= 1 is a hypothesis error.
     """
     k = _dilatation_bound(f, E)
-    area = image_area(f, E, tol, workers=workers, check_sense=False)
-    energy = analytic_energy(f, E, tol, workers=workers)
+    area = image_area(f, E, tol, check_sense=False)
+    energy = analytic_energy(f, E, tol)
     return _sandwich_reports(k, area, energy, tol)
 
 
@@ -281,14 +278,14 @@ def _sandwich_reports(
 
 
 def disk_contraction_report(
-    f: HarmonicMap, r: float, tol: float = DEFAULT_TOL, *, workers: int = 1
+    f: HarmonicMap, r: float, tol: float = DEFAULT_TOL
 ) -> ChainReport:
     """Chain m(f(D_r)) <= int_{D_r} |h'|^2 <= pi r^2 with both margins."""
     if not 0.0 < r < 1.0:
         raise HypothesisError("radius must lie in (0, 1)")
     disk = Disk(r)
-    area = image_area(f, disk, tol, workers=workers, check_sense=False)
-    energy = analytic_energy(f, disk, tol, workers=workers)
+    area = image_area(f, disk, tol, check_sense=False)
+    energy = analytic_energy(f, disk, tol)
     reference = math.pi * r * r
     sup = validate(f).self_map_sup
     tolerance = default_tolerance(tol, area.error_estimate, energy.error_estimate)
@@ -344,7 +341,7 @@ def radial_bound_profile(
 
 
 def star_contraction_report(
-    f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL, *, workers: int = 1
+    f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """m(f(E)) <= m(E) for a star-shaped (or disk) region.
 
@@ -355,7 +352,7 @@ def star_contraction_report(
         raise HypothesisError("star contraction needs a Disk or StarShaped region")
     origin_image = abs(complex(f.evaluate(0j)))
     hypothesis_ok = origin_image <= ORIGIN_SLACK
-    area = image_area(f, E, tol, workers=workers, check_sense=False)
+    area = image_area(f, E, tol, check_sense=False)
     measure = region_measure(E)
     tolerance = default_tolerance(tol, area.error_estimate)
     detail = f"area_err={area.error_estimate:.3e} f(0)={origin_image:.3e}"
@@ -392,12 +389,7 @@ def local_contraction_constant(f: HarmonicMap, E: Region, grid: int = 129) -> fl
         raise HypothesisError("region must lie compactly inside the unit disk")
     if isinstance(E, PixelGrid):
         coarse_pts = E.cell_centers()
-        quarter = 0.5 / E.n
-        offsets = np.array(
-            [-quarter - 1j * quarter, quarter - 1j * quarter,
-             -quarter + 1j * quarter, quarter + 1j * quarter]
-        )
-        fine_pts = (coarse_pts[None, :] + offsets[:, None]).ravel()
+        fine_pts = quarter_cells(coarse_pts, E.n).ravel()
         fine_pts = fine_pts[np.abs(fine_pts) < 1.0]
     else:
         coarse_pts = _sample_points(E, grid)
@@ -502,9 +494,7 @@ class ReferenceIntegral:
     evals: int
 
 
-def hyperbolic_disk_integral(
-    r: float, tol: float = DEFAULT_TOL, *, workers: int = 1
-) -> ReferenceIntegral:
+def hyperbolic_disk_integral(r: float, tol: float = DEFAULT_TOL) -> ReferenceIntegral:
     """Integral of (1-|z|^2)^-2 over Disk{r}: quadrature vs pi r^2/(1-r^2).
 
     The claimed value pi r^2 is reported alongside; the two agree only to
@@ -517,7 +507,7 @@ def hyperbolic_disk_integral(
         u = 1.0 - np.abs(z) ** 2
         return 1.0 / (u * u)
 
-    q = integrate_polar(field, Disk(r), tol, workers=workers)
+    q = integrate_polar(field, Disk(r), tol)
     return ReferenceIntegral(
         quadrature=q.value,
         closed_form=math.pi * r * r / (1.0 - r * r),
@@ -528,12 +518,7 @@ def hyperbolic_disk_integral(
 
 
 def shear_disk_integral(
-    r: float,
-    alpha: float = 0.3,
-    power: int = 2,
-    tol: float = DEFAULT_TOL,
-    *,
-    workers: int = 1,
+    r: float, alpha: float = 0.3, power: int = 2, tol: float = DEFAULT_TOL
 ) -> ReferenceIntegral:
     """Image area of the shear z + alpha conj(z)^power over Disk{r}.
 
@@ -545,7 +530,7 @@ def shear_disk_integral(
     if not 0.0 < r < 1.0:
         raise HypothesisError("radius must lie in (0, 1)")
     f = shear(alpha, power)
-    q = integrate_polar(f.jacobian, Disk(r), tol, workers=workers)
+    q = integrate_polar(f.jacobian, Disk(r), tol)
     a2 = alpha * alpha
     return ReferenceIntegral(
         quadrature=q.value,
@@ -556,13 +541,11 @@ def shear_disk_integral(
     )
 
 
-def rigidity_margin(
-    f: HarmonicMap, r: float, tol: float = DEFAULT_TOL, *, workers: int = 1
-) -> float:
+def rigidity_margin(f: HarmonicMap, r: float, tol: float = DEFAULT_TOL) -> float:
     """pi r^2 - m(f(D_r)): zero only for the area-preserving equality case."""
     if not 0.0 < r < 1.0:
         raise HypothesisError("radius must lie in (0, 1)")
-    area = image_area(f, Disk(r), tol, workers=workers, check_sense=False)
+    area = image_area(f, Disk(r), tol, check_sense=False)
     return math.pi * r * r - area.value
 
 
@@ -604,7 +587,7 @@ def _reference_rows(
 
 
 def verification_suite(
-    f: HarmonicMap, tol: float = DEFAULT_TOL, *, workers: int = 1
+    f: HarmonicMap, tol: float = DEFAULT_TOL
 ) -> list[VerificationReport]:
     """Full inequality suite for one map, one report row per check per r.
 
@@ -622,8 +605,8 @@ def verification_suite(
     rows: list[VerificationReport] = []
     for r in VERIFY_RADII:
         disk = Disk(r)
-        area = image_area(f, disk, tol, workers=workers, check_sense=False)
-        energy = analytic_energy(f, disk, tol, workers=workers)
+        area = image_area(f, disk, tol, check_sense=False)
+        energy = analytic_energy(f, disk, tol)
         reference = math.pi * r * r
         tolerance = default_tolerance(
             tol, area.error_estimate, energy.error_estimate
@@ -674,7 +657,7 @@ def verification_suite(
             )
         )
         star = star_cos3(256, scale=r)
-        star_row = star_contraction_report(f, star, tol, workers=workers)
+        star_row = star_contraction_report(f, star, tol)
         rows.append(
             replace(
                 star_row,
@@ -689,13 +672,9 @@ def verification_suite(
         rows.append(replace(lower, name=f"sandwich-lower r={r:.1f}"))
         rows.append(replace(upper, name=f"sandwich-upper r={r:.1f}"))
         rows.extend(
-            _reference_rows(
-                "hyperbolic", r, hyperbolic_disk_integral(r, tol, workers=workers), tol
-            )
+            _reference_rows("hyperbolic", r, hyperbolic_disk_integral(r, tol), tol)
         )
         rows.extend(
-            _reference_rows(
-                "shear", r, shear_disk_integral(r, 0.3, 2, tol, workers=workers), tol
-            )
+            _reference_rows("shear", r, shear_disk_integral(r, 0.3, 2, tol), tol)
         )
     return rows

@@ -14,9 +14,7 @@ integrand is smooth, and refines by doubling in the same way.
 
 Determinism contract: each refinement level evaluates its fields once on
 the whole node array, in one thread, and reduces the index-ordered terms
-with math.fsum, so identical inputs give bitwise identical results.  The
-workers keyword is accepted for compatibility and changes neither the
-result nor the work done.
+with math.fsum, so identical inputs give bitwise identical results.
 """
 
 from __future__ import annotations
@@ -118,38 +116,29 @@ def _polar_level(field, E, q: int, m: int) -> tuple[float, int]:
     return math.fsum(terms.ravel().tolist()), terms.size
 
 
-def integrate_polar(
-    field,
-    E: Region,
-    tol: float = DEFAULT_TOL,
-    *,
-    q0: int = DEFAULT_Q0,
-    m0: int = DEFAULT_M0,
-    q_cap: int = Q_CAP,
-    m_cap: int = M_CAP,
-    workers: int = 1,
-) -> QuadResult:
+def integrate_polar(field, E: Region, tol: float = DEFAULT_TOL) -> QuadResult:
     """Integrate a scalar field over a Disk or StarShaped region.
 
     The field must accept a complex numpy array and return real values of
-    the same shape.  Radial and angular node counts double together until
-    the two finest levels agree to tol*max(1, |value|); hitting both caps
-    with the estimate above 10x that target raises NonConvergenceError.
-    Every level runs serially; workers is accepted and ignored.
+    the same shape.  Radial and angular node counts double together, from
+    DEFAULT_Q0 radial and DEFAULT_M0 angular nodes (per segment on a star,
+    DEFAULT_M0 split over the segments), until the two finest levels agree
+    to tol*max(1, |value|); hitting Q_CAP and M_CAP with the estimate above
+    10x that target raises NonConvergenceError.
     """
     if isinstance(E, PixelGrid):
         raise ConstructionError("integrate_polar needs a Disk or StarShaped region")
     check_tol(tol)
     if isinstance(E, StarShaped):
         p = len(E.profile)
-        start = max(1, m0 // p)
-        cap = max(2 * start, m_cap // p)
+        start = max(1, DEFAULT_M0 // p)
+        cap = max(2 * start, M_CAP // p)
     else:
-        start, cap = m0, m_cap
-    levels = [(q0, start)]
+        start, cap = DEFAULT_M0, M_CAP
+    levels = [(DEFAULT_Q0, start)]
     while True:
         q, m = levels[-1]
-        step = (min(2 * q, q_cap), min(2 * m, cap))
+        step = (min(2 * q, Q_CAP), min(2 * m, cap))
         if step == (q, m):
             break
         levels.append(step)
@@ -157,22 +146,19 @@ def integrate_polar(
         lambda qm: _polar_level(field, E, *qm),
         levels,
         tol,
-        f"q={q_cap}, angular cap {cap}",
+        f"q={Q_CAP}, angular cap {cap}",
     )
 
 
 def _refine(level, params, tol: float, caps: str) -> QuadResult:
     """Evaluate level(p) for p in params until two successive values agree.
 
-    Agreement means a difference within tol*max(1, |value|), or within 10x
-    that at the last level; the difference is the error estimate.  Running
-    out of levels first raises NonConvergenceError naming the caps.
+    params holds at least two levels.  Agreement means a difference within
+    tol*max(1, |value|), or within 10x that at the last level; the
+    difference is the error estimate.  Running out of levels first raises
+    NonConvergenceError naming the caps.
     """
     value, total_evals = level(params[0])
-    if len(params) == 1:
-        raise NonConvergenceError(
-            f"quadrature caps reached ({caps}) with no refinement left", value, value
-        )
     for k, p in enumerate(params[1:], 2):
         new_value, evals = level(p)
         total_evals += evals
@@ -289,6 +275,13 @@ def integrate_boundary(
     return _refine(lambda k: _boundary_level(parts, E, k), levels, tol, caps)
 
 
+def quarter_cells(centers: np.ndarray, n: int) -> np.ndarray:
+    """Centers of the four quarter cells of each n x n grid cell, shape (4, N)."""
+    q = 0.5 / n
+    offsets = np.array([-q - 1j * q, q - 1j * q, -q + 1j * q, q + 1j * q])
+    return centers[None, :] + offsets[:, None]
+
+
 def integrate_grid(field, E: PixelGrid) -> QuadResult:
     """Midpoint rule over the true cells of a pixel grid.
 
@@ -307,12 +300,7 @@ def integrate_grid(field, E: PixelGrid) -> QuadResult:
     vals = np.asarray(field(centers), dtype=float)
     base = math.fsum((vals * area).tolist())
 
-    quarter = side / 4.0
-    offsets = np.array(
-        [-quarter - 1j * quarter, quarter - 1j * quarter,
-         -quarter + 1j * quarter, quarter + 1j * quarter]
-    )
-    sub = centers[None, :] + offsets[:, None]
+    sub = quarter_cells(centers, E.n)
     sub_vals = np.broadcast_to(vals[None, :], sub.shape).copy()
     inside = np.abs(sub) < 1.0
     if np.any(inside):

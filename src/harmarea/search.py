@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .distortion import image_area, sp_ratio
-from .errors import BudgetError, ConstructionError, HypothesisError
+from .errors import BudgetError, ConstructionError, CriticalPointError, HypothesisError
 from .maps import (
     DEGREE_CAP,
     HarmonicMap,
@@ -184,9 +184,15 @@ class FamilySpec:
         return f
 
     def check(self, f: HarmonicMap) -> None:
-        """Raise HypothesisError when f violates a constraint."""
+        """Raise HypothesisError when f violates a constraint.
+
+        A map whose h' vanishes on the closed disk is not sense-preserving.
+        """
         if self.require_self_map or self.require_sense_preserving:
-            rep = validate(f)
+            try:
+                rep = validate(f)
+            except CriticalPointError as exc:
+                raise HypothesisError(str(exc)) from exc
             if self.require_sense_preserving and not rep.sense_preserving:
                 raise HypothesisError("not sense-preserving on the sampled grid")
             if self.require_self_map and rep.self_map_sup > 1.0 + _SELF_MAP_SLACK:
@@ -225,11 +231,18 @@ def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _lattice_axes(family: FamilyKind, grid_per_axis: int):
-    """Continuous axes first, then discrete axes, row-major iteration."""
-    cont = [_axis_values(lo, hi, grid_per_axis) for lo, hi in family.continuous_bounds()]
-    disc = [np.asarray(vals) for vals in family.discrete_axes()]
-    return cont, disc
+def _lattice(cont_bounds, disc_axes, grid_per_axis: int):
+    """Row-major parameter tuples: continuous axes first, then discrete axes.
+
+    Raises BudgetError, before any point is produced, when the lattice has
+    more than SWEEP_BUDGET points.
+    """
+    axes = [_axis_values(lo, hi, grid_per_axis) for lo, hi in cont_bounds]
+    axes += [np.asarray(vals) for vals in disc_axes]
+    total = math.prod(len(axis) for axis in axes)
+    if total > SWEEP_BUDGET:
+        raise BudgetError(f"lattice of {total} points exceeds budget {SWEEP_BUDGET}")
+    return (tuple(float(v) for v in values) for values in itertools.product(*axes))
 
 
 def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
@@ -241,17 +254,11 @@ def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
     """
     if grid_per_axis < 1:
         raise ConstructionError("grid_per_axis must be >= 1")
-    cont, disc = _lattice_axes(family.kind, grid_per_axis)
-    axes = cont + disc
-    total = 1
-    for axis in axes:
-        total *= len(axis)
-    if total > SWEEP_BUDGET:
-        raise BudgetError(f"lattice of {total} points exceeds budget {SWEEP_BUDGET}")
+    kind = family.kind
+    lattice = _lattice(kind.continuous_bounds(), kind.discrete_axes(), grid_per_axis)
     m_e = region_measure(E)
     rows = []
-    for index, values in enumerate(itertools.product(*axes)):
-        params = tuple(float(v) for v in values)
+    for index, params in enumerate(lattice):
         note = ""
         feasible = True
         ratio = math.nan
@@ -278,17 +285,14 @@ def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
     )
 
 
-def _simplex_refine(objective, x0, bounds, steps, iterations, trace, state):
+def _simplex_refine(score, x0, bounds, steps, iterations):
     """Maximizing simplex with reflection 1.0, contraction 0.5, shrink 0.5.
 
-    Mutates `state` (best_params, best_value, evaluations) and appends
-    accepted improvements to `trace`.  Coordinates outside `bounds` are the
-    objective's problem (it penalizes infeasible points), so no projection
-    happens here.
+    score evaluates a point and records it (see _maximize).  Coordinates
+    outside `bounds` are its problem (it penalizes infeasible points), so no
+    projection happens here.
     """
     dim = len(x0)
-    if dim == 0:
-        return
     vertices = [np.asarray(x0, dtype=float)]
     for i in range(dim):
         v = vertices[0].copy()
@@ -298,19 +302,7 @@ def _simplex_refine(objective, x0, bounds, steps, iterations, trace, state):
             step = -step
         v[i] = v[i] + step
         vertices.append(v)
-    values = [objective(v) for v in vertices]
-    state["evaluations"] += len(vertices)
-
-    def note(v, val):
-        if val > state["best_value"]:
-            state["best_value"] = val
-            state["best_params"] = tuple(float(c) for c in v)
-            # Infeasible points (penalized to -1) never enter the trace.
-            if val > -1.0:
-                trace.append((state["best_params"], val))
-
-    for v, val in zip(vertices, values):
-        note(v, val)
+    values = [score(v) for v in vertices]
     for _ in range(iterations):
         order = sorted(range(len(vertices)), key=lambda i: -values[i])
         vertices = [vertices[i] for i in order]
@@ -322,102 +314,63 @@ def _simplex_refine(objective, x0, bounds, steps, iterations, trace, state):
             break
         centroid = np.mean(vertices[:-1], axis=0)
         reflected = centroid + (centroid - vertices[-1])
-        f_reflected = objective(reflected)
-        state["evaluations"] += 1
+        f_reflected = score(reflected)
         if f_reflected > values[-2]:
             vertices[-1] = reflected
             values[-1] = f_reflected
-            note(reflected, f_reflected)
             continue
         contracted = (centroid + vertices[-1]) / 2.0
-        f_contracted = objective(contracted)
-        state["evaluations"] += 1
+        f_contracted = score(contracted)
         if f_contracted > values[-1]:
             vertices[-1] = contracted
             values[-1] = f_contracted
-            note(contracted, f_contracted)
             continue
         for i in range(1, len(vertices)):
             vertices[i] = vertices[0] + 0.5 * (vertices[i] - vertices[0])
-            values[i] = objective(vertices[i])
-            state["evaluations"] += 1
-            note(vertices[i], values[i])
+            values[i] = score(vertices[i])
 
 
-def _maximize(raw_objective, cont_bounds, disc_axes, grid_per_axis, iterations, seed):
+def _maximize(objective, cont_bounds, disc_axes, grid_per_axis, iterations, seed):
     """Lattice scan then simplex refinement of the continuous coordinates."""
+    trace: list[tuple[tuple[float, ...], float]] = []
+    best_params, best_value, evaluations = None, -math.inf, 0
 
-    def objective(params):
+    def score(params) -> float:
+        """Penalized objective; counts the call and traces each improvement."""
+        nonlocal best_params, best_value, evaluations
+        evaluations += 1
         # The simplex may reflect outside the parameter box; such points are
         # infeasible even when the underlying map happens to be constructible.
-        for coord, (lo, hi) in zip(params, cont_bounds):
-            if not lo <= coord <= hi:
-                return -1.0
-        return raw_objective(params)
-
-    cont_axes = [_axis_values(lo, hi, grid_per_axis) for lo, hi in cont_bounds]
-    axes = cont_axes + [np.asarray(vals) for vals in disc_axes]
-    total = 1
-    for axis in axes:
-        total *= len(axis)
-    if total > SWEEP_BUDGET:
-        raise BudgetError(f"lattice of {total} points exceeds budget {SWEEP_BUDGET}")
-    trace: list[tuple[tuple[float, ...], float]] = []
-    state = {"best_params": None, "best_value": -math.inf, "evaluations": 0}
-    for values in itertools.product(*axes):
-        params = tuple(float(v) for v in values)
-        val = objective(np.asarray(params))
-        state["evaluations"] += 1
-        if val > state["best_value"]:
-            state["best_value"] = val
-            state["best_params"] = params
+        inside = all(lo <= c <= hi for c, (lo, hi) in zip(params, cont_bounds))
+        val = objective(params) if inside else -1.0
+        if val > best_value:
+            best_value = val
+            best_params = tuple(float(c) for c in params)
+            # Infeasible points (penalized to -1) never enter the trace.
             if val > -1.0:
-                trace.append((params, val))
+                trace.append((best_params, val))
+        return val
+
+    for params in _lattice(cont_bounds, disc_axes, grid_per_axis):
+        score(np.asarray(params))
     n_cont = len(cont_bounds)
-    disc_best = state["best_params"][n_cont:]
-
-    def frozen_objective(x_cont):
-        return objective(np.concatenate([np.asarray(x_cont, dtype=float), disc_best]))
-
-    def run_simplex(x0, steps):
-        sub_state = {
-            "best_params": tuple(state["best_params"][:n_cont]),
-            "best_value": state["best_value"],
-            "evaluations": 0,
-        }
-        sub_trace: list[tuple[tuple[float, ...], float]] = []
-        _simplex_refine(
-            frozen_objective, x0, cont_bounds, steps, iterations, sub_trace, sub_state
-        )
-        state["evaluations"] += sub_state["evaluations"]
-        for params_cont, val in sub_trace:
-            full = tuple(params_cont) + tuple(disc_best)
-            trace.append((full, val))
-            if val > state["best_value"]:
-                state["best_value"] = val
-                state["best_params"] = full
-
     if n_cont:
+        disc_best = best_params[n_cont:]
+
+        def frozen(x_cont):
+            return score(np.concatenate([x_cont, disc_best]))
+
         steps = [
             (hi - lo) / (2.0 * max(1, grid_per_axis - 1)) if hi > lo else 1e-3
             for lo, hi in cont_bounds
         ]
-        x0 = np.asarray(state["best_params"][:n_cont], dtype=float)
-        run_simplex(x0, steps)
+        _simplex_refine(frozen, best_params[:n_cont], cont_bounds, steps, iterations)
         # One seeded restart guards against a collapsed starting simplex.
         rng = np.random.default_rng(seed)
         jitter = rng.uniform(-0.125, 0.125, size=n_cont)
-        x1 = np.asarray(state["best_params"][:n_cont], dtype=float) + jitter * np.asarray(
-            steps
-        )
-        run_simplex(x1, [s / 4.0 for s in steps])
-    return SearchResult(
-        best_params=state["best_params"],
-        best_value=state["best_value"],
-        evaluations=state["evaluations"],
-        trace=tuple(trace),
-        seed=seed,
-    )
+        x1 = np.asarray(best_params[:n_cont]) + jitter * np.asarray(steps)
+        _simplex_refine(frozen, x1, cont_bounds, [s / 4.0 for s in steps], iterations)
+    return SearchResult(best_params, best_value, evaluations, tuple(trace), seed)
 
 
 def maximize_area_ratio(
@@ -471,32 +424,25 @@ def maximize_sp_ratio(
         raise HypothesisError("domain must have bounding radius <= 1 - 1e-3")
     z_bounds = [(-b, b), (-b, b)]
     if isinstance(f_or_family, FamilySpec):
-        family = f_or_family
-        cont = list(family.kind.continuous_bounds()) + z_bounds
-        disc = list(family.kind.discrete_axes())
-        n_family = len(family.kind.continuous_bounds())
-
-        def objective(params) -> float:
-            z = complex(params[n_family], params[n_family + 1])
-            if not contains(domain, z) or abs(z) >= 1.0:
-                return -1.0
-            fam_params = tuple(params[:n_family]) + tuple(params[n_family + 2:])
-            try:
-                f = family.build(fam_params)
-            except (ConstructionError, HypothesisError):
-                return -1.0
-            return sp_ratio(f, z)
-
-        # Discrete axes must trail the z coordinates in the parameter
-        # vector, so the objective reassembles them after the z slot.
-        return _maximize(objective, cont, disc, grid_per_axis, iterations, seed)
-
-    f = f_or_family
+        kind = f_or_family.kind
+        cont, disc = list(kind.continuous_bounds()), list(kind.discrete_axes())
+        build = f_or_family.build
+    else:
+        # A single map is a family without parameters.
+        cont, disc = [], []
+        build = lambda _: f_or_family
+    n_family = len(cont)
 
     def objective(params) -> float:
-        z = complex(params[0], params[1])
+        z = complex(params[n_family], params[n_family + 1])
         if not contains(domain, z) or abs(z) >= 1.0:
+            return -1.0
+        # Discrete axes trail the z coordinates in the parameter vector, so
+        # the family parameters are reassembled around the z slot.
+        try:
+            f = build(tuple(params[:n_family]) + tuple(params[n_family + 2:]))
+        except (ConstructionError, HypothesisError):
             return -1.0
         return sp_ratio(f, z)
 
-    return _maximize(objective, z_bounds, [], grid_per_axis, iterations, seed)
+    return _maximize(objective, cont + z_bounds, disc, grid_per_axis, iterations, seed)

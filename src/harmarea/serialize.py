@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .distortion import ChainReport, VerificationReport
+from .distortion import VerificationReport
 from .maps import (
     DiskAutomorphism,
     HarmonicMap,
@@ -243,23 +243,6 @@ def report_to_dict(rep: VerificationReport) -> dict:
         "detail": rep.detail,
         "checked": rep.checked,
         "evals": rep.evals,
-    }
-
-
-def chain_to_dict(chain: ChainReport) -> dict:
-    return {
-        "name": chain.name,
-        "image_area": chain.image_area,
-        "analytic_energy": chain.analytic_energy,
-        "reference_area": chain.reference_area,
-        "margin_first": chain.margin_first,
-        "margin_second": chain.margin_second,
-        "pass_first": chain.pass_first,
-        "pass_second": chain.pass_second,
-        "tolerance": chain.tolerance,
-        "self_map_sup": chain.self_map_sup,
-        "detail": chain.detail,
-        "evals": chain.evals,
     }
 
 

@@ -151,6 +151,29 @@ class TestArea:
         assert exc.value.code == 2
 
 
+# h' = 1 - z vanishes at the boundary sample z = 1.
+CRITICAL_MAP = {
+    "form": "polynomial",
+    "h": [[0, 0], [1, 0], [-0.5, 0]],
+    "g": [[0, 0], [0.1, 0]],
+}
+# The Mobius pole 1/conj(a) lies within 1e-15 of the boundary sample z = 1.
+NEAR_POLE_MAP = {"form": "automorphism", "a": [0.999999999999999, 0], "rotation": 0}
+
+
+class TestUnevaluableMaps:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [("area", CRITICAL_MAP), ("verify", CRITICAL_MAP), ("area", NEAR_POLE_MAP)],
+    )
+    def test_precondition_exit_code(self, capsys, tmp_path, command, doc):
+        map_path = write_json(tmp_path / "map.json", doc)
+        code, _, err = run(capsys, [command, "--map", map_path, "--out", str(tmp_path)])
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestVerify:
     def test_rotation_all_pass(self, capsys, tmp_path):
         code, out, _ = run(

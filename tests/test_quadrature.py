@@ -93,11 +93,11 @@ class TestIntegratePolar:
         f = automorphism(0.6, rotation=0.7)
         a = integrate_polar(f.jacobian, Disk(0.9))
         b = integrate_polar(f.jacobian, Disk(0.9))
-        c = integrate_polar(f.jacobian, Disk(0.9), workers=4)
+        c = integrate_polar(f.jacobian, Disk(0.9))
         assert a.value == b.value == c.value
         E = star_cos3(64)
         sa = integrate_polar(f.jacobian, E)
-        sb = integrate_polar(f.jacobian, E, workers=8)
+        sb = integrate_polar(f.jacobian, E)
         assert sa.value == sb.value
 
     @pytest.mark.parametrize("E", [Disk(0.9), star_cos3(64)])
@@ -108,7 +108,7 @@ class TestIntegratePolar:
             shapes.append(z.shape)
             return automorphism(0.6).jacobian(z)
 
-        res = integrate_polar(counted, E, workers=4)
+        res = integrate_polar(counted, E)
         # both node counts double per level, so each call covers a whole level
         assert len(shapes) >= 2
         assert shapes == [

@@ -14,6 +14,7 @@ from harmarea import (
     ConstructionError,
     Disk,
     FamilySpec,
+    HypothesisError,
     RawBall,
     SearchResult,
     ShearFamily,
@@ -24,6 +25,7 @@ from harmarea import (
     shear,
     sweep,
 )
+from harmarea.cli import main
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,6 +235,47 @@ class TestMaximizeSpRatio:
         a = maximize_sp_ratio(affine(0.4), Disk(0.5), iterations=50, seed=9)
         b = maximize_sp_ratio(affine(0.4), Disk(0.5), iterations=50, seed=9)
         assert a.trace == b.trace
+
+
+class TestCriticalPoints:
+    """RawBall(2, 0.5) has lattice points with h2 = -0.5, where h' = 1 - z
+    vanishes at z = 1: not sense-preserving, so infeasible."""
+
+    FAMILY = FamilySpec(RawBall(degree=2, coeff_bound=0.5))
+
+    def test_build_raises_hypothesis_error(self):
+        with pytest.raises(HypothesisError):
+            self.FAMILY.build((-0.5, 0.0, 0.0))
+
+    def test_sweep_flags_point(self):
+        rows = sweep(self.FAMILY, Disk(0.5), 3)
+        critical = [row for row in rows if row.params[0] == -0.5]
+        assert len(critical) == 9
+        for row in critical:
+            assert not row.feasible
+            assert row.note.startswith("constraint:")
+            assert math.isfinite(row.ratio)
+
+    def test_search_scores_point_minus_one(self):
+        res = maximize_area_ratio(self.FAMILY, Disk(0.5), iterations=20, grid_per_axis=3)
+        # The nine h2 = -0.5 points lead the lattice; (0, -0.5, -0.5) is not
+        # sense-preserving, so the first traced point is the next one.
+        params, value = res.trace[0]
+        assert params == (0.0, -0.5, 0.0)
+        assert value == pytest.approx(0.75, rel=1e-14)
+
+    @pytest.mark.parametrize("command", ["sweep", "search"])
+    def test_cli_exits_zero(self, capsys, tmp_path, command):
+        fam = tmp_path / "fam.json"
+        fam.write_text('{"kind": "rawball", "degree": 2, "coeff_bound": 0.5}')
+        argv = [command, "--family", str(fam), "--n", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        rows = (tmp_path / f"{command}.csv").read_text().splitlines()
+        if command == "sweep":
+            flagged = [row for row in rows if row.split(",")[1] == "-0.5"]
+            assert len(flagged) == 9
+            assert all(",false,constraint:" in row for row in flagged)
 
 
 class TestSearchResult:
