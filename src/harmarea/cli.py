@@ -31,7 +31,7 @@ from .errors import (
 )
 from .presets import preset_map, preset_names
 from .quadrature import DEFAULT_TOL, mc_image_area
-from .regions import Disk, region_measure
+from .regions import Disk, PixelGrid, region_measure
 from .search import FamilySpec, maximize_area_ratio, maximize_sp_ratio, sweep
 from .serialize import (
     ParseError,
@@ -124,7 +124,11 @@ def _load_map(args: argparse.Namespace):
 
 def _load_region(args: argparse.Namespace):
     if args.region:
-        return region_from_json(_read_json(args.region))
+        region = region_from_json(_read_json(args.region))
+        # Every ratio divides by m(E), so an empty grid is not a usable region.
+        if isinstance(region, PixelGrid) and not region.mask.any():
+            raise ParseError("region has zero measure: the grid has no true cells")
+        return region
     r = args.r if args.r is not None else 0.5
     try:
         return Disk(r)

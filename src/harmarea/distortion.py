@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CriticalPointError, DomainError, HypothesisError
-from .maps import DiskAutomorphism, HarmonicMap, shear, validate
+from .maps import DiskAutomorphism, HarmonicMap, ValidityReport, shear, validate
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -40,11 +40,14 @@ from .regions import (
 
 log = logging.getLogger(__name__)
 
-# Hypothesis slacks: self-map of the disk, f(0) = 0, equality detection.
-SELF_MAP_SLACK = 1e-9
+# Slack for the theorem hypothesis f(0) = 0.
 ORIGIN_SLACK = 1e-10
 
 VERIFY_RADII = tuple(k / 10 for k in range(1, 10))
+
+# Polar sample grid of sup_dilatation: directions by radii per direction.
+DILATATION_ANGULAR = 256
+DILATATION_RADIAL = 64
 
 
 @dataclass(frozen=True)
@@ -89,35 +92,6 @@ def report(
         checked=checked,
         evals=evals,
     )
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Three-term chain m(f(D_r)) <= int |h'|^2 <= pi r^2 with both margins."""
-
-    name: str
-    image_area: float
-    analytic_energy: float
-    reference_area: float
-    margin_first: float
-    margin_second: float
-    tolerance: float
-    self_map_sup: float
-    detail: str = ""
-    evals: int = 0
-
-    def __post_init__(self):
-        for term in (self.image_area, self.analytic_energy, self.reference_area):
-            if not math.isfinite(term):
-                raise ValueError("chain terms must be finite")
-
-    @property
-    def pass_first(self) -> bool:
-        return self.margin_first >= -self.tolerance
-
-    @property
-    def pass_second(self) -> bool:
-        return self.margin_second >= -self.tolerance
 
 
 def default_tolerance(tol: float, *error_estimates: float) -> float:
@@ -211,21 +185,19 @@ def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> Quad
     return _area_integral(f, E, tol, energy=True)
 
 
-def sup_dilatation(
-    f: HarmonicMap, E: Region, angular: int = 256, radial: int = 64
-) -> float:
+def sup_dilatation(f: HarmonicMap, E: Region) -> float:
     """Sampled sup of |dilatation| over E (boundary samples included)."""
     if isinstance(E, PixelGrid):
         pts = E.cell_centers()
         if pts.size == 0:
             return 0.0
     else:
-        theta = 2.0 * np.pi * np.arange(angular) / angular
+        theta = 2.0 * np.pi * np.arange(DILATATION_ANGULAR) / DILATATION_ANGULAR
         if isinstance(E, Disk):
-            rim = np.full(angular, E.r)
+            rim = np.full(DILATATION_ANGULAR, E.r)
         else:
             rim = np.asarray(radial_profile(E, theta))
-        fractions = (np.arange(radial) + 1.0) / radial
+        fractions = (np.arange(DILATATION_RADIAL) + 1.0) / DILATATION_RADIAL
         pts = (rim * np.exp(1j * theta))[None, :] * fractions[:, None]
     try:
         return float(np.max(np.abs(f.dilatation(pts))))
@@ -240,23 +212,11 @@ def quantitative_bounds(
 
     k is the sampled sup of |dilatation| on E; k >= 1 is a hypothesis error.
     """
-    k = _dilatation_bound(f, E)
-    area = image_area(f, E, tol, check_sense=False)
-    energy = analytic_energy(f, E, tol)
-    return _sandwich_reports(k, area, energy, tol)
-
-
-def _dilatation_bound(f: HarmonicMap, E: Region) -> float:
     k = sup_dilatation(f, E)
     if k >= 1.0:
         raise HypothesisError(f"sampled dilatation bound k = {k:.6g} is not < 1")
-    return k
-
-
-def _sandwich_reports(
-    k: float, area: QuadResult, energy: QuadResult, tol: float
-) -> tuple[VerificationReport, VerificationReport]:
-    """Lower and upper sandwich rows from k and the two integrals."""
+    area = image_area(f, E, tol, check_sense=False)
+    energy = analytic_energy(f, E, tol)
     tolerance = default_tolerance(tol, area.error_estimate, energy.error_estimate)
     detail = (
         f"k={k:.17g} area_err={area.error_estimate:.3e} "
@@ -277,32 +237,40 @@ def _sandwich_reports(
     return lower, upper
 
 
+def _hypothesis_detail(validity: ValidityReport) -> str:
+    """Detail text naming the sampled self-map and sense-preserving checks."""
+    return (
+        f"self_map_sup={validity.self_map_sup:.17g} "
+        f"sense_preserving={validity.sense_preserving}"
+    )
+
+
 def disk_contraction_report(
     f: HarmonicMap, r: float, tol: float = DEFAULT_TOL
-) -> ChainReport:
-    """Chain m(f(D_r)) <= int_{D_r} |h'|^2 <= pi r^2 with both margins."""
+) -> tuple[VerificationReport, VerificationReport, VerificationReport]:
+    """Rows areasp, chain-energy and chain-disk for the disk D_r.
+
+    areasp is m(f(D_r)) <= pi r^2; the chain is m(f(D_r)) <= int_{D_r}
+    |h'|^2 <= pi r^2, one row per link.  The rows that bound by pi r^2 need
+    f to be a self-map of the disk and are checked=False when it is not.
+    """
     if not 0.0 < r < 1.0:
         raise HypothesisError("radius must lie in (0, 1)")
     disk = Disk(r)
     area = image_area(f, disk, tol, check_sense=False)
     energy = analytic_energy(f, disk, tol)
     reference = math.pi * r * r
-    sup = validate(f).self_map_sup
+    validity = validate(f)
     tolerance = default_tolerance(tol, area.error_estimate, energy.error_estimate)
-    return ChainReport(
-        name=f"disk-contraction r={r:.3g}",
-        image_area=area.value,
-        analytic_energy=energy.value,
-        reference_area=reference,
-        margin_first=energy.value - area.value,
-        margin_second=reference - energy.value,
-        tolerance=tolerance,
-        self_map_sup=sup,
-        detail=(
-            f"area_err={area.error_estimate:.3e} "
-            f"energy_err={energy.error_estimate:.3e} self_map_sup={sup:.17g}"
-        ),
-        evals=area.evals + energy.evals,
+    detail = _hypothesis_detail(validity)
+    rows = [
+        ("areasp", area.value, reference, validity.self_map, area.evals),
+        ("chain-energy", area.value, energy.value, True, area.evals + energy.evals),
+        ("chain-disk", energy.value, reference, validity.self_map, energy.evals),
+    ]
+    return tuple(
+        report(f"{name} r={r:.3g}", lhs, rhs, tolerance, detail, checked, evals)
+        for name, lhs, rhs, checked, evals in rows
     )
 
 
@@ -596,53 +564,10 @@ def verification_suite(
     claimed reference values.
     """
     validity = validate(f)
-    self_map = validity.self_map_sup <= 1.0 + SELF_MAP_SLACK
-    origin_ok = abs(complex(f.evaluate(0j))) <= ORIGIN_SLACK
-    hyp = (
-        f"self_map_sup={validity.self_map_sup:.17g} "
-        f"sense_preserving={validity.sense_preserving}"
-    )
+    hyp = _hypothesis_detail(validity)
     rows: list[VerificationReport] = []
     for r in VERIFY_RADII:
-        disk = Disk(r)
-        area = image_area(f, disk, tol, check_sense=False)
-        energy = analytic_energy(f, disk, tol)
-        reference = math.pi * r * r
-        tolerance = default_tolerance(
-            tol, area.error_estimate, energy.error_estimate
-        )
-        rows.append(
-            report(
-                f"areasp r={r:.1f}",
-                area.value,
-                reference,
-                tolerance,
-                hyp,
-                checked=self_map,
-                evals=area.evals,
-            )
-        )
-        rows.append(
-            report(
-                f"chain-energy r={r:.1f}",
-                area.value,
-                energy.value,
-                tolerance,
-                hyp,
-                evals=area.evals + energy.evals,
-            )
-        )
-        rows.append(
-            report(
-                f"chain-disk r={r:.1f}",
-                energy.value,
-                reference,
-                tolerance,
-                hyp,
-                checked=self_map,
-                evals=energy.evals,
-            )
-        )
+        rows.extend(disk_contraction_report(f, r, tol))
         radial = radial_bound_profile(f, r, 64)
         worst = min(radial, key=lambda rep: rep.margin)
         rows.append(
@@ -652,23 +577,20 @@ def verification_suite(
                 worst.rhs,
                 worst.tolerance,
                 f"{hyp} worst {worst.detail}",
-                checked=self_map,
+                checked=validity.self_map,
                 evals=sum(rep.evals for rep in radial),
             )
         )
-        star = star_cos3(256, scale=r)
-        star_row = star_contraction_report(f, star, tol)
+        star_row = star_contraction_report(f, star_cos3(256, scale=r), tol)
         rows.append(
             replace(
                 star_row,
                 name=f"star-contraction r={r:.1f}",
-                checked=star_row.checked and self_map and origin_ok,
+                checked=star_row.checked and validity.self_map,
                 detail=f"{star_row.detail} {hyp}",
             )
         )
-        lower, upper = _sandwich_reports(
-            _dilatation_bound(f, disk), area, energy, tol
-        )
+        lower, upper = quantitative_bounds(f, Disk(r), tol)
         rows.append(replace(lower, name=f"sandwich-lower r={r:.1f}"))
         rows.append(replace(upper, name=f"sandwich-upper r={r:.1f}"))
         rows.extend(

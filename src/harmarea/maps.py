@@ -29,6 +29,8 @@ DOMAIN_EPS = 1e-12
 POLE_EPS = 1e-14
 CRITICAL_EPS = 1e-12
 SENSE_MARGIN = 1e-9
+# Slack for the self-map check: sup |f| on the unit circle <= 1 + SELF_MAP_SLACK.
+SELF_MAP_SLACK = 1e-9
 
 
 def _require_finite(values, what: str) -> None:
@@ -256,6 +258,7 @@ class ValidityReport:
     """Sampled sense-preservation and self-map diagnostics for a map."""
 
     sense_preserving: bool
+    self_map: bool
     sup_abs_dilatation: float
     self_map_sup: float
     angular_samples: int
@@ -267,8 +270,9 @@ def validate(
 ) -> ValidityReport:
     """Sample |dilatation| on a polar grid and |f| on the unit circle.
 
-    sense_preserving is true iff every sampled |dilatation| < 1 - 1e-9.
-    The radial grid includes r = 1 so boundary suprema are attained.
+    sense_preserving is true iff every sampled |dilatation| < 1 - 1e-9, and
+    self_map iff every sampled |f| <= 1 + SELF_MAP_SLACK.  The radial grid
+    includes r = 1 so boundary suprema are attained.
     """
     if angular_samples < 16 or radial_samples < 16:
         raise ValueError("sample counts must be >= 16")
@@ -285,6 +289,7 @@ def validate(
     self_sup = float(np.max(np.abs(f.evaluate(circle))))
     return ValidityReport(
         sense_preserving=k < 1.0 - SENSE_MARGIN,
+        self_map=self_sup <= 1.0 + SELF_MAP_SLACK,
         sup_abs_dilatation=k,
         self_map_sup=self_sup,
         angular_samples=angular_samples,

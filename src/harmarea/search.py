@@ -34,7 +34,6 @@ from .regions import Region, bounding_radius, contains, region_measure
 
 SWEEP_BUDGET = 10 ** 6
 SIMPLEX_DIAMETER = 1e-6
-_SELF_MAP_SLACK = 1e-9
 
 
 def _check_range(name: str, rng) -> tuple[float, float]:
@@ -195,7 +194,7 @@ class FamilySpec:
                 raise HypothesisError(str(exc)) from exc
             if self.require_sense_preserving and not rep.sense_preserving:
                 raise HypothesisError("not sense-preserving on the sampled grid")
-            if self.require_self_map and rep.self_map_sup > 1.0 + _SELF_MAP_SLACK:
+            if self.require_self_map and not rep.self_map:
                 raise HypothesisError(
                     f"not a self-map (sup |f| = {rep.self_map_sup:.6g})"
                 )

@@ -123,6 +123,9 @@ def region_from_json(doc: dict) -> Region:
         if kind == "grid":
             n = int(doc["n"])
             raw = base64.b64decode(doc["mask"], validate=True)
+            size = (n * n + 7) // 8
+            if len(raw) != size:
+                raise ParseError(f"grid mask must be {size} bytes for n = {n}")
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * n)
             return PixelGrid(n=n, mask=bits.astype(bool).reshape(n, n))
     except ParseError:
@@ -152,6 +155,13 @@ def _range(doc, key) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
+def _flag(doc, key, default: bool) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ParseError(f"{key} must be a JSON boolean (true or false)")
+    return value
+
+
 def family_from_json(doc: dict) -> FamilySpec:
     if not isinstance(doc, dict):
         raise ParseError("family document must be a JSON object")
@@ -178,8 +188,8 @@ def family_from_json(doc: dict) -> FamilySpec:
         raise ParseError(f"bad family document: {exc}") from exc
     return FamilySpec(
         kind=inner,
-        require_self_map=bool(doc.get("require_self_map", False)),
-        require_sense_preserving=bool(doc.get("require_sense_preserving", True)),
+        require_self_map=_flag(doc, "require_self_map", False),
+        require_sense_preserving=_flag(doc, "require_sense_preserving", True),
     )
 
 

@@ -125,14 +125,14 @@ def test_criterion_04_raster_cross_validation():
 def test_criterion_05_disk_contraction_chain():
     for rho in (0.0, math.pi / 3.0, 2.0):
         for r in RADII:
-            chain = disk_contraction_report(rotation_map(rho), r)
-            assert abs(chain.margin_first) <= 1e-9, f"rotation r={r}"
-            assert abs(chain.margin_second) <= 1e-9, f"rotation r={r}"
+            _, energy, disk = disk_contraction_report(rotation_map(rho), r)
+            assert abs(energy.margin) <= 1e-9, f"rotation r={r}"
+            assert abs(disk.margin) <= 1e-9, f"rotation r={r}"
     for alpha in (0.2, 0.5):
         for r in RADII:
-            chain = disk_contraction_report(rescaled_affine(alpha), r)
-            assert chain.margin_first >= -1e-9, f"rescaled {alpha} r={r}"
-            assert chain.margin_second >= -1e-9, f"rescaled {alpha} r={r}"
+            _, energy, disk = disk_contraction_report(rescaled_affine(alpha), r)
+            assert energy.margin >= -1e-9, f"rescaled {alpha} r={r}"
+            assert disk.margin >= -1e-9, f"rescaled {alpha} r={r}"
     emit(
         "criterion 5: chain margins >= -1e-9; rotations sit at equality",
         True,

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, files, exit codes, determinism."""
 
+import base64
 import csv
 import json
 import math
@@ -21,6 +22,10 @@ def write_json(path, doc):
     return str(path)
 
 
+def csv_rows(path):
+    return list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()))
+
+
 def stdout_value(text, key):
     for line in text.splitlines():
         if line.startswith(f"{key} = "):
@@ -37,7 +42,7 @@ class TestArea:
         assert code == 0
         assert stdout_value(out, "ratio") == "0.75"
         assert float(stdout_value(out, "m(f(E))")) == 0.75 * math.pi * 0.25
-        rows = list(csv.DictReader((tmp_path / "area.csv").open()))
+        rows = csv_rows(tmp_path / "area.csv")
         assert rows[0]["name"] == "area-ratio"
         assert rows[0]["pass"] == "true"
 
@@ -174,6 +179,33 @@ class TestUnevaluableMaps:
         assert "Traceback" not in err
 
 
+class TestZeroMeasureRegion:
+    """Every ratio divides by m(E); an empty grid is rejected up front."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["area", "--preset", "identity"],
+            ["sweep", "--family", "FAMILY"],
+            ["search", "--family", "FAMILY"],
+        ],
+    )
+    def test_empty_grid_exit_code(self, capsys, tmp_path, source):
+        region = write_json(
+            tmp_path / "region.json",
+            {"kind": "grid", "n": 8, "mask": base64.b64encode(bytes(8)).decode()},
+        )
+        fam = write_json(
+            tmp_path / "fam.json", {"kind": "affine", "alpha_range": [0.0, 0.5]}
+        )
+        argv = [fam if arg == "FAMILY" else arg for arg in source]
+        code, _, err = run(
+            capsys, [*argv, "--region", region, "--n", "3", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "zero measure" in err
+
+
 class TestVerify:
     def test_rotation_all_pass(self, capsys, tmp_path):
         code, out, _ = run(
@@ -182,7 +214,7 @@ class TestVerify:
         assert code == 0
         assert "checked rows failing: 0" in out
         assert "[FAIL]" not in out
-        rows = list(csv.DictReader((tmp_path / "verify.csv").open()))
+        rows = csv_rows(tmp_path / "verify.csv")
         assert len(rows) == 117
         by_name = {row["name"]: row for row in rows}
         assert by_name["areasp r=0.5"]["margin"] == "0"
@@ -387,7 +419,7 @@ class TestOracle:
         assert code == 0
         gap = float(stdout_value(out, "relative_gap"))
         assert gap <= 0.03
-        rows = list(csv.DictReader((tmp_path / "oracle.csv").open()))
+        rows = csv_rows(tmp_path / "oracle.csv")
         assert [row["name"] for row in rows] == ["oracle-le", "oracle-ge"]
         assert all(row["pass"] == "true" for row in rows)
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import oracles
 from harmarea import (
-    ChainReport,
     ConstructionError,
     Disk,
     DomainError,
@@ -78,10 +77,6 @@ class TestReportTypes:
     def test_negative_margin_within_tolerance_passes(self):
         rep = report("edge", 1.0 + 5e-10, 1.0, 1e-9)
         assert rep.passed and rep.margin < 0.0
-
-    def test_chain_report_finiteness(self):
-        with pytest.raises(ValueError):
-            ChainReport("bad", math.nan, 1.0, 1.0, 0.0, 0.0, 1e-9, 1.0)
 
     def test_default_tolerance(self):
         assert default_tolerance(1e-9) == 1e-9
@@ -319,23 +314,23 @@ class TestQuantitativeBounds:
 
 class TestDiskContraction:
     def test_rotation_equality(self):
-        chain = disk_contraction_report(rotation_map(math.pi / 3.0), 0.5)
-        assert chain.pass_first and chain.pass_second
-        assert abs(chain.margin_first) <= 1e-9
-        assert abs(chain.margin_second) <= 1e-9
-        assert abs(chain.image_area - math.pi * 0.25) < 1e-10
+        areasp, energy, disk = disk_contraction_report(rotation_map(math.pi / 3), 0.5)
+        assert energy.passed and disk.passed
+        assert abs(energy.margin) <= 1e-9
+        assert abs(disk.margin) <= 1e-9
+        assert abs(areasp.lhs - math.pi * 0.25) < 1e-10
 
     def test_rescaled_affine_margins_positive(self):
-        chain = disk_contraction_report(rescaled_affine(0.5), 0.5)
-        assert chain.pass_first and chain.pass_second
-        assert chain.margin_first > 1e-3 and chain.margin_second > 1e-3
+        areasp, energy, disk = disk_contraction_report(rescaled_affine(0.5), 0.5)
+        assert energy.passed and disk.passed
+        assert energy.margin > 1e-3 and disk.margin > 1e-3
         expected = oracles.rescaled_affine_jacobian(0.5) * math.pi * 0.25
-        assert abs(chain.image_area - expected) < 1e-9
+        assert abs(areasp.lhs - expected) < 1e-9
 
     def test_mobius_closed_form(self):
-        chain = disk_contraction_report(automorphism(0.5), 0.1)
-        assert abs(chain.image_area - oracles.FROZEN["mobius-0.5-disk-0.1"]) < 1e-10
-        assert chain.pass_first and chain.pass_second
+        areasp, energy, disk = disk_contraction_report(automorphism(0.5), 0.1)
+        assert abs(areasp.lhs - oracles.FROZEN["mobius-0.5-disk-0.1"]) < 1e-10
+        assert energy.passed and disk.passed
 
     def test_radius_range(self):
         with pytest.raises(HypothesisError):
@@ -345,10 +340,10 @@ class TestDiskContraction:
 
     @given(st.floats(0.1, 0.9))
     def test_chain_order_for_shears(self, r):
-        chain = disk_contraction_report(shear(0.3, 2), r)
-        slack = chain.tolerance
-        assert chain.image_area <= chain.analytic_energy + slack
-        assert chain.analytic_energy <= chain.reference_area + slack
+        _, energy, disk = disk_contraction_report(shear(0.3, 2), r)
+        slack = energy.tolerance
+        assert energy.lhs <= energy.rhs + slack
+        assert disk.lhs <= disk.rhs + slack
 
 
 class TestRadialBound:
@@ -618,6 +613,8 @@ class TestVerificationSuite:
             assert rows[f"sandwich-upper r={r:.1f}"] == replace(
                 upper, name=f"sandwich-upper r={r:.1f}"
             )
+            for row in disk_contraction_report(f, r):
+                assert rows[row.name] == row
 
     def test_claimed_rows_never_counted(self):
         rows = verification_suite(rotation_map(0.0))

@@ -193,6 +193,14 @@ class TestValidate:
         assert abs(rep.self_map_sup - 1.5) < 1e-12
         assert rep.angular_samples == 64 and rep.radial_samples == 32
 
+    @pytest.mark.parametrize(
+        "excess, self_map", [(0.0, True), (5e-10, True), (2e-9, False)]
+    )
+    def test_self_map_flag_uses_the_slack(self, excess, self_map):
+        # sup |f| on the circle is exactly the scale 1 + excess
+        rep = validate(raw_polynomial((0.0, 1.0 + excess), (0.0,)))
+        assert rep.self_map is self_map
+
     def test_shear_sup_dilatation_hits_boundary(self):
         rep = validate(shear(0.3, 2))
         assert abs(rep.sup_abs_dilatation - 0.6) < 1e-12

@@ -1,5 +1,6 @@
 """JSON round-trips and deterministic CSV emission."""
 
+import base64
 import json
 import math
 
@@ -132,6 +133,13 @@ class TestRegionRoundTrip:
         with pytest.raises(ParseError):
             region_from_json({"kind": "star", "profile": [0.5] * 4})
 
+    @pytest.mark.parametrize("size", [1, 7, 9])
+    def test_grid_mask_length_must_match(self, size):
+        # n = 8 needs exactly 8 mask bytes; a short mask must not zero-pad.
+        mask = base64.b64encode(bytes(size)).decode("ascii")
+        with pytest.raises(ParseError, match="8 bytes"):
+            region_from_json({"kind": "grid", "n": 8, "mask": mask})
+
 
 class TestFamilyRoundTrip:
     @pytest.mark.parametrize(
@@ -161,6 +169,13 @@ class TestFamilyRoundTrip:
             family_from_json({"kind": "affine", "alpha_range": [0.1]})
         with pytest.raises(ParseError):
             family_from_json({"kind": "rawball", "degree": 2})
+
+    @pytest.mark.parametrize("key", ["require_self_map", "require_sense_preserving"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_constraint_flags_must_be_booleans(self, key, value):
+        doc = {"kind": "affine", "alpha_range": [0.0, 0.5], key: value}
+        with pytest.raises(ParseError, match=key):
+            family_from_json(doc)
 
 
 class TestReportCsv:
