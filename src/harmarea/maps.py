@@ -156,7 +156,11 @@ class DiskAutomorphism:
         phase = cmath.exp(1j * self.rotation)
         if self.a == 0:
             return phase * z
-        return phase * (z - self.a) / self._denominator(z)
+        # A named numerator keeps numpy from eliding the temporary into an
+        # in-place product on long arrays, whose last bit can differ under
+        # FMA: the result must not depend on the array's length.
+        num = z - self.a
+        return phase * num / self._denominator(z)
 
     def jacobian(self, z):
         """(1 - |a|^2)^2 / |1 - conj(a) z|^4, exact."""

@@ -12,9 +12,11 @@ integrals by Green's formula, int_E |F'|^2 dA = (1/2i) oint conj(F) dF
 those over Gauss-Legendre nodes on each profile segment, where the
 integrand is smooth, and refines by doubling in the same way.
 
-Determinism contract: each refinement level evaluates its fields once on
-the whole node array, in one thread, and reduces the index-ordered terms
-with math.fsum, so identical inputs give bitwise identical results.
+Determinism contract: every pass evaluates its fields in one thread, on
+fixed index-ordered blocks of about regions.BLOCK points, and reduces the
+terms with math.fsum.  Fields act elementwise and fsum is correctly
+rounded, so the block boundaries are invisible in the result and identical
+inputs give bitwise identical results.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConstructionError, NonConvergenceError
-from .regions import Disk, PixelGrid, Region, StarShaped, rasterize
+from .regions import BLOCK, Disk, PixelGrid, Region, StarShaped, rasterize
 
 DEFAULT_TOL = 1e-9
 MIN_TOL = 1e-12
@@ -107,13 +110,19 @@ def _polar_level(field, E, q: int, m: int) -> tuple[float, int]:
     theta, wtheta, radii = _angular_layout(E, m)
     x, gw = _gauss(q)
     frac = (x + 1.0) / 2.0
-    rad = radii[:, None]
-    t = rad * frac[None, :]
-    z = t * np.exp(1j * theta[:, None])
-    vals = np.asarray(field(z), dtype=float)
-    # dA = t dt dtheta: radial Gauss weight gw*rad/2 times the factor t.
-    terms = wtheta[:, None] * (rad / 2.0) * gw[None, :] * t * vals
-    return math.fsum(terms.ravel().tolist()), terms.size
+    rows = max(1, BLOCK // q)
+
+    def block_terms():
+        for b in range(0, theta.size, rows):
+            rad = radii[b : b + rows, None]
+            t = rad * frac[None, :]
+            z = t * np.exp(1j * theta[b : b + rows, None])
+            vals = np.asarray(field(z), dtype=float)
+            # dA = t dt dtheta: radial Gauss weight gw*rad/2 times the factor t.
+            w = wtheta[b : b + rows, None] * (rad / 2.0) * gw[None, :] * t
+            yield (w * vals).ravel().tolist()
+
+    return math.fsum(chain.from_iterable(block_terms())), theta.size * q
 
 
 def integrate_polar(field, E: Region, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -297,15 +306,22 @@ def integrate_grid(field, E: PixelGrid) -> QuadResult:
         return QuadResult(0.0, 0.0, 1)
     side = 2.0 / E.n
     area = side * side
-    vals = np.asarray(field(centers), dtype=float)
-    base = math.fsum((vals * area).tolist())
+    blocks = [slice(i, i + BLOCK) for i in range(0, count, BLOCK)]
+    vals = np.empty(count)
+    for b in blocks:
+        vals[b] = field(centers[b])
+    base = math.fsum(chain.from_iterable((vals[b] * area).tolist() for b in blocks))
 
-    sub = quarter_cells(centers, E.n)
-    sub_vals = np.broadcast_to(vals[None, :], sub.shape).copy()
-    inside = np.abs(sub) < 1.0
-    if np.any(inside):
-        sub_vals[inside] = np.asarray(field(sub[inside]), dtype=float)
-    refined = math.fsum((sub_vals * (area / 4.0)).ravel().tolist())
+    def refined_terms():
+        for b in blocks:
+            sub = quarter_cells(centers[b], E.n)
+            sub_vals = np.broadcast_to(vals[b], sub.shape).copy()
+            inside = np.abs(sub) < 1.0
+            if np.any(inside):
+                sub_vals[inside] = field(sub[inside])
+            yield (sub_vals * (area / 4.0)).ravel().tolist()
+
+    refined = math.fsum(chain.from_iterable(refined_terms()))
     return QuadResult(base, abs(refined - base), count + 4 * count)
 
 

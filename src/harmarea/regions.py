@@ -18,6 +18,10 @@ import numpy as np
 from .errors import ConstructionError
 
 MIN_PROFILE_SAMPLES = 8
+# Points per block for passes over large arrays (rasterize here, the grid
+# and polar sums in quadrature): every such pass works on index-ordered
+# blocks of about this many points, so its temporaries stay a few MB.
+BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -172,9 +176,11 @@ def rasterize(E: Region, n: int) -> PixelGrid:
         raise ConstructionError("grid resolution must be >= 2")
     side = 2.0 / n
     axis = -1.0 + (np.arange(n) + 0.5) * side
-    xx, yy = np.meshgrid(axis, axis)
-    z = xx + 1j * yy
-    mask = contains_points(E, z) & (np.abs(z) < 1.0)
+    mask = np.empty((n, n), dtype=bool)
+    rows = max(1, BLOCK // n)
+    for r in range(0, n, rows):
+        z = axis[None, :] + 1j * axis[r : r + rows, None]
+        mask[r : r + rows] = contains_points(E, z) & (np.abs(z) < 1.0)
     return PixelGrid(n=n, mask=mask)
 
 

@@ -1,4 +1,5 @@
-"""Closed-form reference values, derived by hand integration.
+"""Closed-form reference values, derived by hand integration, and
+whole-array reference versions of the package's blocked array passes.
 
 Nothing here calls back into harmarea's quadrature, measure, or search
 code; these are the independent answers the package is tested against.
@@ -136,6 +137,41 @@ def mobius_area_ratio_max(modulus_range, r: float, n: int) -> float:
     a = np.linspace(modulus_range[0], modulus_range[1], n)
     ratio = (1.0 - a * a) ** 2 / (1.0 - a * a * r * r) ** 2
     return float(ratio.max())
+
+
+def rasterize_whole(member, n: int) -> np.ndarray:
+    """n x n mask of cell centers z with member(z) true and |z| < 1.
+
+    member maps a complex array to a boolean array of the same shape; it is
+    called once, on the full meshgrid of centers.
+    """
+    side = 2.0 / n
+    axis = -1.0 + (np.arange(n) + 0.5) * side
+    xx, yy = np.meshgrid(axis, axis)
+    z = xx + 1j * yy
+    return member(z) & (np.abs(z) < 1.0)
+
+
+def grid_midpoint_whole(field, centers: np.ndarray, n: int):
+    """(value, error estimate, evals) of the midpoint rule on grid cells.
+
+    One field call on all centers and one on every quarter-cell center
+    inside the open unit disk; quarter cells outside reuse their parent's
+    value.  Both sums are math.fsum over full-length lists.
+    """
+    count = centers.size
+    area = (2.0 / n) ** 2
+    vals = np.asarray(field(centers), dtype=float)
+    base = math.fsum((vals * area).tolist())
+    q = 0.5 / n
+    offsets = np.array([-q - 1j * q, q - 1j * q, -q + 1j * q, q + 1j * q])
+    sub = centers[None, :] + offsets[:, None]
+    sub_vals = np.broadcast_to(vals[None, :], sub.shape).copy()
+    inside = np.abs(sub) < 1.0
+    if np.any(inside):
+        sub_vals[inside] = np.asarray(field(sub[inside]), dtype=float)
+    refined = math.fsum((sub_vals * (area / 4.0)).ravel().tolist())
+    return base, abs(refined - base), 5 * count
 
 
 # Values frozen from the formulas above (computed once, pasted verbatim).

@@ -157,6 +157,33 @@ class TestDiskAutomorphism:
         assert abs(abs(w) - 1.0) < 1e-12
 
 
+BLOCKWISE_MAPS = [
+    affine(0.5),
+    shear(0.3),
+    raw_polynomial([0, 1, 0.2j, 0.05], [0, 0.1, 0.05 - 0.1j]),
+    identity_map(),
+    rotation_map(1.1),
+    automorphism(0.5),
+    automorphism(0.3 - 0.4j, rotation=1.1),
+]
+
+
+@pytest.mark.parametrize("f", BLOCKWISE_MAPS, ids=repr)
+def test_evaluation_does_not_depend_on_array_length(f):
+    # Blocked passes call the kernels on slices, so every bit of a result
+    # must be the same whether a point arrives in a long or a short array.
+    rng = np.random.default_rng(3)
+    z = 0.9 * np.sqrt(rng.uniform(size=20000)) * np.exp(2j * np.pi * rng.uniform(size=20000))
+    kernels = ["evaluate", "jacobian", "dilatation", "analytic_energy_density"]
+    if isinstance(f, DiskAutomorphism):
+        kernels.append("analytic_derivative")
+    for name in kernels:
+        kernel = getattr(f, name)
+        whole = np.asarray(kernel(z))
+        parts = np.concatenate([np.asarray(kernel(z[i : i + 100])) for i in range(0, z.size, 100)])
+        assert whole.dtype == parts.dtype and whole.tobytes() == parts.tobytes(), name
+
+
 class TestFactories:
     def test_affine_rejects_large_alpha(self):
         with pytest.raises(ConstructionError):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,17 +24,34 @@ from harmarea import (
     integrate_grid,
     integrate_polar,
     mc_image_area,
+    raw_polynomial,
     rasterize,
     region_measure,
     rotation_map,
     shear,
     star_cos3,
 )
+from harmarea import quadrature
 from harmarea.quadrature import _boundary_nodes, _pole_distances
+from harmarea.regions import BLOCK
 
 
 def one(z):
     return np.ones_like(np.asarray(z, dtype=complex), dtype=float)
+
+
+def hyperbolic(z):
+    return 1.0 / (1.0 - np.abs(z) ** 2) ** 2
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestQuadResult:
@@ -116,11 +134,35 @@ class TestIntegratePolar:
         ]
         assert sum(a * b for a, b in shapes) == res.evals
 
+    @pytest.mark.parametrize(
+        "field, E",
+        [
+            (hyperbolic, Disk(0.9)),
+            (automorphism(0.3 - 0.4j, rotation=1.1).jacobian, star_cos3(64, 0.9)),
+            (shear(0.3).jacobian, StarShaped((0.9, 0.5, 0.8, 0.3, 0.95, 0.6, 0.7, 0.4))),
+        ],
+        ids=["hyperbolic-disk", "rotated-mobius-cos3", "shear-star8"],
+    )
+    def test_row_blocks_do_not_change_bits(self, field, E, monkeypatch):
+        streamed = integrate_polar(field, E)
+        for block in (1, 100, 2**62):  # one row, a few rows, whole levels
+            monkeypatch.setattr(quadrature, "BLOCK", block)
+            assert integrate_polar(field, E) == streamed
+
     def test_nonconvergence_raises(self):
         f = automorphism(0.999)
         with pytest.raises(NonConvergenceError) as exc:
             integrate_polar(f.jacobian, Disk(0.999))
         assert "cap" in str(exc.value)
+
+    def test_cap_level_peak_memory_is_blocked(self):
+        # The last level has 4096 x 256 nodes; held whole, its complex and
+        # real temporaries peak at 73 MiB.
+        def capped():
+            with pytest.raises(NonConvergenceError):
+                integrate_polar(automorphism(0.999).jacobian, Disk(0.999))
+
+        assert traced_peak(capped) <= 16 * 2**20
 
     def test_tolerance_floor(self):
         with pytest.raises(ValueError):
@@ -252,6 +294,31 @@ class TestIntegrateGrid:
         count = int(np.count_nonzero(g.mask))
         assert res.evals == 5 * count
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            raw_polynomial([0, 1, 0.2j, 0.05], [0, 0.1, 0.05 - 0.1j]),
+            automorphism(0.3 - 0.4j, rotation=1.1),
+        ],
+        ids=["polynomial", "rotated-mobius"],
+    )
+    def test_blocked_sums_match_whole_array_reference(self, f):
+        # The unit disk's rim cells have quarter cells outside the disk,
+        # which reuse their parent's value.
+        g = rasterize(Disk(1.0), 512)
+        centers = g.cell_centers()
+        assert centers.size > 3 * BLOCK and centers.size % BLOCK != 0
+        res = integrate_grid(f.jacobian, g)
+        expected = oracles.grid_midpoint_whole(f.jacobian, centers, g.n)
+        assert (res.value, res.error_estimate, res.evals) == expected
+
+    def test_peak_memory_is_blocked(self):
+        # Whole-array sums peak at 242 MiB here, about 24x the center array.
+        g = rasterize(Disk(0.9), 1024)
+        center_bytes = g.cell_centers().nbytes
+        peak = traced_peak(lambda: integrate_grid(affine(0.5).jacobian, g))
+        assert peak <= 5 * center_bytes
+
 
 class TestMcImageArea:
     def test_identity_matches_measure(self):
@@ -291,6 +358,11 @@ class TestMcImageArea:
         res = mc_image_area(affine(0.5), g, n=1024)
         expected = 0.75 * region_measure(g)
         assert abs(res.value - expected) <= 0.03 * expected
+
+    def test_peak_memory_is_blocked(self):
+        # With whole-array rasters both passes peak at 65 MiB here.
+        peak = traced_peak(lambda: mc_image_area(affine(0.5), star_cos3(256, 0.9), n=1024))
+        assert peak <= 24 * 2**20
 
 
 @given(st.floats(0.1, 1.0), st.floats(-0.9, 0.9))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from harmarea import (
     region_measure,
     star_cos3,
 )
+from harmarea.regions import BLOCK
 
 EIGHT = (0.4, 0.6, 0.4, 0.6, 0.4, 0.6, 0.4, 0.6)
 
@@ -187,6 +189,30 @@ class TestRasterize:
         centers = g.cell_centers()
         assert centers[0] == pytest.approx(0.25 - 0.25j)  # row 1, col 2 first
         assert centers[1] == pytest.approx(-0.25 + 0.25j)
+
+    @pytest.mark.parametrize("n", [300, 512])
+    @pytest.mark.parametrize(
+        "E",
+        [Disk(1.0), Disk(0.7), StarShaped(EIGHT), star_cos3(256, 0.9), rasterize(Disk(0.6), 64)],
+        ids=["unit-disk", "disk", "star8", "cos3", "grid"],
+    )
+    def test_blocked_raster_matches_whole_array_reference(self, E, n):
+        # n = 300 ends in a partial row block; n = 512 fills whole blocks.
+        assert (n % (BLOCK // n) != 0) == (n == 300)
+        expected = oracles.rasterize_whole(lambda z: contains_points(E, z), n)
+        assert np.array_equal(rasterize(E, n).mask, expected)
+
+    def test_raster_peak_memory_is_blocked(self):
+        # A whole-array raster of this star peaks at 64 MiB (n x n complex
+        # meshgrids); row blocks keep it near the mask and one block.
+        E = star_cos3(256, 0.9)
+        tracemalloc.start()
+        try:
+            rasterize(E, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestBoundingRadius:
