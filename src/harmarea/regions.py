@@ -68,10 +68,15 @@ class PixelGrid:
         mask = np.ascontiguousarray(np.asarray(self.mask, dtype=bool))
         if mask.shape != (n, n):
             raise ConstructionError(f"mask must have shape ({n}, {n})")
-        rows, cols = np.nonzero(mask)
-        if rows.size:
-            cx = -1.0 + (cols + 0.5) * (2.0 / n)
-            cy = -1.0 + (rows + 0.5) * (2.0 / n)
+        # In a row, hypot(cx, cy) is largest at its first or last true
+        # column, so those two per row decide every true cell.
+        occupied = mask.any(axis=1)
+        if occupied.any():
+            rows = np.flatnonzero(occupied)
+            first = mask.argmax(axis=1)[occupied]
+            last = n - 1 - mask[:, ::-1].argmax(axis=1)[occupied]
+            cx = -1.0 + (np.concatenate((first, last)) + 0.5) * (2.0 / n)
+            cy = -1.0 + (np.concatenate((rows, rows)) + 0.5) * (2.0 / n)
             if np.any(np.hypot(cx, cy) >= 1.0):
                 raise ConstructionError(
                     "true cells must have centers in the open unit disk"

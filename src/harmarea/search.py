@@ -183,9 +183,12 @@ class FamilySpec:
         return f
 
     def check(self, f: HarmonicMap) -> None:
-        """Raise HypothesisError when f violates a constraint.
+        """Raise HypothesisError when f violates a constraint, as decided by
+        maps.validate.
 
         A map whose h' vanishes on the closed disk is not sense-preserving.
+        The message says whether the sense decision was certified or only
+        sampled; the self-map decision is always sampled.
         """
         if self.require_self_map or self.require_sense_preserving:
             try:
@@ -193,7 +196,11 @@ class FamilySpec:
             except CriticalPointError as exc:
                 raise HypothesisError(str(exc)) from exc
             if self.require_sense_preserving and not rep.sense_preserving:
-                raise HypothesisError("not sense-preserving on the sampled grid")
+                raise HypothesisError(
+                    "not sense-preserving (certified)"
+                    if rep.certified
+                    else "not sense-preserving on the sampled grid"
+                )
             if self.require_self_map and not rep.self_map:
                 raise HypothesisError(
                     f"not a self-map (sup |f| = {rep.self_map_sup:.6g})"

@@ -174,6 +174,34 @@ def grid_midpoint_whole(field, centers: np.ndarray, n: int):
     return base, abs(refined - base), 5 * count
 
 
+def sampled_validity(f, angular_samples: int = 64, radial_samples: int = 32):
+    """(sense_preserving, sup |dilatation|, sup |f|) sampled on a polar grid.
+
+    The disk check validate used before it certified sense-preservation:
+    |dilatation| on angular x radial points (radii k/radial_samples, so r = 1
+    is included) must stay below 1 - 1e-9, and sup |f| is taken over the
+    angular circle points.  Raises whatever f.dilatation raises, such as
+    CriticalPointError where h' nearly vanishes on the grid.
+    """
+    theta = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
+    circle = np.exp(1j * theta)
+    radii = (np.arange(radial_samples) + 1.0) / radial_samples
+    grid = np.outer(radii, circle).ravel()
+    k = float(np.max(np.abs(f.dilatation(grid))))
+    self_sup = float(np.max(np.abs(f.evaluate(circle))))
+    return k < 1.0 - 1e-9, k, self_sup
+
+
+def pixel_centers_inside_whole(mask: np.ndarray) -> bool:
+    """True iff every true cell of an n x n mask on [-1,1]^2 has its center
+    in the open unit disk, checked on the full-length arrays of true cells."""
+    n = mask.shape[0]
+    rows, cols = np.nonzero(mask)
+    cx = -1.0 + (cols + 0.5) * (2.0 / n)
+    cy = -1.0 + (rows + 0.5) * (2.0 / n)
+    return not np.any(np.hypot(cx, cy) >= 1.0)
+
+
 # Values frozen from the formulas above (computed once, pasted verbatim).
 FROZEN = {
     "shear-0.3-p2-disk-0.5": 0.7500552460445631,

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import harmarea.maps
 import oracles
 from harmarea import (
     AnalyticSeries,
@@ -26,6 +27,9 @@ from harmarea import (
     shear,
     validate,
 )
+from harmarea.maps import SENSE_MARGIN, _zero_free_closed_disk
+from harmarea.presets import preset_map, preset_names
+from harmarea.search import AffineFamily, AutomorphismFamily, RawBall, ShearFamily, _lattice
 
 
 class TestAnalyticSeries:
@@ -254,5 +258,145 @@ class TestValidate:
     def test_automorphisms_validate(self, a, rho):
         rep = validate(automorphism(a, rotation=rho), angular_samples=16, radial_samples=16)
         assert rep.sense_preserving
+        assert rep.certified
         assert rep.sup_abs_dilatation == 0.0
         assert rep.self_map_sup <= 1.0 + 1e-12
+
+
+def _excursion_map(k=20, peak=1.001):
+    """h = z and g' = b (1 + e^{i phi} z)^k with |g'| peaking at `peak`.
+
+    phi = pi/64 puts the peak, at z = e^{-i phi}, half a spacing away from
+    every point of the 64-angle grid, where |g'| is only peak cos(pi/128)^k.
+    """
+    phi = math.pi / 64.0
+    b = peak / 2.0**k
+    g = [0j] + [
+        b * math.comb(k, j - 1) * cmath.exp(1j * phi * (j - 1)) / j for j in range(1, k + 2)
+    ]
+    return raw_polynomial((0.0, 1.0), g)
+
+
+def _lattice_maps(kind, per_axis):
+    lattice = _lattice(kind.continuous_bounds(), kind.discrete_axes(), per_axis)
+    return [kind.construct(params) for params in lattice]
+
+
+# The bench's degree-2 rawball and sweep families, the critical-point
+# rawball of test_search.TestCriticalPoints, and the presets.
+AGREEMENT_CASES = {
+    "rawball-0.25": lambda: _lattice_maps(RawBall(2, 0.25), 17),
+    "rawball-0.5": lambda: _lattice_maps(RawBall(2, 0.5), 17),
+    "affine": lambda: _lattice_maps(AffineFamily((0.0, 0.9)), 33),
+    "shear": lambda: _lattice_maps(ShearFamily((0.0, 0.3), (2, 3)), 65),
+    "automorphism": lambda: _lattice_maps(AutomorphismFamily((0.0, 0.8), (0.0, 6.0)), 17),
+    "presets": lambda: [preset_map(name) for name in preset_names()],
+}
+
+
+class TestSenseCertificate:
+    def test_between_sample_excursion_is_caught(self):
+        f = _excursion_map()
+        sampled_sense, sampled_k, _ = oracles.sampled_validity(f)
+        assert sampled_sense and sampled_k < 0.999
+        rep = validate(f)
+        assert not rep.sense_preserving
+        assert rep.certified
+        assert rep.sup_abs_dilatation >= 1.0 - SENSE_MARGIN
+
+    def test_excursion_below_the_margin_is_certified(self):
+        rep = validate(_excursion_map(peak=0.9))
+        assert rep.sense_preserving and rep.certified
+
+    @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+    def test_decisions_match_the_sampled_disk_grid(self, case):
+        maps = AGREEMENT_CASES[case]()
+        assert maps
+        for f in maps:
+            try:
+                expected = oracles.sampled_validity(f)
+            except CriticalPointError:
+                with pytest.raises(CriticalPointError):
+                    validate(f)
+                continue
+            rep = validate(f)
+            assert rep.certified, f
+            assert rep.sense_preserving is expected[0], f
+            assert rep.self_map_sup == expected[2], f
+
+    def test_uncertified_past_the_cap_falls_back_to_the_grid(self, monkeypatch):
+        # This rawball point needs a 1024-point circle to certify.
+        f = RawBall(2, 0.5).construct((-0.4375, -0.4375, 0.1875))
+        assert validate(f).certified
+        monkeypatch.setattr(harmarea.maps, "CIRCLE_CAP", 64)
+        rep = validate(f)
+        sampled_sense, sampled_k, _ = oracles.sampled_validity(f)
+        assert not rep.certified
+        assert rep.sense_preserving is sampled_sense
+        assert rep.sup_abs_dilatation == sampled_k
+
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=0.3, allow_nan=False, allow_infinity=False),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    def test_certified_decision_holds_on_a_dense_circle(self, coeffs):
+        f = raw_polynomial((0.0, 1.0, coeffs[0], coeffs[1]), (0.0, 0.5, coeffs[2], coeffs[3]))
+        try:
+            rep = validate(f)
+        except CriticalPointError:
+            return
+        z = np.exp(2j * np.pi * np.arange(1 << 16) / (1 << 16))
+        k = float(np.max(np.abs(f.dilatation(z))))
+        if rep.certified:
+            assert rep.sense_preserving is (k < 1.0 - SENSE_MARGIN)
+
+
+def _roots_decision(coeffs):
+    """(no zero in the closed disk, distance of the nearest zero to the circle)."""
+    if not any(coeffs):
+        return False, math.inf
+    roots = np.roots(list(reversed(coeffs)))
+    if roots.size == 0:
+        return True, math.inf
+    nearest = float(np.min(np.abs(roots)))
+    return nearest > 1.0, abs(nearest - 1.0)
+
+
+class TestZeroFreeClosedDisk:
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_numpy_roots_off_the_circle(self, coeffs):
+        expected, gap = _roots_decision(coeffs)
+        assume(gap > 1e-6)
+        assert _zero_free_closed_disk(coeffs) is expected
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ((1.0, -1.0), False),  # h' = 1 - z vanishes at z = 1
+            ((-0.03125, 1.0), False),  # at z = 1/32
+            ((0.0,), False),  # h' = 0
+            ((0.0, 0.0, 0.0), False),
+            ((2.0,), True),
+            ((1.0, 0.0, 0.0), True),  # trailing zeros do not count
+            ((1.0, 0.0, -1.0), False),  # z = +-1
+            ((1.0, 0.5j, 0.25), True),
+        ],
+    )
+    def test_explicit_cases(self, coeffs, expected):
+        assert _zero_free_closed_disk([complex(c) for c in coeffs]) is expected
+
+    def test_zero_on_the_circle_raises_in_validate(self):
+        with pytest.raises(CriticalPointError, match="undecidable"):
+            validate(raw_polynomial((0.0, 1.0, -0.5), (0.0,)))
+        with pytest.raises(CriticalPointError, match="undecidable"):
+            validate(raw_polynomial((0.3,), (0.0, 0.1)))

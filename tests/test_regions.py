@@ -68,6 +68,51 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             PixelGrid(1, np.zeros((1, 1), dtype=bool))
 
+    @staticmethod
+    def _accepted(n, mask):
+        try:
+            PixelGrid(n, mask)
+        except ConstructionError:
+            return False
+        return True
+
+    def test_grid_check_matches_whole_array_check_on_random_masks(self):
+        rng = np.random.default_rng(8)
+        for _ in range(400):
+            n = int(rng.integers(2, 48))
+            axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+            inside = np.hypot(axis[None, :], axis[:, None]) < 1.0
+            mask = (rng.random((n, n)) < rng.random()) & inside
+            if rng.random() < 0.5:
+                mask[rng.integers(n), rng.integers(n)] = True
+            assert self._accepted(n, mask) is oracles.pixel_centers_inside_whole(mask)
+
+    @pytest.mark.parametrize("n", [4, 7, 64, 301])
+    def test_single_rim_cell(self, n):
+        # The cells nearest the circle from each side, alone in the mask.
+        axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+        radius = np.hypot(axis[None, :], axis[:, None])
+        for cell, accepted in (
+            (np.where(radius < 1.0, radius, -1.0).argmax(), True),
+            (np.where(radius >= 1.0, radius, 3.0).argmin(), False),
+        ):
+            mask = np.zeros((n, n), dtype=bool)
+            mask.flat[cell] = True
+            assert oracles.pixel_centers_inside_whole(mask) is accepted
+            assert self._accepted(n, mask) is accepted
+
+    def test_grid_check_memory_stays_near_the_mask(self):
+        # Full-length index and coordinate arrays of the 667k true cells
+        # peaked at 26.1 MiB; per-row extremes need about one mask copy.
+        mask = rasterize(Disk(0.9), 1024).mask
+        tracemalloc.start()
+        try:
+            PixelGrid(1024, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
 
 class TestMeasure:
     def test_disk_closed_form(self):
