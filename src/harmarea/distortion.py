@@ -164,9 +164,8 @@ def image_area(
         rep = validate(f)
         if not rep.sense_preserving:
             log.warning(
-                "map is not sense-preserving (%s; sup |dilatation| >= %.6g); "
-                "area formula may not equal m(f(E))",
-                "certified" if rep.certified else "sampled grid",
+                "map is not sense-preserving (certified; sup |dilatation| >= "
+                "%.6g); area formula may not equal m(f(E))",
                 rep.sup_abs_dilatation,
             )
     if isinstance(E, PixelGrid):

@@ -30,8 +30,8 @@ DOMAIN_EPS = 1e-12
 POLE_EPS = 1e-14
 CRITICAL_EPS = 1e-12
 SENSE_MARGIN = 1e-9
-# Largest circle the sense-preservation certificate samples before validate
-# falls back to the sampled disk grid.
+# Largest circle the sense-preservation certificate samples; past it validate
+# decides from the samples, uncertified.
 CIRCLE_CAP = 4096
 # Slack for the self-map check: sup |f| on the unit circle <= 1 + SELF_MAP_SLACK.
 SELF_MAP_SLACK = 1e-9
@@ -266,7 +266,8 @@ class ValidityReport:
     """Sense-preservation and self-map diagnostics for a map.
 
     certified is true when sense_preserving was decided exactly (see
-    validate); self_map is always sampled.
+    validate); it is false only on a sense_preserving map.  self_map is
+    always sampled.
     """
 
     sense_preserving: bool
@@ -279,16 +280,12 @@ class ValidityReport:
 
 
 @functools.lru_cache(maxsize=16)
-def _circle_rows(m: int) -> np.ndarray:
-    """Four identical rows of the m points exp(2 pi i j / m), read-only.
-
-    Row-wise Horner multiplies by these rather than by a broadcast row,
-    which numpy does about twice as fast on short arrays.
-    """
+def _circle(m: int) -> np.ndarray:
+    """The m points exp(2 pi i j / m), read-only."""
     theta = 2.0 * np.pi * np.arange(m) / m
-    rows = np.tile(np.exp(1j * theta), (4, 1))
-    rows.flags.writeable = False
-    return rows
+    circle = np.exp(1j * theta)
+    circle.flags.writeable = False
+    return circle
 
 
 def _zero_free_closed_disk(coefficients) -> bool:
@@ -297,6 +294,8 @@ def _zero_free_closed_disk(coefficients) -> bool:
     With p*(z) = z^n conj(p(1/conj z)), p is zero-free on the closed disk iff
     |a_0| > |a_n| and conj(a_0) p - a_n p*, of degree < n, is zero-free too
     (Marden, Geometry of Polynomials, 1966).  The zero polynomial is not.
+    A step that cancels to zero means |a_0| = |a_n| up to rounding, a zero
+    on the circle.
     """
     p = list(coefficients)
     while True:
@@ -312,44 +311,50 @@ def _zero_free_closed_disk(coefficients) -> bool:
         # Each step squares the coefficients' scale; rescale so high
         # degrees neither overflow nor underflow.
         scale = max(abs(c) for c in p)
+        if scale == 0:
+            return False
         p = [c / scale for c in p]
 
 
 def _horner_rows(rows: np.ndarray, m: int) -> np.ndarray:
-    """Horner values on the m-point circle of each row (at most 4) of
-    ascending-power coefficients.
+    """Horner values on the m-point circle of each row of ascending-power
+    coefficients.
 
     Elementwise the same operations as AnalyticSeries evaluation; zeros
     padded onto a shorter polynomial can change only the sign of a zero.
     """
-    circle = _circle_rows(m)[: rows.shape[0]]
-    values = np.zeros(circle.shape, dtype=complex)
+    circle = _circle(m)
+    values = np.zeros((rows.shape[0], m), dtype=complex)
     for column in rows.T[::-1]:
         values = values * circle + column[:, None]
     return values
 
 
-def _sense_on_circle(f, derivatives, values, angular_samples, radial_samples):
+def _critical_point(h_prime: np.ndarray, abs_h: np.ndarray) -> str:
+    """Where h' vanishes, for the CriticalPointError message: the first
+    circle sample with |h'| < CRITICAL_EPS, else the zero of least modulus."""
+    small = abs_h < CRITICAL_EPS
+    if small.any():
+        return f"h' vanishes near z = {_circle(abs_h.size)[small][0]}"
+    roots = np.roots(h_prime[::-1])
+    # Adding 0j turns a negative zero part positive.
+    return f"h' vanishes near z = {complex(roots[np.argmin(np.abs(roots))]) + 0j}"
+
+
+def _sense_on_circle(derivatives, values, m):
     """(sup |dilatation| seen, sense_preserving, certified) for a polynomial map.
 
     derivatives holds the rows of h' and g', values their Horner values on
-    the circle of angular_samples points.  Once h' is zero-free on the closed
-    disk, g'/h' is analytic there and its modulus peaks on the circle.
+    the circle of m points.  Once h' is zero-free on the closed disk, g'/h'
+    is analytic there and its modulus peaks on the circle.
     T = (1 - SENSE_MARGIN)^2 |h'|^2 - |g'|^2 is a real trigonometric
     polynomial of degree d, so by Bernstein's inequality it moves by at most
     (pi d / m) max|T| between m equally spaced samples.  m doubles up to
-    CIRCLE_CAP; past it the angular_samples x radial_samples disk grid
-    decides, uncertified.
+    CIRCLE_CAP; past it the samples decide, uncertified.
     """
-    m = angular_samples
     abs_h = np.abs(values[0])
     if abs_h.min() < CRITICAL_EPS or not _zero_free_closed_disk(derivatives[0].tolist()):
-        small = abs_h < CRITICAL_EPS
-        where = (
-            f"h' vanishes near z = {_circle_rows(m)[0][small][0]}"
-            if small.any()
-            else "h' has a zero in the closed unit disk"
-        )
+        where = _critical_point(derivatives[0], abs_h)
         raise CriticalPointError(f"sense-preservation undecidable: {where}")
     d = max(derivatives.shape[1] - 1, 0)
     while True:
@@ -364,17 +369,10 @@ def _sense_on_circle(f, derivatives, values, angular_samples, radial_samples):
         if step < 1.0 and float(t.min()) * (1.0 - step) > step * float(t.max()):
             return k, True, True
         if 2 * m > CIRCLE_CAP:
-            break
+            return k, True, False
         m *= 2
         values = _horner_rows(derivatives, m)
         abs_h = np.abs(values[0])
-    radii = (np.arange(radial_samples) + 1.0) / radial_samples
-    grid = np.outer(radii, _circle_rows(angular_samples)[0]).ravel()
-    try:
-        k = float(np.max(np.abs(f.dilatation(grid))))
-    except CriticalPointError as exc:
-        raise CriticalPointError(f"sense-preservation undecidable: {exc}") from exc
-    return k, k < 1.0 - SENSE_MARGIN, False
 
 
 def validate(
@@ -387,17 +385,18 @@ def validate(
     polynomial map, a Schur-Cohn test first shows that h' has no zero on the
     closed disk, else CriticalPointError; then a Bernstein bound decides the
     sign of (1 - SENSE_MARGIN)^2 |h'|^2 - |g'|^2 on the unit circle, which
-    is sampled at angular_samples points, doubled up to CIRCLE_CAP.  Past the
-    cap an angular x radial polar grid (including r = 1) decides, with
-    certified false.  sup_abs_dilatation is the largest |g'/h'| sampled.
-    self_map iff every |f| at angular_samples circle points is
-    <= 1 + SELF_MAP_SLACK.
+    is sampled at angular_samples points, doubled up to CIRCLE_CAP.  A
+    sample at or past the margin certifies the map not sense-preserving;
+    past the cap, the samples call it sense-preserving with certified false.
+    sup_abs_dilatation is the largest |g'/h'| on the last circle.
+    radial_samples is only checked and recorded.  self_map iff every |f| at
+    angular_samples circle points is <= 1 + SELF_MAP_SLACK.
     """
     if angular_samples < 16 or radial_samples < 16:
         raise ValueError("sample counts must be >= 16")
     if isinstance(f, DiskAutomorphism):
         k, sense, certified = 0.0, True, True
-        values = f.evaluate(_circle_rows(angular_samples)[0])
+        values = f.evaluate(_circle(angular_samples))
     else:
         # Rows h, g, h', g' in ascending powers, padded to one length.
         n = max(f.h.degree, f.g.degree) + 1
@@ -407,7 +406,7 @@ def validate(
         rows[2:, :-1] = rows[:2, 1:] * np.arange(1, n)
         on_circle = _horner_rows(rows, angular_samples)
         k, sense, certified = _sense_on_circle(
-            f, rows[2:, :-1], on_circle[2:], angular_samples, radial_samples
+            rows[2:, :-1], on_circle[2:], angular_samples
         )
         values = on_circle[0] + np.conjugate(on_circle[1])
     self_sup = float(np.max(np.abs(values)))

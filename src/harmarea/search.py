@@ -187,8 +187,8 @@ class FamilySpec:
         maps.validate.
 
         A map whose h' vanishes on the closed disk is not sense-preserving.
-        The message says whether the sense decision was certified or only
-        sampled; the self-map decision is always sampled.
+        validate certifies every "not sense-preserving" it reports; the
+        self-map decision is always sampled.
         """
         if self.require_self_map or self.require_sense_preserving:
             try:
@@ -196,11 +196,7 @@ class FamilySpec:
             except CriticalPointError as exc:
                 raise HypothesisError(str(exc)) from exc
             if self.require_sense_preserving and not rep.sense_preserving:
-                raise HypothesisError(
-                    "not sense-preserving (certified)"
-                    if rep.certified
-                    else "not sense-preserving on the sampled grid"
-                )
+                raise HypothesisError("not sense-preserving (certified)")
             if self.require_self_map and not rep.self_map:
                 raise HypothesisError(
                     f"not a self-map (sup |f| = {rep.self_map_sup:.6g})"

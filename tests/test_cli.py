@@ -162,6 +162,8 @@ CRITICAL_MAP = {
     "h": [[0, 0], [1, 0], [-0.5, 0]],
     "g": [[0, 0], [0.1, 0]],
 }
+# f = z^2: h' = 2z vanishes at 0, which no point of a polar grid hits.
+SQUARE_MAP = {"form": "polynomial", "h": [[0, 0], [0, 0], [1, 0]], "g": [[0, 0]]}
 # The Mobius pole 1/conj(a) lies within 1e-15 of the boundary sample z = 1.
 NEAR_POLE_MAP = {"form": "automorphism", "a": [0.999999999999999, 0], "rotation": 0}
 
@@ -177,6 +179,14 @@ class TestUnevaluableMaps:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["area", "verify"])
+    def test_critical_point_inside_the_disk_exits_two(self, capsys, tmp_path, command):
+        map_path = write_json(tmp_path / "map.json", SQUARE_MAP)
+        code, out, err = run(capsys, [command, "--map", map_path, "--out", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: sense-preservation undecidable: h' vanishes near z = 0j\n"
 
 
 class TestZeroMeasureRegion:

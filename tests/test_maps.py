@@ -324,16 +324,16 @@ class TestSenseCertificate:
             assert rep.sense_preserving is expected[0], f
             assert rep.self_map_sup == expected[2], f
 
-    def test_uncertified_past_the_cap_falls_back_to_the_grid(self, monkeypatch):
+    def test_uncertified_past_the_cap_decides_from_the_circle(self, monkeypatch):
         # This rawball point needs a 1024-point circle to certify.
         f = RawBall(2, 0.5).construct((-0.4375, -0.4375, 0.1875))
         assert validate(f).certified
         monkeypatch.setattr(harmarea.maps, "CIRCLE_CAP", 64)
         rep = validate(f)
-        sampled_sense, sampled_k, _ = oracles.sampled_validity(f)
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)
         assert not rep.certified
-        assert rep.sense_preserving is sampled_sense
-        assert rep.sup_abs_dilatation == sampled_k
+        assert rep.sense_preserving
+        assert rep.sup_abs_dilatation == float(np.max(np.abs(f.dilatation(circle))))
 
     @given(
         st.lists(
@@ -365,6 +365,11 @@ def _roots_decision(coeffs):
     return nearest > 1.0, abs(nearest - 1.0)
 
 
+# h' = a0 + a1 z with |a0| one ulp above |a1|: its zero lies within rounding
+# of the circle, about half a sample spacing from the 64-point grid.
+ULP_PAIR = (-0.7767808583035435 - 0.6297709886722399j, 0.8085397783429935 + 0.5884415237192758j)
+
+
 class TestZeroFreeClosedDisk:
     @given(
         st.lists(
@@ -390,6 +395,8 @@ class TestZeroFreeClosedDisk:
             ((1.0, 0.0, 0.0), True),  # trailing zeros do not count
             ((1.0, 0.0, -1.0), False),  # z = +-1
             ((1.0, 0.5j, 0.25), True),
+            # |a0| exceeds |a1| by one ulp, but the reduction cancels to 0.
+            (ULP_PAIR, False),
         ],
     )
     def test_explicit_cases(self, coeffs, expected):
@@ -400,3 +407,19 @@ class TestZeroFreeClosedDisk:
             validate(raw_polynomial((0.0, 1.0, -0.5), (0.0,)))
         with pytest.raises(CriticalPointError, match="undecidable"):
             validate(raw_polynomial((0.3,), (0.0, 0.1)))
+        with pytest.raises(CriticalPointError, match="undecidable"):
+            validate(raw_polynomial((0.0, ULP_PAIR[0], ULP_PAIR[1] / 2.0), (0.0,)))
+
+    @pytest.mark.parametrize(
+        "h, where",
+        [
+            ((0.0, -0.03125, 0.5), "h' vanishes near z = (0.03125+0j)"),  # a grid node
+            ((0.0, 0.0, 1.0), "h' vanishes near z = 0j"),  # f = z^2, between nodes
+            ((0.0, 1.0, -0.5), "h' vanishes near z = (1+0j)"),  # a circle sample
+            ((0.3,), "h' vanishes near z = (1+0j)"),  # h' = 0
+        ],
+    )
+    def test_error_names_the_critical_point(self, h, where):
+        with pytest.raises(CriticalPointError) as excinfo:
+            validate(raw_polynomial(h, (0.0,)))
+        assert str(excinfo.value) == f"sense-preservation undecidable: {where}"
