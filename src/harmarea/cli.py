@@ -95,6 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
+    if not math.isfinite(args.tol):
+        raise ParseError("--tol must be finite")
     if args.tol < 1e-12:
         raise ParseError("--tol must be at least 1e-12")
     # --workers is accepted for compatibility; every command runs serially.

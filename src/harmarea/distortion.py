@@ -274,18 +274,16 @@ def disk_contraction_report(
     )
 
 
+RADIAL_DIRECTIONS = 64
 _RADIAL_Q = 128
 
 
-def radial_bound_profile(
-    f: HarmonicMap, r: float, M: int = 64
-) -> list[VerificationReport]:
-    """Per-direction check of int_0^r J_f(t e^{i theta}) t dt <= r^2/2."""
+def radial_bound_profile(f: HarmonicMap, r: float) -> list[VerificationReport]:
+    """Per-direction check of int_0^r J_f(t e^{i theta}) t dt <= r^2/2,
+    one row for each of RADIAL_DIRECTIONS equally spaced directions."""
     if not 0.0 < r < 1.0:
         raise HypothesisError("radius must lie in (0, 1)")
-    if M < 16:
-        raise HypothesisError("need at least 16 directions")
-    theta = 2.0 * np.pi * np.arange(M) / M
+    theta = 2.0 * np.pi * np.arange(RADIAL_DIRECTIONS) / RADIAL_DIRECTIONS
     x, w = _gauss(_RADIAL_Q)
     t = r * (x + 1.0) / 2.0
     z = t[None, :] * np.exp(1j * theta)[:, None]
@@ -293,7 +291,7 @@ def radial_bound_profile(
     weights = (r / 2.0) * w * t
     rhs = r * r / 2.0
     out = []
-    for j in range(M):
+    for j in range(RADIAL_DIRECTIONS):
         lhs = math.fsum((vals[j] * weights).tolist())
         out.append(
             report(
@@ -397,7 +395,11 @@ def worst_case_image_area(
     Layer-cake upper envelope in the grid model: fill cells in decreasing
     Jacobian order until the preimage measure reaches s.
     """
-    vals, w, total = _sorted_jacobian_cells(f, domain, grid)
+    return _layer_cake(*_sorted_jacobian_cells(f, domain, grid), s)
+
+
+def _layer_cake(vals: np.ndarray, w: float, total: float, s: float) -> float:
+    """worst_case_image_area from the output of _sorted_jacobian_cells."""
     if not 0.0 < s <= total * (1.0 + 1e-12):
         raise HypothesisError("s must lie in (0, m(domain)]")
     s = min(s, total)
@@ -423,7 +425,7 @@ def small_set_threshold(f: HarmonicMap, domain: Region, grid: int = 256) -> floa
         k = min(int(s / w), vals.size)
         if k and np.any(prefix[:k] > breakpoints[:k]):
             return False
-        tail = worst_case_image_area(f, domain, s, grid) if s > 0 else 0.0
+        tail = _layer_cake(vals, w, total, s) if s > 0 else 0.0
         return tail <= s
 
     if holds_up_to(total):
@@ -568,7 +570,7 @@ def verification_suite(
     rows: list[VerificationReport] = []
     for r in VERIFY_RADII:
         rows.extend(disk_contraction_report(f, r, tol))
-        radial = radial_bound_profile(f, r, 64)
+        radial = radial_bound_profile(f, r)
         worst = min(radial, key=lambda rep: rep.margin)
         rows.append(
             report(

@@ -22,15 +22,7 @@ class HypothesisError(ValueError):
 
 
 class NonConvergenceError(ArithmeticError):
-    """Refinement hit its cap with the error estimate still too large.
-
-    Carries the last two refinement values so callers can report both.
-    """
-
-    def __init__(self, message: str, value: float, previous: float):
-        super().__init__(message)
-        self.value = value
-        self.previous = previous
+    """Refinement hit its cap with the error estimate still too large."""
 
 
 class BudgetError(ValueError):

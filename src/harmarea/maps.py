@@ -30,6 +30,8 @@ DOMAIN_EPS = 1e-12
 POLE_EPS = 1e-14
 CRITICAL_EPS = 1e-12
 SENSE_MARGIN = 1e-9
+# Points of the self-map check and of the certificate's first circle.
+CIRCLE_SAMPLES = 64
 # Largest circle the sense-preservation certificate samples; past it validate
 # decides from the samples, uncertified.
 CIRCLE_CAP = 4096
@@ -274,8 +276,6 @@ class ValidityReport:
     self_map: bool
     sup_abs_dilatation: float
     self_map_sup: float
-    angular_samples: int
-    radial_samples: int
     certified: bool
 
 
@@ -375,9 +375,7 @@ def _sense_on_circle(derivatives, values, m):
         abs_h = np.abs(values[0])
 
 
-def validate(
-    f: HarmonicMap, angular_samples: int = 64, radial_samples: int = 32
-) -> ValidityReport:
+def validate(f: HarmonicMap) -> ValidityReport:
     """Decide sense-preservation exactly where possible; sample |f| on the circle.
 
     sense_preserving means sup |dilatation| < 1 - SENSE_MARGIN on the closed
@@ -385,18 +383,16 @@ def validate(
     polynomial map, a Schur-Cohn test first shows that h' has no zero on the
     closed disk, else CriticalPointError; then a Bernstein bound decides the
     sign of (1 - SENSE_MARGIN)^2 |h'|^2 - |g'|^2 on the unit circle, which
-    is sampled at angular_samples points, doubled up to CIRCLE_CAP.  A
+    is sampled at CIRCLE_SAMPLES points, doubled up to CIRCLE_CAP.  A
     sample at or past the margin certifies the map not sense-preserving;
     past the cap, the samples call it sense-preserving with certified false.
     sup_abs_dilatation is the largest |g'/h'| on the last circle.
-    radial_samples is only checked and recorded.  self_map iff every |f| at
-    angular_samples circle points is <= 1 + SELF_MAP_SLACK.
+    self_map iff every |f| at CIRCLE_SAMPLES circle points is
+    <= 1 + SELF_MAP_SLACK.
     """
-    if angular_samples < 16 or radial_samples < 16:
-        raise ValueError("sample counts must be >= 16")
     if isinstance(f, DiskAutomorphism):
         k, sense, certified = 0.0, True, True
-        values = f.evaluate(_circle(angular_samples))
+        values = f.evaluate(_circle(CIRCLE_SAMPLES))
     else:
         # Rows h, g, h', g' in ascending powers, padded to one length.
         n = max(f.h.degree, f.g.degree) + 1
@@ -404,9 +400,9 @@ def validate(
         rows[0, : f.h.degree + 1] = f.h.coefficients
         rows[1, : f.g.degree + 1] = f.g.coefficients
         rows[2:, :-1] = rows[:2, 1:] * np.arange(1, n)
-        on_circle = _horner_rows(rows, angular_samples)
+        on_circle = _horner_rows(rows, CIRCLE_SAMPLES)
         k, sense, certified = _sense_on_circle(
-            rows[2:, :-1], on_circle[2:], angular_samples
+            rows[2:, :-1], on_circle[2:], CIRCLE_SAMPLES
         )
         values = on_circle[0] + np.conjugate(on_circle[1])
     self_sup = float(np.max(np.abs(values)))
@@ -415,7 +411,5 @@ def validate(
         self_map=self_sup <= 1.0 + SELF_MAP_SLACK,
         sup_abs_dilatation=k,
         self_map_sup=self_sup,
-        angular_samples=angular_samples,
-        radial_samples=radial_samples,
         certified=certified,
     )

@@ -55,9 +55,10 @@ def _gauss(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_tol(tol: float) -> None:
-    """Reject a tolerance below MIN_TOL with ConstructionError."""
-    if tol < MIN_TOL:
-        raise ConstructionError("tolerance below 1e-12 is not supported")
+    """Reject a tolerance that is not finite or lies below MIN_TOL with
+    ConstructionError."""
+    if not MIN_TOL <= tol < math.inf:
+        raise ConstructionError("tolerance must be finite and at least 1e-12")
 
 
 @dataclass(frozen=True)
@@ -175,12 +176,10 @@ def _refine(level, params, tol: float, caps: str) -> QuadResult:
         slack = 10.0 if k == len(params) else 1.0
         if err <= slack * tol * max(1.0, abs(new_value)):
             return QuadResult(new_value, err, total_evals)
-        previous, value = value, new_value
+        value = new_value
     raise NonConvergenceError(
         f"quadrature caps reached ({caps}) with error estimate {err:.3e} "
-        "above 10*tol",
-        value,
-        previous,
+        "above 10*tol"
     )
 
 
@@ -275,9 +274,7 @@ def integrate_boundary(
     if 2 * m > cap:
         raise NonConvergenceError(
             f"resolving the integrand needs more than the cap of {cap} "
-            "boundary nodes per segment",
-            math.nan,
-            math.nan,
+            "boundary nodes per segment"
         )
     levels = [m << k for k in range((cap // m).bit_length())]
     caps = f"{cap} boundary nodes per segment"
@@ -329,8 +326,9 @@ def mc_image_area(f, E: Region, n: int = 1024, seed: int = 42) -> QuadResult:
     """Rasterization estimate of the image area m(f(E)).
 
     Maps the centers of an n x n rasterization of E, bins the image points
-    onto an n x n grid over [-2,2]^2, dilates occupied cells by one cell to
-    close coverage gaps, and returns the occupied area.  The error estimate
+    onto an n x n grid over [-W,W]^2, dilates occupied cells by one cell to
+    close coverage gaps, and returns the occupied area.  W doubles from 2
+    until every image point of the pass lies in the window.  The error estimate
     repeats the construction at half resolution with seed-jittered sample
     offsets; the main estimate itself is seed-independent.  Assumes f is
     injective on E (not checked).
@@ -346,20 +344,24 @@ def mc_image_area(f, E: Region, n: int = 1024, seed: int = 42) -> QuadResult:
 
 def _raster_pass(f, E: Region, n: int, rng) -> tuple[float, int]:
     centers = rasterize(E, n).cell_centers()
-    if centers.size == 0:
-        return 0.0, 0
     if rng is not None:
         side = 2.0 / n
         jitter = rng.uniform(-0.5, 0.5, size=(2, centers.size)) * (side / 2.0)
         centers = centers + jitter[0] + 1j * jitter[1]
         centers = centers[np.abs(centers) < 1.0]
+    if centers.size == 0:
+        return 0.0, 0
     w = np.asarray(f.evaluate(centers))
-    cell = 4.0 / n
-    ix = np.floor((w.real + 2.0) / cell).astype(int)
-    iy = np.floor((w.imag + 2.0) / cell).astype(int)
-    ok = (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
+    half_width = 2.0
+    while True:
+        cell = 2.0 * half_width / n
+        ix = np.floor((w.real + half_width) / cell).astype(int)
+        iy = np.floor((w.imag + half_width) / cell).astype(int)
+        if min(ix.min(), iy.min()) >= 0 and max(ix.max(), iy.max()) < n:
+            break
+        half_width *= 2.0
     occ = np.zeros((n, n), dtype=bool)
-    occ[iy[ok], ix[ok]] = True
+    occ[iy, ix] = True
     area = float(np.count_nonzero(_dilate(occ))) * cell * cell
     return area, centers.size
 

@@ -141,12 +141,7 @@ def region_measure(E: Region) -> float:
 
 def contains(E: Region, z: complex) -> bool:
     """Membership of a single point under the region's geometric model."""
-    z = complex(z)
-    if isinstance(E, Disk):
-        return abs(z) <= E.r
-    if isinstance(E, StarShaped):
-        return abs(z) <= float(_interp_profile(E, np.angle(z)))
-    return bool(np.any(_grid_membership(E, np.asarray([z]))))
+    return bool(contains_points(E, np.asarray([complex(z)]))[0])
 
 
 def contains_points(E: Region, z: np.ndarray) -> np.ndarray:

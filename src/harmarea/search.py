@@ -407,14 +407,15 @@ def maximize_area_ratio(
 
 
 def maximize_sp_ratio(
-    f_or_family,
+    f: HarmonicMap,
     domain: Region,
     iterations: int = 200,
     seed: int = 42,
     *,
     grid_per_axis: int = 17,
 ) -> SearchResult:
-    """Maximize the Schwarz-Pick area ratio over z (and family parameters).
+    """Maximize the Schwarz-Pick area ratio of f over z = x + iy in domain;
+    points outside the domain score -1.
 
     The domain must stay away from the unit circle (bounding radius at most
     1 - 1e-3) because the ratio degenerates at the boundary.
@@ -424,27 +425,9 @@ def maximize_sp_ratio(
     b = bounding_radius(domain)
     if b > 1.0 - 1e-3:
         raise HypothesisError("domain must have bounding radius <= 1 - 1e-3")
-    z_bounds = [(-b, b), (-b, b)]
-    if isinstance(f_or_family, FamilySpec):
-        kind = f_or_family.kind
-        cont, disc = list(kind.continuous_bounds()), list(kind.discrete_axes())
-        build = f_or_family.build
-    else:
-        # A single map is a family without parameters.
-        cont, disc = [], []
-        build = lambda _: f_or_family
-    n_family = len(cont)
 
     def objective(params) -> float:
-        z = complex(params[n_family], params[n_family + 1])
-        if not contains(domain, z) or abs(z) >= 1.0:
-            return -1.0
-        # Discrete axes trail the z coordinates in the parameter vector, so
-        # the family parameters are reassembled around the z slot.
-        try:
-            f = build(tuple(params[:n_family]) + tuple(params[n_family + 2:]))
-        except (ConstructionError, HypothesisError):
-            return -1.0
-        return sp_ratio(f, z)
+        z = complex(params[0], params[1])
+        return sp_ratio(f, z) if contains(domain, z) else -1.0
 
-    return _maximize(objective, cont + z_bounds, disc, grid_per_axis, iterations, seed)
+    return _maximize(objective, [(-b, b), (-b, b)], [], grid_per_axis, iterations, seed)

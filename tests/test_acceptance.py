@@ -143,12 +143,12 @@ def test_criterion_05_disk_contraction_chain():
 def test_criterion_06_radial_bound():
     worst = 0.0
     for r in RADII:
-        for row in radial_bound_profile(rotation_map(1.0), r, 32):
+        for row in radial_bound_profile(rotation_map(1.0), r):
             dev = abs(row.lhs - r * r / 2.0)
             assert dev <= 1e-10, f"rotation r={r} {row.detail}: dev={dev:.3e}"
             worst = max(worst, dev)
     for r in RADII:
-        for row in radial_bound_profile(rescaled_affine(0.5), r, 32):
+        for row in radial_bound_profile(rescaled_affine(0.5), r):
             assert row.margin > 0.0, f"rescaled r={r} {row.detail}"
     emit(
         "criterion 6: rotations give exactly r^2/2 per direction; rescaled affine stays strictly under",

@@ -150,6 +150,18 @@ class TestArea:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["area", "verify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol(self, capsys, tmp_path, command, tol):
+        code, out, err = run(
+            capsys,
+            [command, "--preset", "example1-affine-0.5", "--tol", tol, "--out", str(tmp_path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --tol must be finite\n"
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_preset_rejected_by_parser(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["area", "--preset", "nope", "--out", str(tmp_path)])
@@ -449,6 +461,18 @@ class TestOracle:
         assert code == 0
         integral = float(stdout_value(out, "jacobian_integral"))
         assert abs(integral - oracles.FROZEN["mobius-0.5-disk-0.5"]) < 1e-9
+
+    def test_image_beyond_the_default_window(self, capsys, tmp_path):
+        # |f| reaches 2.7 on the disk, past the raster's starting window [-2, 2]^2.
+        map_path = write_json(
+            tmp_path / "m.json", {"form": "polynomial", "h": [[0, 0], [3, 0]], "g": [[0, 0]]}
+        )
+        code, out, _ = run(
+            capsys,
+            ["oracle", "--map", map_path, "--r", "0.9", "--n", "512", "--out", str(tmp_path)],
+        )
+        assert code == 0
+        assert float(stdout_value(out, "relative_gap")) <= 0.02
 
     def test_bad_resolution(self, capsys, tmp_path):
         code, _, _ = run(

@@ -150,6 +150,13 @@ class TestClosedFormDiskArea:
             with pytest.raises(ConstructionError):
                 analytic_energy(f, Disk(0.5), tol=1e-13)
 
+    def test_non_finite_tolerance(self):
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ConstructionError):
+                image_area(affine(0.5), Disk(0.5), tol=tol)
+            with pytest.raises(ConstructionError):
+                image_area(affine(0.5), star_cos3(64), tol=tol)
+
     def test_mobius_disk_exact_and_star_on_boundary_kernel(self):
         for f in (automorphism(0.5), automorphism(0.3 - 0.6j, 1.1)):
             res = image_area(f, Disk(0.5))
@@ -348,33 +355,29 @@ class TestDiskContraction:
 
 class TestRadialBound:
     def test_rotation_exact_everywhere(self):
-        rows = radial_bound_profile(rotation_map(1.0), 0.5, 32)
-        assert len(rows) == 32
+        rows = radial_bound_profile(rotation_map(1.0), 0.5)
+        assert len(rows) == 64
         for row in rows:
             assert abs(row.lhs - 0.125) <= 1e-10
             assert row.passed
 
     def test_shear_value_independent_of_theta(self):
-        rows = radial_bound_profile(shear(0.3, 2), 0.5, 16)
+        rows = radial_bound_profile(shear(0.3, 2), 0.5)
         frozen = oracles.FROZEN["shear-0.3-p2-radial-0.5"]
         for row in rows:
             assert abs(row.lhs - frozen) < 1e-12
             assert row.margin > 0.0
 
     def test_mobius_axis_value_and_failure(self):
-        rows = radial_bound_profile(automorphism(0.5), 0.5, 16)
+        rows = radial_bound_profile(automorphism(0.5), 0.5)
         axis = rows[0]  # theta = 0 points straight at the pole
         assert abs(axis.lhs - oracles.FROZEN["mobius-0.5-radial-0.5"]) < 1e-9
         # the uniform r^2/2 bound genuinely fails along this direction
         assert axis.margin < 0.0 and not axis.passed
         assert any(row.passed for row in rows)
 
-    def test_direction_count_floor(self):
-        with pytest.raises(HypothesisError):
-            radial_bound_profile(identity_map(), 0.5, 8)
-
     def test_report_detail_carries_theta(self):
-        rows = radial_bound_profile(identity_map(), 0.3, 16)
+        rows = radial_bound_profile(identity_map(), 0.3)
         assert "theta" in rows[3].detail
 
 
@@ -490,6 +493,19 @@ class TestSmallSetThreshold:
         if got > 0.0:
             w = worst_case_image_area(f, Disk(0.9), got, grid=128)
             assert w <= got + 1e-9
+
+    def test_jacobian_sampled_once(self):
+        f = automorphism(0.5)
+        calls = []
+
+        class Counted:
+            def jacobian(self, z):
+                calls.append(z.size)
+                return f.jacobian(z)
+
+        got = small_set_threshold(Counted(), Disk(0.9))
+        assert len(calls) == 1
+        assert got == small_set_threshold(f, Disk(0.9))
 
 
 class TestSpRatio:

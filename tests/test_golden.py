@@ -1,0 +1,100 @@
+"""Golden output bytes of the CLI.
+
+Each case runs `cli.main` in process and hashes its stdout together with
+every report file it writes.  A digest changes only when some output byte
+changes, so a refactor that keeps the CLI contract leaves them all intact.
+An intended output change regenerates the digests with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and states the changed bytes in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from harmarea.cli import main
+from harmarea.presets import preset_names
+
+# A fixed 64-sample star: r(t) = 0.55 + 0.25 cos 3t, rounded to 4 decimals so
+# the JSON text does not depend on the last bit of the platform's cos.
+STAR = {
+    "kind": "star",
+    "profile": [
+        round(0.55 + 0.25 * math.cos(3.0 * 2.0 * math.pi * k / 64), 4)
+        for k in range(64)
+    ],
+}
+AFFINE_FAMILY = {"kind": "affine", "alpha_range": [0.0, 0.5]}
+
+CASES = {
+    **{
+        f"verify-{name}": ["verify", "--preset", name, "--format", "both"]
+        for name in preset_names()
+    },
+    "area-star": ["area", "--preset", "example1-affine-0.5", "--region", "STAR",
+                  "--format", "both"],
+    "oracle-star": ["oracle", "--preset", "example1-affine-0.5", "--region", "STAR",
+                    "--n", "256", "--format", "both"],
+    "sweep-affine": ["sweep", "--family", "FAMILY", "--region", "STAR", "--n", "5"],
+    "search-family-affine": ["search", "--family", "FAMILY", "--n", "20"],
+    "search-preset-sp": ["search", "--preset", "example1-affine-0.2", "--r", "0.6"],
+}
+
+DIGESTS = {
+    "area-star": "201b238150295b12dcfc0c97e160398135ea94664fc2b00f2b517de5a9de79dd",
+    "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",
+    "search-family-affine": "bb8d8fb98e963b203d85d652bc42828ea470afa3d8955c16fb758da47b6291f6",
+    "search-preset-sp": "d2a949ac1c1609b37e2a59b7925e2a613e95552a008e9a982f8111ac828838d3",
+    "sweep-affine": "f92db88a7d4874212ae5a243af21588d23a2ab0444c8f3a269c53f9c7f36f950",
+    "verify-automorphism-0.5": "d51eba380366bbfa09aa2b99cd6d3e5c7079d2d067bfe837ee90f53e038215b0",
+    "verify-example1-affine-0.2": "248aeb617af8125084a233a042befe27ec341afab099f9a1ac33cabe53a6430f",
+    "verify-example1-affine-0.5": "d4098afc6348b1ff8b8a9420728f5174b7e8c279c517109815d586549c16a761",
+    "verify-example2-shear-0.1": "9b5a7c0b5bcd22209bbcb07879714773fbc0dbd2f45a170b7cd8e4d73465372e",
+    "verify-identity": "a9555e93280b842f304087c248763208b54fd6723d6648f3d00e083d44d3d258",
+    "verify-remark-shear-0.3": "51b6e34db46e73154a859e49ae46da4eccea7f36da181ed57922fb22f8594b40",
+    "verify-rotation": "a9555e93280b842f304087c248763208b54fd6723d6648f3d00e083d44d3d258",
+}
+
+
+def run_case(argv: list[str], workdir: Path) -> tuple[int, str]:
+    """Exit code and SHA-256 of stdout plus each report file, by name."""
+    (workdir / "star.json").write_text(json.dumps(STAR), encoding="utf-8")
+    (workdir / "family.json").write_text(json.dumps(AFFINE_FAMILY), encoding="utf-8")
+    out = workdir / "out"
+    files = {"STAR": str(workdir / "star.json"), "FAMILY": str(workdir / "family.json")}
+    argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    digest = hashlib.sha256(stdout.getvalue().encode("utf-8"))
+    for path in sorted(out.iterdir()):
+        digest.update(b"\0" + path.name.encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    return code, digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes(name, tmp_path):
+    code, digest = run_case(CASES[name], tmp_path)
+    expected_code = 1 if name == "verify-automorphism-0.5" else 0
+    assert code == expected_code
+    assert digest == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {")
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            _, digest = run_case(CASES[name], Path(tmp))
+        print(f'    "{name}": "{digest}",')
+    print("}")

@@ -219,14 +219,6 @@ class TestMaximizeSpRatio:
         assert math.isinf(res.best_value)
         assert math.isinf(oracles.affine_sp_ratio_grid(0.5, 0.9, 256))
 
-    def test_family_search_parameter_layout(self):
-        fam = FamilySpec(ShearFamily((0.0, 0.3), powers=(2,)))
-        res = maximize_sp_ratio(fam, Disk(0.5), iterations=40, grid_per_axis=5)
-        # params are (alpha, x, y, power)
-        assert len(res.best_params) == 4
-        assert res.best_params[3] == 2.0
-        assert res.best_value >= 1.0 - 1e-9  # alpha = 0 at z = 0 already gives 1
-
     def test_domain_must_be_compact(self):
         with pytest.raises(Exception):
             maximize_sp_ratio(rotation_map(0.0), Disk(1.0))
