@@ -35,6 +35,13 @@ STAR = {
     ],
 }
 AFFINE_FAMILY = {"kind": "affine", "alpha_range": [0.0, 0.5]}
+# Its rows carry constraint, sense-preservation and construction notes.
+SHEAR_FAMILY = {"kind": "shear", "alpha_range": [0.0, 0.6], "powers": [2, 3],
+                "require_self_map": True}
+# |g'| > |h'| everywhere: the oracle's two areas disagree, so it exits 1.
+REVERSING_MAP = {"form": "polynomial", "h": [[0, 0], [1, 0]], "g": [[0, 0], [2, 0]]}
+FILES = {"STAR": STAR, "FAMILY": AFFINE_FAMILY, "SHEAR_FAMILY": SHEAR_FAMILY,
+         "REVERSING_MAP": REVERSING_MAP}
 
 CASES = {
     **{
@@ -48,14 +55,20 @@ CASES = {
     "sweep-affine": ["sweep", "--family", "FAMILY", "--region", "STAR", "--n", "5"],
     "search-family-affine": ["search", "--family", "FAMILY", "--n", "20"],
     "search-preset-sp": ["search", "--preset", "example1-affine-0.2", "--r", "0.6"],
+    "sweep-shear-notes": ["sweep", "--family", "SHEAR_FAMILY", "--r", "0.5", "--n", "7"],
+    "oracle-reversing": ["oracle", "--map", "REVERSING_MAP", "--n", "256",
+                         "--format", "both"],
 }
+EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1}
 
 DIGESTS = {
     "area-star": "201b238150295b12dcfc0c97e160398135ea94664fc2b00f2b517de5a9de79dd",
+    "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
     "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",
     "search-family-affine": "bb8d8fb98e963b203d85d652bc42828ea470afa3d8955c16fb758da47b6291f6",
     "search-preset-sp": "d2a949ac1c1609b37e2a59b7925e2a613e95552a008e9a982f8111ac828838d3",
     "sweep-affine": "f92db88a7d4874212ae5a243af21588d23a2ab0444c8f3a269c53f9c7f36f950",
+    "sweep-shear-notes": "3caad064f1db568c7844646770a60a5ec28aa333fdc7216c578c8ed0de070a9f",
     "verify-automorphism-0.5": "d51eba380366bbfa09aa2b99cd6d3e5c7079d2d067bfe837ee90f53e038215b0",
     "verify-example1-affine-0.2": "248aeb617af8125084a233a042befe27ec341afab099f9a1ac33cabe53a6430f",
     "verify-example1-affine-0.5": "d4098afc6348b1ff8b8a9420728f5174b7e8c279c517109815d586549c16a761",
@@ -68,10 +81,12 @@ DIGESTS = {
 
 def run_case(argv: list[str], workdir: Path) -> tuple[int, str]:
     """Exit code and SHA-256 of stdout plus each report file, by name."""
-    (workdir / "star.json").write_text(json.dumps(STAR), encoding="utf-8")
-    (workdir / "family.json").write_text(json.dumps(AFFINE_FAMILY), encoding="utf-8")
+    files = {}
+    for key, doc in FILES.items():
+        path = workdir / f"{key.lower()}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        files[key] = str(path)
     out = workdir / "out"
-    files = {"STAR": str(workdir / "star.json"), "FAMILY": str(workdir / "family.json")}
     argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -86,8 +101,7 @@ def run_case(argv: list[str], workdir: Path) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes(name, tmp_path):
     code, digest = run_case(CASES[name], tmp_path)
-    expected_code = 1 if name == "verify-automorphism-0.5" else 0
-    assert code == expected_code
+    assert code == EXIT_CODES.get(name, 0)
     assert digest == DIGESTS[name]
 
 
