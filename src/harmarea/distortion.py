@@ -52,46 +52,29 @@ DILATATION_RADIAL = 64
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One inequality check: pass means margin = rhs - lhs >= -tolerance."""
+    """One inequality check lhs <= rhs: it passes when rhs - lhs >= -tolerance."""
 
     name: str
     lhs: float
     rhs: float
-    margin: float
-    passed: bool
     tolerance: float
     detail: str = ""
     checked: bool = True
     evals: int = 0
 
     def __post_init__(self):
+        for key in ("lhs", "rhs", "tolerance"):
+            object.__setattr__(self, key, float(getattr(self, key)))
         if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
             raise ValueError("report sides must be finite")
-        if self.passed != (self.margin >= -self.tolerance):
-            raise ValueError("pass flag inconsistent with margin and tolerance")
 
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
 
-def report(
-    name: str,
-    lhs: float,
-    rhs: float,
-    tolerance: float,
-    detail: str = "",
-    checked: bool = True,
-    evals: int = 0,
-) -> VerificationReport:
-    margin = rhs - lhs
-    return VerificationReport(
-        name=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=margin,
-        passed=margin >= -tolerance,
-        tolerance=float(tolerance),
-        detail=detail,
-        checked=checked,
-        evals=evals,
-    )
+    @property
+    def passed(self) -> bool:
+        return self.margin >= -self.tolerance
 
 
 def default_tolerance(tol: float, *error_estimates: float) -> float:
@@ -223,7 +206,7 @@ def quantitative_bounds(
         f"energy_err={energy.error_estimate:.3e}"
     )
     evals = area.evals + energy.evals
-    lower = report(
+    lower = VerificationReport(
         "quantitative-lower",
         (1.0 - k * k) * energy.value,
         area.value,
@@ -231,7 +214,7 @@ def quantitative_bounds(
         detail,
         evals=evals,
     )
-    upper = report(
+    upper = VerificationReport(
         "quantitative-upper", area.value, energy.value, tolerance, detail, evals=evals
     )
     return lower, upper
@@ -269,7 +252,9 @@ def disk_contraction_report(
         ("chain-disk", energy.value, reference, validity.self_map, energy.evals),
     ]
     return tuple(
-        report(f"{name} r={r:.3g}", lhs, rhs, tolerance, detail, checked, evals)
+        VerificationReport(
+            f"{name} r={r:.3g}", lhs, rhs, tolerance, detail, checked, evals
+        )
         for name, lhs, rhs, checked, evals in rows
     )
 
@@ -294,7 +279,7 @@ def radial_bound_profile(f: HarmonicMap, r: float) -> list[VerificationReport]:
     for j in range(RADIAL_DIRECTIONS):
         lhs = math.fsum((vals[j] * weights).tolist())
         out.append(
-            report(
+            VerificationReport(
                 f"radial-{j:03d}",
                 lhs,
                 rhs,
@@ -324,7 +309,7 @@ def star_contraction_report(
     detail = f"area_err={area.error_estimate:.3e} f(0)={origin_image:.3e}"
     if not hypothesis_ok:
         detail += " hypothesis-unmet: f(0) != 0"
-    return report(
+    return VerificationReport(
         "star-contraction",
         area.value,
         measure,
@@ -353,12 +338,13 @@ def local_contraction_constant(f: HarmonicMap, E: Region, grid: int = 129) -> fl
     """
     if bounding_radius(E) > 1.0 - 1e-6:
         raise HypothesisError("region must lie compactly inside the unit disk")
+    coarse_pts = _sample_points(E, grid)
+    if coarse_pts.size == 0:
+        raise HypothesisError("no sample point lies in the region")
     if isinstance(E, PixelGrid):
-        coarse_pts = E.cell_centers()
         fine_pts = quarter_cells(coarse_pts, E.n).ravel()
         fine_pts = fine_pts[np.abs(fine_pts) < 1.0]
     else:
-        coarse_pts = _sample_points(E, grid)
         fine_pts = _sample_points(E, 2 * grid - 1)
     coarse = float(np.max(f.jacobian(coarse_pts)))
     fine = float(np.max(f.jacobian(fine_pts))) if fine_pts.size else coarse
@@ -395,11 +381,7 @@ def worst_case_image_area(
     Layer-cake upper envelope in the grid model: fill cells in decreasing
     Jacobian order until the preimage measure reaches s.
     """
-    return _layer_cake(*_sorted_jacobian_cells(f, domain, grid), s)
-
-
-def _layer_cake(vals: np.ndarray, w: float, total: float, s: float) -> float:
-    """worst_case_image_area from the output of _sorted_jacobian_cells."""
+    vals, w, total = _sorted_jacobian_cells(f, domain, grid)
     if not 0.0 < s <= total * (1.0 + 1e-12):
         raise HypothesisError("s must lie in (0, m(domain)]")
     s = min(s, total)
@@ -413,31 +395,13 @@ def _layer_cake(vals: np.ndarray, w: float, total: float, s: float) -> float:
 def small_set_threshold(f: HarmonicMap, domain: Region, grid: int = 256) -> float:
     """Largest s with worst_case_image_area(f, domain, s') <= s' for s' <= s.
 
-    Returns the full domain measure when the grid model contracts globally;
-    otherwise bisects to 1e-6.  The predicate is evaluated exactly at the
-    layer-cake breakpoints (the envelope is piecewise linear between them).
+    The envelope is concave, zero at 0, with initial slope the largest
+    sampled Jacobian.  So it stays below the diagonal on all of (0, m(domain)]
+    when that Jacobian is <= 1, and on no (0, s] otherwise: the threshold is
+    m(domain) or 0.0.
     """
-    vals, w, total = _sorted_jacobian_cells(f, domain, grid)
-    prefix = np.cumsum(vals * w)
-    breakpoints = w * np.arange(1, vals.size + 1)
-
-    def holds_up_to(s: float) -> bool:
-        k = min(int(s / w), vals.size)
-        if k and np.any(prefix[:k] > breakpoints[:k]):
-            return False
-        tail = _layer_cake(vals, w, total, s) if s > 0 else 0.0
-        return tail <= s
-
-    if holds_up_to(total):
-        return total
-    lo, hi = 0.0, total
-    while hi - lo > 1e-6:
-        mid = (lo + hi) / 2.0
-        if holds_up_to(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    vals, _, total = _sorted_jacobian_cells(f, domain, grid)
+    return total if vals[0] <= 1.0 else 0.0
 
 
 def sp_ratio(f: HarmonicMap, z: complex) -> float:
@@ -528,7 +492,7 @@ def _reference_rows(
         f"err={ref.error_estimate:.3e}"
     )
     return [
-        report(
+        VerificationReport(
             f"{tag}-le r={r:.1f}",
             ref.quadrature,
             ref.closed_form,
@@ -536,7 +500,7 @@ def _reference_rows(
             detail,
             evals=ref.evals,
         ),
-        report(
+        VerificationReport(
             f"{tag}-ge r={r:.1f}",
             ref.closed_form,
             ref.quadrature,
@@ -544,7 +508,7 @@ def _reference_rows(
             detail,
             evals=ref.evals,
         ),
-        report(
+        VerificationReport(
             f"{tag}-claimed r={r:.1f}",
             ref.quadrature,
             ref.claimed_value,
@@ -573,7 +537,7 @@ def verification_suite(
         radial = radial_bound_profile(f, r)
         worst = min(radial, key=lambda rep: rep.margin)
         rows.append(
-            report(
+            VerificationReport(
                 f"radial-worst r={r:.1f}",
                 worst.lhs,
                 worst.rhs,

@@ -268,15 +268,18 @@ class ValidityReport:
     """Sense-preservation and self-map diagnostics for a map.
 
     certified is true when sense_preserving was decided exactly (see
-    validate); it is false only on a sense_preserving map.  self_map is
-    always sampled.
+    validate); it is false only on a sense_preserving map.  self_map_sup,
+    and so self_map, is always sampled.
     """
 
     sense_preserving: bool
-    self_map: bool
     sup_abs_dilatation: float
     self_map_sup: float
     certified: bool
+
+    @property
+    def self_map(self) -> bool:
+        return self.self_map_sup <= 1.0 + SELF_MAP_SLACK
 
 
 @functools.lru_cache(maxsize=16)
@@ -387,8 +390,8 @@ def validate(f: HarmonicMap) -> ValidityReport:
     sample at or past the margin certifies the map not sense-preserving;
     past the cap, the samples call it sense-preserving with certified false.
     sup_abs_dilatation is the largest |g'/h'| on the last circle.
-    self_map iff every |f| at CIRCLE_SAMPLES circle points is
-    <= 1 + SELF_MAP_SLACK.
+    self_map_sup is the largest |f| at CIRCLE_SAMPLES circle points; self_map
+    means it is <= 1 + SELF_MAP_SLACK.
     """
     if isinstance(f, DiskAutomorphism):
         k, sense, certified = 0.0, True, True
@@ -405,11 +408,9 @@ def validate(f: HarmonicMap) -> ValidityReport:
             rows[2:, :-1], on_circle[2:], CIRCLE_SAMPLES
         )
         values = on_circle[0] + np.conjugate(on_circle[1])
-    self_sup = float(np.max(np.abs(values)))
     return ValidityReport(
         sense_preserving=sense,
-        self_map=self_sup <= 1.0 + SELF_MAP_SLACK,
         sup_abs_dilatation=k,
-        self_map_sup=self_sup,
+        self_map_sup=float(np.max(np.abs(values))),
         certified=certified,
     )

@@ -334,8 +334,9 @@ def mc_image_area(f, E: Region, n: int = 1024, seed: int = 42) -> QuadResult:
     injective on E (not checked).
     """
     n = int(n)
-    if n < 2 or (n & (n - 1)) != 0 or n > 4096:
-        raise ConstructionError("raster resolution must be a power of two <= 4096")
+    # The error estimate's half pass needs n // 2 >= 2.
+    if n < 4 or (n & (n - 1)) != 0 or n > 4096:
+        raise ConstructionError("raster resolution must be a power of two in [4, 4096]")
     rng = np.random.default_rng(seed)
     base, evals_base = _raster_pass(f, E, n, None)
     half, evals_half = _raster_pass(f, E, n // 2, rng)

@@ -220,11 +220,16 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One lattice point; a note names why the point is infeasible."""
+
     index: int
     params: tuple[float, ...]
     ratio: float
-    feasible: bool
     note: str = ""
+
+    @property
+    def feasible(self) -> bool:
+        return not self.note
 
 
 def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
@@ -262,22 +267,18 @@ def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
     rows = []
     for index, params in enumerate(lattice):
         note = ""
-        feasible = True
         ratio = math.nan
         try:
             f = family.kind.construct(params)
             try:
                 family.check(f)
             except HypothesisError as exc:
-                feasible = False
                 note = f"constraint: {exc}"
             # Infeasible maps still get their unconstrained ratio.
             ratio = image_area(f, E, check_sense=False).value / m_e
         except ConstructionError as exc:
-            if feasible:
-                feasible = False
-                note = f"construction: {exc}"
-        rows.append(SweepRow(index, params, ratio, feasible, note))
+            note = note or f"construction: {exc}"
+        rows.append(SweepRow(index, params, ratio, note))
     return sorted(
         rows,
         key=lambda row: (

@@ -480,3 +480,10 @@ class TestOracle:
             ["oracle", "--preset", "identity", "--n", "1000", "--out", str(tmp_path)],
         )
         assert code == 2
+        # n = 2 is a power of two, but its half-resolution pass would be 1 x 1.
+        code, _, err = run(
+            capsys,
+            ["oracle", "--preset", "identity", "--n", "2", "--out", str(tmp_path)],
+        )
+        assert code == 2
+        assert "power of two in [4, 4096]" in err

@@ -17,6 +17,7 @@ from harmarea import (
     DomainError,
     HypothesisError,
     NonConvergenceError,
+    PixelGrid,
     StarShaped,
     VerificationReport,
     affine,
@@ -46,7 +47,8 @@ from harmarea import (
     verification_suite,
     worst_case_image_area,
 )
-from harmarea.distortion import default_tolerance, report
+from harmarea.distortion import _sorted_jacobian_cells, default_tolerance
+from harmarea.presets import preset_map, preset_names
 from harmarea.quadrature import DEFAULT_M0, DEFAULT_Q0, DEFAULT_TOL
 
 EXACT_RADII = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -68,14 +70,11 @@ disk_points = st.tuples(
 
 class TestReportTypes:
     def test_pass_flag_must_match_margin(self):
-        report("ok", 1.0, 2.0, 1e-9)
         with pytest.raises(ValueError):
-            VerificationReport("bad", 1.0, 2.0, 1.0, False, 1e-9)
-        with pytest.raises(ValueError):
-            VerificationReport("bad", math.inf, 2.0, -math.inf, True, 1e-9)
+            VerificationReport("bad", math.inf, 2.0, 1e-9)
 
     def test_negative_margin_within_tolerance_passes(self):
-        rep = report("edge", 1.0 + 5e-10, 1.0, 1e-9)
+        rep = VerificationReport("edge", 1.0 + 5e-10, 1.0, 1e-9)
         assert rep.passed and rep.margin < 0.0
 
     def test_default_tolerance(self):
@@ -432,6 +431,15 @@ class TestLocalContraction:
         with pytest.raises(HypothesisError):
             local_contraction_constant(identity_map(), Disk(1.0))
 
+    @pytest.mark.parametrize(
+        "region, grid",
+        [(PixelGrid(8, np.zeros((8, 8), dtype=bool)), 129), (Disk(0.001), 2)],
+        ids=["empty-grid", "corners-outside-disk"],
+    )
+    def test_empty_sample_rejected(self, region, grid):
+        with pytest.raises(HypothesisError, match="no sample point"):
+            local_contraction_constant(affine(0.5), region, grid=grid)
+
 
 class TestWorstCase:
     def test_affine_proportional(self):
@@ -475,7 +483,49 @@ class TestWorstCase:
             assert mid >= (vals[i - 1] + vals[i + 1]) / 2.0 - 1e-10
 
 
+THRESHOLD_MAPS = {
+    **{name: preset_map(name) for name in preset_names()},
+    "raw-contracting": raw_polynomial([0, 0.5, 0.2], [0, 0.1, 0.05]),
+    "raw-expanding": raw_polynomial([0, 1, 0.3], [0, 0.1]),
+}
+THRESHOLD_REGIONS = {
+    "disk-0.5": Disk(0.5),
+    "disk-0.9": Disk(0.9),
+    "star": star_cos3(256, 0.9),
+    "grid": rasterize(Disk(0.7), 128),
+}
+
+
 class TestSmallSetThreshold:
+    @pytest.mark.parametrize("region", sorted(THRESHOLD_REGIONS))
+    @pytest.mark.parametrize("name", sorted(THRESHOLD_MAPS))
+    def test_matches_the_envelope(self, name, region):
+        """The threshold is the largest s with W(s') <= s' on (0, s], where W
+        is the layer-cake envelope: m(E) when W never crosses the diagonal,
+        0.0 when it crosses within the first cell."""
+        f, E = THRESHOLD_MAPS[name], THRESHOLD_REGIONS[region]
+        total = region_measure(E)
+        got = small_set_threshold(f, E)
+        if got == total:
+            for k in range(1, 51):
+                s = k * total / 50
+                assert worst_case_image_area(f, E, s) <= s * (1.0 + 1e-12)
+        else:
+            assert got == 0.0
+            w = _sorted_jacobian_cells(f, E, 256)[1]
+            assert worst_case_image_area(f, E, w / 2) > w / 2
+
+    @pytest.mark.parametrize(
+        "f", [identity_map(), rotation_map(1.0)], ids=["identity", "rotation"]
+    )
+    @pytest.mark.parametrize(
+        "E",
+        [Disk(0.5), Disk(0.9), star_cos3(256, 0.9)],
+        ids=["disk-0.5", "disk-0.9", "star"],
+    )
+    def test_equality_case_returns_the_measure(self, f, E):
+        assert small_set_threshold(f, E) == region_measure(E)
+
     def test_global_contraction_returns_total(self):
         total = region_measure(Disk(0.9))
         assert small_set_threshold(affine(0.5), Disk(0.9)) == total

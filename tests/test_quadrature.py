@@ -352,6 +352,8 @@ class TestMcImageArea:
             mc_image_area(identity_map(), Disk(0.5), n=1000)
         with pytest.raises(ValueError):
             mc_image_area(identity_map(), Disk(0.5), n=8192)
+        with pytest.raises(ValueError, match=r"power of two in \[4, 4096\]"):
+            mc_image_area(identity_map(), Disk(0.5), n=2)
 
     def test_grid_region_supported(self):
         g = rasterize(Disk(0.5), 256)

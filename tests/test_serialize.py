@@ -24,7 +24,7 @@ from harmarea import (
     star_cos3,
     sweep,
 )
-from harmarea.distortion import report
+from harmarea.distortion import VerificationReport
 from harmarea.search import AffineFamily, AutomorphismFamily, ShearFamily, SweepRow
 from harmarea.serialize import (
     ParseError,
@@ -181,8 +181,8 @@ class TestFamilyRoundTrip:
 class TestReportCsv:
     def test_exact_layout(self):
         rows = [
-            report("check-a", 1.0, 2.0, 1e-9, evals=12),
-            report("check-b", 3.0, 1.0, 1e-9),
+            VerificationReport("check-a", 1.0, 2.0, 1e-9, evals=12),
+            VerificationReport("check-b", 3.0, 1.0, 1e-9),
         ]
         text = reports_to_csv(rows)
         lines = text.split("\n")
@@ -192,7 +192,7 @@ class TestReportCsv:
         assert lines[3] == ""
 
     def test_json_mirror_carries_detail_and_checked(self):
-        rows = [report("x", 0.0, 1.0, 1e-9, detail="why", checked=False)]
+        rows = [VerificationReport("x", 0.0, 1.0, 1e-9, detail="why", checked=False)]
         payload = json.loads(reports_to_json(rows))
         assert payload[0]["detail"] == "why"
         assert payload[0]["checked"] is False
@@ -229,8 +229,8 @@ class TestSearchCsv:
 class TestSweepCsv:
     def test_layout_and_nan_literal(self):
         rows = [
-            SweepRow(0, (0.0,), 1.0, True, ""),
-            SweepRow(1, (1.2,), math.nan, False, "construction: bad"),
+            SweepRow(0, (0.0,), 1.0, ""),
+            SweepRow(1, (1.2,), math.nan, "construction: bad"),
         ]
         text = sweep_to_csv(rows, ("alpha",))
         lines = text.strip().split("\n")
