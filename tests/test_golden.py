@@ -24,6 +24,8 @@ import pytest
 
 from harmarea.cli import main
 from harmarea.presets import preset_names
+from harmarea.regions import StarShaped, rasterize
+from harmarea.serialize import region_to_json
 
 # A fixed 64-sample star: r(t) = 0.55 + 0.25 cos 3t, rounded to 4 decimals so
 # the JSON text does not depend on the last bit of the platform's cos.
@@ -34,14 +36,16 @@ STAR = {
         for k in range(64)
     ],
 }
+# The star rasterized at 64 x 64 and packed as region_to_json packs it.
+GRID = region_to_json(rasterize(StarShaped(tuple(STAR["profile"])), 64))
 AFFINE_FAMILY = {"kind": "affine", "alpha_range": [0.0, 0.5]}
 # Its rows carry constraint, sense-preservation and construction notes.
 SHEAR_FAMILY = {"kind": "shear", "alpha_range": [0.0, 0.6], "powers": [2, 3],
                 "require_self_map": True}
 # |g'| > |h'| everywhere: the oracle's two areas disagree, so it exits 1.
 REVERSING_MAP = {"form": "polynomial", "h": [[0, 0], [1, 0]], "g": [[0, 0], [2, 0]]}
-FILES = {"STAR": STAR, "FAMILY": AFFINE_FAMILY, "SHEAR_FAMILY": SHEAR_FAMILY,
-         "REVERSING_MAP": REVERSING_MAP}
+FILES = {"STAR": STAR, "GRID": GRID, "FAMILY": AFFINE_FAMILY,
+         "SHEAR_FAMILY": SHEAR_FAMILY, "REVERSING_MAP": REVERSING_MAP}
 
 CASES = {
     **{
@@ -50,6 +54,10 @@ CASES = {
     },
     "area-star": ["area", "--preset", "example1-affine-0.5", "--region", "STAR",
                   "--format", "both"],
+    "area-grid-affine": ["area", "--preset", "example1-affine-0.5", "--region", "GRID",
+                         "--format", "both"],
+    "area-grid-shear": ["area", "--preset", "remark-shear-0.3", "--region", "GRID",
+                        "--format", "both"],
     "oracle-star": ["oracle", "--preset", "example1-affine-0.5", "--region", "STAR",
                     "--n", "256", "--format", "both"],
     "sweep-affine": ["sweep", "--family", "FAMILY", "--region", "STAR", "--n", "5"],
@@ -62,6 +70,8 @@ CASES = {
 EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1}
 
 DIGESTS = {
+    "area-grid-affine": "fc715ea0d6b8665341a0947a45d2d50fde8d9836395ba84a5474abb5371d741d",
+    "area-grid-shear": "5db3ce58cb8f9e29954fb7e43ea95ac109fcea2afa69be7159c32016f3795168",
     "area-star": "201b238150295b12dcfc0c97e160398135ea94664fc2b00f2b517de5a9de79dd",
     "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
     "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",
