@@ -78,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--n",
             type=int,
             help=(
-                "resolution knob: raster size (area/oracle), lattice points per "
-                "axis (sweep), refinement iterations (search)"
+                "resolution knob: raster size (oracle), lattice points per "
+                "axis (sweep), refinement iterations (search); area and verify "
+                "ignore it"
             ),
         )
         cmd.add_argument("--seed", type=int, default=42)

@@ -25,6 +25,7 @@ from .quadrature import (
     integrate_boundary,
     integrate_grid,
     integrate_polar,
+    integrate_runs,
     quarter_cells,
 )
 from .regions import (
@@ -85,7 +86,15 @@ def default_tolerance(tol: float, *error_estimates: float) -> float:
 def _area_integral(
     f: HarmonicMap, E: Region, tol: float, *, energy: bool
 ) -> QuadResult:
-    """Integral of J_f (or |h'|^2 if energy) over a Disk or StarShaped E.
+    """Integral of J_f (or |h'|^2 if energy) over E.
+
+    On a pixel grid a polynomial map's J_f and |h'|^2 are polynomials of
+    degree at most 2(d - 1) in x and in y, d the largest degree of the
+    series integrated, so quadrature.integrate_runs with max(d, 1) nodes
+    per axis is exact up to rounding (error_estimate 0.0).  An
+    automorphism's Jacobian is not a polynomial, and a rim cell can reach
+    toward its pole 1/conj(a): it keeps the midpoint rule of
+    quadrature.integrate_grid.
 
     Closed forms, exact up to rounding (error_estimate 0.0):
     - a disk under a polynomial map: for h = sum a_n z^n, g = sum b_n z^n
@@ -102,8 +111,10 @@ def _area_integral(
     int_E J_f = (1/2i) oint (conj(h) dh - conj(g) dg), with g = 0 for an
     automorphism.
     """
-    check_tol(tol)
     if isinstance(f, DiskAutomorphism):
+        if isinstance(E, PixelGrid):
+            return integrate_grid(f.jacobian, E)
+        check_tol(tol)
         if isinstance(E, Disk):
             a2 = abs(f.a) ** 2
             s = (1.0 - a2) / (1.0 - a2 * E.r * E.r)
@@ -114,6 +125,14 @@ def _area_integral(
         return integrate_boundary(parts, E, tol, pole=1.0 / f.a.conjugate())
     series = [(1.0, f.h)] if energy else [(1.0, f.h), (-1.0, f.g)]
     degree = max(part.degree for _, part in series)
+    if isinstance(E, PixelGrid):
+        slopes = [(sign, part.derivative()._evaluate_unchecked) for sign, part in series]
+
+        def density(z):
+            return sum(sign * np.abs(d(z)) ** 2 for sign, d in slopes)
+
+        return integrate_runs(density, E, max(1, degree))
+    check_tol(tol)
     if isinstance(E, Disk):
         r = E.r
         terms = [
@@ -140,8 +159,10 @@ def image_area(
 
     Disks under any map, and stars under rotations, use a closed form that
     is exact up to rounding (error_estimate 0.0).  Other stars use the
-    boundary integral of quadrature.integrate_boundary, pixel grids the
-    midpoint rule; see _area_integral.  Polar quadrature is never used.
+    boundary integral of quadrature.integrate_boundary.  Pixel grids use
+    the exact run rule of quadrature.integrate_runs under polynomial maps
+    and the midpoint rule under automorphisms; see _area_integral.  Polar
+    quadrature is never used.
     """
     if check_sense:
         rep = validate(f)
@@ -151,8 +172,6 @@ def image_area(
                 "%.6g); area formula may not equal m(f(E))",
                 rep.sup_abs_dilatation,
             )
-    if isinstance(E, PixelGrid):
-        return integrate_grid(f.jacobian, E)
     return _area_integral(f, E, tol, energy=False)
 
 
@@ -160,11 +179,10 @@ def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> Quad
     """Integral of |h'|^2 over E (the analytic part's area integral).
 
     Closed form on disks under any map and on stars under rotations, the
-    boundary integral of h alone on other stars, and the midpoint rule on
-    pixel grids, as in image_area.
+    boundary integral of h alone on other stars; on pixel grids the exact
+    run rule under polynomial maps and the midpoint rule under
+    automorphisms, as in image_area.
     """
-    if isinstance(E, PixelGrid):
-        return integrate_grid(f.analytic_energy_density, E)
     return _area_integral(f, E, tol, energy=True)
 
 
@@ -373,23 +391,29 @@ def _sorted_jacobian_cells(
     return vals, total / pts.size, total
 
 
-def worst_case_image_area(
-    f: HarmonicMap, domain: Region, s: float, grid: int = 256
-) -> float:
+def worst_case_image_area(f: HarmonicMap, domain: Region, s, grid: int = 256):
     """Largest possible m(f(E)) over measurable E in the domain with m(E) = s.
 
     Layer-cake upper envelope in the grid model: fill cells in decreasing
-    Jacobian order until the preimage measure reaches s.
+    Jacobian order until the preimage measure reaches s.  s may also be a
+    sequence of budgets: the Jacobian is then sampled and sorted once and a
+    list of the envelope values is returned, each the value for its budget
+    alone.
     """
     vals, w, total = _sorted_jacobian_cells(f, domain, grid)
-    if not 0.0 < s <= total * (1.0 + 1e-12):
+    budgets = np.asarray(s, dtype=float).ravel().tolist()
+    if not all(0.0 < b <= total * (1.0 + 1e-12) for b in budgets):
         raise HypothesisError("s must lie in (0, m(domain)]")
-    s = min(s, total)
-    full = min(int(s / w), vals.size)
-    acc = math.fsum((vals[:full] * w).tolist())
-    if full < vals.size:
-        acc += vals[full] * (s - full * w)
-    return acc
+    terms = (vals * w).tolist()
+    out = []
+    for b in budgets:
+        b = min(b, total)
+        full = min(int(b / w), vals.size)
+        acc = math.fsum(terms[:full])
+        if full < vals.size:
+            acc += vals[full] * (b - full * w)
+        out.append(acc)
+    return out if np.ndim(s) else out[0]
 
 
 def small_set_threshold(f: HarmonicMap, domain: Region, grid: int = 256) -> float:

@@ -9,6 +9,7 @@ disk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -93,8 +94,34 @@ class PixelGrid:
     def cell_centers(self) -> np.ndarray:
         """Complex centers of the true cells, row-major order."""
         rows, cols = np.nonzero(self.mask)
-        side = 2.0 / self.n
-        return (-1.0 + (cols + 0.5) * side) + 1j * (-1.0 + (rows + 0.5) * side)
+        return _centers(rows, cols, self.n)
+
+    @functools.cached_property
+    def runs(self) -> np.ndarray:
+        """Maximal horizontal runs of true cells, row-major order.
+
+        A read-only integer array of shape (k, 3): row, first column and
+        stop column (one past the last) of each run.  Computed on first use
+        from one difference pass over the mask padded by a false cell at
+        both ends of every row, so no run crosses a row.
+        """
+        n = self.n
+        padded = np.zeros((n, n + 2), dtype=np.int8)
+        padded[:, 1:-1] = self.mask
+        edges = np.diff(padded.ravel())
+        starts = np.flatnonzero(edges == 1) + 1
+        stops = np.flatnonzero(edges == -1) + 1
+        out = np.column_stack(
+            (starts // (n + 2), starts % (n + 2) - 1, stops % (n + 2) - 1)
+        )
+        out.flags.writeable = False
+        return out
+
+
+def _centers(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Complex centers of the cells (rows, cols) of an n x n grid."""
+    side = 2.0 / n
+    return (-1.0 + (cols + 0.5) * side) + 1j * (-1.0 + (rows + 0.5) * side)
 
 
 Region = Union[Disk, StarShaped, PixelGrid]
@@ -190,11 +217,17 @@ def bounding_radius(E: Region) -> float:
         return E.r
     if isinstance(E, StarShaped):
         return max(E.profile)
-    centers = E.cell_centers()
-    if centers.size == 0:
+    runs = E.runs
+    if runs.size == 0:
         return 0.0
-    # Half the cell diagonal pads the center radius to cover whole cells.
-    return float(np.max(np.abs(centers))) + math.sqrt(2.0) / E.n
+    # Along a row |z| is convex, so a run's farthest center is at one of its
+    # ends; half the cell diagonal pads that radius to cover whole cells.
+    ends = _centers(
+        np.concatenate((runs[:, 0], runs[:, 0])),
+        np.concatenate((runs[:, 1], runs[:, 2] - 1)),
+        E.n,
+    )
+    return float(np.max(np.abs(ends))) + math.sqrt(2.0) / E.n
 
 
 def star_cos3(m: int = 256, scale: float = 1.0) -> StarShaped:

@@ -8,6 +8,7 @@ live in test_oracles.py.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -200,6 +201,72 @@ def pixel_centers_inside_whole(mask: np.ndarray) -> bool:
     cx = -1.0 + (cols + 0.5) * (2.0 / n)
     cy = -1.0 + (rows + 0.5) * (2.0 / n)
     return not np.any(np.hypot(cx, cy) >= 1.0)
+
+
+def _derivative_parts(coeffs):
+    """Real and imaginary parts of p'(x + iy), p = sum c_k z^k, as exact
+    polynomials {(a, b): coefficient of x^a y^b} with Fraction coefficients.
+
+    (x + iy)^k = sum_m C(k, m) x^(k-m) (iy)^m, and i^m cycles through
+    1, i, -1, -i.
+    """
+    re, im = {}, {}
+    for k, c in enumerate(coeffs[1:]):
+        c = complex(c)
+        a, b = Fraction(c.real) * (k + 1), Fraction(c.imag) * (k + 1)
+        for m in range(k + 1):
+            scale = math.comb(k, m)
+            cr, ci = ((a, b), (-b, a), (-a, -b), (b, -a))[m % 4]
+            key = (k - m, m)
+            re[key] = re.get(key, 0) + scale * cr
+            im[key] = im.get(key, 0) + scale * ci
+    return re, im
+
+
+def _square(p):
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in p.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def grid_polynomial_integral(h, g, mask: np.ndarray, energy: bool = False) -> float:
+    """Exact int over the true cells of |h'|^2 - |g'|^2 (|h'|^2 if energy).
+
+    h and g are coefficient sequences of the polynomials h and g.  The
+    density is expanded into monomials x^a y^b with Fraction coefficients,
+    each monomial is integrated in closed form over every horizontal run of
+    true cells of the n x n mask on [-1, 1]^2, and the exact sum is rounded
+    to a float once.  Slow: meant for masks up to about 64 x 64.
+    """
+    density = {}
+    for sign, coeffs in ((1, h),) if energy else ((1, h), (-1, g)):
+        for part in _derivative_parts(coeffs):
+            for key, c in _square(part).items():
+                density[key] = density.get(key, 0) + sign * c
+    n = mask.shape[0]
+    edge = [Fraction(-1) + Fraction(2 * k, n) for k in range(n + 1)]
+    total = Fraction(0)
+    for row in range(n):
+        y0, y1 = edge[row], edge[row + 1]
+        col = 0
+        while col < n:
+            if not mask[row, col]:
+                col += 1
+                continue
+            start = col
+            while col < n and mask[row, col]:
+                col += 1
+            x0, x1 = edge[start], edge[col]
+            for (a, b), c in density.items():
+                total += (
+                    c
+                    * (x1 ** (a + 1) - x0 ** (a + 1)) / (a + 1)
+                    * (y1 ** (b + 1) - y0 ** (b + 1)) / (b + 1)
+                )
+    return float(total)
 
 
 # Values frozen from the formulas above (computed once, pasted verbatim).

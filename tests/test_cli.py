@@ -167,6 +167,16 @@ class TestArea:
             main(["area", "--preset", "nope", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_n_is_ignored_and_documented_so(self, capsys, tmp_path):
+        argv = ["area", "--preset", "remark-shear-0.3", "--out", str(tmp_path)]
+        plain = run(capsys, argv)
+        assert run(capsys, argv + ["--n", "7"]) == plain
+        with pytest.raises(SystemExit):
+            main(["area", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "raster size (oracle)" in text
+        assert "area and verify ignore it" in text
+
 
 # h' = 1 - z vanishes at the boundary sample z = 1.
 CRITICAL_MAP = {

@@ -27,6 +27,7 @@ from harmarea import (
     hyperbolic_disk_integral,
     identity_map,
     image_area,
+    integrate_grid,
     integrate_polar,
     local_contraction_constant,
     quantitative_bounds,
@@ -47,6 +48,7 @@ from harmarea import (
     verification_suite,
     worst_case_image_area,
 )
+from harmarea import distortion
 from harmarea.distortion import _sorted_jacobian_cells, default_tolerance
 from harmarea.presets import preset_map, preset_names
 from harmarea.quadrature import DEFAULT_M0, DEFAULT_Q0, DEFAULT_TOL
@@ -98,6 +100,40 @@ class TestImageArea:
         g = rasterize(Disk(0.5), 512)
         res = image_area(affine(0.5), g)
         assert abs(res.value - 0.75 * region_measure(g)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "f",
+        [affine(0.5), shear(0.3, 2), raw_polynomial([0, 1, 0.2j, 0.05], [0, 2.0])],
+        ids=["affine", "shear", "reversing"],
+    )
+    def test_polynomial_maps_on_grids_skip_the_midpoint_rule(self, f, monkeypatch):
+        def forbidden(field, E):
+            raise AssertionError("integrate_grid called for a polynomial map")
+
+        monkeypatch.setattr(distortion, "integrate_grid", forbidden)
+        g = rasterize(Disk(0.9), 128)
+        assert image_area(f, g, check_sense=False).error_estimate == 0.0
+        assert analytic_energy(f, g).error_estimate == 0.0
+
+    @pytest.mark.parametrize(
+        "f",
+        [automorphism(0.5), automorphism(0.3 - 0.4j, rotation=1.1), identity_map()],
+        ids=["mobius", "rotated-mobius", "identity"],
+    )
+    def test_automorphisms_on_grids_keep_the_midpoint_rule(self, f, monkeypatch):
+        calls = []
+
+        def spy(field, E):
+            calls.append(E)
+            return integrate_grid(field, E)
+
+        monkeypatch.setattr(distortion, "integrate_grid", spy)
+        g = rasterize(Disk(0.9), 128)
+        area = image_area(f, g)
+        energy = analytic_energy(f, g)
+        assert calls == [g, g]
+        assert area == integrate_grid(f.jacobian, g)
+        assert energy == integrate_grid(f.analytic_energy_density, g)
 
     def test_mobius_matches_circle_image(self):
         res = image_area(automorphism(0.5), Disk(0.5))
@@ -465,9 +501,35 @@ class TestWorstCase:
         # grid model resolves the extremal disk to O(1/grid)
         assert abs(got - expected) <= 5e-3
 
+    @pytest.mark.parametrize(
+        "f, E",
+        [
+            (shear(0.3, 2), Disk(0.9)),
+            (automorphism(0.5), star_cos3(256, 0.9)),
+            (raw_polynomial([0, 1, 0.3], [0, 0.1]), rasterize(Disk(0.7), 128)),
+        ],
+        ids=["shear-disk", "mobius-star", "raw-grid"],
+    )
+    def test_budget_sequence_samples_once(self, f, E):
+        calls = []
+
+        class Counted:
+            def jacobian(self, z):
+                calls.append(z.size)
+                return f.jacobian(z)
+
+        total = region_measure(E)
+        budgets = [k * total / 7 for k in range(1, 8)] + [total * (1.0 + 1e-13)]
+        got = worst_case_image_area(Counted(), E, budgets)
+        assert len(calls) == 1
+        assert got == [worst_case_image_area(f, E, s) for s in budgets]
+        assert worst_case_image_area(f, E, np.array(budgets[:2])) == got[:2]
+
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             worst_case_image_area(identity_map(), Disk(0.5), 0.0)
+        with pytest.raises(ValueError):
+            worst_case_image_area(identity_map(), Disk(0.5), [0.1, 1.0])
         with pytest.raises(ValueError):
             worst_case_image_area(identity_map(), Disk(0.5), 1.0)
 
@@ -507,9 +569,9 @@ class TestSmallSetThreshold:
         total = region_measure(E)
         got = small_set_threshold(f, E)
         if got == total:
-            for k in range(1, 51):
-                s = k * total / 50
-                assert worst_case_image_area(f, E, s) <= s * (1.0 + 1e-12)
+            budgets = [k * total / 50 for k in range(1, 51)]
+            for s, w in zip(budgets, worst_case_image_area(f, E, budgets)):
+                assert w <= s * (1.0 + 1e-12)
         else:
             assert got == 0.0
             w = _sorted_jacobian_cells(f, E, 256)[1]

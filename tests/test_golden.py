@@ -70,8 +70,8 @@ CASES = {
 EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1}
 
 DIGESTS = {
-    "area-grid-affine": "fc715ea0d6b8665341a0947a45d2d50fde8d9836395ba84a5474abb5371d741d",
-    "area-grid-shear": "5db3ce58cb8f9e29954fb7e43ea95ac109fcea2afa69be7159c32016f3795168",
+    "area-grid-affine": "f7a6c716c4dcf972082dfe96a151421ef4dea457eb292167342308e1ec6c267c",
+    "area-grid-shear": "a8ba84728515eed74f6e706714924c08a65e2d0e45088f8e1f1fe0090836cf89",
     "area-star": "201b238150295b12dcfc0c97e160398135ea94664fc2b00f2b517de5a9de79dd",
     "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
     "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",

@@ -89,3 +89,29 @@ def test_shear_worst_case_formula():
         lambda t: 2.0 * math.pi * (1.0 - 4.0 * alpha * alpha * t * t) * t, 0.0, rho
     )
     assert abs(val - oracles.shear_worst_case(alpha, s)) < 1e-14
+
+
+def test_grid_polynomial_integral_against_scipy():
+    # Two runs in different rows of an 8 x 8 mask: the exact monomial sum
+    # must match dblquad of the density over the two rectangles.
+    h = (0.1, 1.0, 0.2j, 0.05, 0.3 - 0.1j)
+    g = (0.0, 0.1, 0.05 - 0.1j, 0.0, 0.2)
+    mask = np.zeros((8, 8), dtype=bool)
+    mask[3, 2:6] = True
+    mask[6, 1:3] = True
+
+    def derivative(coeffs, z):
+        return sum(k * c * z ** (k - 1) for k, c in enumerate(coeffs) if k)
+
+    def density(y, x, energy):
+        z = complex(x, y)
+        value = abs(derivative(h, z)) ** 2
+        return value if energy else value - abs(derivative(g, z)) ** 2
+
+    for energy in (False, True):
+        total = 0.0
+        for (x0, x1), (y0, y1) in (((-0.5, 0.5), (-0.25, 0.0)), ((-0.75, -0.25), (0.5, 0.75))):
+            val, _ = dblquad(density, x0, x1, y0, y1, args=(energy,), epsabs=1e-14, epsrel=1e-13)
+            total += val
+        got = oracles.grid_polynomial_integral(h, g, mask, energy=energy)
+        assert abs(got - total) <= 1e-13

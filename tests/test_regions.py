@@ -273,6 +273,64 @@ class TestBoundingRadius:
         assert np.all(np.abs(g.cell_centers()) <= b)
         assert b < 0.5 + 0.05
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            rasterize(Disk(0.5), 64),
+            rasterize(Disk(1.0), 300),
+            rasterize(star_cos3(256, 0.9), 512),
+            PixelGrid(8, np.eye(8, dtype=bool) & (np.arange(8) % 7 != 0)),
+        ],
+        ids=["disk", "unit-disk-300", "star", "diagonal"],
+    )
+    def test_grid_matches_every_cell_center(self, g):
+        # The run ends give the bits of the maximum over all cell centers.
+        expected = float(np.max(np.abs(g.cell_centers()))) + math.sqrt(2.0) / g.n
+        assert bounding_radius(g) == expected
+
+    def test_empty_grid(self):
+        assert bounding_radius(PixelGrid(8, np.zeros((8, 8), dtype=bool))) == 0.0
+
+
+def _mask_from_runs(n: int, runs: np.ndarray) -> np.ndarray:
+    mask = np.zeros((n, n), dtype=bool)
+    for row, start, stop in runs:
+        mask[row, start:stop] = True
+    return mask
+
+
+class TestRuns:
+    @given(st.integers(2, 24), st.data())
+    def test_runs_rebuild_the_mask(self, n, data):
+        bits = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        # Clip to cells with centers in the open unit disk, as PixelGrid needs.
+        mask = oracles.rasterize_whole(lambda z: np.ones(z.shape, dtype=bool), n)
+        mask &= np.array(bits).reshape(n, n)
+        runs = PixelGrid(n, mask).runs
+        assert runs.shape == (len(runs), 3)
+        assert np.array_equal(_mask_from_runs(n, runs), mask)
+        # Row-major, non-empty and maximal: no two runs of a row touch.
+        keys = [(int(r), int(a)) for r, a, _ in runs]
+        assert keys == sorted(keys)
+        assert np.all(runs[:, 2] > runs[:, 1])
+        same_row = runs[1:, 0] == runs[:-1, 0]
+        assert np.all(runs[1:, 1][same_row] > runs[:-1, 2][same_row])
+
+    def test_full_row_ends_at_n(self):
+        # Row 32's centers have |y| = 1/64, so the whole row is inside.
+        mask = np.zeros((64, 64), dtype=bool)
+        mask[32] = True
+        assert PixelGrid(64, mask).runs.tolist() == [[32, 0, 64]]
+
+    def test_read_only_and_computed_once(self):
+        g = rasterize(Disk(0.5), 32)
+        assert g.runs is g.runs
+        with pytest.raises(ValueError):
+            g.runs[0, 0] = 5
+
+    def test_empty_grid_has_no_runs(self):
+        assert PixelGrid(4, np.zeros((4, 4), dtype=bool)).runs.shape == (0, 3)
+
 
 class TestStarCos3:
     def test_profile_shape(self):
