@@ -44,8 +44,13 @@ SHEAR_FAMILY = {"kind": "shear", "alpha_range": [0.0, 0.6], "powers": [2, 3],
                 "require_self_map": True}
 # |g'| > |h'| everywhere: the oracle's two areas disagree, so it exits 1.
 REVERSING_MAP = {"form": "polynomial", "h": [[0, 0], [1, 0]], "g": [[0, 0], [2, 0]]}
+RAWBALL = {"kind": "rawball", "degree": 2, "coeff_bound": 0.25}
+# Bound 0.5 reaches h2 = -0.5, where h' = 1 - z vanishes at z = 1, and
+# points that are certified not sense-preserving: both kinds of note.
+RAWBALL_WIDE = {"kind": "rawball", "degree": 2, "coeff_bound": 0.5}
 FILES = {"STAR": STAR, "GRID": GRID, "FAMILY": AFFINE_FAMILY,
-         "SHEAR_FAMILY": SHEAR_FAMILY, "REVERSING_MAP": REVERSING_MAP}
+         "SHEAR_FAMILY": SHEAR_FAMILY, "REVERSING_MAP": REVERSING_MAP,
+         "RAWBALL": RAWBALL, "RAWBALL_WIDE": RAWBALL_WIDE}
 
 CASES = {
     **{
@@ -64,6 +69,9 @@ CASES = {
     "search-family-affine": ["search", "--family", "FAMILY", "--n", "20"],
     "search-preset-sp": ["search", "--preset", "example1-affine-0.2", "--r", "0.6"],
     "sweep-shear-notes": ["sweep", "--family", "SHEAR_FAMILY", "--r", "0.5", "--n", "7"],
+    "search-rawball-disk": ["search", "--family", "RAWBALL", "--r", "0.6", "--seed", "1"],
+    "sweep-rawball-notes": ["sweep", "--family", "RAWBALL_WIDE", "--r", "0.5", "--n", "5"],
+    "sweep-rawball-star": ["sweep", "--family", "RAWBALL", "--region", "STAR", "--n", "5"],
     "oracle-reversing": ["oracle", "--map", "REVERSING_MAP", "--n", "256",
                          "--format", "both"],
 }
@@ -77,7 +85,10 @@ DIGESTS = {
     "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",
     "search-family-affine": "bb8d8fb98e963b203d85d652bc42828ea470afa3d8955c16fb758da47b6291f6",
     "search-preset-sp": "d2a949ac1c1609b37e2a59b7925e2a613e95552a008e9a982f8111ac828838d3",
+    "search-rawball-disk": "bb406a60b0a49d72ff051a8c3e4e1a86f51c7e9469d50f37c850dcf6fc5fa17f",
     "sweep-affine": "f92db88a7d4874212ae5a243af21588d23a2ab0444c8f3a269c53f9c7f36f950",
+    "sweep-rawball-notes": "dae07c5a7c3228e1d31ad9431cd09194994d8e5ec716a0b0062f109809a6e28e",
+    "sweep-rawball-star": "aff3f543cf3166a7b586d5e2ba86c15264ac8e52eaa1d9bb57ea8314b5366740",
     "sweep-shear-notes": "3caad064f1db568c7844646770a60a5ec28aa333fdc7216c578c8ed0de070a9f",
     "verify-automorphism-0.5": "d51eba380366bbfa09aa2b99cd6d3e5c7079d2d067bfe837ee90f53e038215b0",
     "verify-example1-affine-0.2": "248aeb617af8125084a233a042befe27ec341afab099f9a1ac33cabe53a6430f",
