@@ -134,18 +134,31 @@ def _area_integral(
         return integrate_runs(density, E, max(1, degree))
     check_tol(tol)
     if isinstance(E, Disk):
-        r = E.r
-        terms = [
-            sign * n * abs(c) ** 2 * r ** (2 * n - 2)
-            for sign, part in series
-            for n, c in enumerate(part.coefficients[1:], 1)
-        ]
-        return QuadResult(region_measure(E) * math.fsum(terms), 0.0, max(1, degree))
+        return disk_series_area(E, [(sign, part.coefficients) for sign, part in series])
     parts = [
         (sign, part._evaluate_unchecked, part.derivative()._evaluate_unchecked)
         for sign, part in series
     ]
     return integrate_boundary(parts, E, tol, min_nodes=4 * (degree + 1))
+
+
+def disk_series_area(E: Disk, series) -> QuadResult:
+    """int_{D_r} sum sign |F'|^2 dA over (sign, coefficients) pairs, for
+    polynomials F with those ascending coefficients, in closed form.
+
+    For F = sum c_n z^n the integral is pi sum n |c_n|^2 r^{2n}, computed as
+    m(D_r) * fsum of n |c_n|^2 r^{2(n-1)}; see _area_integral.  It takes
+    coefficient rows, not a map, so a search lattice needs no map object
+    per point.
+    """
+    r = E.r
+    terms = [
+        sign * n * abs(c) ** 2 * r ** (2 * n - 2)
+        for sign, coefficients in series
+        for n, c in enumerate(coefficients[1:], 1)
+    ]
+    degree = max(len(coefficients) for _, coefficients in series) - 1
+    return QuadResult(region_measure(E) * math.fsum(terms), 0.0, max(1, degree))
 
 
 def image_area(

@@ -320,16 +320,21 @@ def _zero_free_closed_disk(coefficients) -> bool:
 
 
 def _horner_rows(rows: np.ndarray, m: int) -> np.ndarray:
-    """Horner values on the m-point circle of each row of ascending-power
-    coefficients.
+    """Horner values on the m-point circle of ascending-power coefficients
+    along the last axis of rows; the leading axes are kept.
 
-    Elementwise the same operations as AnalyticSeries evaluation; zeros
-    padded onto a shorter polynomial can change only the sign of a zero.
+    Elementwise the same operations as AnalyticSeries evaluation, which
+    starts from 0 * z + c for the leading c: starting from c, or padding
+    zeros onto a shorter polynomial, can change only the sign of a zero.
     """
     circle = _circle(m)
-    values = np.zeros((rows.shape[0], m), dtype=complex)
-    for column in rows.T[::-1]:
-        values = values * circle + column[:, None]
+    values = np.empty(rows.shape[:-1] + (m,), dtype=complex)
+    values[...] = rows[..., -1, None]
+    # In place: a stack of rows is a few MiB, and fresh arrays cost more
+    # than the arithmetic.
+    for k in range(rows.shape[-1] - 2, -1, -1):
+        values *= circle
+        values += rows[..., k, None]
     return values
 
 
@@ -344,73 +349,116 @@ def _critical_point(h_prime: np.ndarray, abs_h: np.ndarray) -> str:
     return f"h' vanishes near z = {complex(roots[np.argmin(np.abs(roots))]) + 0j}"
 
 
-def _sense_on_circle(derivatives, values, m):
-    """(sup |dilatation| seen, sense_preserving, certified) for a polynomial map.
+def coefficient_rows(maps) -> tuple[np.ndarray, np.ndarray]:
+    """The rows validate_rows takes for a sequence of PolynomialMaps: their
+    h and g coefficients in ascending powers, zero padded to one length,
+    and each map's degree max(h.degree, g.degree)."""
+    degree = np.asarray([max(f.h.degree, f.g.degree) for f in maps], dtype=int)
+    rows = np.zeros((len(maps), 2, int(degree.max()) + 1), dtype=complex)
+    for row, f in zip(rows, maps):
+        row[0, : f.h.degree + 1] = f.h.coefficients
+        row[1, : f.g.degree + 1] = f.g.coefficients
+    return rows, degree
 
-    derivatives holds the rows of h' and g', values their Horner values on
-    the circle of m points.  Once h' is zero-free on the closed disk, g'/h'
-    is analytic there and its modulus peaks on the circle.
-    T = (1 - SENSE_MARGIN)^2 |h'|^2 - |g'|^2 is a real trigonometric
-    polynomial of degree d, so by Bernstein's inequality it moves by at most
-    (pi d / m) max|T| between m equally spaced samples.  m doubles up to
-    CIRCLE_CAP; past it the samples decide, uncertified.
+
+def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> list:
+    """validate for a stack of polynomial maps, one pass for all of them.
+
+    coefficients has shape (N, 2, n): the ascending coefficients of h and g
+    of each map, zero padded; degree holds each map's max(h.degree,
+    g.degree).  Returns, per row, the ValidityReport validate(f) returns,
+    or the CriticalPointError it raises; row i's report is bit for bit the
+    one validate gives map i.
+
+    One Horner pass puts h, g, h' and g' of every row on the first circle;
+    the Schur-Cohn test runs per row; the Bernstein test runs on all
+    undecided rows at once, and only those rows go on to the doubled circle.
+    Memory is N * 4 * CIRCLE_SAMPLES complex values: callers bound N.
     """
-    abs_h = np.abs(values[0])
-    if abs_h.min() < CRITICAL_EPS or not _zero_free_closed_disk(derivatives[0].tolist()):
-        where = _critical_point(derivatives[0], abs_h)
-        raise CriticalPointError(f"sense-preservation undecidable: {where}")
-    d = max(derivatives.shape[1] - 1, 0)
-    while True:
-        ratio = np.abs(values[1] / values[0])
-        k = float(ratio.max())
-        if k >= 1.0 - SENSE_MARGIN:
-            return k, False, True
-        # T > 0 at every sample here.  The samples see max T only up to the
-        # same factor: the true max is at most the sampled one / (1 - step).
+    count, _, n = coefficients.shape
+    rows = np.zeros((count, 4, n), dtype=complex)
+    rows[:, :2] = coefficients
+    rows[:, 2:, :-1] = coefficients[:, :, 1:] * np.arange(1, n)
+    on_circle = _horner_rows(rows, CIRCLE_SAMPLES)
+    sup_f = np.abs(on_circle[:, 0] + np.conjugate(on_circle[:, 1])).max(axis=1).tolist()
+    derivatives = rows[:, 2:, :-1]
+    values = on_circle[:, 2:]
+    abs_h = np.abs(values[:, 0])
+    near_zero = (abs_h.min(axis=1) < CRITICAL_EPS).tolist()
+    # Stacked maps often share h', so the Schur-Cohn test runs once per h'.
+    zero_free: dict[tuple, bool] = {}
+    out: list = [None] * count
+    for i, h_prime in enumerate(map(tuple, derivatives[:, 0].tolist())):
+        if h_prime not in zero_free:
+            zero_free[h_prime] = _zero_free_closed_disk(h_prime)
+        if near_zero[i] or not zero_free[h_prime]:
+            where = _critical_point(derivatives[i, 0], abs_h[i])
+            out[i] = CriticalPointError(f"sense-preservation undecidable: {where}")
+    # Once h' is zero-free on the closed disk, g'/h' is analytic there and
+    # its modulus peaks on the circle.  T = (1 - SENSE_MARGIN)^2 |h'|^2 -
+    # |g'|^2 is a real trigonometric polynomial of degree d, so by
+    # Bernstein's inequality it moves by at most (pi d / m) max|T| between
+    # m equally spaced samples.
+    live = np.flatnonzero([report is None for report in out])
+    d = np.maximum(degree[live] - 1, 0)
+    if live.size < count:
+        values, abs_h = values[live], abs_h[live]
+    m = CIRCLE_SAMPLES
+    while live.size:
+        if m > CIRCLE_SAMPLES:
+            values = _horner_rows(derivatives[live], m)
+            abs_h = np.abs(values[:, 0])
+        ratio = np.abs(values[:, 1] / values[:, 0])
+        k = ratio.max(axis=1)
+        reversing = k >= 1.0 - SENSE_MARGIN
+        # T > 0 at every sample of a row that is not reversing.  The samples
+        # see max T only up to the same factor: the true max is at most the
+        # sampled one / (1 - step).
         t = abs_h * abs_h * ((1.0 - SENSE_MARGIN) ** 2 - ratio * ratio)
         step = math.pi * d / m
-        if step < 1.0 and float(t.min()) * (1.0 - step) > step * float(t.max()):
-            return k, True, True
-        if 2 * m > CIRCLE_CAP:
-            return k, True, False
+        positive = (step < 1.0) & (t.min(axis=1) * (1.0 - step) > step * t.max(axis=1))
+        # Past CIRCLE_CAP the samples decide, uncertified.
+        undecided = ~(reversing | positive) & (2 * m <= CIRCLE_CAP)
+        for i, k_i, rev, pos, wait in zip(
+            live.tolist(), k.tolist(), reversing.tolist(), positive.tolist(), undecided.tolist()
+        ):
+            if not wait:
+                out[i] = ValidityReport(
+                    sense_preserving=not rev,
+                    sup_abs_dilatation=k_i,
+                    self_map_sup=sup_f[i],
+                    certified=rev or pos,
+                )
+        live, d = live[undecided], d[undecided]
         m *= 2
-        values = _horner_rows(derivatives, m)
-        abs_h = np.abs(values[0])
+    return out
 
 
 def validate(f: HarmonicMap) -> ValidityReport:
     """Decide sense-preservation exactly where possible; sample |f| on the circle.
 
     sense_preserving means sup |dilatation| < 1 - SENSE_MARGIN on the closed
-    disk.  Automorphisms are conformal (dilatation 0, certified).  For a
-    polynomial map, a Schur-Cohn test first shows that h' has no zero on the
-    closed disk, else CriticalPointError; then a Bernstein bound decides the
-    sign of (1 - SENSE_MARGIN)^2 |h'|^2 - |g'|^2 on the unit circle, which
-    is sampled at CIRCLE_SAMPLES points, doubled up to CIRCLE_CAP.  A
-    sample at or past the margin certifies the map not sense-preserving;
-    past the cap, the samples call it sense-preserving with certified false.
+    disk.  Automorphisms are conformal (dilatation 0, certified).  A
+    polynomial map is the one-row case of validate_rows: a Schur-Cohn test
+    first shows that h' has no zero on the closed disk, else
+    CriticalPointError; then a Bernstein bound decides the sign of
+    (1 - SENSE_MARGIN)^2 |h'|^2 - |g'|^2 on the unit circle, which is
+    sampled at CIRCLE_SAMPLES points, doubled up to CIRCLE_CAP.  A sample at
+    or past the margin certifies the map not sense-preserving; past the cap,
+    the samples call it sense-preserving with certified false.
     sup_abs_dilatation is the largest |g'/h'| on the last circle.
     self_map_sup is the largest |f| at CIRCLE_SAMPLES circle points; self_map
     means it is <= 1 + SELF_MAP_SLACK.
     """
     if isinstance(f, DiskAutomorphism):
-        k, sense, certified = 0.0, True, True
         values = f.evaluate(_circle(CIRCLE_SAMPLES))
-    else:
-        # Rows h, g, h', g' in ascending powers, padded to one length.
-        n = max(f.h.degree, f.g.degree) + 1
-        rows = np.zeros((4, n), dtype=complex)
-        rows[0, : f.h.degree + 1] = f.h.coefficients
-        rows[1, : f.g.degree + 1] = f.g.coefficients
-        rows[2:, :-1] = rows[:2, 1:] * np.arange(1, n)
-        on_circle = _horner_rows(rows, CIRCLE_SAMPLES)
-        k, sense, certified = _sense_on_circle(
-            rows[2:, :-1], on_circle[2:], CIRCLE_SAMPLES
+        return ValidityReport(
+            sense_preserving=True,
+            sup_abs_dilatation=0.0,
+            self_map_sup=float(np.max(np.abs(values))),
+            certified=True,
         )
-        values = on_circle[0] + np.conjugate(on_circle[1])
-    return ValidityReport(
-        sense_preserving=sense,
-        sup_abs_dilatation=k,
-        self_map_sup=float(np.max(np.abs(values))),
-        certified=certified,
-    )
+    (report,) = validate_rows(*coefficient_rows([f]))
+    if isinstance(report, CriticalPointError):
+        raise report
+    return report

@@ -7,33 +7,50 @@ fixed-coefficient simplex (reflection 1.0, contraction 0.5, shrink 0.5, no
 expansion).  Infeasible parameter points score -1; ties keep the first
 lattice point found (row-major order), so runs are fully deterministic for
 a fixed seed.
+
+The lattice, of sweep and of maximize_area_ratio alike, is scored in
+blocks of rows, not one map at a time.  A block's polynomial maps are
+validated in one maps.validate_rows pass, and a RawBall row, whose
+parameters are its coefficients, needs no map object at all: on a disk its
+area is the closed form of distortion.disk_series_area on its coefficient
+row.  Only an area on a star or a pixel grid builds the map.  The result is
+bit for bit the one-map-at-a-time result: the same notes, ratios,
+incumbent, trace and evaluation count.  The simplex scores one point at a
+time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .distortion import image_area, sp_ratio
+from .distortion import disk_series_area, image_area, sp_ratio
 from .errors import BudgetError, ConstructionError, CriticalPointError, HypothesisError
 from .maps import (
     DEGREE_CAP,
+    DiskAutomorphism,
     HarmonicMap,
+    PolynomialMap,
+    ValidityReport,
     affine,
     automorphism,
+    coefficient_rows,
     raw_polynomial,
     shear,
     validate,
+    validate_rows,
 )
-from .quadrature import DEFAULT_TOL
-from .regions import Region, bounding_radius, contains, region_measure
+from .quadrature import DEFAULT_TOL, check_tol
+from .regions import Disk, Region, bounding_radius, contains, region_measure
 
 SWEEP_BUDGET = 10 ** 6
 SIMPLEX_DIAMETER = 1e-6
+# Lattice rows scored in one pass: validate_rows holds 4 series of each row
+# on a circle of 64 points, 2^18 complex values (4 MiB) per array.
+LATTICE_BLOCK = 1024
 
 
 def _check_range(name: str, rng) -> tuple[float, float]:
@@ -154,10 +171,17 @@ class RawBall:
     def discrete_axes(self):
         return ()
 
+    def coefficients(self, params: np.ndarray) -> np.ndarray:
+        """Ascending coefficients of h and g, shape (N, 2, degree + 1), for
+        N rows of parameters: the rows maps.validate_rows takes."""
+        rows = np.zeros((len(params), 2, self.degree + 1), dtype=complex)
+        rows[:, 0, 1] = 1.0
+        rows[:, 0, 2:] = params[:, : self.degree - 1]
+        rows[:, 1, 1:] = params[:, self.degree - 1 :]
+        return rows
+
     def construct(self, params) -> HarmonicMap:
-        n_h = self.degree - 1
-        h = [0j, 1 + 0j] + [complex(c) for c in params[:n_h]]
-        g = [0j] + [complex(c) for c in params[n_h:]]
+        h, g = self.coefficients(np.asarray([params], dtype=float))[0]
         return raw_polynomial(h, g)
 
 
@@ -192,15 +216,20 @@ class FamilySpec:
         """
         if self.require_self_map or self.require_sense_preserving:
             try:
-                rep = validate(f)
+                why = self._violation(validate(f))
             except CriticalPointError as exc:
                 raise HypothesisError(str(exc)) from exc
-            if self.require_sense_preserving and not rep.sense_preserving:
-                raise HypothesisError("not sense-preserving (certified)")
-            if self.require_self_map and not rep.self_map:
-                raise HypothesisError(
-                    f"not a self-map (sup |f| = {rep.self_map_sup:.6g})"
-                )
+            if why:
+                raise HypothesisError(why)
+
+    def _violation(self, report: ValidityReport) -> str:
+        """Why a map with this validity report violates a constraint; "" if
+        it does not."""
+        if self.require_sense_preserving and not report.sense_preserving:
+            return "not sense-preserving (certified)"
+        if self.require_self_map and not report.self_map:
+            return f"not a self-map (sup |f| = {report.self_map_sup:.6g})"
+        return ""
 
 
 @dataclass(frozen=True)
@@ -238,18 +267,76 @@ def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _lattice(cont_bounds, disc_axes, grid_per_axis: int):
-    """Row-major parameter tuples: continuous axes first, then discrete axes.
+def _lattice(cont_bounds, disc_axes, grid_per_axis: int) -> np.ndarray:
+    """Parameter rows of the lattice in row-major order, continuous axes
+    first, then discrete axes.
 
-    Raises BudgetError, before any point is produced, when the lattice has
-    more than SWEEP_BUDGET points.
+    Raises BudgetError, before any row is built, when the lattice has more
+    than SWEEP_BUDGET points.
     """
     axes = [_axis_values(lo, hi, grid_per_axis) for lo, hi in cont_bounds]
-    axes += [np.asarray(vals) for vals in disc_axes]
+    axes += [np.asarray(vals, dtype=float) for vals in disc_axes]
     total = math.prod(len(axis) for axis in axes)
     if total > SWEEP_BUDGET:
         raise BudgetError(f"lattice of {total} points exceeds budget {SWEEP_BUDGET}")
-    return (tuple(float(v) for v in values) for values in itertools.product(*axes))
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(total, len(axes))
+
+
+def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
+    """Feasibility notes and areas of a block of lattice rows.
+
+    Returns (notes, area).  notes[i] is "" when row i's map is feasible,
+    else "construction: ..." or "constraint: ...", the texts of the
+    ConstructionError or HypothesisError that family.build raises there.
+    area(i) is image_area(f, E, tol, check_sense=False).value for row i's
+    map f, or raises what constructing f raised.
+
+    The block's polynomial maps are validated together by
+    maps.validate_rows.  A RawBall row is its coefficient row: no map object
+    is built for it, except for an area on a region other than a disk.
+    """
+    kind = family.kind
+    notes = [""] * len(params)
+    if isinstance(kind, RawBall):
+        maps = None
+        polynomial = list(range(len(params)))
+        rows, degree = kind.coefficients(params), np.full(len(params), kind.degree)
+        coefficients = rows.tolist()
+    else:
+        maps = []
+        for i, p in enumerate(params.tolist()):
+            try:
+                maps.append(kind.construct(p))
+            except ConstructionError as exc:
+                maps.append(exc)
+                notes[i] = f"construction: {exc}"
+        polynomial = [i for i, f in enumerate(maps) if isinstance(f, PolynomialMap)]
+        if polynomial:
+            rows, degree = coefficient_rows([maps[i] for i in polynomial])
+    if family.require_self_map or family.require_sense_preserving:
+        reports = dict(zip(polynomial, validate_rows(rows, degree))) if polynomial else {}
+        # Automorphisms have no coefficient rows.
+        reports.update(
+            (i, validate(f)) for i, f in enumerate(maps or ()) if isinstance(f, DiskAutomorphism)
+        )
+        for i, report in reports.items():
+            if isinstance(report, CriticalPointError):
+                notes[i] = f"constraint: {report}"
+            elif why := family._violation(report):
+                notes[i] = f"constraint: {why}"
+
+    def area(i: int) -> float:
+        if maps is None and isinstance(E, Disk):
+            check_tol(tol)
+            h, g = coefficients[i]
+            return disk_series_area(E, [(1.0, h), (-1.0, g)]).value
+        f = kind.construct(params[i]) if maps is None else maps[i]
+        if isinstance(f, ConstructionError):
+            raise f
+        return image_area(f, E, tol, check_sense=False).value
+
+    return notes, area
 
 
 def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
@@ -257,7 +344,8 @@ def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
 
     Rows violating constraints (or failing construction) are flagged, not
     dropped.  The output order is descending ratio; ties and unratable rows
-    keep lattice (row-major) order.
+    keep lattice (row-major) order.  The lattice is scored a block of
+    LATTICE_BLOCK rows at a time; see _score_block.
     """
     if grid_per_axis < 1:
         raise ConstructionError("grid_per_axis must be >= 1")
@@ -265,20 +353,17 @@ def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
     lattice = _lattice(kind.continuous_bounds(), kind.discrete_axes(), grid_per_axis)
     m_e = region_measure(E)
     rows = []
-    for index, params in enumerate(lattice):
-        note = ""
-        ratio = math.nan
-        try:
-            f = family.kind.construct(params)
+    for start in range(0, len(lattice), LATTICE_BLOCK):
+        block = lattice[start : start + LATTICE_BLOCK]
+        notes, area = _score_block(family, E, block, DEFAULT_TOL)
+        for i, (params, note) in enumerate(zip(block.tolist(), notes)):
+            ratio = math.nan
             try:
-                family.check(f)
-            except HypothesisError as exc:
-                note = f"constraint: {exc}"
-            # Infeasible maps still get their unconstrained ratio.
-            ratio = image_area(f, E, check_sense=False).value / m_e
-        except ConstructionError as exc:
-            note = note or f"construction: {exc}"
-        rows.append(SweepRow(index, params, ratio, note))
+                # Infeasible maps still get their unconstrained ratio.
+                ratio = area(i) / m_e
+            except ConstructionError as exc:
+                note = note or f"construction: {exc}"
+            rows.append(SweepRow(start + i, tuple(params), ratio, note))
     return sorted(
         rows,
         key=lambda row: (
@@ -333,10 +418,26 @@ def _simplex_refine(score, x0, bounds, steps, iterations):
             values[i] = score(vertices[i])
 
 
-def _maximize(objective, cont_bounds, disc_axes, grid_per_axis, iterations, seed):
-    """Lattice scan then simplex refinement of the continuous coordinates."""
+def _maximize(objective, score_lattice, cont_bounds, disc_axes, grid_per_axis, iterations, seed):
+    """Lattice scan then simplex refinement of the continuous coordinates.
+
+    score_lattice maps the lattice's parameter rows to their objective
+    values in one call; objective scores one point of the simplex.  Both
+    count as evaluations, and the incumbent and trace follow one strict
+    running maximum over the lattice (row-major) and then the simplex.
+    """
+    lattice = _lattice(cont_bounds, disc_axes, grid_per_axis)
+    values = np.asarray(score_lattice(lattice), dtype=float)
     trace: list[tuple[tuple[float, ...], float]] = []
-    best_params, best_value, evaluations = None, -math.inf, 0
+    best_params, best_value, evaluations = None, -math.inf, len(values)
+    # Row i moves the incumbent when it beats every row before it, so the
+    # first of equal maxima wins; a nan never does.
+    before = np.fmax.accumulate(np.concatenate(([-math.inf], values[:-1])))
+    for i in np.flatnonzero(values > before).tolist():
+        best_params, best_value = tuple(lattice[i].tolist()), float(values[i])
+        # Infeasible points (penalized to -1) never enter the trace.
+        if best_value > -1.0:
+            trace.append((best_params, best_value))
 
     def score(params) -> float:
         """Penalized objective; counts the call and traces each improvement."""
@@ -349,13 +450,10 @@ def _maximize(objective, cont_bounds, disc_axes, grid_per_axis, iterations, seed
         if val > best_value:
             best_value = val
             best_params = tuple(float(c) for c in params)
-            # Infeasible points (penalized to -1) never enter the trace.
             if val > -1.0:
                 trace.append((best_params, val))
         return val
 
-    for params in _lattice(cont_bounds, disc_axes, grid_per_axis):
-        score(np.asarray(params))
     n_cont = len(cont_bounds)
     if n_cont:
         disc_best = best_params[n_cont:]
@@ -397,8 +495,16 @@ def maximize_area_ratio(
             return -1.0
         return image_area(f, E, tol, check_sense=False).value / m_e
 
+    def score_lattice(lattice) -> list[float]:
+        scores = []
+        for start in range(0, len(lattice), LATTICE_BLOCK):
+            notes, area = _score_block(family, E, lattice[start : start + LATTICE_BLOCK], tol)
+            scores += [-1.0 if note else area(i) / m_e for i, note in enumerate(notes)]
+        return scores
+
     return _maximize(
         objective,
+        score_lattice,
         list(family.kind.continuous_bounds()),
         list(family.kind.discrete_axes()),
         grid_per_axis,
@@ -431,4 +537,9 @@ def maximize_sp_ratio(
         z = complex(params[0], params[1])
         return sp_ratio(f, z) if contains(domain, z) else -1.0
 
-    return _maximize(objective, [(-b, b), (-b, b)], [], grid_per_axis, iterations, seed)
+    def score_lattice(lattice) -> list[float]:
+        return [objective(params) for params in lattice.tolist()]
+
+    return _maximize(
+        objective, score_lattice, [(-b, b), (-b, b)], [], grid_per_axis, iterations, seed
+    )

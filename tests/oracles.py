@@ -4,9 +4,12 @@ whole-array reference versions of the package's blocked array passes.
 Nothing here calls back into harmarea's quadrature, measure, or search
 code; these are the independent answers the package is tested against.
 Numeric cross-checks of the formulas themselves (via scipy.integrate)
-live in test_oracles.py.
+live in test_oracles.py.  The one exception is the per-point search at the
+end: it scores a search lattice one map at a time through the package's
+per-map functions, as the reference for the search's batched lattice pass.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -286,3 +289,94 @@ FROZEN = {
     "mobius-0.5-peak-disk-0.5": 1.7777777777777777,
     "rescaled-0.5-jacobian": 0.3333333333333333,
 }
+
+
+def _lattice_points(family, grid_per_axis):
+    """Row-major lattice tuples: continuous axes first, then discrete axes."""
+    kind = family.kind
+    axes = [
+        np.asarray([lo]) if lo == hi else np.linspace(lo, hi, grid_per_axis)
+        for lo, hi in kind.continuous_bounds()
+    ]
+    axes += [np.asarray(vals) for vals in kind.discrete_axes()]
+    return [tuple(float(v) for v in values) for values in itertools.product(*axes)]
+
+
+def sweep_per_point(family, E, grid_per_axis):
+    """search.sweep, constructing, checking and measuring one map at a time."""
+    from harmarea.distortion import image_area
+    from harmarea.errors import ConstructionError, HypothesisError
+    from harmarea.regions import region_measure
+    from harmarea.search import SweepRow
+
+    m_e = region_measure(E)
+    rows = []
+    for index, params in enumerate(_lattice_points(family, grid_per_axis)):
+        note = ""
+        ratio = math.nan
+        try:
+            f = family.kind.construct(params)
+            try:
+                family.check(f)
+            except HypothesisError as exc:
+                note = f"constraint: {exc}"
+            ratio = image_area(f, E, check_sense=False).value / m_e
+        except ConstructionError as exc:
+            note = note or f"construction: {exc}"
+        rows.append(SweepRow(index, params, ratio, note))
+    return sorted(
+        rows,
+        key=lambda row: (-row.ratio if math.isfinite(row.ratio) else math.inf, row.index),
+    )
+
+
+def maximize_area_ratio_per_point(family, E, iterations, seed, grid_per_axis, tol):
+    """search.maximize_area_ratio with the lattice scored one map at a time,
+    each point through the same penalized, traced objective as the simplex."""
+    from harmarea.distortion import image_area
+    from harmarea.errors import ConstructionError, HypothesisError
+    from harmarea.regions import region_measure
+    from harmarea.search import SearchResult, _simplex_refine
+
+    m_e = region_measure(E)
+    cont_bounds = list(family.kind.continuous_bounds())
+    trace = []
+    best_params, best_value, evaluations = None, -math.inf, 0
+
+    def objective(params):
+        try:
+            f = family.build(params)
+        except (ConstructionError, HypothesisError):
+            return -1.0
+        return image_area(f, E, tol, check_sense=False).value / m_e
+
+    def score(params):
+        nonlocal best_params, best_value, evaluations
+        evaluations += 1
+        inside = all(lo <= c <= hi for c, (lo, hi) in zip(params, cont_bounds))
+        val = objective(params) if inside else -1.0
+        if val > best_value:
+            best_value = val
+            best_params = tuple(float(c) for c in params)
+            if val > -1.0:
+                trace.append((best_params, val))
+        return val
+
+    for params in _lattice_points(family, grid_per_axis):
+        score(np.asarray(params))
+    n_cont = len(cont_bounds)
+    disc_best = best_params[n_cont:]
+
+    def frozen(x_cont):
+        return score(np.concatenate([x_cont, disc_best]))
+
+    steps = [
+        (hi - lo) / (2.0 * max(1, grid_per_axis - 1)) if hi > lo else 1e-3
+        for lo, hi in cont_bounds
+    ]
+    _simplex_refine(frozen, best_params[:n_cont], cont_bounds, steps, iterations)
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-0.125, 0.125, size=n_cont)
+    x1 = np.asarray(best_params[:n_cont]) + jitter * np.asarray(steps)
+    _simplex_refine(frozen, x1, cont_bounds, [s / 4.0 for s in steps], iterations)
+    return SearchResult(best_params, best_value, evaluations, tuple(trace), seed)

@@ -6,6 +6,7 @@ failure.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import harmarea.cli as cli
@@ -25,4 +26,21 @@ def test_traced_area_run(capsys, tmp_path):
     assert code == 0
     counts = tracing.summarize(tracer.take())
     assert counts["distortion.image_area.calls"] == 1
+    assert counts["cli.self_s"] > 0.0
+
+
+def test_traced_family_search(capsys, tmp_path):
+    # The lattice is scored in one batched pass, not through the traced
+    # per-map calls; the objective count must still be the run's.
+    family = tmp_path / "rawball.json"
+    family.write_text('{"kind": "rawball", "degree": 2, "coeff_bound": 0.25}')
+    argv = ["search", "--family", str(family), "--n", "3", "--out", str(tmp_path / "out")]
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.job_scope("search-rawball"):
+        code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    counts = tracing.summarize(tracer.take())
+    evaluations = int(re.search(r"^evaluations = (\d+)$", out, re.MULTILINE).group(1))
+    assert counts["search.objective.calls"] == evaluations
     assert counts["cli.self_s"] > 0.0

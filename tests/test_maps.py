@@ -416,3 +416,68 @@ class TestZeroFreeClosedDisk:
         with pytest.raises(CriticalPointError) as excinfo:
             validate(raw_polynomial(h, (0.0,)))
         assert str(excinfo.value) == f"sense-preservation undecidable: {where}"
+
+
+_SMALL = st.complex_numbers(max_magnitude=0.4, allow_nan=False, allow_infinity=False)
+_ANY = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+# Stacked rows of degree <= 4: h = z + small terms (mostly sense-preserving),
+# arbitrary h and g (h' often vanishes in the disk), and fixed rows that
+# validate must treat specially.
+_STACKED_MAP = st.one_of(
+    st.builds(
+        lambda h, g: raw_polynomial([0.0, 1.0, *h], g),
+        st.lists(_SMALL, max_size=3),
+        st.lists(_SMALL, min_size=1, max_size=5),
+    ),
+    st.builds(raw_polynomial, st.lists(_ANY, min_size=1, max_size=5), st.lists(_ANY, min_size=1, max_size=5)),
+    st.sampled_from(
+        [
+            raw_polynomial((0.0, 1.0, -0.5), (0.0,)),  # h' vanishes at the sample z = 1
+            raw_polynomial((0.0, ULP_PAIR[0], ULP_PAIR[1] / 2.0), (0.0,)),  # between samples
+            raw_polynomial((0.0, -0.03125, 0.5), (0.0, 0.01)),  # inside the disk
+            raw_polynomial((0.3,), (0.0, 0.1)),  # h' = 0
+            # Needs a 1024-point circle to certify.
+            RawBall(2, 0.5).construct((-0.4375, -0.4375, 0.1875)),
+            raw_polynomial((0.0, 1.0), (0.0, 2.0)),  # not sense-preserving
+            shear(0.3, 3),
+            affine(0.5),
+        ]
+    ),
+)
+
+
+class TestValidateRows:
+    """validate_rows on a stack of maps of mixed degree gives each row what
+    validate gives the map alone, bit for bit."""
+
+    @pytest.mark.parametrize("cap", [None, 64])
+    @given(st.lists(_STACKED_MAP, min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_one_row_validate(self, cap, maps):
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                # Past the cap the samples decide, uncertified.
+                mp.setattr(harmarea.maps, "CIRCLE_CAP", cap)
+            stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
+            assert len(stacked) == len(maps)
+            for f, row in zip(maps, stacked):
+                try:
+                    alone = validate(f)
+                except CriticalPointError as exc:
+                    assert isinstance(row, CriticalPointError)
+                    assert str(row) == str(exc)
+                    continue
+                assert row.sense_preserving is alone.sense_preserving
+                assert row.certified is alone.certified
+                assert row.sup_abs_dilatation.hex() == alone.sup_abs_dilatation.hex()
+                assert row.self_map_sup.hex() == alone.self_map_sup.hex()
+
+    def test_doubling_and_cap_rows_take_their_own_path(self, monkeypatch):
+        slow = RawBall(2, 0.5).construct((-0.4375, -0.4375, 0.1875))
+        maps = [affine(0.5), slow, shear(0.3, 3), slow]
+        stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
+        assert [row.certified for row in stacked] == [True] * 4
+        assert stacked[1] == stacked[3] == validate(slow)
+        monkeypatch.setattr(harmarea.maps, "CIRCLE_CAP", 64)
+        stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
+        assert [row.certified for row in stacked] == [True, False, True, False]

@@ -18,14 +18,17 @@ from harmarea import (
     RawBall,
     SearchResult,
     ShearFamily,
+    StarShaped,
     affine,
     maximize_area_ratio,
     maximize_sp_ratio,
+    rasterize,
     rotation_map,
     shear,
     sweep,
 )
 from harmarea.cli import main
+from harmarea.quadrature import DEFAULT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,6 +271,51 @@ class TestCriticalPoints:
             flagged = [row for row in rows if row.split(",")[1] == "-0.5"]
             assert len(flagged) == 9
             assert all(",false,constraint:" in row for row in flagged)
+
+
+STAR = StarShaped(tuple(0.55 + 0.25 * math.cos(3.0 * TWO_PI * k / 64) for k in range(64)))
+LATTICE_REGIONS = {"disk": Disk(0.5), "star": STAR, "grid": rasterize(STAR, 32)}
+# Each family's lattice reaches infeasible points: construction failures
+# (shear), h' vanishing on the disk and certified reversal (rawball), and,
+# with require_self_map, maps that leave the disk.
+LATTICE_FAMILIES = {
+    "affine": AffineFamily((0.0, 0.9)),
+    "shear": ShearFamily((0.0, 0.6), (2, 3)),
+    "automorphism": AutomorphismFamily((0.0, 0.8), (0.0, 6.0)),
+    "rawball": RawBall(2, 0.5),
+}
+
+
+def _row_bits(rows):
+    return [(row.index, row.params, repr(row.ratio), row.note) for row in rows]
+
+
+class TestLatticeMatchesPerPointReference:
+    """The batched lattice pass gives exactly what scoring one map at a time
+    gives: rows, notes, ratios, incumbent, trace and evaluation count."""
+
+    @pytest.mark.parametrize("self_map", [False, True])
+    @pytest.mark.parametrize("region", sorted(LATTICE_REGIONS))
+    @pytest.mark.parametrize("kind", sorted(LATTICE_FAMILIES))
+    def test_families(self, kind, region, self_map):
+        family = FamilySpec(LATTICE_FAMILIES[kind], require_self_map=self_map)
+        E = LATTICE_REGIONS[region]
+        self._check(family, E, 5)
+
+    @pytest.mark.parametrize("self_map", [False, True])
+    def test_degree_three_rawball_spans_blocks(self, self_map):
+        # 5^5 = 3125 lattice points: several blocks of LATTICE_BLOCK rows.
+        assert 5**5 > harmarea.search.LATTICE_BLOCK
+        family = FamilySpec(RawBall(3, 0.25), require_self_map=self_map)
+        self._check(family, Disk(0.6), 5)
+
+    @staticmethod
+    def _check(family, E, per_axis):
+        rows = sweep(family, E, per_axis)
+        assert _row_bits(rows) == _row_bits(oracles.sweep_per_point(family, E, per_axis))
+        result = maximize_area_ratio(family, E, iterations=20, seed=3, grid_per_axis=per_axis)
+        expected = oracles.maximize_area_ratio_per_point(family, E, 20, 3, per_axis, DEFAULT_TOL)
+        assert result == expected
 
 
 class TestSearchResult:
