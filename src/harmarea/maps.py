@@ -353,12 +353,12 @@ def coefficient_rows(maps) -> tuple[np.ndarray, np.ndarray]:
     """The rows validate_rows takes for a sequence of PolynomialMaps: their
     h and g coefficients in ascending powers, zero padded to one length,
     and each map's degree max(h.degree, g.degree)."""
-    degree = np.asarray([max(f.h.degree, f.g.degree) for f in maps], dtype=int)
-    rows = np.zeros((len(maps), 2, int(degree.max()) + 1), dtype=complex)
-    for row, f in zip(rows, maps):
-        row[0, : f.h.degree + 1] = f.h.coefficients
-        row[1, : f.g.degree + 1] = f.g.coefficients
-    return rows, degree
+    degree = [max(f.h.degree, f.g.degree) for f in maps]
+    n = max(degree) + 1
+    rows = [
+        [s.coefficients + (0j,) * (n - len(s.coefficients)) for s in (f.h, f.g)] for f in maps
+    ]
+    return np.array(rows, dtype=complex), np.array(degree)
 
 
 def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> list:
@@ -399,10 +399,11 @@ def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> list:
     # |g'|^2 is a real trigonometric polynomial of degree d, so by
     # Bernstein's inequality it moves by at most (pi d / m) max|T| between
     # m equally spaced samples.
-    live = np.flatnonzero([report is None for report in out])
-    d = np.maximum(degree[live] - 1, 0)
-    if live.size < count:
-        values, abs_h = values[live], abs_h[live]
+    live = np.arange(count)
+    d = np.maximum(degree - 1, 0)
+    if any(out):
+        live = np.flatnonzero([report is None for report in out])
+        values, abs_h, d = values[live], abs_h[live], d[live]
     m = CIRCLE_SAMPLES
     while live.size:
         if m > CIRCLE_SAMPLES:
