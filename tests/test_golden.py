@@ -44,12 +44,15 @@ SHEAR_FAMILY = {"kind": "shear", "alpha_range": [0.0, 0.6], "powers": [2, 3],
                 "require_self_map": True}
 # |g'| > |h'| everywhere: the oracle's two areas disagree, so it exits 1.
 REVERSING_MAP = {"form": "polynomial", "h": [[0, 0], [1, 0]], "g": [[0, 0], [2, 0]]}
+# Automorphisms have no coefficient rows: each is validated on its own.
+AUTO_FAMILY = {"kind": "automorphism", "modulus_range": [0, 0.8], "rotation_range": [0, 6]}
 RAWBALL = {"kind": "rawball", "degree": 2, "coeff_bound": 0.25}
 # Bound 0.5 reaches h2 = -0.5, where h' = 1 - z vanishes at z = 1, and
 # points that are certified not sense-preserving: both kinds of note.
 RAWBALL_WIDE = {"kind": "rawball", "degree": 2, "coeff_bound": 0.5}
 FILES = {"STAR": STAR, "GRID": GRID, "FAMILY": AFFINE_FAMILY,
-         "SHEAR_FAMILY": SHEAR_FAMILY, "REVERSING_MAP": REVERSING_MAP,
+         "SHEAR_FAMILY": SHEAR_FAMILY, "AUTO_FAMILY": AUTO_FAMILY,
+         "REVERSING_MAP": REVERSING_MAP,
          "RAWBALL": RAWBALL, "RAWBALL_WIDE": RAWBALL_WIDE}
 
 CASES = {
@@ -68,6 +71,11 @@ CASES = {
     "sweep-affine": ["sweep", "--family", "FAMILY", "--region", "STAR", "--n", "5"],
     "search-family-affine": ["search", "--family", "FAMILY", "--n", "20"],
     "search-preset-sp": ["search", "--preset", "example1-affine-0.2", "--r", "0.6"],
+    "search-preset-sp-star": ["search", "--preset", "example1-affine-0.2", "--region", "STAR"],
+    "search-family-affine-star": ["search", "--family", "FAMILY", "--region", "STAR",
+                                  "--n", "20"],
+    "search-shear-notes": ["search", "--family", "SHEAR_FAMILY", "--r", "0.5", "--n", "30"],
+    "search-automorphism": ["search", "--family", "AUTO_FAMILY", "--r", "0.6", "--n", "30"],
     "sweep-shear-notes": ["sweep", "--family", "SHEAR_FAMILY", "--r", "0.5", "--n", "7"],
     "search-rawball-disk": ["search", "--family", "RAWBALL", "--r", "0.6", "--seed", "1"],
     "sweep-rawball-notes": ["sweep", "--family", "RAWBALL_WIDE", "--r", "0.5", "--n", "5"],
@@ -83,9 +91,13 @@ DIGESTS = {
     "area-star": "201b238150295b12dcfc0c97e160398135ea94664fc2b00f2b517de5a9de79dd",
     "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
     "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",
+    "search-automorphism": "d1d1e4ac96b5085d89a699347ef750ad679ff910e815cb787e0b185db6640db6",
     "search-family-affine": "bb8d8fb98e963b203d85d652bc42828ea470afa3d8955c16fb758da47b6291f6",
+    "search-family-affine-star": "e97305d9d7d06bed4b051c04b4bb722dc68bef5ea2d71fda36b98de71d61366b",
     "search-preset-sp": "d2a949ac1c1609b37e2a59b7925e2a613e95552a008e9a982f8111ac828838d3",
+    "search-preset-sp-star": "31530442b2110c7e02ed18d20ec11ad15cce79b3e63f5bc783acf851dbff6d93",
     "search-rawball-disk": "bb406a60b0a49d72ff051a8c3e4e1a86f51c7e9469d50f37c850dcf6fc5fa17f",
+    "search-shear-notes": "c90601cf6bfc24d29a9f37e82d460694c47741d690732b6df76c213c9143b2eb",
     "sweep-affine": "f92db88a7d4874212ae5a243af21588d23a2ab0444c8f3a269c53f9c7f36f950",
     "sweep-rawball-notes": "dae07c5a7c3228e1d31ad9431cd09194994d8e5ec716a0b0062f109809a6e28e",
     "sweep-rawball-star": "aff3f543cf3166a7b586d5e2ba86c15264ac8e52eaa1d9bb57ea8314b5366740",
