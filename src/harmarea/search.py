@@ -15,8 +15,9 @@ parameters are its coefficients, needs no map object at all: on a disk its
 area is the closed form of distortion.disk_series_area on its coefficient
 row.  Only an area on a star or a pixel grid builds the map.  The result is
 bit for bit the one-map-at-a-time result: the same notes, ratios,
-incumbent, trace and evaluation count.  The simplex scores one point at a
-time.
+incumbent, trace and evaluation count.  Each simplex vertex is scored as a
+one-row block of the same pass, so lattice and simplex share one
+feasibility decision and one area rule.
 """
 
 from __future__ import annotations
@@ -274,6 +275,8 @@ def _lattice(cont_bounds, disc_axes, grid_per_axis: int) -> np.ndarray:
     Raises BudgetError, before any row is built, when the lattice has more
     than SWEEP_BUDGET points.
     """
+    if grid_per_axis < 1:
+        raise ConstructionError("grid_per_axis must be >= 1")
     axes = [_axis_values(lo, hi, grid_per_axis) for lo, hi in cont_bounds]
     axes += [np.asarray(vals, dtype=float) for vals in disc_axes]
     total = math.prod(len(axis) for axis in axes)
@@ -284,7 +287,8 @@ def _lattice(cont_bounds, disc_axes, grid_per_axis: int) -> np.ndarray:
 
 
 def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
-    """Feasibility notes and areas of a block of lattice rows.
+    """Feasibility notes and areas of a block of parameter rows: lattice
+    rows, or one simplex point.
 
     Returns (notes, area).  notes[i] is "" when row i's map is feasible,
     else "construction: ..." or "constraint: ...", the texts of the
@@ -347,8 +351,6 @@ def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
     keep lattice (row-major) order.  The lattice is scored a block of
     LATTICE_BLOCK rows at a time; see _score_block.
     """
-    if grid_per_axis < 1:
-        raise ConstructionError("grid_per_axis must be >= 1")
     kind = family.kind
     lattice = _lattice(kind.continuous_bounds(), kind.discrete_axes(), grid_per_axis)
     m_e = region_measure(E)
@@ -418,16 +420,19 @@ def _simplex_refine(score, x0, bounds, steps, iterations):
             values[i] = score(vertices[i])
 
 
-def _maximize(objective, score_lattice, cont_bounds, disc_axes, grid_per_axis, iterations, seed):
+def _maximize(score_rows, cont_bounds, disc_axes, grid_per_axis, iterations, seed):
     """Lattice scan then simplex refinement of the continuous coordinates.
 
-    score_lattice maps the lattice's parameter rows to their objective
-    values in one call; objective scores one point of the simplex.  Both
-    count as evaluations, and the incumbent and trace follow one strict
-    running maximum over the lattice (row-major) and then the simplex.
+    score_rows maps an (N, dim) array of parameter rows to their objective
+    values: the whole lattice in one call, each simplex point as one row.
+    Every row counts as an evaluation, and the incumbent and trace follow
+    one strict running maximum over the lattice (row-major) and then the
+    simplex.
     """
+    if iterations < 1:
+        raise ConstructionError("iterations must be >= 1")
     lattice = _lattice(cont_bounds, disc_axes, grid_per_axis)
-    values = np.asarray(score_lattice(lattice), dtype=float)
+    values = np.asarray(score_rows(lattice), dtype=float)
     trace: list[tuple[tuple[float, ...], float]] = []
     best_params, best_value, evaluations = None, -math.inf, len(values)
     # Row i moves the incumbent when it beats every row before it, so the
@@ -446,7 +451,7 @@ def _maximize(objective, score_lattice, cont_bounds, disc_axes, grid_per_axis, i
         # The simplex may reflect outside the parameter box; such points are
         # infeasible even when the underlying map happens to be constructible.
         inside = all(lo <= c <= hi for c, (lo, hi) in zip(params, cont_bounds))
-        val = objective(params) if inside else -1.0
+        val = score_rows(params[np.newaxis])[0] if inside else -1.0
         if val > best_value:
             best_value = val
             best_params = tuple(float(c) for c in params)
@@ -484,27 +489,17 @@ def maximize_area_ratio(
     tol: float = DEFAULT_TOL,
 ) -> SearchResult:
     """Maximize m(f(E))/m(E) over the family; infeasible points score -1."""
-    if iterations < 1:
-        raise ConstructionError("iterations must be >= 1")
     m_e = region_measure(E)
 
-    def objective(params) -> float:
-        try:
-            f = family.build(params)
-        except (ConstructionError, HypothesisError):
-            return -1.0
-        return image_area(f, E, tol, check_sense=False).value / m_e
-
-    def score_lattice(lattice) -> list[float]:
+    def score_rows(rows) -> list[float]:
         scores = []
-        for start in range(0, len(lattice), LATTICE_BLOCK):
-            notes, area = _score_block(family, E, lattice[start : start + LATTICE_BLOCK], tol)
+        for start in range(0, len(rows), LATTICE_BLOCK):
+            notes, area = _score_block(family, E, rows[start : start + LATTICE_BLOCK], tol)
             scores += [-1.0 if note else area(i) / m_e for i, note in enumerate(notes)]
         return scores
 
     return _maximize(
-        objective,
-        score_lattice,
+        score_rows,
         list(family.kind.continuous_bounds()),
         list(family.kind.discrete_axes()),
         grid_per_axis,
@@ -527,19 +522,12 @@ def maximize_sp_ratio(
     The domain must stay away from the unit circle (bounding radius at most
     1 - 1e-3) because the ratio degenerates at the boundary.
     """
-    if iterations < 1:
-        raise ConstructionError("iterations must be >= 1")
     b = bounding_radius(domain)
     if b > 1.0 - 1e-3:
         raise HypothesisError("domain must have bounding radius <= 1 - 1e-3")
 
-    def objective(params) -> float:
-        z = complex(params[0], params[1])
-        return sp_ratio(f, z) if contains(domain, z) else -1.0
+    def score_rows(rows) -> list[float]:
+        points = [complex(x, y) for x, y in rows.tolist()]
+        return [sp_ratio(f, z) if contains(domain, z) else -1.0 for z in points]
 
-    def score_lattice(lattice) -> list[float]:
-        return [objective(params) for params in lattice.tolist()]
-
-    return _maximize(
-        objective, score_lattice, [(-b, b), (-b, b)], [], grid_per_axis, iterations, seed
-    )
+    return _maximize(score_rows, [(-b, b), (-b, b)], [], grid_per_axis, iterations, seed)

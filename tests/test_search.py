@@ -201,6 +201,12 @@ class TestMaximizeAreaRatio:
         with pytest.raises(ConstructionError):
             maximize_area_ratio(fam, Disk(0.5), iterations=0)
 
+    @pytest.mark.parametrize("grid_per_axis", [0, -3])
+    def test_grid_floor(self, grid_per_axis):
+        fam = FamilySpec(AffineFamily((0.0, 0.5)))
+        with pytest.raises(ConstructionError, match="grid_per_axis must be >= 1"):
+            maximize_area_ratio(fam, Disk(0.5), grid_per_axis=grid_per_axis)
+
 
 class TestMaximizeSpRatio:
     def test_fixed_rotation_constant_objective(self):
@@ -230,6 +236,11 @@ class TestMaximizeSpRatio:
         a = maximize_sp_ratio(affine(0.4), Disk(0.5), iterations=50, seed=9)
         b = maximize_sp_ratio(affine(0.4), Disk(0.5), iterations=50, seed=9)
         assert a.trace == b.trace
+
+    @pytest.mark.parametrize("grid_per_axis", [0, -3])
+    def test_grid_floor(self, grid_per_axis):
+        with pytest.raises(ConstructionError, match="grid_per_axis must be >= 1"):
+            maximize_sp_ratio(affine(0.4), Disk(0.5), grid_per_axis=grid_per_axis)
 
 
 class TestCriticalPoints:
@@ -316,6 +327,26 @@ class TestLatticeMatchesPerPointReference:
         result = maximize_area_ratio(family, E, iterations=20, seed=3, grid_per_axis=per_axis)
         expected = oracles.maximize_area_ratio_per_point(family, E, 20, 3, per_axis, DEFAULT_TOL)
         assert result == expected
+
+
+class TestOneScoringPath:
+    """Simplex points go through the lattice's scorer: no search or sweep
+    path builds a map with FamilySpec.build, and the results are still the
+    reference's."""
+
+    @pytest.mark.parametrize("region", ["disk", "star"])
+    @pytest.mark.parametrize("kind", ["affine", "shear", "rawball"])
+    def test_search_never_calls_build(self, kind, region, monkeypatch):
+        family = FamilySpec(LATTICE_FAMILIES[kind], require_self_map=True)
+        E = LATTICE_REGIONS[region]
+        expected = oracles.maximize_area_ratio_per_point(family, E, 20, 3, 5, DEFAULT_TOL)
+
+        def refuse(self, params):
+            raise AssertionError("FamilySpec.build called")
+
+        monkeypatch.setattr(FamilySpec, "build", refuse)
+        assert maximize_area_ratio(family, E, iterations=20, seed=3, grid_per_axis=5) == expected
+        assert _row_bits(sweep(family, E, 5)) == _row_bits(oracles.sweep_per_point(family, E, 5))
 
 
 class TestSearchResult:
