@@ -269,6 +269,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         0.02 * abs(integral.value),
         5.0 * (raster.error_estimate + integral.error_estimate),
     )
+    # Such a threshold would accept a raster area of 0: the run tests nothing.
+    if threshold >= abs(integral.value):
+        raise ConstructionError(
+            f"raster of n = {n} is too coarse: threshold {fmt(threshold)} >= "
+            f"|jacobian_integral| {fmt(abs(integral.value))}; raise --n"
+        )
     print(f"raster_area = {fmt(raster.value)}")
     print(f"jacobian_integral = {fmt(integral.value)}")
     print(f"relative_gap = {fmt(rel_gap)}")

@@ -497,3 +497,16 @@ class TestOracle:
         )
         assert code == 2
         assert "power of two in [4, 4096]" in err
+
+    @pytest.mark.parametrize("n", ["4", "16"])
+    def test_vacuous_threshold_exits_two(self, capsys, tmp_path, n):
+        # At n = 4 the threshold is 80 against an integral of pi/4: even a
+        # raster area of 0 would pass, so the run is refused before output.
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, ["oracle", "--preset", "identity", "--n", n, "--out", str(out_dir)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "raise --n" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
