@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CriticalPointError, DomainError, HypothesisError
 from .maps import DiskAutomorphism, HarmonicMap, ValidityReport, shear, validate
+from .maps import _zero_free_closed_disk
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -46,9 +47,8 @@ ORIGIN_SLACK = 1e-10
 
 VERIFY_RADII = tuple(k / 10 for k in range(1, 10))
 
-# Polar sample grid of sup_dilatation: directions by radii per direction.
+# Boundary points of sup_dilatation on a disk or a star.
 DILATATION_ANGULAR = 256
-DILATATION_RADIAL = 64
 
 
 @dataclass(frozen=True)
@@ -200,19 +200,26 @@ def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> Quad
 
 
 def sup_dilatation(f: HarmonicMap, E: Region) -> float:
-    """Sampled sup of |dilatation| over E (boundary samples included)."""
+    """Sampled sup of |dilatation| over E: at a pixel grid's cell centers,
+    else at the DILATATION_ANGULAR boundary points R(theta) e^{i theta}.
+
+    On a disk or a star a Schur-Cohn test on h'(bz), b = bounding_radius(E),
+    first certifies that h' has no zero on |z| <= b, else HypothesisError.
+    So g'/h' is analytic on E and peaks on its boundary (maximum modulus
+    principle).  An automorphism's dilatation is 0 and needs no test.
+    """
     if isinstance(E, PixelGrid):
         pts = E.cell_centers()
         if pts.size == 0:
             return 0.0
     else:
+        if not isinstance(f, DiskAutomorphism):
+            b = bounding_radius(E)
+            h_prime = f.h.derivative().coefficients
+            if not _zero_free_closed_disk([c * b**k for k, c in enumerate(h_prime)]):
+                raise HypothesisError(f"h' has a zero on the closed disk |z| <= {b:.6g}")
         theta = 2.0 * np.pi * np.arange(DILATATION_ANGULAR) / DILATATION_ANGULAR
-        if isinstance(E, Disk):
-            rim = np.full(DILATATION_ANGULAR, E.r)
-        else:
-            rim = np.asarray(radial_profile(E, theta))
-        fractions = (np.arange(DILATATION_RADIAL) + 1.0) / DILATATION_RADIAL
-        pts = (rim * np.exp(1j * theta))[None, :] * fractions[:, None]
+        pts = radial_profile(E, theta) * np.exp(1j * theta)
     try:
         return float(np.max(np.abs(f.dilatation(pts))))
     except CriticalPointError as exc:
@@ -224,7 +231,7 @@ def quantitative_bounds(
 ) -> tuple[VerificationReport, VerificationReport]:
     """Sandwich (1-k^2) * int |h'|^2 <= m(f(E)) <= int |h'|^2.
 
-    k is the sampled sup of |dilatation| on E; k >= 1 is a hypothesis error.
+    k is sup_dilatation(f, E); k >= 1 is a hypothesis error.
     """
     k = sup_dilatation(f, E)
     if k >= 1.0:

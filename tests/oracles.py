@@ -196,6 +196,27 @@ def sampled_validity(f, angular_samples: int = 64, radial_samples: int = 32):
     return k < 1.0 - 1e-9, k, self_sup
 
 
+def sup_dilatation_polar(f, profile, angular: int = 256, radial: int = 64) -> float:
+    """sup |dilatation| sampled on a polar grid over a disk or a star.
+
+    The sampler sup_dilatation used before it read the boundary alone:
+    angular directions theta_j = 2 pi j / angular, and in each the radii
+    R(theta_j) k / radial for k = 1..radial, so the outer ring is the
+    boundary.  profile is a disk's radius (a float) or a star's radial
+    samples, interpolated piecewise-linearly and periodically.
+    """
+    theta = 2.0 * np.pi * np.arange(angular) / angular
+    if np.ndim(profile) == 0:
+        rim = np.full(angular, float(profile))
+    else:
+        prof = np.asarray(profile, dtype=float)
+        xp = 2.0 * np.pi * np.arange(prof.size + 1) / prof.size
+        rim = np.interp(np.mod(theta, 2.0 * np.pi), xp, np.append(prof, prof[0]))
+    fractions = (np.arange(radial) + 1.0) / radial
+    pts = (rim * np.exp(1j * theta))[None, :] * fractions[:, None]
+    return float(np.max(np.abs(f.dilatation(pts))))
+
+
 def pixel_centers_inside_whole(mask: np.ndarray) -> bool:
     """True iff every true cell of an n x n mask on [-1,1]^2 has its center
     in the open unit disk, checked on the full-length arrays of true cells."""

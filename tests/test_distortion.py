@@ -3,11 +3,12 @@
 import cmath
 import logging
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -23,6 +24,7 @@ from harmarea import (
     affine,
     analytic_energy,
     automorphism,
+    contains_points,
     disk_contraction_report,
     hyperbolic_disk_integral,
     identity_map,
@@ -67,6 +69,9 @@ series = st.lists(coefficient, min_size=1, max_size=5)
 
 disk_points = st.tuples(
     st.floats(0.0, 0.9), st.floats(0.0, 2.0 * math.pi)
+).map(lambda rt: rt[0] * cmath.exp(1j * rt[1]))
+root_points = st.tuples(
+    st.floats(0.01, 2.0), st.floats(0.0, 2.0 * math.pi)
 ).map(lambda rt: rt[0] * cmath.exp(1j * rt[1]))
 
 
@@ -333,6 +338,101 @@ class TestEnergyAndDilatation:
         g = rasterize(Disk(0.5), 128)
         got = sup_dilatation(f, g)
         assert 0.29 < got <= 0.3 + 1e-12
+
+
+def _poly_style_map(seed: int):
+    """h = 2uz + sum_{k=2}^4 a_k z^k, g = sum_{k=1}^4 b_k z^k, |u| = 1,
+    sum k|a_k| = sum k|b_k| = 0.4: |h'| >= 1.6 > 0.4 >= |g'| on the disk."""
+    rng = random.Random(f"poly-{seed}")
+
+    def phase():
+        return cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+    def weighted(ks):
+        raw = [rng.uniform(0.2, 1.0) * phase() for _ in ks]
+        scale = 0.4 / math.fsum(k * abs(c) for k, c in zip(ks, raw))
+        return [c * scale for c in raw]
+
+    h = [0j, 2.0 * phase()] + weighted(range(2, 5))
+    g = [0j] + weighted(range(1, 5))
+    return raw_polynomial(h, g)
+
+
+# h' vanishes at Z0, which lies between the angular samples of the boundary.
+Z0 = 0.4 * cmath.exp(1j * math.pi / 256)
+CRITICAL_AT_Z0 = raw_polynomial([0, 1, -1 / (2 * Z0)], [0, 1e-4])
+
+
+class TestSupDilatationBoundaryRule:
+    def test_zero_of_h_prime_on_the_region_raises(self):
+        # The polar grid misses Z0 and returned k = 0.00778 on Disk(0.5).
+        for E in (Disk(0.5), star_cos3(256, 0.9)):
+            with pytest.raises(HypothesisError, match="zero"):
+                sup_dilatation(CRITICAL_AT_Z0, E)
+            with pytest.raises(HypothesisError):
+                quantitative_bounds(CRITICAL_AT_Z0, E)
+
+    def test_zero_of_h_prime_outside_the_bounding_disk_is_allowed(self):
+        E = Disk(0.3)
+        k = sup_dilatation(CRITICAL_AT_Z0, E)
+        assert k == 0.0003996390579631751
+        assert k == oracles.sup_dilatation_polar(CRITICAL_AT_Z0, E.r)
+
+    @pytest.mark.parametrize("E", [Disk(0.5), star_cos3(256, 0.5)], ids=["disk", "star"])
+    def test_vanishing_h_prime_raises(self, E):
+        with pytest.raises(HypothesisError):
+            sup_dilatation(raw_polynomial([0.25], [0, 0.1]), E)
+
+    def test_automorphism_on_a_star_is_zero(self):
+        assert sup_dilatation(automorphism(0.5, 1.0), star_cos3(256, 0.9)) == 0.0
+
+    def test_only_boundary_points_are_evaluated(self, monkeypatch):
+        f = _poly_style_map(1)
+        E = star_cos3(256, 0.7)
+        seen = []
+        original = type(f).dilatation
+
+        def spy(self, z):
+            seen.append(np.asarray(z))
+            return original(self, z)
+
+        monkeypatch.setattr(type(f), "dilatation", spy)
+        sup_dilatation(f, E)
+        (pts,) = seen
+        assert pts.shape == (distortion.DILATATION_ANGULAR,)
+        assert np.all(contains_points(E, pts * (1.0 - 1e-9)))
+        assert not np.any(contains_points(E, pts * (1.0 + 1e-9)))
+
+    @given(roots=st.lists(root_points, min_size=1, max_size=3), r=st.floats(0.05, 0.95))
+    def test_zero_test_agrees_with_the_roots_of_h_prime(self, roots, r):
+        # h' = prod (z - z_j); a margin of 1e-3 keeps a triple root, moved
+        # by coefficient rounding, and |h'| on the circle clear of r.
+        nearest = min(abs(z) for z in roots)
+        assume(abs(nearest - r) > 1e-3)
+        h_prime = np.poly(roots)[::-1].tolist()
+        h = [0j] + [c / (k + 1) for k, c in enumerate(h_prime)]
+        f = raw_polynomial(h, [0j, 0.1, 0.05j])
+        if nearest <= r:
+            with pytest.raises(HypothesisError):
+                sup_dilatation(f, Disk(r))
+        else:
+            assert sup_dilatation(f, Disk(r)) <= oracles.sup_dilatation_polar(f, r)
+
+    @pytest.mark.parametrize(
+        "name_or_seed", list(preset_names()) + list(range(1, 21))
+    )
+    def test_matches_the_polar_grid_bit_for_bit(self, name_or_seed):
+        if isinstance(name_or_seed, str):
+            f = preset_map(name_or_seed)
+        else:
+            f = _poly_style_map(name_or_seed)
+        for r in distortion.VERIFY_RADII:
+            star = star_cos3(256, r)
+            for E, profile in ((Disk(r), r), (star, star.profile)):
+                k = sup_dilatation(f, E)
+                reference = oracles.sup_dilatation_polar(f, profile)
+                assert k <= reference
+                assert k == reference
 
 
 class TestQuantitativeBounds:
