@@ -70,8 +70,11 @@ class PixelGrid:
         if mask.shape != (n, n):
             raise ConstructionError(f"mask must have shape ({n}, {n})")
         # In a row, hypot(cx, cy) is largest at its first or last true
-        # column, so those two per row decide every true cell.
+        # column, so those two per row decide every true cell and hold the
+        # farthest center: bounding_radius reads its complex abs, the bits
+        # of cell_centers (hypot can differ by an ulp).
         occupied = mask.any(axis=1)
+        farthest = None
         if occupied.any():
             rows = np.flatnonzero(occupied)
             first = mask.argmax(axis=1)[occupied]
@@ -82,7 +85,9 @@ class PixelGrid:
                 raise ConstructionError(
                     "true cells must have centers in the open unit disk"
                 )
+            farthest = float(np.max(np.abs(cx + 1j * cy)))
         mask.flags.writeable = False
+        object.__setattr__(self, "_farthest", farthest)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
 
@@ -94,7 +99,8 @@ class PixelGrid:
     def cell_centers(self) -> np.ndarray:
         """Complex centers of the true cells, row-major order."""
         rows, cols = np.nonzero(self.mask)
-        return _centers(rows, cols, self.n)
+        side = 2.0 / self.n
+        return (-1.0 + (cols + 0.5) * side) + 1j * (-1.0 + (rows + 0.5) * side)
 
     @functools.cached_property
     def runs(self) -> np.ndarray:
@@ -116,12 +122,6 @@ class PixelGrid:
         )
         out.flags.writeable = False
         return out
-
-
-def _centers(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Complex centers of the cells (rows, cols) of an n x n grid."""
-    side = 2.0 / n
-    return (-1.0 + (cols + 0.5) * side) + 1j * (-1.0 + (rows + 0.5) * side)
 
 
 Region = Union[Disk, StarShaped, PixelGrid]
@@ -217,17 +217,10 @@ def bounding_radius(E: Region) -> float:
         return E.r
     if isinstance(E, StarShaped):
         return max(E.profile)
-    runs = E.runs
-    if runs.size == 0:
+    if E._farthest is None:
         return 0.0
-    # Along a row |z| is convex, so a run's farthest center is at one of its
-    # ends; half the cell diagonal pads that radius to cover whole cells.
-    ends = _centers(
-        np.concatenate((runs[:, 0], runs[:, 0])),
-        np.concatenate((runs[:, 1], runs[:, 2] - 1)),
-        E.n,
-    )
-    return float(np.max(np.abs(ends))) + math.sqrt(2.0) / E.n
+    # Half the cell diagonal pads the farthest center to cover whole cells.
+    return E._farthest + math.sqrt(2.0) / E.n
 
 
 def star_cos3(m: int = 256, scale: float = 1.0) -> StarShaped:

@@ -288,6 +288,23 @@ class TestBoundingRadius:
         expected = float(np.max(np.abs(g.cell_centers()))) + math.sqrt(2.0) / g.n
         assert bounding_radius(g) == expected
 
+    def test_random_grids_match_every_cell_center(self):
+        # hypot and the complex abs of cell_centers can differ in the last
+        # ulp; bounding_radius keeps the bits of the latter.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 80))
+            axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+            inside = np.hypot(axis[None, :], axis[:, None]) < 1.0
+            mask = (rng.random((n, n)) < 0.3 * rng.random()) & inside
+            g = PixelGrid(n, mask)
+            expected = (
+                float(np.max(np.abs(g.cell_centers()))) + math.sqrt(2.0) / n
+                if mask.any()
+                else 0.0
+            )
+            assert bounding_radius(g) == expected
+
     def test_empty_grid(self):
         assert bounding_radius(PixelGrid(8, np.zeros((8, 8), dtype=bool))) == 0.0
 
