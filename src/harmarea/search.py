@@ -294,7 +294,7 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     else "construction: ..." or "constraint: ...", the texts of the
     ConstructionError or HypothesisError that family.build raises there.
     area(i) is image_area(f, E, tol, check_sense=False).value for row i's
-    map f, or raises what constructing f raised.
+    map f, or nan when f cannot be constructed.
 
     The block's polynomial maps are validated together by
     maps.validate_rows.  A RawBall row is its coefficient row: no map object
@@ -337,7 +337,7 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
             return disk_series_area(E, [(1.0, h), (-1.0, g)]).value
         f = kind.construct(params[i]) if maps is None else maps[i]
         if isinstance(f, ConstructionError):
-            raise f
+            return math.nan
         return image_area(f, E, tol, check_sense=False).value
 
     return notes, area
@@ -359,13 +359,8 @@ def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
         block = lattice[start : start + LATTICE_BLOCK]
         notes, area = _score_block(family, E, block, DEFAULT_TOL)
         for i, (params, note) in enumerate(zip(block.tolist(), notes)):
-            ratio = math.nan
-            try:
-                # Infeasible maps still get their unconstrained ratio.
-                ratio = area(i) / m_e
-            except ConstructionError as exc:
-                note = note or f"construction: {exc}"
-            rows.append(SweepRow(start + i, tuple(params), ratio, note))
+            # Infeasible maps still get their unconstrained ratio.
+            rows.append(SweepRow(start + i, tuple(params), area(i) / m_e, note))
     return sorted(
         rows,
         key=lambda row: (
