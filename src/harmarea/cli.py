@@ -100,6 +100,8 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ParseError("--tol must be finite")
     if args.tol < 1e-12:
         raise ParseError("--tol must be at least 1e-12")
+    if args.command in ("sweep", "search") and args.format == "json":
+        raise ParseError(f"{args.command} writes CSV only: use --format csv or both")
     # --workers is accepted for compatibility; every command runs serially.
     if args.workers < 1:
         raise ParseError("--workers must be >= 1")

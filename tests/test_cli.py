@@ -443,6 +443,38 @@ class TestSearch:
         assert (a_dir / "search.csv").read_bytes() == (b_dir / "search.csv").read_bytes()
 
 
+class TestCsvOnlyCommands:
+    @pytest.mark.parametrize("command", ["sweep", "search"])
+    def test_json_format_exits_two_before_any_output(self, capsys, tmp_path, command):
+        fam = write_json(
+            tmp_path / "fam.json", {"kind": "affine", "alpha_range": [0.0, 0.5]}
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys,
+            [command, "--family", fam, "--n", "5", "--format", "json", "--out", str(out_dir)],
+        )
+        assert code == 2
+        assert out == ""
+        assert "CSV only" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "search"])
+    def test_both_format_writes_the_csv_alone(self, capsys, tmp_path, command):
+        fam = write_json(
+            tmp_path / "fam.json", {"kind": "affine", "alpha_range": [0.0, 0.5]}
+        )
+        csv_dir, both_dir = tmp_path / "csv", tmp_path / "both"
+        argv = [command, "--family", fam, "--n", "5"]
+        run(capsys, argv + ["--out", str(csv_dir)])
+        code, _, _ = run(capsys, argv + ["--format", "both", "--out", str(both_dir)])
+        assert code == 0
+        assert sorted(p.name for p in both_dir.iterdir()) == [f"{command}.csv"]
+        assert (both_dir / f"{command}.csv").read_bytes() == (
+            csv_dir / f"{command}.csv"
+        ).read_bytes()
+
+
 class TestOracle:
     def test_identity_grids_agree(self, capsys, tmp_path):
         code, out, _ = run(
