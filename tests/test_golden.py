@@ -50,9 +50,11 @@ RAWBALL = {"kind": "rawball", "degree": 2, "coeff_bound": 0.25}
 # Bound 0.5 reaches h2 = -0.5, where h' = 1 - z vanishes at z = 1, and
 # points that are certified not sense-preserving: both kinds of note.
 RAWBALL_WIDE = {"kind": "rawball", "degree": 2, "coeff_bound": 0.5}
+# A disk automorphism on the star takes the boundary kernel with a pole.
+MOBIUS_MAP = {"form": "automorphism", "a": [0.5, 0]}
 FILES = {"STAR": STAR, "GRID": GRID, "FAMILY": AFFINE_FAMILY,
          "SHEAR_FAMILY": SHEAR_FAMILY, "AUTO_FAMILY": AUTO_FAMILY,
-         "REVERSING_MAP": REVERSING_MAP,
+         "REVERSING_MAP": REVERSING_MAP, "MOBIUS_MAP": MOBIUS_MAP,
          "RAWBALL": RAWBALL, "RAWBALL_WIDE": RAWBALL_WIDE}
 
 CASES = {
@@ -62,6 +64,8 @@ CASES = {
     },
     "area-star": ["area", "--preset", "example1-affine-0.5", "--region", "STAR",
                   "--format", "both"],
+    "area-star-mobius": ["area", "--map", "MOBIUS_MAP", "--region", "STAR",
+                         "--format", "both"],
     "area-grid-affine": ["area", "--preset", "example1-affine-0.5", "--region", "GRID",
                          "--format", "both"],
     "area-grid-shear": ["area", "--preset", "remark-shear-0.3", "--region", "GRID",
@@ -89,6 +93,7 @@ DIGESTS = {
     "area-grid-affine": "f7a6c716c4dcf972082dfe96a151421ef4dea457eb292167342308e1ec6c267c",
     "area-grid-shear": "a8ba84728515eed74f6e706714924c08a65e2d0e45088f8e1f1fe0090836cf89",
     "area-star": "201b238150295b12dcfc0c97e160398135ea94664fc2b00f2b517de5a9de79dd",
+    "area-star-mobius": "da0724c76bf894971dd3e0c71d7ef16bd1c97c6bbc19c1230f5661ec4bd94488",
     "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
     "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",
     "search-automorphism": "d1d1e4ac96b5085d89a699347ef750ad679ff910e815cb787e0b185db6640db6",
