@@ -91,7 +91,7 @@ def _area_integral(
     On a pixel grid a polynomial map's J_f and |h'|^2 are polynomials of
     degree at most 2(d - 1) in x and in y, d the largest degree of the
     series integrated, so quadrature.integrate_runs with max(d, 1) nodes
-    per axis is exact up to rounding (error_estimate 0.0).  An
+    per axis is exact up to rounding (error_estimate 0.0).  Any other
     automorphism's Jacobian is not a polynomial, and a rim cell can reach
     toward its pole 1/conj(a): it keeps the midpoint rule of
     quadrature.integrate_grid.
@@ -106,21 +106,22 @@ def _area_integral(
     - a disk under an automorphism: its image is a disk, and the value is
       m(D_r) * S with S = ((1 - |a|^2) / (1 - |a|^2 r^2))^2, so S = 1 for
       a rotation.  An automorphism's energy density is its Jacobian.
-    - a star under a rotation: J_f = 1, so the value is m(E).
+    - any region under a rotation: J_f = 1, so the value is m(E).
     Other stars take the boundary integral of the canonical decomposition,
     int_E J_f = (1/2i) oint (conj(h) dh - conj(g) dg), with g = 0 for an
     automorphism.
     """
     if isinstance(f, DiskAutomorphism):
+        if not isinstance(E, PixelGrid):
+            check_tol(tol)
+        if f.a == 0:
+            return QuadResult(region_measure(E), 0.0, 1)
         if isinstance(E, PixelGrid):
             return integrate_grid(f.jacobian, E)
-        check_tol(tol)
         if isinstance(E, Disk):
             a2 = abs(f.a) ** 2
             s = (1.0 - a2) / (1.0 - a2 * E.r * E.r)
             return QuadResult(region_measure(E) * (s * s), 0.0, 1)
-        if f.a == 0:
-            return QuadResult(region_measure(E), 0.0, 1)
         parts = [(1.0, f.evaluate, f.analytic_derivative)]
         return integrate_boundary(parts, E, tol, pole=1.0 / f.a.conjugate())
     series = [(1.0, f.h)] if energy else [(1.0, f.h), (-1.0, f.g)]
@@ -170,12 +171,12 @@ def image_area(
 ) -> QuadResult:
     """m(f(E)) via the area formula: integral of the Jacobian over E.
 
-    Disks under any map, and stars under rotations, use a closed form that
-    is exact up to rounding (error_estimate 0.0).  Other stars use the
+    Disks under any map, and any region under a rotation, use a closed form
+    that is exact up to rounding (error_estimate 0.0).  Other stars use the
     boundary integral of quadrature.integrate_boundary.  Pixel grids use
     the exact run rule of quadrature.integrate_runs under polynomial maps
-    and the midpoint rule under automorphisms; see _area_integral.  Polar
-    quadrature is never used.
+    and the midpoint rule under other automorphisms; see _area_integral.
+    Polar quadrature is never used.
     """
     if check_sense:
         rep = validate(f)
@@ -191,9 +192,9 @@ def image_area(
 def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of |h'|^2 over E (the analytic part's area integral).
 
-    Closed form on disks under any map and on stars under rotations, the
-    boundary integral of h alone on other stars; on pixel grids the exact
-    run rule under polynomial maps and the midpoint rule under
+    Closed form on disks under any map and on any region under a rotation,
+    the boundary integral of h alone on other stars; on pixel grids the
+    exact run rule under polynomial maps and the midpoint rule under other
     automorphisms, as in image_area.
     """
     return _area_integral(f, E, tol, energy=True)
@@ -535,32 +536,16 @@ def _reference_rows(
         f"closed_form={ref.closed_form:.17g} claimed_value={ref.claimed_value:.17g} "
         f"err={ref.error_estimate:.3e}"
     )
+    rows = [
+        ("le", ref.quadrature, ref.closed_form, True, detail),
+        ("ge", ref.closed_form, ref.quadrature, True, detail),
+        ("claimed", ref.quadrature, ref.claimed_value, False, detail + " informational"),
+    ]
     return [
         VerificationReport(
-            f"{tag}-le r={r:.1f}",
-            ref.quadrature,
-            ref.closed_form,
-            tolerance,
-            detail,
-            evals=ref.evals,
-        ),
-        VerificationReport(
-            f"{tag}-ge r={r:.1f}",
-            ref.closed_form,
-            ref.quadrature,
-            tolerance,
-            detail,
-            evals=ref.evals,
-        ),
-        VerificationReport(
-            f"{tag}-claimed r={r:.1f}",
-            ref.quadrature,
-            ref.claimed_value,
-            tolerance,
-            detail + " informational",
-            checked=False,
-            evals=ref.evals,
-        ),
+            f"{tag}-{suffix} r={r:.1f}", lhs, rhs, tolerance, text, checked, ref.evals
+        )
+        for suffix, lhs, rhs, checked, text in rows
     ]
 
 

@@ -9,8 +9,9 @@ until two successive levels agree to the requested tolerance.
 Area integrals of analytic functions over star regions reduce to boundary
 integrals by Green's formula, int_E |F'|^2 dA = (1/2i) oint conj(F) dF
 (Duren, Harmonic Mappings in the Plane, 2004); integrate_boundary sums
-those over Gauss-Legendre nodes on each profile segment, where the
-integrand is smooth, and refines by doubling in the same way.
+those over Gauss-Legendre nodes on boundary panels, the profile segments
+bisected toward any pole of the integrand, and refines by doubling in the
+same way.
 
 On pixel grids, integrate_runs applies a tensor Gauss-Legendre rule to each
 horizontal run of true cells; it is exact for the polynomial Jacobians and
@@ -27,7 +28,6 @@ inputs give bitwise identical results.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -43,11 +43,12 @@ DEFAULT_Q0 = 16
 DEFAULT_M0 = 64
 Q_CAP = 256
 M_CAP = 4096
-# Boundary levels are 1-D: start at 4 Gauss nodes per profile segment and
-# allow up to 2^15 nodes per level, enough to resolve a Mobius pole 1e-3
-# outside the unit circle.
+# Boundary levels are 1-D: start at 4 Gauss nodes per panel and allow up to
+# 2^15 nodes per level.  Panels are graded toward a pole, which must lie at
+# least 2^-12 from the boundary.
 BOUNDARY_M0 = 4
 BOUNDARY_NODE_CAP = 2 ** 15
+BOUNDARY_POLE_CAP = 2.0 ** -12
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -189,56 +190,55 @@ def _refine(level, params, tol: float, caps: str) -> QuadResult:
     )
 
 
-def _boundary_nodes(E: StarShaped, m: int):
-    """Boundary points, tangents dgamma/dtheta and weights for one level.
+def _panels(E: StarShaped, pole: complex | None) -> np.ndarray:
+    """Boundary panels (start angle, width, R at both ends, R'), one per column.
 
-    gamma(theta) = R(theta) e^{i theta} with R linear on each segment, so
-    gamma' = (R' + i R) e^{i theta} and R' is the segment slope.
-    """
-    theta, w, radii = _angular_layout(E, m)
-    prof = np.asarray(E.profile, dtype=float)
-    slope = np.repeat((np.roll(prof, -1) - prof) / (2.0 * np.pi / prof.size), m)
-    rot = np.exp(1j * theta)
-    return radii * rot, (slope + 1j * radii) * rot, w
-
-
-def _node_gaps(E: StarShaped) -> np.ndarray:
-    """Per segment, m times a bound on the distance between neighbouring nodes.
-
-    Neighbouring m-point Gauss-Legendre nodes lie less than pi/m apart on
-    [-1, 1], so less than (pi/m) * h/2 in angle on a segment of width h,
-    and |gamma'| <= hypot(R', max R) there.
+    The panels start as the profile segments.  A panel of width w has arc
+    length at most a = w * hypot(R', max R), so its points lie at least
+    |pole - gamma(mid)| - a/2 from the pole; a panel nearer the pole than a
+    is halved, which keeps R linear and R' unchanged (Trefethen and
+    Weideman, SIAM Review 56(3), 2014).  A panel shorter than
+    BOUNDARY_POLE_CAP whose bound is still below it raises
+    NonConvergenceError.
     """
     prof = np.asarray(E.profile, dtype=float)
-    nxt = np.roll(prof, -1)
-    h = 2.0 * np.pi / prof.size
-    return np.hypot((nxt - prof) / h, np.maximum(prof, nxt)) * (h * np.pi / 2.0)
+    p, nxt = prof.size, np.roll(prof, -1)
+    h = 2.0 * np.pi / p
+    panels = np.stack([h * np.arange(p), np.full(p, h), prof, nxt, (nxt - prof) / h])
+    while pole is not None:
+        start, width, r0, r1, slope = panels
+        arc = width * np.hypot(slope, np.maximum(r0, r1))
+        mid = 0.5 * (r0 + r1) * np.exp(1j * (start + 0.5 * width))
+        bound = np.abs(pole - mid) - 0.5 * arc
+        if np.any((bound < BOUNDARY_POLE_CAP) & (arc < BOUNDARY_POLE_CAP)):
+            raise NonConvergenceError(
+                f"pole within the cap of {BOUNDARY_POLE_CAP:.3g} of the boundary"
+            )
+        split = bound < arc
+        if not split.any():
+            break
+        start, width, r0, r1, slope = panels[:, split]
+        half, r_mid = 0.5 * width, 0.5 * (r0 + r1)
+        left = [start, half, r0, r_mid, slope]
+        right = [start + half, half, r_mid, r1, slope]
+        panels = np.concatenate([panels[:, ~split], left, right], axis=1)
+    return panels
 
 
-def _pole_distances(E: StarShaped, pole: complex) -> np.ndarray:
-    """Per segment, a lower bound on the distance from pole to the boundary.
+def _boundary_level(parts, panels: np.ndarray, m: int) -> tuple[float, int]:
+    """Boundary sum over m Gauss-Legendre nodes on each panel.
 
-    Segment j lies in the sector r <= max(R_j, R_{j+1}), theta_j <= theta
-    <= theta_{j+1}; this is the pole's distance to that sector.
+    gamma(theta) = R(theta) e^{i theta} with R linear on each panel, so
+    gamma' = (R' + i R) e^{i theta} and R' is the panel's slope.
     """
-    prof = np.asarray(E.profile, dtype=float)
-    rmax = np.maximum(prof, np.roll(prof, -1))
-    h = 2.0 * np.pi / prof.size
-    rho = abs(pole)
-    past = np.mod(cmath.phase(pole) - h * np.arange(prof.size), 2.0 * np.pi)
-    inside = past <= h
-    # Angle from the pole to the nearer bounding ray of the sector.
-    delta = np.minimum(np.minimum(past - h, 2.0 * np.pi - past), np.pi / 2.0)
-    to_ray = np.where(
-        rho * np.cos(delta) <= rmax,
-        rho * np.sin(delta),
-        np.sqrt(rho * rho + rmax * rmax - 2.0 * rho * rmax * np.cos(delta)),
-    )
-    return np.where(inside, rho - rmax, to_ray)
-
-
-def _boundary_level(parts, E: StarShaped, m: int) -> tuple[float, int]:
-    z, dz, w = _boundary_nodes(E, m)
+    start, width, r0, r1, slope = panels[:, :, None]
+    x, gw = _gauss(m)
+    frac = (x + 1.0) / 2.0
+    radii = r0 + (r1 - r0) * frac
+    rot = np.exp(1j * (start + width * frac))
+    z = (radii * rot).ravel()
+    dz = ((slope + 1j * radii) * rot).ravel()
+    w = (gw * (width / 2.0)).ravel()
     terms = []
     for sign, F, dF in parts:
         # Shifting F by the constant F(0) leaves oint conj(F) dF unchanged.
@@ -260,31 +260,30 @@ def integrate_boundary(
     F must be analytic on a neighbourhood of E and, like dF, accept a
     complex numpy array; pole, if given, is a singularity outside E.  Each
     part contributes Im(conj(F - F(0)) F' gamma')/2 at Gauss-Legendre nodes
-    on every profile segment.  Nodes per segment double from BOUNDARY_M0
-    until two levels agree, as in integrate_polar.  The first level has at
-    least min_nodes nodes, and on each segment neighbouring nodes lie no
-    farther apart than the pole lies from the segment, so agreement is only
-    tested once the nodes resolve the pole.  Needing more than
-    BOUNDARY_NODE_CAP nodes raises NonConvergenceError.
+    on every boundary panel: the profile segments, bisected toward the pole
+    until each lies at least its own arc length from it (see _panels).
+    Nodes per panel double from BOUNDARY_M0 until two levels agree, as in
+    integrate_polar; the first level has at least min_nodes nodes.  A pole
+    within BOUNDARY_POLE_CAP of the boundary, or a level of more than
+    BOUNDARY_NODE_CAP nodes, raises NonConvergenceError.
     """
     if not isinstance(E, StarShaped):
         raise ConstructionError("integrate_boundary needs a StarShaped region")
     check_tol(tol)
-    p = len(E.profile)
-    cap = max(2 * BOUNDARY_M0, BOUNDARY_NODE_CAP // p)
-    gaps = _node_gaps(E)
-    reach = np.inf if pole is None else _pole_distances(E, pole)
+    panels = _panels(E, pole)
+    count = panels.shape[1]
+    cap = max(2 * BOUNDARY_M0, BOUNDARY_NODE_CAP // count)
     m = BOUNDARY_M0
-    while m <= cap and (m * p < min_nodes or np.any(gaps > m * reach)):
+    while m <= cap and m * count < min_nodes:
         m *= 2
     if 2 * m > cap:
         raise NonConvergenceError(
             f"resolving the integrand needs more than the cap of {cap} "
-            "boundary nodes per segment"
+            "boundary nodes per panel"
         )
     levels = [m << k for k in range((cap // m).bit_length())]
-    caps = f"{cap} boundary nodes per segment"
-    return _refine(lambda k: _boundary_level(parts, E, k), levels, tol, caps)
+    caps = f"{cap} boundary nodes per panel"
+    return _refine(lambda k: _boundary_level(parts, panels, k), levels, tol, caps)
 
 
 def quarter_cells(centers: np.ndarray, n: int) -> np.ndarray:
@@ -435,13 +434,11 @@ def _raster_pass(f, E: Region, n: int, rng) -> tuple[float, int]:
 
 
 def _dilate(occ: np.ndarray) -> np.ndarray:
-    out = occ.copy()
-    out[1:, :] |= occ[:-1, :]
-    out[:-1, :] |= occ[1:, :]
-    out[:, 1:] |= occ[:, :-1]
-    out[:, :-1] |= occ[:, 1:]
-    out[1:, 1:] |= occ[:-1, :-1]
-    out[1:, :-1] |= occ[:-1, 1:]
-    out[:-1, 1:] |= occ[1:, :-1]
-    out[:-1, :-1] |= occ[1:, 1:]
+    """One-cell 3 x 3 dilation, as a pass over rows and then over columns."""
+    rows = occ.copy()
+    rows[1:, :] |= occ[:-1, :]
+    rows[:-1, :] |= occ[1:, :]
+    out = rows.copy()
+    out[:, 1:] |= rows[:, :-1]
+    out[:, :-1] |= rows[:, 1:]
     return out

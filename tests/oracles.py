@@ -7,8 +7,12 @@ Numeric cross-checks of the formulas themselves (via scipy.integrate)
 live in test_oracles.py.  The one exception is the per-point search at the
 end: it scores a search lattice one map at a time through the package's
 per-map functions, as the reference for the search's batched lattice pass.
+node_doubling_boundary keeps the boundary kernel that resolved a pole by
+raising the node count on every profile segment, as the reference for the
+graded boundary panels.
 """
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -176,6 +180,112 @@ def grid_midpoint_whole(field, centers: np.ndarray, n: int):
         sub_vals[inside] = np.asarray(field(sub[inside]), dtype=float)
     refined = math.fsum((sub_vals * (area / 4.0)).ravel().tolist())
     return base, abs(refined - base), 5 * count
+
+
+def dilate_8_shifts(occ: np.ndarray) -> np.ndarray:
+    """One-cell 3 x 3 dilation as eight shifted ORs, one per neighbour."""
+    out = occ.copy()
+    out[1:, :] |= occ[:-1, :]
+    out[:-1, :] |= occ[1:, :]
+    out[:, 1:] |= occ[:, :-1]
+    out[:, :-1] |= occ[:, 1:]
+    out[1:, 1:] |= occ[:-1, :-1]
+    out[1:, :-1] |= occ[:-1, 1:]
+    out[:-1, 1:] |= occ[1:, :-1]
+    out[:-1, :-1] |= occ[1:, 1:]
+    return out
+
+
+def _node_gaps(prof: np.ndarray) -> np.ndarray:
+    """Per segment, m times a bound on the distance between neighbouring nodes.
+
+    Neighbouring m-point Gauss-Legendre nodes lie less than pi/m apart on
+    [-1, 1], so less than (pi/m) * h/2 in angle on a segment of width h,
+    and |gamma'| <= hypot(R', max R) there.
+    """
+    nxt = np.roll(prof, -1)
+    h = 2.0 * np.pi / prof.size
+    return np.hypot((nxt - prof) / h, np.maximum(prof, nxt)) * (h * np.pi / 2.0)
+
+
+def pole_distances(prof: np.ndarray, pole: complex) -> np.ndarray:
+    """Per segment, a lower bound on the distance from pole to the boundary.
+
+    Segment j lies in the sector r <= max(R_j, R_{j+1}), theta_j <= theta
+    <= theta_{j+1}; this is the pole's distance to that sector.
+    """
+    rmax = np.maximum(prof, np.roll(prof, -1))
+    h = 2.0 * np.pi / prof.size
+    rho = abs(pole)
+    past = np.mod(cmath.phase(pole) - h * np.arange(prof.size), 2.0 * np.pi)
+    inside = past <= h
+    # Angle from the pole to the nearer bounding ray of the sector.
+    delta = np.minimum(np.minimum(past - h, 2.0 * np.pi - past), np.pi / 2.0)
+    to_ray = np.where(
+        rho * np.cos(delta) <= rmax,
+        rho * np.sin(delta),
+        np.sqrt(rho * rho + rmax * rmax - 2.0 * rho * rmax * np.cos(delta)),
+    )
+    return np.where(inside, rho - rmax, to_ray)
+
+
+def segment_boundary_nodes(prof: np.ndarray, m: int):
+    """Boundary points, tangents dgamma/dtheta and weights, m Gauss-Legendre
+    nodes on each profile segment, gamma = R e^{i theta} with R linear."""
+    p = prof.size
+    seg_width = 2.0 * np.pi / p
+    x, gw = np.polynomial.legendre.leggauss(m)
+    frac = (x + 1.0) / 2.0
+    theta = (seg_width * np.arange(p))[:, None] + seg_width * frac[None, :]
+    nxt = np.roll(prof, -1)
+    radii = (prof[:, None] + (nxt - prof)[:, None] * frac[None, :]).ravel()
+    w = np.broadcast_to(gw[None, :] * (seg_width / 2.0), theta.shape).ravel()
+    slope = np.repeat((nxt - prof) / seg_width, m)
+    rot = np.exp(1j * theta.ravel())
+    return radii * rot, (slope + 1j * radii) * rot, w
+
+
+def node_doubling_boundary(parts, profile, tol, *, min_nodes=1, pole=None):
+    """(value, error estimate, evals) of the boundary kernel that raised the
+    node count on every segment to resolve a pole.
+
+    m nodes per profile segment start at 4 and double until the first level
+    has min_nodes nodes and, on each segment, m times the node gap bound
+    beats the pole's sector distance; the levels then double up to 2^15
+    nodes until two agree to tol * max(1, |value|) (10x that at the last).
+    Running out of levels raises NonConvergenceError.
+    """
+    from harmarea.errors import NonConvergenceError
+
+    prof = np.asarray(profile, dtype=float)
+    p = prof.size
+    cap = max(8, 2**15 // p)
+    reach = np.inf if pole is None else pole_distances(prof, pole)
+    m = 4
+    while m <= cap and (m * p < min_nodes or np.any(_node_gaps(prof) > m * reach)):
+        m *= 2
+    if 2 * m > cap:
+        raise NonConvergenceError("node cap")
+
+    def level(k):
+        z, dz, w = segment_boundary_nodes(prof, k)
+        terms = [
+            (0.5 * sign) * w * (np.conjugate(F(z) - F(0j)) * dF(z) * dz).imag
+            for sign, F, dF in parts
+        ]
+        return math.fsum(np.concatenate(terms).tolist()), z.size
+
+    levels = [m << k for k in range((cap // m).bit_length())]
+    value, evals = level(levels[0])
+    for k, nodes in enumerate(levels[1:], 2):
+        new_value, more = level(nodes)
+        evals += more
+        err = abs(new_value - value)
+        slack = 10.0 if k == len(levels) else 1.0
+        if err <= slack * tol * max(1.0, abs(new_value)):
+            return new_value, err, evals
+        value = new_value
+    raise NonConvergenceError("node cap")
 
 
 def sampled_validity(f, angular_samples: int = 64, radial_samples: int = 32):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -36,7 +36,7 @@ from harmarea import (
     star_cos3,
 )
 from harmarea import quadrature
-from harmarea.quadrature import _boundary_nodes, _pole_distances
+from harmarea.quadrature import _dilate, _panels
 from harmarea.regions import BLOCK
 
 
@@ -182,6 +182,11 @@ def _identity(z):
     return z
 
 
+profile_values = st.lists(
+    st.floats(0.05, 1.0, exclude_min=True), min_size=8, max_size=64
+)
+
+
 def _unit(z):
     return np.ones_like(z)
 
@@ -236,22 +241,79 @@ class TestIntegrateBoundary:
         assert calls == []
 
     @given(
-        prof=st.lists(st.floats(0.05, 1.0, exclude_min=True), min_size=8, max_size=64),
-        rho=st.floats(1.0 + 1e-6, 3.0),
+        prof=profile_values,
+        # 1 - |a| down to 1e-5, so some poles lie within the cap.  The
+        # reference's sector distances overflow for a pole near infinity.
+        modulus=st.just(0.0)
+        | st.floats(1e-6, 0.99)
+        | st.floats(2.0, 5.0).map(lambda k: 1.0 - 10.0**-k),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        tol=st.sampled_from([1e-9, 1e-12]),
+    )
+    @example(prof=[1.0] * 16, modulus=0.99, phase=0.1, tol=1e-12)
+    @example(prof=[1.0, 0.5] * 8, modulus=0.999, phase=0.0, tol=1e-9)
+    @example(prof=[1.0] * 16, modulus=1.0 - 1e-5, phase=0.0, tol=1e-9)
+    def test_panels_match_node_doubling_reference(self, prof, modulus, phase, tol):
+        # Unsplit panels are the profile segments with the same float
+        # expressions, so the bits agree; split panels agree within tol.
+        a = modulus * cmath.exp(1j * phase)
+        f = automorphism(a, rotation=0.3)
+        parts = [(1.0, f.evaluate, f.analytic_derivative)]
+        E = StarShaped(prof)
+        pole = None if a == 0 else 1.0 / a.conjugate()
+        try:
+            ref = oracles.node_doubling_boundary(parts, E.profile, tol, pole=pole)
+        except NonConvergenceError:
+            ref = None
+        try:
+            res = integrate_boundary(parts, E, tol, pole=pole)
+        except NonConvergenceError:
+            assert ref is None
+            return
+        assume(ref is not None)
+        if _panels(E, pole).shape[1] == len(prof):
+            assert (res.value, res.error_estimate, res.evals) == ref
+        else:
+            assert abs(res.value - ref[0]) <= tol * max(1.0, abs(ref[0]))
+
+    @given(
+        prof=profile_values,
+        rho=st.floats(1.0 + 1e-3, 3.0),
         psi=st.floats(0.0, 2.0 * math.pi),
     )
-    def test_pole_distances_bound_the_boundary(self, prof, rho, psi):
+    def test_panels_bound_their_distance_to_the_pole(self, prof, rho, psi):
         E = StarShaped(prof)
         pole = rho * complex(math.cos(psi), math.sin(psi))
-        bound = _pole_distances(E, pole)
-        z, _, _ = _boundary_nodes(E, 64)
-        seen = np.abs(z - pole).reshape(len(prof), 64).min(axis=1)
+        panels = _panels(E, pole)
+        start, width, r0, r1, slope = panels
+        # The panels tile the circle and keep the slope of their segment.
+        assert math.fsum(width) == pytest.approx(2.0 * math.pi, rel=1e-14)
+        h = 2.0 * math.pi / len(prof)
+        segment = ((start + 0.5 * width) // h).astype(int)
+        seg_slope = (np.roll(E.profile, -1) - np.asarray(E.profile)) / h
+        assert np.array_equal(slope, seg_slope[segment])
+        arc = width * np.hypot(slope, np.maximum(r0, r1))
+        mid = 0.5 * (r0 + r1) * np.exp(1j * (start + 0.5 * width))
+        bound = np.abs(pole - mid) - 0.5 * arc
+        x = np.polynomial.legendre.leggauss(64)[0]
+        frac = np.concatenate([[0.0], (x + 1.0) / 2.0, [1.0]])
+        theta = start[:, None] + width[:, None] * frac
+        z = (r0[:, None] + (r1 - r0)[:, None] * frac) * np.exp(1j * theta)
+        seen = np.abs(z - pole).min(axis=1)
         assert np.all(bound <= seen * (1.0 + 1e-12))
+        assert np.all(bound >= arc)
 
-    def test_pole_distance_facing_a_segment(self):
-        bound = _pole_distances(StarShaped((0.5,) * 16), 1.5 * cmath.exp(0.1j))
-        assert bound[0] == pytest.approx(1.0, abs=1e-15)
-        assert np.all(bound[1:] > 1.0)
+    @pytest.mark.parametrize("modulus", [0.995, 0.999])
+    def test_pole_near_circle_is_resolved_by_panels(self, modulus):
+        # The node doubling needed 6144 (0.995) and 49152 (0.999) evals.
+        f = automorphism(modulus)
+        res = integrate_boundary(
+            [(1.0, f.evaluate, f.analytic_derivative)],
+            StarShaped((1.0,) * 16),
+            pole=1.0 / modulus,
+        )
+        assert abs(res.value - math.pi) <= 1e-9 * math.pi
+        assert res.evals < 4096
 
     def test_deterministic(self):
         f = automorphism(0.6j, rotation=0.7)
@@ -420,6 +482,15 @@ class TestIntegrateRuns:
 
 
 class TestMcImageArea:
+    @given(
+        n=st.sampled_from([4, 7, 64, 255, 2048]),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dilate_matches_eight_shifts(self, n, density, seed):
+        occ = np.random.default_rng(seed).random((n, n)) < density
+        assert np.array_equal(_dilate(occ), oracles.dilate_8_shifts(occ))
+
     def test_identity_matches_measure(self):
         res = mc_image_area(identity_map(), Disk(0.5), n=2048)
         assert abs(res.value - math.pi * 0.25) <= 0.02 * math.pi * 0.25
