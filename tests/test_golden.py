@@ -50,9 +50,18 @@ RAWBALL = {"kind": "rawball", "degree": 2, "coeff_bound": 0.25}
 # Bound 0.5 reaches h2 = -0.5, where h' = 1 - z vanishes at z = 1, and
 # points that are certified not sense-preserving: both kinds of note.
 RAWBALL_WIDE = {"kind": "rawball", "degree": 2, "coeff_bound": 0.5}
+# A 64-sample star r(t) = min(1, 0.75 + 0.35 cos 2t): 14 samples lie on the
+# unit circle, so the oracle's half pass drops jittered centres with |z| >= 1.
+RIM_STAR = {
+    "kind": "star",
+    "profile": [
+        round(min(1.0, 0.75 + 0.35 * math.cos(2.0 * 2.0 * math.pi * k / 64)), 4)
+        for k in range(64)
+    ],
+}
 # A disk automorphism on the star takes the boundary kernel with a pole.
 MOBIUS_MAP = {"form": "automorphism", "a": [0.5, 0]}
-FILES = {"STAR": STAR, "GRID": GRID, "FAMILY": AFFINE_FAMILY,
+FILES = {"STAR": STAR, "RIM_STAR": RIM_STAR, "GRID": GRID, "FAMILY": AFFINE_FAMILY,
          "SHEAR_FAMILY": SHEAR_FAMILY, "AUTO_FAMILY": AUTO_FAMILY,
          "REVERSING_MAP": REVERSING_MAP, "MOBIUS_MAP": MOBIUS_MAP,
          "RAWBALL": RAWBALL, "RAWBALL_WIDE": RAWBALL_WIDE}
@@ -70,8 +79,16 @@ CASES = {
                          "--format", "both"],
     "area-grid-shear": ["area", "--preset", "remark-shear-0.3", "--region", "GRID",
                         "--format", "both"],
+    "area-grid-mobius": ["area", "--map", "MOBIUS_MAP", "--region", "GRID",
+                         "--format", "both"],
     "oracle-star": ["oracle", "--preset", "example1-affine-0.5", "--region", "STAR",
                     "--n", "256", "--format", "both"],
+    "oracle-rim-star": ["oracle", "--preset", "example1-affine-0.5", "--region", "RIM_STAR",
+                        "--n", "256", "--format", "both"],
+    "oracle-disk": ["oracle", "--preset", "example1-affine-0.5", "--r", "0.7",
+                    "--n", "256", "--format", "both"],
+    "oracle-grid": ["oracle", "--preset", "example1-affine-0.5", "--region", "GRID",
+                    "--n", "512", "--format", "both"],
     "sweep-affine": ["sweep", "--family", "FAMILY", "--region", "STAR", "--n", "5"],
     "search-family-affine": ["search", "--family", "FAMILY", "--n", "20"],
     "search-preset-sp": ["search", "--preset", "example1-affine-0.2", "--r", "0.6"],
@@ -91,10 +108,14 @@ EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1}
 
 DIGESTS = {
     "area-grid-affine": "f7a6c716c4dcf972082dfe96a151421ef4dea457eb292167342308e1ec6c267c",
+    "area-grid-mobius": "8adadbfd3c8ea18254e6baf0187a7999a27ae02941813167456587b8fc03888c",
     "area-grid-shear": "a8ba84728515eed74f6e706714924c08a65e2d0e45088f8e1f1fe0090836cf89",
     "area-star": "201b238150295b12dcfc0c97e160398135ea94664fc2b00f2b517de5a9de79dd",
     "area-star-mobius": "da0724c76bf894971dd3e0c71d7ef16bd1c97c6bbc19c1230f5661ec4bd94488",
+    "oracle-disk": "26ab2656d1d24172af0c90174d9a8f4d64f9cb248e96ee08cd91c1e2a28f98a9",
+    "oracle-grid": "09e3524850997517f897d71a72c8e3bf81ecc18d7124725329bfe6a243963e3a",
     "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
+    "oracle-rim-star": "fb4251b0c8cdf8f7d42bbb55235a8da6141ef34c9f928fa68f6f27975eed2171",
     "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",
     "search-automorphism": "d1d1e4ac96b5085d89a699347ef750ad679ff910e815cb787e0b185db6640db6",
     "search-family-affine": "bb8d8fb98e963b203d85d652bc42828ea470afa3d8955c16fb758da47b6291f6",
