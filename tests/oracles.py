@@ -9,7 +9,10 @@ end: it scores a search lattice one map at a time through the package's
 per-map functions, as the reference for the search's batched lattice pass.
 node_doubling_boundary keeps the boundary kernel that resolved a pole by
 raising the node count on every profile segment, as the reference for the
-graded boundary panels.
+graded boundary panels.  star_contains_whole and mc_image_area_whole keep
+the star membership that interpolates the profile at every point and the
+raster estimate built on full-length np.nonzero centers, as the references
+for the radius-first membership and the row-block centers.
 """
 
 import cmath
@@ -158,6 +161,64 @@ def rasterize_whole(member, n: int) -> np.ndarray:
     xx, yy = np.meshgrid(axis, axis)
     z = xx + 1j * yy
     return member(z) & (np.abs(z) < 1.0)
+
+
+def star_contains_whole(profile, z: np.ndarray) -> np.ndarray:
+    """|z| <= R(arg z) at every point, R the periodic piecewise-linear
+    interpolant of the profile samples."""
+    prof = np.asarray(profile, dtype=float)
+    m = prof.size
+    xp = 2.0 * np.pi * np.arange(m + 1) / m
+    fp = np.append(prof, prof[0])
+    t = np.mod(np.angle(z), 2.0 * np.pi)
+    return np.abs(z) <= np.interp(t, xp, fp)
+
+
+def cell_centers_whole(mask: np.ndarray) -> np.ndarray:
+    """Complex centers of the true cells of an n x n mask, row-major, from
+    full-length np.nonzero index arrays."""
+    rows, cols = np.nonzero(mask)
+    side = 2.0 / mask.shape[0]
+    return (-1.0 + (cols + 0.5) * side) + 1j * (-1.0 + (rows + 0.5) * side)
+
+
+def _raster_pass_whole(f, mask: np.ndarray, rng) -> tuple[float, int]:
+    n = mask.shape[0]
+    centers = cell_centers_whole(mask)
+    if rng is not None:
+        side = 2.0 / n
+        jitter = rng.uniform(-0.5, 0.5, size=(2, centers.size)) * (side / 2.0)
+        centers = centers + jitter[0] + 1j * jitter[1]
+        centers = centers[np.abs(centers) < 1.0]
+    if centers.size == 0:
+        return 0.0, 0
+    w = np.asarray(f.evaluate(centers))
+    half_width = 2.0
+    while True:
+        cell = 2.0 * half_width / n
+        ix = np.floor((w.real + half_width) / cell).astype(int)
+        iy = np.floor((w.imag + half_width) / cell).astype(int)
+        if min(ix.min(), iy.min()) >= 0 and max(ix.max(), iy.max()) < n:
+            break
+        half_width *= 2.0
+    occ = np.zeros((n, n), dtype=bool)
+    occ[iy, ix] = True
+    return float(np.count_nonzero(dilate_8_shifts(occ))) * cell * cell, centers.size
+
+
+def mc_image_area_whole(f, member, n: int, seed: int):
+    """(value, error estimate, evals) of the raster estimate of m(f(E)).
+
+    member is E's membership, as for rasterize_whole.  Each pass maps the
+    centers of a whole-array rasterization, bins them on an n x n window
+    that doubles from [-2, 2]^2 until it holds them all, and counts the
+    3 x 3-dilated occupied cells; the half pass jitters its centers by one
+    rng.uniform draw of shape (2, N) and drops those with |z| >= 1.
+    """
+    rng = np.random.default_rng(seed)
+    base, evals_base = _raster_pass_whole(f, rasterize_whole(member, n), None)
+    half, evals_half = _raster_pass_whole(f, rasterize_whole(member, n // 2), rng)
+    return base, abs(base - half), max(1, evals_base + evals_half)
 
 
 def grid_midpoint_whole(field, centers: np.ndarray, n: int):

@@ -20,6 +20,7 @@ from harmarea import (
     affine,
     analytic_energy,
     automorphism,
+    contains_points,
     identity_map,
     image_area,
     integrate_boundary,
@@ -372,7 +373,7 @@ class TestIntegrateGrid:
         # The unit disk's rim cells have quarter cells outside the disk,
         # which reuse their parent's value.
         g = rasterize(Disk(1.0), 512)
-        centers = g.cell_centers()
+        centers = oracles.cell_centers_whole(g.mask)
         assert centers.size > 3 * BLOCK and centers.size % BLOCK != 0
         res = integrate_grid(f.jacobian, g)
         expected = oracles.grid_midpoint_whole(f.jacobian, centers, g.n)
@@ -481,6 +482,15 @@ class TestIntegrateRuns:
         assert peak <= 8 * 2**20
 
 
+def _whole_member(region):
+    """Membership for the raster reference: the all-points profile test on
+    a star; disks and grids keep contains_points, whose paths test every
+    point."""
+    if isinstance(region, StarShaped):
+        return lambda z: oracles.star_contains_whole(region.profile, z)
+    return lambda z: contains_points(region, z)
+
+
 class TestMcImageArea:
     @given(
         n=st.sampled_from([4, 7, 64, 255, 2048]),
@@ -490,6 +500,42 @@ class TestMcImageArea:
     def test_dilate_matches_eight_shifts(self, n, density, seed):
         occ = np.random.default_rng(seed).random((n, n)) < density
         assert np.array_equal(_dilate(occ), oracles.dilate_8_shifts(occ))
+
+    @given(
+        region=st.one_of(
+            st.floats(0.05, 1.0).map(Disk),
+            st.lists(st.floats(0.05, 1.0), min_size=8, max_size=24).map(
+                lambda p: StarShaped(tuple(p))
+            ),
+            st.lists(st.sampled_from([0.4, 1.0]), min_size=8, max_size=16).map(
+                lambda p: StarShaped(tuple(p))
+            ),
+            st.builds(
+                lambda r, k: rasterize(Disk(r), k), st.floats(0.05, 1.0), st.integers(2, 96)
+            ),
+        ),
+        f=st.sampled_from(
+            [affine(0.5), automorphism(0.3 - 0.2j), raw_polynomial([0, 1, 0.2j], [0, 0.1])]
+        ),
+        n=st.sampled_from([4, 16, 128]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_matches_the_full_length_center_reference(self, region, f, n, seed):
+        res = mc_image_area(f, region, n=n, seed=seed)
+        expected = oracles.mc_image_area_whole(f, _whole_member(region), n, seed)
+        assert (res.value, res.error_estimate, res.evals) == expected
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize(
+        "region",
+        [Disk(1.0), star_cos3(256, 1.4), rasterize(Disk(0.8), 300)],
+        ids=["unit-disk", "cos3", "grid"],
+    )
+    def test_matches_the_reference_at_full_size(self, region, seed):
+        res = mc_image_area(affine(0.5), region, n=1024, seed=seed)
+        expected = oracles.mc_image_area_whole(affine(0.5), _whole_member(region), 1024, seed)
+        assert (res.value, res.error_estimate, res.evals) == expected
 
     def test_identity_matches_measure(self):
         res = mc_image_area(identity_map(), Disk(0.5), n=2048)

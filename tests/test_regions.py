@@ -316,6 +316,79 @@ def _mask_from_runs(n: int, runs: np.ndarray) -> np.ndarray:
     return mask
 
 
+# Star profiles for the radius-first membership: general, with repeated
+# minima and samples on the unit circle, and constant (min R = max R).
+_PROFILES = st.one_of(
+    st.lists(st.floats(0.05, 1.0), min_size=8, max_size=40),
+    st.lists(st.sampled_from([0.3, 0.55, 1.0]), min_size=8, max_size=24),
+    st.builds(lambda v, m: [v] * m, st.floats(0.05, 1.0) | st.just(1.0), st.integers(8, 32)),
+)
+_MARGINS = (0.0, 1e-13, 1e-12, 2e-12, 1e-9, 1e-3)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestRadiusFirstMembership:
+    @given(_PROFILES, st.lists(st.complex_numbers(max_magnitude=1.2), max_size=50))
+    def test_star_membership_matches_the_all_points_reference(self, profile, extra):
+        # Points at each sample's radius and at min R and max R, scaled by
+        # 1 +- each margin, where the radius test and the profile test meet.
+        E = StarShaped(tuple(profile))
+        m = len(profile)
+        theta = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
+        radii = np.concatenate(
+            (np.repeat(profile, 2), [min(profile)] * 2 * m, [max(profile)] * 2 * m)
+        )
+        base = radii * np.exp(1j * np.tile(theta, 3))
+        scales = np.array([1.0 + s * d for d in _MARGINS for s in (-1.0, 1.0)])
+        z = np.concatenate(((base[:, None] * scales[None, :]).ravel(), extra))
+        expected = oracles.star_contains_whole(profile, z)
+        assert np.array_equal(contains_points(E, z), expected)
+
+    @given(_PROFILES, st.sampled_from([2, 3, 16, 64, 257, 300]))
+    def test_star_raster_matches_the_all_points_reference(self, profile, n):
+        expected = oracles.rasterize_whole(
+            lambda z: oracles.star_contains_whole(profile, z), n
+        )
+        assert np.array_equal(rasterize(StarShaped(tuple(profile)), n).mask, expected)
+
+    @pytest.mark.parametrize(
+        "E",
+        [Disk(0.39), StarShaped(tuple(1.0 if k % 8 == 4 else 0.5 for k in range(16)))],
+        ids=["disk", "star-peaks-on-the-y-axis"],
+    )
+    def test_row_blocks_beyond_the_radius_at_full_size(self, E):
+        # At n = 2048 a block is 32 rows; the block just inside the radius
+        # starts below 0.9 * bounding_radius, so a smaller reach would drop it.
+        if isinstance(E, Disk):
+            member = lambda z: np.abs(z) <= E.r
+        else:
+            member = lambda z: oracles.star_contains_whole(E.profile, z)
+        expected = oracles.rasterize_whole(member, 2048)
+        assert np.array_equal(rasterize(E, 2048).mask, expected)
+
+    @given(st.floats(0.01, 1.0), st.sampled_from([2, 5, 64, 257, 300]))
+    def test_disk_raster_skips_rows_beyond_the_radius(self, r, n):
+        expected = oracles.rasterize_whole(lambda z: np.abs(z) <= r, n)
+        assert np.array_equal(rasterize(Disk(r), n).mask, expected)
+
+    @given(st.integers(2, 40), st.data())
+    def test_cell_centers_match_full_length_nonzero(self, n, data):
+        bits = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        mask = oracles.rasterize_whole(lambda z: np.ones(z.shape, dtype=bool), n)
+        mask &= np.array(bits).reshape(n, n)
+        got = PixelGrid(n, mask).cell_centers()
+        assert _bits(got) == _bits(oracles.cell_centers_whole(mask))
+
+    @pytest.mark.parametrize("n", [300, 1024])
+    def test_cell_centers_of_many_row_blocks(self, n):
+        # n = 300 ends in a partial row block; n = 1024 fills 16 rows a block.
+        g = rasterize(star_cos3(256, 1.4), n)
+        assert _bits(g.cell_centers()) == _bits(oracles.cell_centers_whole(g.mask))
+
+
 class TestRuns:
     @given(st.integers(2, 24), st.data())
     def test_runs_rebuild_the_mask(self, n, data):
