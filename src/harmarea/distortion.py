@@ -111,9 +111,8 @@ def _area_integral(
     int_E J_f = (1/2i) oint (conj(h) dh - conj(g) dg), with g = 0 for an
     automorphism.
     """
+    check_tol(tol)
     if isinstance(f, DiskAutomorphism):
-        if not isinstance(E, PixelGrid):
-            check_tol(tol)
         if f.a == 0:
             return QuadResult(region_measure(E), 0.0, 1)
         if isinstance(E, PixelGrid):
@@ -133,7 +132,6 @@ def _area_integral(
             return sum(sign * np.abs(d(z)) ** 2 for sign, d in slopes)
 
         return integrate_runs(density, E, max(1, degree))
-    check_tol(tol)
     if isinstance(E, Disk):
         return disk_series_area(E, [(sign, part.coefficients) for sign, part in series])
     parts = [
@@ -176,7 +174,8 @@ def image_area(
     boundary integral of quadrature.integrate_boundary.  Pixel grids use
     the exact run rule of quadrature.integrate_runs under polynomial maps
     and the midpoint rule under other automorphisms; see _area_integral.
-    Polar quadrature is never used.
+    Polar quadrature is never used.  On every region a tol that
+    quadrature.check_tol rejects raises ConstructionError.
     """
     if check_sense:
         rep = validate(f)

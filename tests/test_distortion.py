@@ -213,6 +213,24 @@ class TestClosedFormDiskArea:
             with pytest.raises(ConstructionError):
                 image_area(affine(0.5), star_cos3(64), tol=tol)
 
+    @pytest.mark.parametrize(
+        "f, tol",
+        [
+            (affine(0.5), math.nan),
+            (rotation_map(0.3), -1.0),
+            (automorphism(0.4), 1e-13),
+            (shear(0.3, 2), math.inf),
+        ],
+        ids=["runs-nan", "rotation-negative", "midpoint-floor", "runs-inf"],
+    )
+    def test_grids_check_the_tolerance(self, f, tol):
+        # Grid areas ignore tol, but a bad one is still refused, as on stars.
+        g = rasterize(Disk(0.5), 16)
+        with pytest.raises(ConstructionError):
+            image_area(f, g, tol=tol)
+        with pytest.raises(ConstructionError):
+            analytic_energy(f, g, tol=tol)
+
     def test_mobius_disk_exact_and_star_on_boundary_kernel(self):
         for f in (automorphism(0.5), automorphism(0.3 - 0.6j, 1.1)):
             res = image_area(f, Disk(0.5))
