@@ -217,7 +217,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     family = _load_family(args)
     region = _load_region(args)
     grid = args.n if args.n is not None else 33
-    rows = sweep(family, region, grid)
+    rows = sweep(family, region, grid, args.tol)
     best = rows[0]
     names = family.param_names
     best_params = " ".join(

@@ -343,21 +343,25 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     return notes, area
 
 
-def sweep(family: FamilySpec, E: Region, grid_per_axis: int) -> list[SweepRow]:
+def sweep(
+    family: FamilySpec, E: Region, grid_per_axis: int, tol: float = DEFAULT_TOL
+) -> list[SweepRow]:
     """Ratio m(f(E))/m(E) on a uniform parameter lattice, best first.
 
     Rows violating constraints (or failing construction) are flagged, not
     dropped.  The output order is descending ratio; ties and unratable rows
     keep lattice (row-major) order.  The lattice is scored a block of
-    LATTICE_BLOCK rows at a time; see _score_block.
+    LATTICE_BLOCK rows at a time, each area to tolerance tol; see
+    _score_block.  A tol that check_tol rejects raises ConstructionError.
     """
+    check_tol(tol)
     kind = family.kind
     lattice = _lattice(kind.continuous_bounds(), kind.discrete_axes(), grid_per_axis)
     m_e = region_measure(E)
     rows = []
     for start in range(0, len(lattice), LATTICE_BLOCK):
         block = lattice[start : start + LATTICE_BLOCK]
-        notes, area = _score_block(family, E, block, DEFAULT_TOL)
+        notes, area = _score_block(family, E, block, tol)
         for i, (params, note) in enumerate(zip(block.tolist(), notes)):
             # Infeasible maps still get their unconstrained ratio.
             rows.append(SweepRow(start + i, tuple(params), area(i) / m_e, note))

@@ -340,6 +340,23 @@ class TestSweep:
         assert code == 4
         assert "budget" in err
 
+    def test_tol_reaches_the_star_quadrature(self, capsys, tmp_path, monkeypatch):
+        import harmarea.distortion
+
+        seen = []
+        original = harmarea.distortion.integrate_boundary
+
+        def recording(parts, E, tol, **kwargs):
+            seen.append(tol)
+            return original(parts, E, tol, **kwargs)
+
+        monkeypatch.setattr(harmarea.distortion, "integrate_boundary", recording)
+        fam = write_json(tmp_path / "fam.json", {"kind": "affine", "alpha_range": [0.0, 0.5]})
+        star = write_json(tmp_path / "star.json", {"kind": "star", "profile": [0.5, 0.6] * 8})
+        argv = ["sweep", "--family", fam, "--region", star, "--n", "3", "--out", str(tmp_path)]
+        assert run(capsys, argv + ["--tol", "1e-5"])[0] == 0
+        assert seen and set(seen) == {1e-5}
+
     def test_deterministic(self, capsys, tmp_path):
         fam = write_json(
             tmp_path / "fam.json",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import harmarea.distortion
 import harmarea.search
 import oracles
 from harmarea import (
@@ -25,6 +26,7 @@ from harmarea import (
     rasterize,
     rotation_map,
     shear,
+    star_cos3,
     sweep,
 )
 from harmarea.cli import main
@@ -143,6 +145,27 @@ class TestSweep:
     def test_grid_floor(self):
         with pytest.raises(ConstructionError):
             sweep(FamilySpec(AffineFamily((0.0, 0.5))), Disk(0.5), 0)
+
+    def test_tol_reaches_the_star_quadrature(self, monkeypatch):
+        seen = []
+        original = harmarea.distortion.integrate_boundary
+
+        def recording(parts, E, tol, **kwargs):
+            seen.append(tol)
+            return original(parts, E, tol, **kwargs)
+
+        monkeypatch.setattr(harmarea.distortion, "integrate_boundary", recording)
+        fam = FamilySpec(ShearFamily((0.0, 0.3), powers=(2,)))
+        sweep(fam, star_cos3(64), 3, tol=1e-5)
+        assert seen and set(seen) == {1e-5}
+        seen.clear()
+        sweep(fam, star_cos3(64), 3)
+        assert seen and set(seen) == {DEFAULT_TOL}
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 1e-13])
+    def test_tol_checked(self, tol):
+        with pytest.raises(ConstructionError):
+            sweep(FamilySpec(AffineFamily((0.0, 0.5))), Disk(0.5), 3, tol=tol)
 
 
 class TestMaximizeAreaRatio:
