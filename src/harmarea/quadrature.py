@@ -428,7 +428,7 @@ def _raster_pass(f, E: Region, n: int, rng) -> tuple[float, int]:
             break
         half_width *= 2.0
     occ = np.zeros((n, n), dtype=bool)
-    occ[iy, ix] = True
+    np.put(occ, iy * n + ix, True)
     area = float(np.count_nonzero(_dilate(occ))) * cell * cell
     return area, centers.size
 

@@ -97,17 +97,20 @@ class PixelGrid:
         return self.n == other.n and np.array_equal(self.mask, other.mask)
 
     def cell_centers(self) -> np.ndarray:
-        """Complex centers of the true cells, row-major order, filled into
-        one array from blocks of mask rows: no index array outgrows a block."""
+        """Complex centers axis[col] + 1j * axis[row] of the true cells, in
+        row-major order, filled into one array from blocks of mask rows."""
         n = self.n
         axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
         out = np.empty(int(np.count_nonzero(self.mask)), dtype=complex)
         step = max(1, BLOCK // n)
         i = 0
         for r in range(0, n, step):
-            rows, cols = np.nonzero(self.mask[r : r + step])
-            out[i : i + cols.size] = axis[cols] + 1j * axis[rows + r]
-            i += cols.size
+            block = self.mask[r : r + step]
+            counts = np.count_nonzero(block, axis=1)
+            j = i + int(counts.sum())
+            out.real[i:j] = np.broadcast_to(axis, block.shape)[block]
+            out.imag[i:j] = np.repeat(axis[r : r + step], counts)
+            i = j
         return out
 
     @functools.cached_property
@@ -182,11 +185,10 @@ def contains(E: Region, z: complex) -> bool:
 def contains_points(E: Region, z: np.ndarray) -> np.ndarray:
     """Vectorized membership for an array of complex points.
 
-    A star decides by radius first: |z| < min R * (1 - 1e-12) is inside and
-    |z| > max R * (1 + 1e-12) is outside.  Only points in the ring between
-    get np.angle and the interpolated profile, |z| <= R(arg z).  The
-    interpolant lies between min R and max R up to a few ulps, well within
-    the 1e-12 margins, so every point keeps the answer of the full test.
+    A star decides by radius first: |z| < min R * (1 - 1e-12) is inside,
+    |z| > max R * (1 + 1e-12) outside, and only the ring between gets the
+    full test |z| <= R(arg z).  The interpolated R strays from [min R, max R]
+    by a few ulps at most, far inside the margins, so no answer changes.
     """
     z = np.asarray(z, dtype=complex)
     if isinstance(E, Disk):
@@ -215,9 +217,9 @@ def rasterize(E: Region, n: int) -> PixelGrid:
     """Pixel-grid approximation: a cell is true iff its center is in E.
 
     Centers are additionally clipped to the open unit disk so the output
-    always satisfies the PixelGrid invariant.  On a disk or a star, a block
-    of rows whose every |y| exceeds bounding_radius(E) * (1 + 1e-12) stays
-    false without a membership test.
+    always satisfies the PixelGrid invariant.  On a disk or a star, with
+    reach = bounding_radius(E) * (1 + 1e-12), row blocks whose every |y|
+    exceeds reach stay false untested, and reach < 1 makes the clip moot.
     """
     n = int(n)
     if n < 2:
@@ -231,7 +233,8 @@ def rasterize(E: Region, n: int) -> PixelGrid:
         if np.min(np.abs(axis[r : r + rows])) > reach:
             continue
         z = axis[None, :] + 1j * axis[r : r + rows, None]
-        mask[r : r + rows] = contains_points(E, z) & (np.abs(z) < 1.0)
+        inside = contains_points(E, z)
+        mask[r : r + rows] = inside & (np.abs(z) < 1.0) if reach >= 1.0 else inside
     return PixelGrid(n=n, mask=mask)
 
 
