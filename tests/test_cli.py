@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+import harmarea.distortion
 import oracles
 from harmarea.cli import main
 
@@ -341,8 +342,6 @@ class TestSweep:
         assert "budget" in err
 
     def test_tol_reaches_the_star_quadrature(self, capsys, tmp_path, monkeypatch):
-        import harmarea.distortion
-
         seen = []
         original = harmarea.distortion.integrate_boundary
 
