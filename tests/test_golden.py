@@ -61,9 +61,12 @@ RIM_STAR = {
 }
 # A disk automorphism on the star takes the boundary kernel with a pole.
 MOBIUS_MAP = {"form": "automorphism", "a": [0.5, 0]}
+# |Re f| reaches 2.69 on the disk of radius 0.9, so the oracle's raster window
+# doubles from [-2, 2]^2 to [-4, 4]^2.
+WIDE_MAP = {"form": "polynomial", "h": [[0, 0], [2.5, 0]], "g": [[0, 0], [0.5, 0]]}
 FILES = {"STAR": STAR, "RIM_STAR": RIM_STAR, "GRID": GRID, "FAMILY": AFFINE_FAMILY,
          "SHEAR_FAMILY": SHEAR_FAMILY, "AUTO_FAMILY": AUTO_FAMILY,
-         "REVERSING_MAP": REVERSING_MAP, "MOBIUS_MAP": MOBIUS_MAP,
+         "REVERSING_MAP": REVERSING_MAP, "MOBIUS_MAP": MOBIUS_MAP, "WIDE_MAP": WIDE_MAP,
          "RAWBALL": RAWBALL, "RAWBALL_WIDE": RAWBALL_WIDE}
 
 CASES = {
@@ -103,6 +106,8 @@ CASES = {
     "sweep-rawball-star": ["sweep", "--family", "RAWBALL", "--region", "STAR", "--n", "5"],
     "oracle-reversing": ["oracle", "--map", "REVERSING_MAP", "--n", "256",
                          "--format", "both"],
+    "oracle-wide": ["oracle", "--map", "WIDE_MAP", "--r", "0.9", "--n", "512",
+                    "--format", "both"],
 }
 EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1}
 
@@ -117,6 +122,7 @@ DIGESTS = {
     "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
     "oracle-rim-star": "fb4251b0c8cdf8f7d42bbb55235a8da6141ef34c9f928fa68f6f27975eed2171",
     "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",
+    "oracle-wide": "13d35558f927ffaa8de26e3685142ca825d4eb90199070b8ff5a70c3ae6f7798",
     "search-automorphism": "d1d1e4ac96b5085d89a699347ef750ad679ff910e815cb787e0b185db6640db6",
     "search-family-affine": "bb8d8fb98e963b203d85d652bc42828ea470afa3d8955c16fb758da47b6291f6",
     "search-family-affine-star": "e97305d9d7d06bed4b051c04b4bb722dc68bef5ea2d71fda36b98de71d61366b",

@@ -515,7 +515,14 @@ class TestMcImageArea:
             ),
         ),
         f=st.sampled_from(
-            [affine(0.5), automorphism(0.3 - 0.2j), raw_polynomial([0, 1, 0.2j], [0, 0.1])]
+            [
+                affine(0.5),
+                automorphism(0.3 - 0.2j),
+                raw_polynomial([0, 1, 0.2j], [0, 0.1]),
+                # Images reach |Re w| = 3.5 and 7: the window doubles to 4 and to 8.
+                raw_polynomial([0, 3], [0, 0.5]),
+                raw_polynomial([0, 6], [0, 1]),
+            ]
         ),
         n=st.sampled_from([4, 16, 128]),
         seed=st.integers(0, 2**32 - 1),
