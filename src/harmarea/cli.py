@@ -105,6 +105,8 @@ def _check_args(args: argparse.Namespace) -> None:
     # --workers is accepted for compatibility; every command runs serially.
     if args.workers < 1:
         raise ParseError("--workers must be >= 1")
+    if args.seed < 0:
+        raise ParseError("--seed must be >= 0")
 
 
 def _read_json(path: Path) -> dict:

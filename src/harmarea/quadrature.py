@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConstructionError, NonConvergenceError
-from .regions import BLOCK, Disk, PixelGrid, Region, StarShaped, rasterize
+from .regions import BLOCK, Disk, PixelGrid, Region, StarShaped, _member_blocks
 
 DEFAULT_TOL = 1e-9
 MIN_TOL = 1e-12
@@ -391,13 +391,14 @@ def integrate_runs(field, E: PixelGrid, nodes: int) -> QuadResult:
 def mc_image_area(f, E: Region, n: int = 1024, seed: int = 42) -> QuadResult:
     """Rasterization estimate of the image area m(f(E)).
 
-    Maps the centers of an n x n rasterization of E, bins the image points
-    onto an n x n grid over [-W,W]^2, dilates occupied cells by one cell to
-    close coverage gaps, and returns the occupied area.  W doubles from 2
-    until every image point of the pass lies in the window.  The error estimate
-    repeats the construction at half resolution with seed-jittered sample
-    offsets; the main estimate itself is seed-independent.  Assumes f is
-    injective on E (not checked).
+    Streams the row blocks of an n x n rasterization of E, maps each block's
+    cell centers, bins the images onto an n x n grid over [-W,W]^2, dilates
+    occupied cells by one cell to close coverage gaps, and returns the
+    occupied area.  W doubles from 2 until the extremes of Re and Im of the
+    images lie in the window (ConstructionError if no finite W holds them).
+    The error estimate repeats the construction at half resolution with
+    seed-jittered sample offsets; the main estimate itself is seed-independent.
+    Assumes f is injective on E (not checked).
     """
     n = int(n)
     # The error estimate's half pass needs n // 2 >= 2.
@@ -410,27 +411,37 @@ def mc_image_area(f, E: Region, n: int = 1024, seed: int = 42) -> QuadResult:
 
 
 def _raster_pass(f, E: Region, n: int, rng) -> tuple[float, int]:
-    centers = rasterize(E, n).cell_centers()
+    centers = (z[inside] for _, _, z, inside in _member_blocks(E, n))
     if rng is not None:
-        side = 2.0 / n
-        jitter = rng.uniform(-0.5, 0.5, size=(2, centers.size)) * (side / 2.0)
-        centers = centers + jitter[0] + 1j * jitter[1]
-        centers = centers[np.abs(centers) < 1.0]
-    if centers.size == 0:
+        # One (2, N) draw, sliced row-major over the blocks: the same stream.
+        centers = list(centers)
+        sizes = [c.size for c in centers]
+        jitter = rng.uniform(-0.5, 0.5, size=(2, sum(sizes))) * (2.0 / n / 2.0)
+        parts = np.split(jitter, np.cumsum(sizes)[:-1], axis=1)
+        centers = [c + j[0] + 1j * j[1] for c, j in zip(centers, parts)]
+        centers = [c[np.abs(c) < 1.0] for c in centers]
+    images = [np.asarray(f.evaluate(c)) for c in centers if c.size]
+    if not images:
         return 0.0, 0
-    w = np.asarray(f.evaluate(centers))
+    ends = [(w.real.min(), w.real.max(), w.imag.min(), w.imag.max()) for w in images]
+    # Rounded +, / by cell > 0 and floor are monotone, so the extremes decide
+    # if every bin index lies in [0, n); np.min and np.max keep a nan.
+    lo, hi = float(np.min(ends)), float(np.max(ends))
     half_width = 2.0
     while True:
         cell = 2.0 * half_width / n
-        ix = np.floor((w.real + half_width) / cell).astype(int)
-        iy = np.floor((w.imag + half_width) / cell).astype(int)
-        if min(ix.min(), iy.min()) >= 0 and max(ix.max(), iy.max()) < n:
+        if not math.isfinite(cell):
+            raise ConstructionError("the map's image overflows every raster window")
+        if (lo + half_width) / cell >= 0 and (hi + half_width) / cell < n:
             break
         half_width *= 2.0
-    occ = np.zeros((n, n), dtype=bool)
-    np.put(occ, iy * n + ix, True)
-    area = float(np.count_nonzero(_dilate(occ))) * cell * cell
-    return area, centers.size
+    occ = np.zeros(n * n, dtype=bool)
+    for w in images:
+        # Every coordinate is >= 0 in the window, so astype truncates as floor.
+        iy = ((w.imag + half_width) / cell).astype(np.intp)
+        occ[iy * n + ((w.real + half_width) / cell).astype(np.intp)] = True
+    area = float(np.count_nonzero(_dilate(occ.reshape(n, n)))) * cell * cell
+    return area, sum(w.size for w in images)
 
 
 def _dilate(occ: np.ndarray) -> np.ndarray:

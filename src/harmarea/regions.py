@@ -216,26 +216,38 @@ def _grid_membership(E: PixelGrid, z: np.ndarray) -> np.ndarray:
 def rasterize(E: Region, n: int) -> PixelGrid:
     """Pixel-grid approximation: a cell is true iff its center is in E.
 
-    Centers are additionally clipped to the open unit disk so the output
-    always satisfies the PixelGrid invariant.  On a disk or a star, with
-    reach = bounding_radius(E) * (1 + 1e-12), row blocks whose every |y|
-    exceeds reach stay false untested, and reach < 1 makes the clip moot.
+    The mask is filled by row blocks from `_member_blocks`; cells outside its
+    row and column window stay false untested.
     """
     n = int(n)
     if n < 2:
         raise ConstructionError("grid resolution must be >= 2")
-    side = 2.0 / n
-    axis = -1.0 + (np.arange(n) + 0.5) * side
-    reach = math.inf if isinstance(E, PixelGrid) else bounding_radius(E) * (1.0 + 1e-12)
     mask = np.zeros((n, n), dtype=bool)
-    rows = max(1, BLOCK // n)
-    for r in range(0, n, rows):
-        if np.min(np.abs(axis[r : r + rows])) > reach:
-            continue
-        z = axis[None, :] + 1j * axis[r : r + rows, None]
-        inside = contains_points(E, z)
-        mask[r : r + rows] = inside & (np.abs(z) < 1.0) if reach >= 1.0 else inside
+    for rows, cols, _, inside in _member_blocks(E, n):
+        mask[rows, cols] = inside
     return PixelGrid(n=n, mask=mask)
+
+
+def _member_blocks(E: Region, n: int):
+    """Yield (rows, cols, z, inside) per row block of E's n x n raster, in
+    row-major order: centers z = axis[cols] + 1j * axis[rows] and membership.
+    On a disk or a star both stop at |axis| <= reach = bounding_radius(E) *
+    (1 + 1e-12), one slice as |axis| is even and convex; a center beyond has
+    |z| > reach.  Centers are (a + ib)/n, a and b of the parity of n + 1, so
+    none has |z| = 1, and members (|z| <= R <= 1) need no clip to |z| < 1;
+    PixelGrid inputs, whose finer centers can leave the disk, keep it."""
+    axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+    reach = math.inf if isinstance(E, PixelGrid) else bounding_radius(E) * (1.0 + 1e-12)
+    near = np.flatnonzero(np.abs(axis) <= reach)
+    cols = slice(near[0], near[-1] + 1) if near.size else slice(0, 0)
+    step = max(1, BLOCK // n)
+    for r in range(cols.start, cols.stop, step):
+        rows = slice(r, min(r + step, cols.stop))
+        z = axis[None, cols] + 1j * axis[rows, None]
+        inside = contains_points(E, z)
+        if reach == math.inf:
+            inside &= np.abs(z) < 1.0
+        yield rows, cols, z, inside
 
 
 def bounding_radius(E: Region) -> float:

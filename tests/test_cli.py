@@ -7,9 +7,13 @@ import math
 
 import pytest
 
+import harmarea.cli
 import harmarea.distortion
 import oracles
 from harmarea.cli import main
+
+
+RAWBALL = {"kind": "rawball", "degree": 2, "coeff_bound": 0.25}
 
 
 def run(capsys, argv):
@@ -459,6 +463,25 @@ class TestSearch:
         assert (a_dir / "search.csv").read_bytes() == (b_dir / "search.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("argv", [[], ["--r", "0.6"]], ids=["family", "map"])
+    def test_negative_seed_exits_two_before_any_scoring(self, capsys, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scored with a negative seed")
+
+        monkeypatch.setattr(harmarea.cli, "maximize_area_ratio", refuse)
+        monkeypatch.setattr(harmarea.cli, "maximize_sp_ratio", refuse)
+        if argv:
+            argv = ["--preset", "example1-affine-0.2", *argv]
+        else:
+            argv = ["--family", write_json(tmp_path / "rawball.json", RAWBALL)]
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["search", *argv, "--seed", "-1", "--out", str(out_dir)])
+        assert code == 2
+        assert out == ""
+        assert "--seed must be >= 0" in err
+        assert not out_dir.exists()
+
+
 class TestCsvOnlyCommands:
     @pytest.mark.parametrize("command", ["sweep", "search"])
     def test_json_format_exits_two_before_any_output(self, capsys, tmp_path, command):
@@ -531,6 +554,24 @@ class TestOracle:
         )
         assert code == 0
         assert float(stdout_value(out, "relative_gap")) <= 0.02
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_image_exits_two(self, capsys, tmp_path):
+        # f = 1e308 (z + z^2) overflows to inf and nan on the raster, so no
+        # window holds the image; doubling the window used to loop forever.
+        map_path = write_json(
+            tmp_path / "m.json",
+            {"form": "polynomial", "h": [[0, 0], [1e308, 0], [1e308, 0]], "g": [[0, 0]]},
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, ["oracle", "--map", map_path, "--r", "0.9", "--n", "64", "--out", str(out_dir)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "overflows every raster window" in err
+        assert not out_dir.exists()
 
     def test_bad_resolution(self, capsys, tmp_path):
         code, _, _ = run(

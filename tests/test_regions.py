@@ -226,6 +226,24 @@ class TestRasterize:
         g = rasterize(Disk(1.0), 64)
         assert np.all(np.abs(g.cell_centers()) < 1.0)
 
+    @pytest.mark.parametrize(
+        "E",
+        [Disk(1.0), StarShaped(tuple(min(1.0, 0.75 + 0.35 * math.cos(2.0 * t))
+                                     for t in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)))],
+        ids=["unit-disk", "star-reaching-one"],
+    )
+    def test_unit_circle_clip_never_drops_a_member(self, E):
+        # Centres are (a + ib)/n with a and b of the parity of n + 1, so
+        # a^2 + b^2 != n^2 and each lies about 1/(2n^2) or more off the unit
+        # circle: a member (|z| <= R <= 1) always has |z| < 1.
+        for n in [*range(2, 301), 512, 1024, 2048, 4096]:
+            axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+            step = max(1, BLOCK // n)
+            for r in range(0, n, step):
+                z = axis[None, :] + 1j * axis[r : r + step, None]
+                inside = contains_points(E, z)
+                assert np.array_equal(inside & (np.abs(z) < 1.0), inside), n
+
     def test_cell_centers_row_major(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 2] = True
@@ -238,8 +256,10 @@ class TestRasterize:
     @pytest.mark.parametrize("n", [300, 512])
     @pytest.mark.parametrize(
         "E",
-        [Disk(1.0), Disk(0.7), StarShaped(EIGHT), star_cos3(256, 0.9), rasterize(Disk(0.6), 64)],
-        ids=["unit-disk", "disk", "star8", "cos3", "grid"],
+        [Disk(1.0), Disk(0.7), StarShaped(EIGHT), star_cos3(256, 0.9), rasterize(Disk(0.6), 64),
+         # Its cells reach past the unit circle, so finer centers there are clipped.
+         rasterize(Disk(1.0), 4)],
+        ids=["unit-disk", "disk", "star8", "cos3", "grid", "coarse-grid"],
     )
     def test_blocked_raster_matches_whole_array_reference(self, E, n):
         # n = 300 ends in a partial row block; n = 512 fills whole blocks.
@@ -360,8 +380,8 @@ class TestRadiusFirstMembership:
         ids=["disk", "star-peaks-on-the-y-axis"],
     )
     def test_row_blocks_beyond_the_radius_at_full_size(self, E):
-        # At n = 2048 a block is 32 rows; the block just inside the radius
-        # starts below 0.9 * bounding_radius, so a smaller reach would drop it.
+        # Rows and columns stop at |axis| <= reach: at n = 2048 a reach of
+        # 0.9 * bounding_radius would drop member cells.
         if isinstance(E, Disk):
             member = lambda z: np.abs(z) <= E.r
         else:
