@@ -391,14 +391,13 @@ def integrate_runs(field, E: PixelGrid, nodes: int) -> QuadResult:
 def mc_image_area(f, E: Region, n: int = 1024, seed: int = 42) -> QuadResult:
     """Rasterization estimate of the image area m(f(E)).
 
-    Streams the row blocks of an n x n rasterization of E, maps each block's
-    cell centers, bins the images onto an n x n grid over [-W,W]^2, dilates
-    occupied cells by one cell to close coverage gaps, and returns the
-    occupied area.  W doubles from 2 until the extremes of Re and Im of the
-    images lie in the window (ConstructionError if no finite W holds them).
-    The error estimate repeats the construction at half resolution with
-    seed-jittered sample offsets; the main estimate itself is seed-independent.
-    Assumes f is injective on E (not checked).
+    Streams row blocks of an n x n rasterization of E: maps each block's cell
+    centers and bins the images onto an n x n grid over [-W,W]^2, then dilates
+    occupied cells by one cell to close coverage gaps and returns their area.
+    W doubles from 2 until the extremes of Re and Im of the images fit
+    (ConstructionError if no finite W holds them).  The error estimate repeats
+    this at half resolution with seed-jittered offsets; the main estimate is
+    seed-independent.  Assumes f is injective on E (not checked).
     """
     n = int(n)
     # The error estimate's half pass needs n // 2 >= 2.
@@ -413,10 +412,10 @@ def mc_image_area(f, E: Region, n: int = 1024, seed: int = 42) -> QuadResult:
 def _raster_pass(f, E: Region, n: int, rng) -> tuple[float, int]:
     centers = (z[inside] for _, _, z, inside in _member_blocks(E, n))
     if rng is not None:
-        # One (2, N) draw, sliced row-major over the blocks: the same stream.
+        # One (2, N) draw of half-cell offsets, sliced row-major over the blocks.
         centers = list(centers)
         sizes = [c.size for c in centers]
-        jitter = rng.uniform(-0.5, 0.5, size=(2, sum(sizes))) * (2.0 / n / 2.0)
+        jitter = rng.uniform(-0.5, 0.5, size=(2, sum(sizes))) / n
         parts = np.split(jitter, np.cumsum(sizes)[:-1], axis=1)
         centers = [c + j[0] + 1j * j[1] for c, j in zip(centers, parts)]
         centers = [c[np.abs(c) < 1.0] for c in centers]

@@ -138,12 +138,12 @@ class PixelGrid:
 Region = Union[Disk, StarShaped, PixelGrid]
 
 
-def _interp_profile(E: StarShaped, theta) -> np.ndarray:
+def _interp_profile(E: StarShaped, t) -> np.ndarray:
+    """The profile's interpolant at angles t in [0, 2 pi]."""
     prof = np.asarray(E.profile, dtype=float)
     m = prof.size
     xp = 2.0 * np.pi * np.arange(m + 1) / m
     fp = np.append(prof, prof[0])
-    t = np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
     return np.interp(t, xp, fp)
 
 
@@ -152,7 +152,7 @@ def radial_profile(E: Region, theta: float):
     if isinstance(E, Disk):
         return E.r
     if isinstance(E, StarShaped):
-        out = _interp_profile(E, theta)
+        out = _interp_profile(E, np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi))
         return float(out) if out.ndim == 0 else out
     raise ValueError("radial_profile is undefined for pixel grids")
 
@@ -197,7 +197,9 @@ def contains_points(E: Region, z: np.ndarray) -> np.ndarray:
         r = np.abs(z)
         out = r < min(E.profile) * (1.0 - 1e-12)
         ring = ~out & (r <= max(E.profile) * (1.0 + 1e-12))
-        out[ring] = r[ring] <= _interp_profile(E, np.angle(z[ring]))
+        theta = np.angle(z[ring])
+        theta[theta < 0.0] += 2.0 * np.pi  # np.mod(theta, 2 pi), to the bit
+        out[ring] = r[ring] <= _interp_profile(E, theta)
         return out
     return _grid_membership(E, z)
 
@@ -216,8 +218,7 @@ def _grid_membership(E: PixelGrid, z: np.ndarray) -> np.ndarray:
 def rasterize(E: Region, n: int) -> PixelGrid:
     """Pixel-grid approximation: a cell is true iff its center is in E.
 
-    The mask is filled by row blocks from `_member_blocks`; cells outside its
-    row and column window stay false untested.
+    Filled from `_member_blocks`; cells outside its window stay false.
     """
     n = int(n)
     if n < 2:
