@@ -246,7 +246,7 @@ def _member_blocks(E: Region, n: int):
         rows = slice(r, min(r + step, cols.stop))
         z = axis[None, cols] + 1j * axis[rows, None]
         inside = contains_points(E, z)
-        if reach == math.inf:
+        if isinstance(E, PixelGrid):
             inside &= np.abs(z) < 1.0
         yield rows, cols, z, inside
 
