@@ -13,6 +13,9 @@ graded boundary panels.  star_contains_whole and mc_image_area_whole keep
 the star membership that interpolates the profile at every point and the
 raster estimate built on full-length np.nonzero centers, as the references
 for the radius-first membership and the row-block centers.
+horner_from_zero and check_disk_three_pass keep series evaluation from a
+zero start and the domain check's three separate passes, as the references
+for the leading-coefficient start and the one-pass check.
 """
 
 import cmath
@@ -21,6 +24,28 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+
+def horner_from_zero(coefficients, z):
+    """sum c_k z^k by Horner from a zero start, so the leading c enters as
+    0 * z + c; a scalar z other than an ndarray starts from 0j."""
+    result = np.zeros_like(np.asarray(z), dtype=complex) if isinstance(z, np.ndarray) else 0j
+    for c in reversed(coefficients):
+        result = result * z + c
+    return result
+
+
+def check_disk_three_pass(z) -> None:
+    """The closed-disk domain check as three passes: finite real parts,
+    finite imaginary parts, then |z| <= 1 + DOMAIN_EPS."""
+    from harmarea.errors import DomainError
+    from harmarea.maps import DOMAIN_EPS
+
+    arr = np.asarray(z)
+    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        raise DomainError("evaluation point must be finite")
+    if np.any(np.abs(arr) > 1.0 + DOMAIN_EPS):
+        raise DomainError("evaluation point outside the closed unit disk")
 
 
 def disk_area(r: float) -> float:

@@ -27,7 +27,7 @@ from harmarea import (
     shear,
     validate,
 )
-from harmarea.maps import SENSE_MARGIN, _zero_free_closed_disk
+from harmarea.maps import DOMAIN_EPS, SENSE_MARGIN, ValidityReport, _zero_free_closed_disk
 from harmarea.presets import preset_map, preset_names
 from harmarea.search import AffineFamily, AutomorphismFamily, RawBall, ShearFamily, _lattice
 
@@ -81,6 +81,60 @@ class TestAnalyticSeries:
         z = r * cmath.exp(1j * t)
         direct = 0.25 - 0.125 * z**2 + 0.0625 * z**3
         assert abs(s.evaluate(z) - direct) < 1e-14
+
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=9,
+        ),
+        st.integers(1, 70000),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_evaluation_matches_the_zero_start(self, coeffs, size, seed):
+        # Horner from the leading coefficient against Horner from 0: == holds
+        # bit for bit, up to the sign of a zero.
+        s = AnalyticSeries(coeffs)
+        rng = np.random.default_rng(seed)
+        z = np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+        z[rng.uniform(size=size) < 0.01] = 0.0
+        got = s.evaluate(z)
+        assert isinstance(got, np.ndarray) and got.dtype == complex and got.shape == z.shape
+        assert np.array_equal(got, oracles.horner_from_zero(s.coefficients, z))
+        for point in (complex(z[-1]), z[-1], 0j):
+            assert complex(s.evaluate(point)) == oracles.horner_from_zero(s.coefficients, point)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            complex(math.nan, 0.0),
+            complex(0.0, math.inf),
+            complex(-math.inf, math.nan),
+            1.0 + DOMAIN_EPS,
+            complex(0.0, 1.0 + DOMAIN_EPS),
+            float(np.nextafter(1.0 + DOMAIN_EPS, 2.0)),
+            complex(0.0, np.nextafter(1.0 + DOMAIN_EPS, 2.0)),
+            3.0 - 4.0j,
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("shape", ["scalar", "array", "after-outside"])
+    def test_domain_check_matches_three_passes(self, point, shape):
+        z = {
+            "scalar": point,
+            "array": np.array([0.5, point]),
+            # An outside point first: a non-finite one still names finiteness.
+            "after-outside": np.array([2.0, point, 0.1j]),
+        }[shape]
+        try:
+            oracles.check_disk_three_pass(z)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                harmarea.maps._check_disk(z)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        else:
+            harmarea.maps._check_disk(z)
 
 
 class TestPolynomialMap:
@@ -449,6 +503,36 @@ _STACKED_MAP = st.one_of(
 class TestValidateRows:
     """validate_rows on a stack of maps of mixed degree gives each row what
     validate gives the map alone, bit for bit."""
+
+    def test_each_row_is_what_validate_gives(self):
+        maps = [
+            affine(0.5),
+            raw_polynomial((0.0, 1.0, -0.5), (0.0,)),  # h' vanishes at the sample z = 1
+            raw_polynomial((0.3,), (0.0, 0.1)),  # h' = 0
+            raw_polynomial((0.0, 1.0), (0.0, 2.0)),  # reversing
+            RawBall(2, 0.5).construct((-0.4375, -0.4375, 0.1875)),  # doubles the circle
+            shear(0.3, 3),
+            raw_polynomial((0.0, 1.0), (0.0, 0.5, 0.0, 0.25)),  # reversing, degree 3
+            raw_polynomial((0.0, 2.0), (0.0, 0.0, 0.0, 0.3)),  # not a self-map
+        ]
+        stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
+        assert len(stacked) == len(maps)
+        critical = reversing = 0
+        for i, f in enumerate(maps):
+            try:
+                alone = validate(f)
+            except CriticalPointError as exc:
+                critical += 1
+                assert type(stacked[i]) is CriticalPointError and str(stacked[i]) == str(exc)
+                continue
+            row = stacked[i]
+            reversing += not alone.sense_preserving
+            assert type(row) is ValidityReport
+            assert row.sense_preserving is alone.sense_preserving
+            assert row.certified is alone.certified
+            assert row.sup_abs_dilatation.hex() == alone.sup_abs_dilatation.hex()
+            assert row.self_map_sup.hex() == alone.self_map_sup.hex()
+        assert (critical, reversing) == (2, 2)
 
     @pytest.mark.parametrize("cap", [None, 64])
     @given(st.lists(_STACKED_MAP, min_size=1, max_size=12))
