@@ -48,10 +48,12 @@ def _require_finite(values, what: str) -> None:
 
 def _check_disk(z) -> None:
     arr = np.asarray(z)
+    # One pass: a nan or an inf fails it too.  Only a failure looks at why.
+    if np.all(np.abs(arr) <= 1.0 + DOMAIN_EPS):
+        return
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise DomainError("evaluation point must be finite")
-    if np.any(np.abs(arr) > 1.0 + DOMAIN_EPS):
-        raise DomainError("evaluation point outside the closed unit disk")
+    raise DomainError("evaluation point outside the closed unit disk")
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,10 @@ class AnalyticSeries:
         return self._evaluate_unchecked(z)
 
     def _evaluate_unchecked(self, z):
-        result = np.zeros_like(np.asarray(z), dtype=complex) if isinstance(
-            z, np.ndarray
-        ) else 0j
-        for c in reversed(self.coefficients):
+        # Horner from the leading coefficient; every step is elementwise.
+        *rest, lead = self.coefficients
+        result = np.full(z.shape, lead) if isinstance(z, np.ndarray) else lead
+        for c in reversed(rest):
             result = result * z + c
         return result
 
@@ -324,8 +326,8 @@ def _horner_rows(rows: np.ndarray, m: int) -> np.ndarray:
     along the last axis of rows; the leading axes are kept.
 
     Elementwise the same operations as AnalyticSeries evaluation, which
-    starts from 0 * z + c for the leading c: starting from c, or padding
-    zeros onto a shorter polynomial, can change only the sign of a zero.
+    also starts from the leading c: padding zeros onto a shorter
+    polynomial can change only the sign of a zero.
     """
     circle = _circle(m)
     values = np.empty(rows.shape[:-1] + (m,), dtype=complex)
@@ -361,48 +363,71 @@ def coefficient_rows(maps) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=complex), np.array(degree)
 
 
-def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> list:
+@dataclass(frozen=True)
+class RowValidity:
+    """validate_rows' decisions: the ValidityReport fields as per-row arrays,
+    and the CriticalPointError of each row whose h' may vanish on the closed
+    disk (it reads neither sense-preserving nor certified).  Row i is what
+    validate gives map i: its ValidityReport, or that error."""
+
+    sense_preserving: np.ndarray
+    sup_abs_dilatation: np.ndarray
+    self_map_sup: np.ndarray
+    certified: np.ndarray
+    critical: dict
+
+    def __len__(self) -> int:
+        return len(self.certified)
+
+    def __getitem__(self, i: int):
+        if i in self.critical:
+            return self.critical[i]
+        columns = (self.sense_preserving, self.sup_abs_dilatation, self.self_map_sup, self.certified)
+        return ValidityReport(*(column[i].item() for column in columns))
+
+
+def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
     """validate for a stack of polynomial maps, one pass for all of them.
 
     coefficients has shape (N, 2, n): the ascending coefficients of h and g
     of each map, zero padded; degree holds each map's max(h.degree,
-    g.degree).  Returns, per row, the ValidityReport validate(f) returns,
-    or the CriticalPointError it raises; row i's report is bit for bit the
-    one validate gives map i.
+    g.degree).  Row i of the result is bit for bit what validate gives map
+    i, decided as columns: no report is built until a row is indexed.
 
     One Horner pass puts h, g, h' and g' of every row on the first circle;
-    the Schur-Cohn test runs per row; the Bernstein test runs on all
-    undecided rows at once, and only those rows go on to the doubled circle.
-    Memory is N * 4 * CIRCLE_SAMPLES complex values: callers bound N.
+    the Schur-Cohn test runs once per distinct h'; the Bernstein test runs
+    on all undecided rows at once, and only those rows go on to the doubled
+    circle.  Memory is N * 4 * CIRCLE_SAMPLES complex values: callers bound N.
     """
     count, _, n = coefficients.shape
     rows = np.zeros((count, 4, n), dtype=complex)
     rows[:, :2] = coefficients
     rows[:, 2:, :-1] = coefficients[:, :, 1:] * np.arange(1, n)
     on_circle = _horner_rows(rows, CIRCLE_SAMPLES)
-    sup_f = np.abs(on_circle[:, 0] + np.conjugate(on_circle[:, 1])).max(axis=1).tolist()
+    sup_f = np.abs(on_circle[:, 0] + np.conjugate(on_circle[:, 1])).max(axis=1)
     derivatives = rows[:, 2:, :-1]
     values = on_circle[:, 2:]
     abs_h = np.abs(values[:, 0])
     near_zero = (abs_h.min(axis=1) < CRITICAL_EPS).tolist()
     # Stacked maps often share h', so the Schur-Cohn test runs once per h'.
     zero_free: dict[tuple, bool] = {}
-    out: list = [None] * count
+    critical: dict[int, CriticalPointError] = {}
     for i, h_prime in enumerate(map(tuple, derivatives[:, 0].tolist())):
         if h_prime not in zero_free:
             zero_free[h_prime] = _zero_free_closed_disk(h_prime)
         if near_zero[i] or not zero_free[h_prime]:
             where = _critical_point(derivatives[i, 0], abs_h[i])
-            out[i] = CriticalPointError(f"sense-preservation undecidable: {where}")
+            critical[i] = CriticalPointError(f"sense-preservation undecidable: {where}")
     # Once h' is zero-free on the closed disk, g'/h' is analytic there and
     # its modulus peaks on the circle.  T = (1 - SENSE_MARGIN)^2 |h'|^2 -
     # |g'|^2 is a real trigonometric polynomial of degree d, so by
     # Bernstein's inequality it moves by at most (pi d / m) max|T| between
     # m equally spaced samples.
+    sense, certified, sup_k = np.zeros(count, bool), np.zeros(count, bool), np.zeros(count)
     live = np.arange(count)
     d = np.maximum(degree - 1, 0)
-    if any(out):
-        live = np.flatnonzero([report is None for report in out])
+    if critical:
+        live = np.delete(live, list(critical))
         values, abs_h, d = values[live], abs_h[live], d[live]
     m = CIRCLE_SAMPLES
     while live.size:
@@ -418,21 +443,14 @@ def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> list:
         t = abs_h * abs_h * ((1.0 - SENSE_MARGIN) ** 2 - ratio * ratio)
         step = math.pi * d / m
         positive = (step < 1.0) & (t.min(axis=1) * (1.0 - step) > step * t.max(axis=1))
-        # Past CIRCLE_CAP the samples decide, uncertified.
-        undecided = ~(reversing | positive) & (2 * m <= CIRCLE_CAP)
-        for i, k_i, rev, pos, wait in zip(
-            live.tolist(), k.tolist(), reversing.tolist(), positive.tolist(), undecided.tolist()
-        ):
-            if not wait:
-                out[i] = ValidityReport(
-                    sense_preserving=not rev,
-                    sup_abs_dilatation=k_i,
-                    self_map_sup=sup_f[i],
-                    certified=rev or pos,
-                )
+        decided = reversing | positive
+        # Every live row is written; an undecided one is written again on
+        # the doubled circle.  Past CIRCLE_CAP the samples decide, uncertified.
+        sense[live], certified[live], sup_k[live] = ~reversing, decided, k
+        undecided = ~decided & (2 * m <= CIRCLE_CAP)
         live, d = live[undecided], d[undecided]
         m *= 2
-    return out
+    return RowValidity(sense, sup_k, sup_f, certified, critical)
 
 
 def validate(f: HarmonicMap) -> ValidityReport:
@@ -459,7 +477,7 @@ def validate(f: HarmonicMap) -> ValidityReport:
             self_map_sup=float(np.max(np.abs(values))),
             certified=True,
         )
-    (report,) = validate_rows(*coefficient_rows([f]))
+    report = validate_rows(*coefficient_rows([f]))[0]
     if isinstance(report, CriticalPointError):
         raise report
     return report

@@ -10,9 +10,11 @@ a fixed seed.
 
 The lattice, of sweep and of maximize_area_ratio alike, is scored in
 blocks of rows, not one map at a time.  A block's polynomial maps are
-validated in one maps.validate_rows pass, and a RawBall row, whose
+validated in one maps.validate_rows pass, decided as columns: only an
+infeasible row becomes a ValidityReport, for its note.  A RawBall row, whose
 parameters are its coefficients, needs no map object at all: on a disk its
-area is the closed form of distortion.disk_series_area on its coefficient
+area is the closed form of distortion.disk_series_area, term for term, with
+m(E) and the weights n r^(2n - 2) computed once per block and one fsum per
 row.  Only an area on a star or a pixel grid builds the map.  The result is
 bit for bit the one-map-at-a-time result: the same notes, ratios,
 incumbent, trace and evaluation count.  Each simplex vertex is scored as a
@@ -28,12 +30,13 @@ from typing import Union
 
 import numpy as np
 
-from .distortion import disk_series_area, image_area, sp_ratio
+from .distortion import image_area, sp_ratio
 from .errors import BudgetError, ConstructionError, CriticalPointError, HypothesisError
 from .maps import (
     DEGREE_CAP,
     DiskAutomorphism,
     HarmonicMap,
+    SELF_MAP_SLACK,
     PolynomialMap,
     ValidityReport,
     affine,
@@ -223,9 +226,12 @@ class FamilySpec:
             if why:
                 raise HypothesisError(why)
 
-    def _violation(self, report: ValidityReport) -> str:
-        """Why a map with this validity report violates a constraint; "" if
-        it does not."""
+    def _violation(self, report: ValidityReport | CriticalPointError) -> str:
+        """Why a map with this validate result, its report or the
+        CriticalPointError validate raises, violates a constraint; "" if it
+        does not."""
+        if isinstance(report, CriticalPointError):
+            return str(report)
         if self.require_sense_preserving and not report.sense_preserving:
             return "not sense-preserving (certified)"
         if self.require_self_map and not report.self_map:
@@ -297,8 +303,9 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     map f, or nan when f cannot be constructed.
 
     The block's polynomial maps are validated together by
-    maps.validate_rows.  A RawBall row is its coefficient row: no map object
-    is built for it, except for an area on a region other than a disk.
+    maps.validate_rows; a report, and its note, is built only for an
+    infeasible row.  A RawBall row is its coefficient row: no map object is
+    built for it, except for an area on a region other than a disk.
     """
     kind = family.kind
     notes = [""] * len(params)
@@ -306,7 +313,6 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
         maps = None
         polynomial = list(range(len(params)))
         rows, degree = kind.coefficients(params), np.full(len(params), kind.degree)
-        coefficients = rows.tolist()
     else:
         maps = []
         for i, p in enumerate(params.tolist()):
@@ -319,22 +325,36 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
         if polynomial:
             rows, degree = coefficient_rows([maps[i] for i in polynomial])
     if family.require_self_map or family.require_sense_preserving:
-        reports = dict(zip(polynomial, validate_rows(rows, degree))) if polynomial else {}
+        if polynomial:
+            validity = validate_rows(rows, degree)
+            # A critical row reads neither sense-preserving nor certified.
+            bad = ~validity.sense_preserving
+            if not family.require_sense_preserving:
+                bad &= ~validity.certified
+            if family.require_self_map:
+                bad |= ~(validity.self_map_sup <= 1.0 + SELF_MAP_SLACK)
+            for j in bad.nonzero()[0].tolist():
+                notes[polynomial[j]] = f"constraint: {family._violation(validity[j])}"
         # Automorphisms have no coefficient rows.
-        reports.update(
-            (i, validate(f)) for i, f in enumerate(maps or ()) if isinstance(f, DiskAutomorphism)
-        )
-        for i, report in reports.items():
-            if isinstance(report, CriticalPointError):
-                notes[i] = f"constraint: {report}"
-            elif why := family._violation(report):
+        for i, f in enumerate(maps or ()):
+            if isinstance(f, DiskAutomorphism) and (why := family._violation(validate(f))):
                 notes[i] = f"constraint: {why}"
 
+    if maps is None and isinstance(E, Disk):
+        # distortion.disk_series_area of each row, term for term.
+        check_tol(tol)
+        m_e, r = region_measure(E), E.r
+        powers = range(1, kind.degree + 1)
+        weights = [(sign * n, r ** (2 * n - 2)) for sign in (1.0, -1.0) for n in powers]
+        coefficients = [h[1:] + g[1:] for h, g in rows.tolist()]
+
+        def area(i: int) -> float:
+            terms = [sn * abs(c) ** 2 * rn for (sn, rn), c in zip(weights, coefficients[i])]
+            return m_e * math.fsum(terms)
+
+        return notes, area
+
     def area(i: int) -> float:
-        if maps is None and isinstance(E, Disk):
-            check_tol(tol)
-            h, g = coefficients[i]
-            return disk_series_area(E, [(1.0, h), (-1.0, g)]).value
         f = kind.construct(params[i]) if maps is None else maps[i]
         if isinstance(f, ConstructionError):
             return math.nan
