@@ -89,20 +89,24 @@ def _area_integral(
     """Integral of J_f (or |h'|^2 if energy) over E.
 
     On a pixel grid a polynomial map's J_f and |h'|^2 are polynomials of
-    degree at most 2(d - 1) in x and in y, d the largest degree of the
-    series integrated, so quadrature.integrate_runs with max(d, 1) nodes
-    per axis is exact up to rounding (error_estimate 0.0).  Any other
-    automorphism's Jacobian is not a polynomial, and a rim cell can reach
-    toward its pole 1/conj(a): it keeps the midpoint rule of
-    quadrature.integrate_grid.
+    degree at most 2(d - 1) in x and in y, d >= 2 the largest degree of the
+    series integrated, so quadrature.integrate_runs with d nodes per axis
+    is exact up to rounding (error_estimate 0.0).  Any other automorphism's
+    Jacobian is not a polynomial, and a rim cell can reach toward its pole
+    1/conj(a): it keeps the midpoint rule of quadrature.integrate_grid.
 
-    Closed forms, exact up to rounding (error_estimate 0.0):
+    Closed forms, exact up to rounding (error_estimate 0.0, evals 1 unless
+    stated):
+    - any region under a polynomial map of degree at most 1: J_f is the
+      constant S = |a_1|^2 - |b_1|^2 (|a_1|^2 for the energy), the fsum of
+      the n = 1 terms below, and the value is m(E) * S.  On a disk that is
+      the disk series' value bit for bit.
     - a disk under a polynomial map: for h = sum a_n z^n, g = sum b_n z^n
       the area formula gives int_{D_r} J_f = pi sum n (|a_n|^2 - |b_n|^2)
       r^{2n} (Duren, Harmonic Mappings in the Plane, 2004, sec. 1); the
       energy drops the b_n terms.  The value is m(D_r) * S with S = fsum
       of n (|a_n|^2 - |b_n|^2) r^{2(n-1)}, so a map with J_f = 1
-      reproduces pi r^2 bit for bit.
+      reproduces pi r^2 bit for bit.  evals is the degree.
     - a disk under an automorphism: its image is a disk, and the value is
       m(D_r) * S with S = ((1 - |a|^2) / (1 - |a|^2 r^2))^2, so S = 1 for
       a rotation.  An automorphism's energy density is its Jacobian.
@@ -125,13 +129,16 @@ def _area_integral(
         return integrate_boundary(parts, E, tol, pole=1.0 / f.a.conjugate())
     series = [(1.0, f.h)] if energy else [(1.0, f.h), (-1.0, f.g)]
     degree = max(part.degree for _, part in series)
+    if degree <= 1:
+        s = math.fsum(sign * abs(part.coefficients[1]) ** 2 for sign, part in series if part.degree)
+        return QuadResult(region_measure(E) * s, 0.0, 1)
     if isinstance(E, PixelGrid):
         slopes = [(sign, part.derivative()._evaluate_unchecked) for sign, part in series]
 
         def density(z):
             return sum(sign * np.abs(d(z)) ** 2 for sign, d in slopes)
 
-        return integrate_runs(density, E, max(1, degree))
+        return integrate_runs(density, E, degree)
     if isinstance(E, Disk):
         return disk_series_area(E, [(sign, part.coefficients) for sign, part in series])
     parts = [
@@ -169,11 +176,13 @@ def image_area(
 ) -> QuadResult:
     """m(f(E)) via the area formula: integral of the Jacobian over E.
 
-    Disks under any map, and any region under a rotation, use a closed form
-    that is exact up to rounding (error_estimate 0.0).  Other stars use the
+    Disks under any map, and any region under a rotation or a polynomial
+    map of degree at most 1 (constant Jacobian), use a closed form that is
+    exact up to rounding (error_estimate 0.0).  Other stars use the
     boundary integral of quadrature.integrate_boundary.  Pixel grids use
     the exact run rule of quadrature.integrate_runs under polynomial maps
-    and the midpoint rule under other automorphisms; see _area_integral.
+    of degree >= 2 and the midpoint rule under other automorphisms; see
+    _area_integral.
     Polar quadrature is never used.  On every region a tol that
     quadrature.check_tol rejects raises ConstructionError.
     """
@@ -191,10 +200,11 @@ def image_area(
 def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of |h'|^2 over E (the analytic part's area integral).
 
-    Closed form on disks under any map and on any region under a rotation,
-    the boundary integral of h alone on other stars; on pixel grids the
-    exact run rule under polynomial maps and the midpoint rule under other
-    automorphisms, as in image_area.
+    Closed form on disks under any map and on any region under a rotation
+    or a polynomial map of degree at most 1, the boundary integral of h
+    alone on other stars; on pixel grids the exact run rule under the other
+    polynomial maps and the midpoint rule under other automorphisms, as in
+    image_area.
     """
     return _area_integral(f, E, tol, energy=True)
 

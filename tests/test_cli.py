@@ -354,7 +354,8 @@ class TestSweep:
             return original(parts, E, tol, **kwargs)
 
         monkeypatch.setattr(harmarea.distortion, "integrate_boundary", recording)
-        fam = write_json(tmp_path / "fam.json", {"kind": "affine", "alpha_range": [0.0, 0.5]})
+        # A shear family: degree-1 maps take the closed form on every region.
+        fam = write_json(tmp_path / "fam.json", {"kind": "shear", "alpha_range": [0.0, 0.3]})
         star = write_json(tmp_path / "star.json", {"kind": "star", "profile": [0.5, 0.6] * 8})
         argv = ["sweep", "--family", fam, "--region", star, "--n", "3", "--out", str(tmp_path)]
         assert run(capsys, argv + ["--tol", "1e-5"])[0] == 0

@@ -54,7 +54,13 @@ from harmarea import (
 from harmarea import distortion
 from harmarea.distortion import _sorted_jacobian_cells, default_tolerance
 from harmarea.presets import preset_map, preset_names
-from harmarea.quadrature import DEFAULT_M0, DEFAULT_Q0, DEFAULT_TOL
+from harmarea.quadrature import (
+    DEFAULT_M0,
+    DEFAULT_Q0,
+    DEFAULT_TOL,
+    integrate_boundary,
+    integrate_runs,
+)
 
 EXACT_RADII = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -267,6 +273,75 @@ profiles = st.lists(
 def _agrees_with_polar(result, field, E):
     quad = integrate_polar(field, E)
     assert abs(result.value - quad.value) <= DEFAULT_TOL * max(1.0, abs(quad.value))
+
+
+def _complex(lo, hi):
+    return st.complex_numbers(
+        min_magnitude=lo, max_magnitude=hi, allow_nan=False, allow_infinity=False
+    )
+
+
+# h = a_0 + a_1 z and g = b_0 + b_1 z with complex coefficients and nonzero
+# constant terms.  |b_1| <= |a_1| / 2 keeps J_f >= 3 |a_1|^2 / 4, so the
+# rounding of |h'|^2 - |g'|^2 stays small against J_f.
+degree_one = st.builds(
+    lambda a0, a1, b0, t: raw_polynomial((a0, a1), (b0, a1 * t)),
+    _complex(0.01, 1.0),
+    _complex(0.5, 2.0),
+    _complex(0.01, 1.0),
+    _complex(0.0, 0.5),
+)
+grids = st.builds(
+    lambda prof, n: rasterize(StarShaped(tuple(prof)), n),
+    st.lists(st.floats(0.05, 1.0), min_size=8, max_size=16),
+    st.integers(2, 64),
+)
+
+
+def _area_and_energy(f, E):
+    """(result, series) for the area and the energy of f on E."""
+    return (
+        (image_area(f, E, check_sense=False), [(1.0, f.h), (-1.0, f.g)]),
+        (analytic_energy(f, E), [(1.0, f.h)]),
+    )
+
+
+class TestConstantJacobianClosedForm:
+    """A polynomial map of degree <= 1 has the constant Jacobian
+    |a_1|^2 - |b_1|^2, so its area on any region is m(E) times it."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.3 + 0.4j])
+    def test_affine_grid_area_is_measure_times_jacobian(self, alpha):
+        E = rasterize(star_cos3(256, 0.9), 256)
+        res = image_area(affine(alpha), E)
+        assert res.value == region_measure(E) * (1.0 - abs(alpha) ** 2)
+        assert (res.error_estimate, res.evals) == (0.0, 1)
+        assert analytic_energy(affine(alpha), E) == QuadResult(region_measure(E), 0.0, 1)
+
+    @given(f=degree_one, E=profiles)
+    def test_stars_match_the_boundary_integral(self, f, E):
+        for got, series in _area_and_energy(f, E):
+            parts = [
+                (sign, s._evaluate_unchecked, s.derivative()._evaluate_unchecked)
+                for sign, s in series
+            ]
+            quad = integrate_boundary(parts, E, DEFAULT_TOL, min_nodes=8)
+            assert (got.error_estimate, got.evals) == (0.0, 1)
+            assert abs(got.value - quad.value) <= DEFAULT_TOL * max(1.0, abs(got.value))
+
+    @given(f=degree_one, E=grids)
+    def test_grids_match_the_run_rule(self, f, E):
+        for got, series in _area_and_energy(f, E):
+            slopes = [(sign, s.derivative()._evaluate_unchecked) for sign, s in series]
+            runs = integrate_runs(lambda z: sum(c * np.abs(d(z)) ** 2 for c, d in slopes), E, 1)
+            assert math.isclose(got.value, runs.value, rel_tol=1e-15)
+            assert (got.error_estimate, got.evals) == (0.0, 1)
+
+    @given(f=degree_one, r=st.floats(0.0, 1.0, exclude_min=True))
+    def test_disks_keep_the_series_bits(self, f, r):
+        for got, series in _area_and_energy(f, Disk(r)):
+            coefficients = [(sign, s.coefficients) for sign, s in series]
+            assert got == distortion.disk_series_area(Disk(r), coefficients)
 
 
 class TestStarBoundaryKernel:

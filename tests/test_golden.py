@@ -112,31 +112,31 @@ CASES = {
 EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1}
 
 DIGESTS = {
-    "area-grid-affine": "f7a6c716c4dcf972082dfe96a151421ef4dea457eb292167342308e1ec6c267c",
+    "area-grid-affine": "6f009fe4724630f6cbee73da482fa78c8cfcfabd584cc414009b068eabb1c168",
     "area-grid-mobius": "8adadbfd3c8ea18254e6baf0187a7999a27ae02941813167456587b8fc03888c",
     "area-grid-shear": "a8ba84728515eed74f6e706714924c08a65e2d0e45088f8e1f1fe0090836cf89",
-    "area-star": "201b238150295b12dcfc0c97e160398135ea94664fc2b00f2b517de5a9de79dd",
+    "area-star": "7af676728b7c5bbf7814b0ebee729425bdc6fb3edb4579520a23504ca02563ec",
     "area-star-mobius": "da0724c76bf894971dd3e0c71d7ef16bd1c97c6bbc19c1230f5661ec4bd94488",
     "oracle-disk": "26ab2656d1d24172af0c90174d9a8f4d64f9cb248e96ee08cd91c1e2a28f98a9",
-    "oracle-grid": "09e3524850997517f897d71a72c8e3bf81ecc18d7124725329bfe6a243963e3a",
+    "oracle-grid": "69826d5cdbd9624e779e1512e48a86b2b5071913a5f7bbb5e97ec02d55363127",
     "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
-    "oracle-rim-star": "fb4251b0c8cdf8f7d42bbb55235a8da6141ef34c9f928fa68f6f27975eed2171",
-    "oracle-star": "686d1e56284e7dee766e08613bcc39674b0089e2bf32d4685a89a2ea549d05e2",
+    "oracle-rim-star": "5ab5f7707e1790f6936625a51cf0ada38c8ffe06a79f6f537b418b0e716a2243",
+    "oracle-star": "e5ac6b4a236e7687e12c22328875441282464444607fad2dd3ab1015342d7307",
     "oracle-wide": "13d35558f927ffaa8de26e3685142ca825d4eb90199070b8ff5a70c3ae6f7798",
     "search-automorphism": "d1d1e4ac96b5085d89a699347ef750ad679ff910e815cb787e0b185db6640db6",
     "search-family-affine": "bb8d8fb98e963b203d85d652bc42828ea470afa3d8955c16fb758da47b6291f6",
-    "search-family-affine-star": "e97305d9d7d06bed4b051c04b4bb722dc68bef5ea2d71fda36b98de71d61366b",
+    "search-family-affine-star": "bb8d8fb98e963b203d85d652bc42828ea470afa3d8955c16fb758da47b6291f6",
     "search-preset-sp": "d2a949ac1c1609b37e2a59b7925e2a613e95552a008e9a982f8111ac828838d3",
     "search-preset-sp-star": "31530442b2110c7e02ed18d20ec11ad15cce79b3e63f5bc783acf851dbff6d93",
     "search-rawball-disk": "bb406a60b0a49d72ff051a8c3e4e1a86f51c7e9469d50f37c850dcf6fc5fa17f",
     "search-shear-notes": "c90601cf6bfc24d29a9f37e82d460694c47741d690732b6df76c213c9143b2eb",
-    "sweep-affine": "f92db88a7d4874212ae5a243af21588d23a2ab0444c8f3a269c53f9c7f36f950",
+    "sweep-affine": "954f42371d05518adc82034639c23f818ca09ab76d7fc8306c14138054fe0e87",
     "sweep-rawball-notes": "dae07c5a7c3228e1d31ad9431cd09194994d8e5ec716a0b0062f109809a6e28e",
     "sweep-rawball-star": "aff3f543cf3166a7b586d5e2ba86c15264ac8e52eaa1d9bb57ea8314b5366740",
     "sweep-shear-notes": "3caad064f1db568c7844646770a60a5ec28aa333fdc7216c578c8ed0de070a9f",
     "verify-automorphism-0.5": "d51eba380366bbfa09aa2b99cd6d3e5c7079d2d067bfe837ee90f53e038215b0",
-    "verify-example1-affine-0.2": "248aeb617af8125084a233a042befe27ec341afab099f9a1ac33cabe53a6430f",
-    "verify-example1-affine-0.5": "d4098afc6348b1ff8b8a9420728f5174b7e8c279c517109815d586549c16a761",
+    "verify-example1-affine-0.2": "f715aa4e291be6b5374f372ec001152242456ec6facb07195cb7f618f04e3501",
+    "verify-example1-affine-0.5": "f0e231b45c4ebf1098db9e8106c28c53441bc824b8e1131119845facbde1e460",
     "verify-example2-shear-0.1": "9b5a7c0b5bcd22209bbcb07879714773fbc0dbd2f45a170b7cd8e4d73465372e",
     "verify-identity": "a9555e93280b842f304087c248763208b54fd6723d6648f3d00e083d44d3d258",
     "verify-remark-shear-0.3": "51b6e34db46e73154a859e49ae46da4eccea7f36da181ed57922fb22f8594b40",
