@@ -95,18 +95,16 @@ def _area_integral(
     Jacobian is not a polynomial, and a rim cell can reach toward its pole
     1/conj(a): it keeps the midpoint rule of quadrature.integrate_grid.
 
-    Closed forms, exact up to rounding (error_estimate 0.0, evals 1 unless
-    stated):
+    Closed forms, exact up to rounding (error_estimate 0.0):
     - any region under a polynomial map of degree at most 1: J_f is the
       constant S = |a_1|^2 - |b_1|^2 (|a_1|^2 for the energy), the fsum of
-      the n = 1 terms below, and the value is m(E) * S.  On a disk that is
-      the disk series' value bit for bit.
+      the n = 1 terms below, so the value is m(E) * S, with evals 1.
     - a disk under a polynomial map: for h = sum a_n z^n, g = sum b_n z^n
       the area formula gives int_{D_r} J_f = pi sum n (|a_n|^2 - |b_n|^2)
       r^{2n} (Duren, Harmonic Mappings in the Plane, 2004, sec. 1); the
       energy drops the b_n terms.  The value is m(D_r) * S with S = fsum
       of n (|a_n|^2 - |b_n|^2) r^{2(n-1)}, so a map with J_f = 1
-      reproduces pi r^2 bit for bit.  evals is the degree.
+      reproduces pi r^2 bit for bit.
     - a disk under an automorphism: its image is a disk, and the value is
       m(D_r) * S with S = ((1 - |a|^2) / (1 - |a|^2 r^2))^2, so S = 1 for
       a rotation.  An automorphism's energy density is its Jacobian.
@@ -153,9 +151,8 @@ def disk_series_area(E: Disk, series) -> QuadResult:
     polynomials F with those ascending coefficients, in closed form.
 
     For F = sum c_n z^n the integral is pi sum n |c_n|^2 r^{2n}, computed as
-    m(D_r) * fsum of n |c_n|^2 r^{2(n-1)}; see _area_integral.  It takes
-    coefficient rows, not a map, so a search lattice needs no map object
-    per point.
+    m(D_r) * fsum of n |c_n|^2 r^{2(n-1)}; see _area_integral.  search
+    sums a rawball lattice row's terms in the same expression and order.
     """
     r = E.r
     terms = [
@@ -177,12 +174,11 @@ def image_area(
     """m(f(E)) via the area formula: integral of the Jacobian over E.
 
     Disks under any map, and any region under a rotation or a polynomial
-    map of degree at most 1 (constant Jacobian), use a closed form that is
-    exact up to rounding (error_estimate 0.0).  Other stars use the
-    boundary integral of quadrature.integrate_boundary.  Pixel grids use
-    the exact run rule of quadrature.integrate_runs under polynomial maps
-    of degree >= 2 and the midpoint rule under other automorphisms; see
-    _area_integral.
+    map of degree at most 1, use a closed form that is exact up to rounding
+    (error_estimate 0.0).  Other stars use quadrature.integrate_boundary.
+    Pixel grids use the exact run rule of quadrature.integrate_runs under
+    other polynomial maps and the midpoint rule under other automorphisms;
+    see _area_integral.
     Polar quadrature is never used.  On every region a tol that
     quadrature.check_tol rejects raises ConstructionError.
     """
@@ -200,11 +196,9 @@ def image_area(
 def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of |h'|^2 over E (the analytic part's area integral).
 
-    Closed form on disks under any map and on any region under a rotation
-    or a polynomial map of degree at most 1, the boundary integral of h
-    alone on other stars; on pixel grids the exact run rule under the other
-    polynomial maps and the midpoint rule under other automorphisms, as in
-    image_area.
+    Closed form where image_area has one, the boundary integral of h alone
+    on other stars; on pixel grids the exact run rule under polynomial maps
+    and the midpoint rule under other automorphisms, as in image_area.
     """
     return _area_integral(f, E, tol, energy=True)
 

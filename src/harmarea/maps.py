@@ -49,11 +49,10 @@ def _require_finite(values, what: str) -> None:
 def _check_disk(z) -> None:
     arr = np.asarray(z)
     # One pass: a nan or an inf fails it too.  Only a failure looks at why.
-    if np.all(np.abs(arr) <= 1.0 + DOMAIN_EPS):
-        return
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise DomainError("evaluation point must be finite")
-    raise DomainError("evaluation point outside the closed unit disk")
+    if not np.all(np.abs(arr) <= 1.0 + DOMAIN_EPS):
+        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+            raise DomainError("evaluation point must be finite")
+        raise DomainError("evaluation point outside the closed unit disk")
 
 
 @dataclass(frozen=True)
@@ -365,9 +364,9 @@ def coefficient_rows(maps) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RowValidity:
-    """validate_rows' decisions: the ValidityReport fields as per-row arrays,
-    and the CriticalPointError of each row whose h' may vanish on the closed
-    disk (it reads neither sense-preserving nor certified).  Row i is what
+    """validate_rows' per-row arrays of the ValidityReport fields, and the
+    CriticalPointError of each row whose h' may vanish on the closed disk
+    (it reads neither sense-preserving nor certified).  Row i is what
     validate gives map i: its ValidityReport, or that error."""
 
     sense_preserving: np.ndarray
@@ -380,10 +379,8 @@ class RowValidity:
         return len(self.certified)
 
     def __getitem__(self, i: int):
-        if i in self.critical:
-            return self.critical[i]
-        columns = (self.sense_preserving, self.sup_abs_dilatation, self.self_map_sup, self.certified)
-        return ValidityReport(*(column[i].item() for column in columns))
+        fields = (self.sense_preserving, self.sup_abs_dilatation, self.self_map_sup, self.certified)
+        return self.critical.get(i) or ValidityReport(*(a[i].item() for a in fields))
 
 
 def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:

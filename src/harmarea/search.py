@@ -10,16 +10,14 @@ a fixed seed.
 
 The lattice, of sweep and of maximize_area_ratio alike, is scored in
 blocks of rows, not one map at a time.  A block's polynomial maps are
-validated in one maps.validate_rows pass, decided as columns: only an
-infeasible row becomes a ValidityReport, for its note.  A RawBall row, whose
+validated in one maps.validate_rows pass, as columns.  A RawBall row, whose
 parameters are its coefficients, needs no map object at all: on a disk its
-area is the closed form of distortion.disk_series_area, term for term, with
-m(E) and the weights n r^(2n - 2) computed once per block and one fsum per
-row.  Only an area on a star or a pixel grid builds the map.  The result is
-bit for bit the one-map-at-a-time result: the same notes, ratios,
-incumbent, trace and evaluation count.  Each simplex vertex is scored as a
-one-row block of the same pass, so lattice and simplex share one
-feasibility decision and one area rule.
+area is distortion.disk_series_area's closed form, one fsum per row with
+m(E) and the term weights taken once per block.  Only an area on a star or
+a pixel grid builds the map.  The result is bit for bit the one-map-at-a-time
+result: the same notes, ratios, incumbent, trace and evaluation count.  Each
+simplex vertex is scored as a one-row block of the same pass, so lattice and
+simplex share one feasibility decision and one area rule.
 """
 
 from __future__ import annotations
@@ -227,9 +225,8 @@ class FamilySpec:
                 raise HypothesisError(why)
 
     def _violation(self, report: ValidityReport | CriticalPointError) -> str:
-        """Why a map with this validate result, its report or the
-        CriticalPointError validate raises, violates a constraint; "" if it
-        does not."""
+        """Why a map with this validate report, or CriticalPointError,
+        violates a constraint; "" if it does not."""
         if isinstance(report, CriticalPointError):
             return str(report)
         if self.require_sense_preserving and not report.sense_preserving:
@@ -328,9 +325,8 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
         if polynomial:
             validity = validate_rows(rows, degree)
             # A critical row reads neither sense-preserving nor certified.
-            bad = ~validity.sense_preserving
-            if not family.require_sense_preserving:
-                bad &= ~validity.certified
+            sense = family.require_sense_preserving
+            bad = ~validity.sense_preserving & (sense or ~validity.certified)
             if family.require_self_map:
                 bad |= ~(validity.self_map_sup <= 1.0 + SELF_MAP_SLACK)
             for j in bad.nonzero()[0].tolist():
@@ -343,14 +339,12 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     if maps is None and isinstance(E, Disk):
         # distortion.disk_series_area of each row, term for term.
         check_tol(tol)
-        m_e, r = region_measure(E), E.r
-        powers = range(1, kind.degree + 1)
-        weights = [(sign * n, r ** (2 * n - 2)) for sign in (1.0, -1.0) for n in powers]
-        coefficients = [h[1:] + g[1:] for h, g in rows.tolist()]
+        m_e, powers = region_measure(E), range(1, kind.degree + 1)
+        weights = [(sign * n, E.r ** (2 * n - 2)) for sign in (1.0, -1.0) for n in powers]
+        coeffs = [h[1:] + g[1:] for h, g in rows.tolist()]
 
         def area(i: int) -> float:
-            terms = [sn * abs(c) ** 2 * rn for (sn, rn), c in zip(weights, coefficients[i])]
-            return m_e * math.fsum(terms)
+            return m_e * math.fsum([w * abs(c) ** 2 * p for (w, p), c in zip(weights, coeffs[i])])
 
         return notes, area
 
