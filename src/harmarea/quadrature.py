@@ -440,6 +440,8 @@ def _raster_pass(f, E: Region, n: int, rng) -> tuple[float, int]:
         iy = ((w.imag + half_width) / cell).astype(np.intp)
         occ[iy * n + ((w.real + half_width) / cell).astype(np.intp)] = True
     area = float(np.count_nonzero(_dilate(occ.reshape(n, n)))) * cell * cell
+    if not math.isfinite(area):
+        raise ConstructionError("the map's image overflows every raster window")
     return area, sum(w.size for w in images)
 
 

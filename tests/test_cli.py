@@ -216,6 +216,21 @@ class TestUnevaluableMaps:
         assert err == "error: sense-preservation undecidable: h' vanishes near z = 0j\n"
 
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("region", [None, {"kind": "star", "profile": [0.5, 0.6] * 8}])
+    def test_closed_form_overflow_exits_two(self, capsys, tmp_path, region):
+        # A degree-1 map's closed form squares |a_1| = 1e307 past the float range.
+        doc = {"form": "polynomial", "h": [[0, 0], [1e307, 0]], "g": [[0, 0]]}
+        argv = ["area", "--map", write_json(tmp_path / "map.json", doc), "--out", str(tmp_path)]
+        if region:
+            argv += ["--region", write_json(tmp_path / "star.json", region)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestZeroMeasureRegion:
     """Every ratio divides by m(E); an empty grid is rejected up front."""
 
@@ -564,6 +579,21 @@ class TestOracle:
         map_path = write_json(
             tmp_path / "m.json",
             {"form": "polynomial", "h": [[0, 0], [1e308, 0], [1e308, 0]], "g": [[0, 0]]},
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, ["oracle", "--map", map_path, "--r", "0.9", "--n", "64", "--out", str(out_dir)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "overflows every raster window" in err
+        assert not out_dir.exists()
+
+    def test_overflowing_raster_area_exits_two(self, capsys, tmp_path):
+        # |f| < 1e307 fits a window of finite width, but the raster area
+        # count * cell * cell overflows to inf.
+        map_path = write_json(
+            tmp_path / "m.json", {"form": "polynomial", "h": [[0, 0], [1e307, 0]], "g": [[0, 0]]}
         )
         out_dir = tmp_path / "out"
         code, out, err = run(
