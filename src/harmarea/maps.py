@@ -380,7 +380,7 @@ class RowValidity:
 
     def __getitem__(self, i: int):
         fields = (self.sense_preserving, self.sup_abs_dilatation, self.self_map_sup, self.certified)
-        return self.critical.get(i) or ValidityReport(*(a[i].item() for a in fields))
+        return self.critical.get(i) or ValidityReport(*[column.item(i) for column in fields])
 
 
 def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:

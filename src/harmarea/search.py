@@ -325,8 +325,9 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
         if polynomial:
             validity = validate_rows(rows, degree)
             # A critical row reads neither sense-preserving nor certified.
-            sense = family.require_sense_preserving
-            bad = ~validity.sense_preserving & (sense or ~validity.certified)
+            bad = ~validity.sense_preserving
+            if not family.require_sense_preserving:
+                bad &= ~validity.certified
             if family.require_self_map:
                 bad |= ~(validity.self_map_sup <= 1.0 + SELF_MAP_SLACK)
             for j in bad.nonzero()[0].tolist():
