@@ -375,6 +375,10 @@ class RowValidity:
     certified: np.ndarray
     critical: dict
 
+    @property
+    def self_map(self) -> np.ndarray:
+        return self.self_map_sup <= 1.0 + SELF_MAP_SLACK
+
     def __len__(self) -> int:
         return len(self.certified)
 

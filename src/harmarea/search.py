@@ -34,7 +34,6 @@ from .maps import (
     DEGREE_CAP,
     DiskAutomorphism,
     HarmonicMap,
-    SELF_MAP_SLACK,
     PolynomialMap,
     ValidityReport,
     affine,
@@ -329,7 +328,7 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
             if not family.require_sense_preserving:
                 bad &= ~validity.certified
             if family.require_self_map:
-                bad |= ~(validity.self_map_sup <= 1.0 + SELF_MAP_SLACK)
+                bad |= ~validity.self_map
             for j in bad.nonzero()[0].tolist():
                 notes[polynomial[j]] = f"constraint: {family._violation(validity[j])}"
         # Automorphisms have no coefficient rows.
