@@ -330,8 +330,8 @@ def main(argv=None) -> int:
     # ParseError and the package's input and hypothesis errors subclass
     # ValueError.  CriticalPointError and PoleError mean the map cannot be
     # evaluated where the command needs it: a precondition, not a failed
-    # inequality.  OverflowError: a closed form's float power past the range.
-    except (ValueError, CriticalPointError, PoleError, OverflowError) as exc:
+    # inequality.
+    except (ValueError, CriticalPointError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CriticalPointError, DomainError, HypothesisError
+from .errors import ConstructionError, CriticalPointError, DomainError, HypothesisError
 from .maps import DiskAutomorphism, HarmonicMap, ValidityReport, shear, validate
 from .maps import _zero_free_closed_disk
 from .quadrature import (
@@ -97,8 +97,7 @@ def _area_integral(
 
     Closed forms, exact up to rounding (error_estimate 0.0):
     - any region under a polynomial map of degree at most 1: J_f is the
-      constant S = |a_1|^2 - |b_1|^2 (|a_1|^2 for the energy), the fsum of
-      the n = 1 terms below, so the value is m(E) * S, with evals 1.
+      constant |a_1|^2 - |b_1|^2, the n = 1 terms below, times m(E).
     - a disk under a polynomial map: for h = sum a_n z^n, g = sum b_n z^n
       the area formula gives int_{D_r} J_f = pi sum n (|a_n|^2 - |b_n|^2)
       r^{2n} (Duren, Harmonic Mappings in the Plane, 2004, sec. 1); the
@@ -127,9 +126,9 @@ def _area_integral(
         return integrate_boundary(parts, E, tol, pole=1.0 / f.a.conjugate())
     series = [(1.0, f.h)] if energy else [(1.0, f.h), (-1.0, f.g)]
     degree = max(part.degree for _, part in series)
-    if degree <= 1:
-        s = math.fsum(sign * abs(part.coefficients[1]) ** 2 for sign, part in series if part.degree)
-        return QuadResult(region_measure(E) * s, 0.0, 1)
+    if degree <= 1 or isinstance(E, Disk):
+        area = disk_series_rows(E, [[part.coefficients for _, part in series]], degree)
+        return QuadResult(area(0), 0.0, max(1, degree))
     if isinstance(E, PixelGrid):
         slopes = [(sign, part.derivative()._evaluate_unchecked) for sign, part in series]
 
@@ -137,8 +136,6 @@ def _area_integral(
             return sum(sign * np.abs(d(z)) ** 2 for sign, d in slopes)
 
         return integrate_runs(density, E, degree)
-    if isinstance(E, Disk):
-        return disk_series_area(E, [(sign, part.coefficients) for sign, part in series])
     parts = [
         (sign, part._evaluate_unchecked, part.derivative()._evaluate_unchecked)
         for sign, part in series
@@ -146,22 +143,31 @@ def _area_integral(
     return integrate_boundary(parts, E, tol, min_nodes=4 * (degree + 1))
 
 
-def disk_series_area(E: Disk, series) -> QuadResult:
-    """int_{D_r} sum sign |F'|^2 dA over (sign, coefficients) pairs, for
-    polynomials F with those ascending coefficients, in closed form.
+def disk_series_rows(E: Region, rows, degree: int):
+    """area(i), int_E |h'|^2 - |g'|^2 dA in closed form for the ascending
+    coefficient lists (h, g) of rows[i] (int_E |h'|^2 for a row (h,)), of
+    degree at most degree, on a disk or, when degree <= 1, on any region
+    (see _area_integral): m(E) and the weights once, then one fsum per row.
+    A value past the float range raises ConstructionError."""
+    # The n = 1 weight r^0 is 1 on every region.
+    powers = [1.0] + [E.r ** (2 * n - 2) for n in range(2, degree + 1)]
+    weights, m_e = list(enumerate(powers, 1)), region_measure(E)
 
-    For F = sum c_n z^n the integral is pi sum n |c_n|^2 r^{2n}, computed as
-    m(D_r) * fsum of n |c_n|^2 r^{2(n-1)}; see _area_integral.  search
-    sums a rawball lattice row's terms in the same expression and order.
-    """
-    r = E.r
-    terms = [
-        sign * n * abs(c) ** 2 * r ** (2 * n - 2)
-        for sign, coefficients in series
-        for n, c in enumerate(coefficients[1:], 1)
-    ]
-    degree = max(len(coefficients) for _, coefficients in series) - 1
-    return QuadResult(region_measure(E) * math.fsum(terms), 0.0, max(1, degree))
+    def area(i: int) -> float:
+        try:  # a float power past the range, or inf - inf in fsum
+            terms = [
+                sign * n * abs(c) ** 2 * p
+                for sign, cs in zip((1.0, -1.0), rows[i])
+                for (n, p), c in zip(weights, cs[1:])
+            ]
+            value = m_e * math.fsum(terms)
+            if math.isfinite(value):
+                return value
+        except (OverflowError, ValueError):
+            pass
+        raise ConstructionError("the map's area integral overflows the float range")
+
+    return area
 
 
 def image_area(

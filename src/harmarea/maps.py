@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -173,8 +173,7 @@ class DiskAutomorphism:
         """(1 - |a|^2)^2 / |1 - conj(a) z|^4, exact."""
         _check_disk(z)
         if self.a == 0:
-            shaped = np.abs(np.asarray(z)) if isinstance(z, np.ndarray) else None
-            return np.ones_like(shaped) if shaped is not None else 1.0
+            return np.ones(z.shape) if isinstance(z, np.ndarray) else 1.0
         denom = self._denominator(z)
         return (1.0 - abs(self.a) ** 2) ** 2 / np.abs(denom) ** 4
 
@@ -364,27 +363,28 @@ def coefficient_rows(maps) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RowValidity:
-    """validate_rows' per-row arrays of the ValidityReport fields, and the
-    CriticalPointError of each row whose h' may vanish on the closed disk
-    (it reads neither sense-preserving nor certified).  Row i is what
-    validate gives map i: its ValidityReport, or that error."""
+    """The ValidityReport fields as per-row arrays, and the CriticalPointError
+    of each row whose h' may vanish on the closed disk (neither sense-preserving
+    nor certified there).  Row i is what validate gives map i: report or error."""
 
     sense_preserving: np.ndarray
     sup_abs_dilatation: np.ndarray
     self_map_sup: np.ndarray
     certified: np.ndarray
     critical: dict
-
-    @property
-    def self_map(self) -> np.ndarray:
-        return self.self_map_sup <= 1.0 + SELF_MAP_SLACK
+    self_map = ValidityReport.self_map
 
     def __len__(self) -> int:
         return len(self.certified)
 
     def __getitem__(self, i: int):
-        fields = (self.sense_preserving, self.sup_abs_dilatation, self.self_map_sup, self.certified)
-        return self.critical.get(i) or ValidityReport(*[column.item(i) for column in fields])
+        columns = [getattr(self, field.name) for field in fields(ValidityReport)]
+        return self.critical.get(i) or ValidityReport(*[column.item(i) for column in columns])
+
+    @classmethod
+    def stack(cls, reports: list) -> RowValidity:
+        """The columns of a nonempty list of ValidityReports."""
+        return cls(*[np.array(column) for column in zip(*map(astuple, reports))], {})
 
 
 def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:

@@ -12,12 +12,12 @@ The lattice, of sweep and of maximize_area_ratio alike, is scored in
 blocks of rows, not one map at a time.  A block's polynomial maps are
 validated in one maps.validate_rows pass, as columns.  A RawBall row, whose
 parameters are its coefficients, needs no map object at all: on a disk its
-area is distortion.disk_series_area's closed form, one fsum per row with
-m(E) and the term weights taken once per block.  Only an area on a star or
-a pixel grid builds the map.  The result is bit for bit the one-map-at-a-time
-result: the same notes, ratios, incumbent, trace and evaluation count.  Each
-simplex vertex is scored as a one-row block of the same pass, so lattice and
-simplex share one feasibility decision and one area rule.
+area is the closed form of distortion.disk_series_rows, one fsum per row.
+Only an area on a star or a pixel grid builds the map.  The result is bit
+for bit the one-map-at-a-time result: the same notes, ratios, incumbent,
+trace and evaluation count.  Each simplex vertex is scored as a one-row
+block of the same pass, so lattice and simplex share one feasibility
+decision and one area rule.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from typing import Union
 
 import numpy as np
 
-from .distortion import image_area, sp_ratio
+from .distortion import disk_series_rows, image_area, sp_ratio
 from .errors import BudgetError, ConstructionError, CriticalPointError, HypothesisError
 from .maps import (
     DEGREE_CAP,
     DiskAutomorphism,
     HarmonicMap,
     PolynomialMap,
-    ValidityReport,
+    RowValidity,
     affine,
     automorphism,
     coefficient_rows,
@@ -217,22 +217,25 @@ class FamilySpec:
         """
         if self.require_self_map or self.require_sense_preserving:
             try:
-                why = self._violation(validate(f))
+                why = self._violations(RowValidity.stack([validate(f)])).get(0)
             except CriticalPointError as exc:
                 raise HypothesisError(str(exc)) from exc
             if why:
                 raise HypothesisError(why)
 
-    def _violation(self, report: ValidityReport | CriticalPointError) -> str:
-        """Why a map with this validate report, or CriticalPointError,
-        violates a constraint; "" if it does not."""
-        if isinstance(report, CriticalPointError):
-            return str(report)
-        if self.require_sense_preserving and not report.sense_preserving:
-            return "not sense-preserving (certified)"
-        if self.require_self_map and not report.self_map:
-            return f"not a self-map (sup |f| = {report.self_map_sup:.6g})"
-        return ""
+    def _violations(self, validity: RowValidity) -> dict[int, str]:
+        """Each violating row's note: its CriticalPointError, else a reversal, else sup |f|."""
+        why = {}
+        if self.require_self_map:
+            for j in (~validity.self_map).nonzero()[0].tolist():
+                why[j] = f"not a self-map (sup |f| = {validity.self_map_sup.item(j):.6g})"
+        if self.require_sense_preserving:
+            for j, sense in enumerate(validity.sense_preserving.tolist()):
+                if not sense:
+                    why[j] = "not sense-preserving (certified)"
+        for j, exc in validity.critical.items():
+            why[j] = str(exc)
+        return why
 
 
 @dataclass(frozen=True)
@@ -299,9 +302,9 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     map f, or nan when f cannot be constructed.
 
     The block's polynomial maps are validated together by
-    maps.validate_rows; a report, and its note, is built only for an
-    infeasible row.  A RawBall row is its coefficient row: no map object is
-    built for it, except for an area on a region other than a disk.
+    maps.validate_rows; FamilySpec._violations reads the notes off the
+    columns.  A RawBall row is its coefficient row, with no map object but
+    for an area on a region other than a disk.
     """
     kind = family.kind
     notes = [""] * len(params)
@@ -322,31 +325,17 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
             rows, degree = coefficient_rows([maps[i] for i in polynomial])
     if family.require_self_map or family.require_sense_preserving:
         if polynomial:
-            validity = validate_rows(rows, degree)
-            # A critical row reads neither sense-preserving nor certified.
-            bad = ~validity.sense_preserving
-            if not family.require_sense_preserving:
-                bad &= ~validity.certified
-            if family.require_self_map:
-                bad |= ~validity.self_map
-            for j in bad.nonzero()[0].tolist():
-                notes[polynomial[j]] = f"constraint: {family._violation(validity[j])}"
+            for j, why in family._violations(validate_rows(rows, degree)).items():
+                notes[polynomial[j]] = f"constraint: {why}"
         # Automorphisms have no coefficient rows.
-        for i, f in enumerate(maps or ()):
-            if isinstance(f, DiskAutomorphism) and (why := family._violation(validate(f))):
-                notes[i] = f"constraint: {why}"
+        if auto := [i for i, f in enumerate(maps or ()) if isinstance(f, DiskAutomorphism)]:
+            validity = RowValidity.stack([validate(maps[i]) for i in auto])
+            for j, why in family._violations(validity).items():
+                notes[auto[j]] = f"constraint: {why}"
 
     if maps is None and isinstance(E, Disk):
-        # distortion.disk_series_area of each row, term for term.
         check_tol(tol)
-        m_e, powers = region_measure(E), range(1, kind.degree + 1)
-        weights = [(sign * n, E.r ** (2 * n - 2)) for sign in (1.0, -1.0) for n in powers]
-        coeffs = [h[1:] + g[1:] for h, g in rows.tolist()]
-
-        def area(i: int) -> float:
-            return m_e * math.fsum([w * abs(c) ** 2 * p for (w, p), c in zip(weights, coeffs[i])])
-
-        return notes, area
+        return notes, disk_series_rows(E, rows.tolist(), kind.degree)
 
     def area(i: int) -> float:
         f = kind.construct(params[i]) if maps is None else maps[i]

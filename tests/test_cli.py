@@ -226,9 +226,7 @@ class TestUnevaluableMaps:
         if region:
             argv += ["--region", write_json(tmp_path / "star.json", region)]
         code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert (code, out, err) == (2, "", "error: the map's area integral overflows the float range\n")
 
 
 class TestZeroMeasureRegion:

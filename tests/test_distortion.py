@@ -197,6 +197,20 @@ class TestClosedFormDiskArea:
         res = image_area(constant, Disk(0.7), check_sense=False)
         assert res.value == 0.0 and res.evals == 1
 
+    @pytest.mark.parametrize(
+        "h, g",
+        [
+            ((0.0, 1e155), (0.0,)),  # |a_1|^2 passes the float range
+            ((0.0, 0.0, 1e154), (0.0,)),  # 2 |a_2|^2 does
+            ((0.0, 0.0, 1e154), (0.0, 0.0, 1e154)),  # inf - inf
+            ((0.0, 1e154, 0.8e154), (0.0,)),  # the sum of the terms does
+            ((0.0, 1e154), (0.0,)),  # m(E) times the sum does
+        ],
+    )
+    def test_a_value_past_the_float_range_raises(self, h, g):
+        with pytest.raises(ConstructionError, match="area integral overflows the float range"):
+            image_area(raw_polynomial(h, g), Disk(1.0), check_sense=False)
+
     def test_workers_do_not_change_bits(self):
         f = raw_polynomial((0.0, 1.0, 0.2j), (0.0, 0.3, -0.1))
         for r in EXACT_RADII:
@@ -339,9 +353,14 @@ class TestConstantJacobianClosedForm:
 
     @given(f=degree_one, r=st.floats(0.0, 1.0, exclude_min=True))
     def test_disks_keep_the_series_bits(self, f, r):
+        # The disk series m(D_r) * fsum of sign n |c_n|^2 r^(2n - 2), term for term.
         for got, series in _area_and_energy(f, Disk(r)):
-            coefficients = [(sign, s.coefficients) for sign, s in series]
-            assert got == distortion.disk_series_area(Disk(r), coefficients)
+            terms = [
+                sign * n * abs(c) ** 2 * r ** (2 * n - 2)
+                for sign, s in series
+                for n, c in enumerate(s.coefficients[1:], 1)
+            ]
+            assert got == QuadResult(region_measure(Disk(r)) * math.fsum(terms), 0.0, 1)
 
 
 class TestStarBoundaryKernel:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import harmarea.maps
@@ -27,7 +27,7 @@ from harmarea import (
     shear,
     validate,
 )
-from harmarea.maps import DOMAIN_EPS, SENSE_MARGIN, ValidityReport, _zero_free_closed_disk
+from harmarea.maps import DOMAIN_EPS, SENSE_MARGIN, _zero_free_closed_disk
 from harmarea.presets import preset_map, preset_names
 from harmarea.search import AffineFamily, AutomorphismFamily, RawBall, ShearFamily, _lattice
 
@@ -504,8 +504,10 @@ class TestValidateRows:
     """validate_rows on a stack of maps of mixed degree gives each row what
     validate gives the map alone, bit for bit."""
 
-    def test_each_row_is_what_validate_gives(self):
-        maps = [
+    @pytest.mark.parametrize("cap", [None, 64])
+    @given(st.lists(_STACKED_MAP, min_size=1, max_size=12))
+    @example(
+        maps=[
             affine(0.5),
             raw_polynomial((0.0, 1.0, -0.5), (0.0,)),  # h' vanishes at the sample z = 1
             raw_polynomial((0.3,), (0.0, 0.1)),  # h' = 0
@@ -515,27 +517,7 @@ class TestValidateRows:
             raw_polynomial((0.0, 1.0), (0.0, 0.5, 0.0, 0.25)),  # reversing, degree 3
             raw_polynomial((0.0, 2.0), (0.0, 0.0, 0.0, 0.3)),  # not a self-map
         ]
-        stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
-        assert len(stacked) == len(maps)
-        critical = reversing = 0
-        for i, f in enumerate(maps):
-            try:
-                alone = validate(f)
-            except CriticalPointError as exc:
-                critical += 1
-                assert type(stacked[i]) is CriticalPointError and str(stacked[i]) == str(exc)
-                continue
-            row = stacked[i]
-            reversing += not alone.sense_preserving
-            assert type(row) is ValidityReport
-            assert row.sense_preserving is alone.sense_preserving
-            assert row.certified is alone.certified
-            assert row.sup_abs_dilatation.hex() == alone.sup_abs_dilatation.hex()
-            assert row.self_map_sup.hex() == alone.self_map_sup.hex()
-        assert (critical, reversing) == (2, 2)
-
-    @pytest.mark.parametrize("cap", [None, 64])
-    @given(st.lists(_STACKED_MAP, min_size=1, max_size=12))
+    )
     @settings(max_examples=150, deadline=None)
     def test_rows_match_one_row_validate(self, cap, maps):
         with pytest.MonkeyPatch.context() as mp:
