@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -384,7 +384,8 @@ class RowValidity:
     @classmethod
     def stack(cls, reports: list) -> RowValidity:
         """The columns of a nonempty list of ValidityReports."""
-        return cls(*[np.array(column) for column in zip(*map(astuple, reports))], {})
+        names = [field.name for field in fields(ValidityReport)]
+        return cls(*[np.array([getattr(r, name) for r in reports]) for name in names], {})
 
 
 def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
