@@ -17,15 +17,17 @@ import numpy as np
 
 from .errors import ConstructionError, CriticalPointError, DomainError, HypothesisError
 from .maps import DiskAutomorphism, HarmonicMap, ValidityReport, shear, validate
-from .maps import _zero_free_closed_disk
+from .maps import _zero_free_closed_disk, coefficient_rows
 from .quadrature import (
+    DEFAULT_Q0,
     DEFAULT_TOL,
+    Q_CAP,
     QuadResult,
     _gauss,
+    _refine,
     check_tol,
     integrate_boundary,
     integrate_grid,
-    integrate_polar,
     integrate_runs,
     quarter_cells,
 )
@@ -311,32 +313,51 @@ RADIAL_DIRECTIONS = 64
 _RADIAL_Q = 128
 
 
-def radial_bound_profile(f: HarmonicMap, r: float) -> list[VerificationReport]:
-    """Per-direction check of int_0^r J_f(t e^{i theta}) t dt <= r^2/2,
-    one row for each of RADIAL_DIRECTIONS equally spaced directions."""
+def _radial_sums(field, r: float, theta: np.ndarray, q: int) -> list[float]:
+    """One math.fsum per direction theta of the q-node Gauss-Legendre rule
+    for int_0^r field(t e^{i theta}) t dt."""
+    x, w = _gauss(q)
+    t = r * (x + 1.0) / 2.0
+    vals = np.asarray(field(t[None, :] * np.exp(1j * theta)[:, None]), dtype=float)
+    return [math.fsum(row) for row in (vals * ((r / 2.0) * w * t)).tolist()]
+
+
+def _radial_column(f: HarmonicMap, r: float) -> tuple[np.ndarray, list[float], int]:
+    """theta, int_0^r J_f(t e^{i theta}) t dt and evals per direction: the
+    _RADIAL_Q-node rule for an automorphism, else sum_{j,k} j k (a_j conj(a_k)
+    - b_j conj(b_k)) r^{j+k}/(j+k) e^{i(j-k) theta} (Duren 2004, sec. 1) as
+    one fsum per direction of the diagonal sums c_m, j - k = m: c_0 and
+    2 Re(c_m e^{i m theta}).  A value past the float range: ConstructionError."""
     if not 0.0 < r < 1.0:
         raise HypothesisError("radius must lie in (0, 1)")
     theta = 2.0 * np.pi * np.arange(RADIAL_DIRECTIONS) / RADIAL_DIRECTIONS
-    x, w = _gauss(_RADIAL_Q)
-    t = r * (x + 1.0) / 2.0
-    z = t[None, :] * np.exp(1j * theta)[:, None]
-    vals = np.asarray(f.jacobian(z), dtype=float)
-    weights = (r / 2.0) * w * t
+    if isinstance(f, DiskAutomorphism):
+        return theta, _radial_sums(f.jacobian, r, theta, _RADIAL_Q), _RADIAL_Q
+    rows, (d,) = coefficient_rows([f])
+    n = np.arange(1, d + 1)
+    a, b = rows[0, :, 1:] * (n * r**n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (np.outer(a, a.conj()) - np.outer(b, b.conj())) / np.add.outer(n, n)
+        diagonals = np.array([c.diagonal(-m).sum() for m in range(1, d)])
+        waves = 2.0 * (np.exp(1j * np.outer(theta, n[:-1])) * diagonals).real
+    try:  # inf - inf in fsum, or its intermediate overflow
+        lhs = [math.fsum([c.trace().real, *row]) for row in waves.tolist()]
+        if all(map(math.isfinite, lhs)):
+            return theta, lhs, max(1, int(d))
+    except (OverflowError, ValueError):
+        pass
+    raise ConstructionError("the map's radial integral overflows the float range")
+
+
+def radial_bound_profile(f: HarmonicMap, r: float) -> list[VerificationReport]:
+    """Per-direction check of int_0^r J_f(t e^{i theta}) t dt <= r^2/2, one
+    row for each of RADIAL_DIRECTIONS equally spaced directions."""
+    theta, lhs, evals = _radial_column(f, r)
     rhs = r * r / 2.0
-    out = []
-    for j in range(RADIAL_DIRECTIONS):
-        lhs = math.fsum((vals[j] * weights).tolist())
-        out.append(
-            VerificationReport(
-                f"radial-{j:03d}",
-                lhs,
-                rhs,
-                1e-9,
-                f"theta={theta[j]:.17g}",
-                evals=_RADIAL_Q,
-            )
-        )
-    return out
+    return [
+        VerificationReport(f"radial-{j:03d}", v, rhs, 1e-9, f"theta={t:.17g}", evals=evals)
+        for j, (t, v) in enumerate(zip(theta, lhs))
+    ]
 
 
 def star_contraction_report(
@@ -482,6 +503,18 @@ class ReferenceIntegral:
     evals: int
 
 
+def _radial_reference(field, r: float, tol: float) -> QuadResult:
+    """2 pi int_0^r field(t) t dt, a radial field's integral over D_r: the Gauss
+    rule in t along theta = 0, nodes doubling from DEFAULT_Q0 to Q_CAP (_refine)."""
+    check_tol(tol)
+
+    def level(q: int) -> tuple[float, int]:
+        return 2.0 * math.pi * _radial_sums(field, r, np.zeros(1), q)[0], q
+
+    levels = [DEFAULT_Q0 << k for k in range((Q_CAP // DEFAULT_Q0).bit_length())]
+    return _refine(level, levels, tol, f"q={Q_CAP}")
+
+
 def hyperbolic_disk_integral(r: float, tol: float = DEFAULT_TOL) -> ReferenceIntegral:
     """Integral of (1-|z|^2)^-2 over Disk{r}: quadrature vs pi r^2/(1-r^2).
 
@@ -495,7 +528,7 @@ def hyperbolic_disk_integral(r: float, tol: float = DEFAULT_TOL) -> ReferenceInt
         u = 1.0 - np.abs(z) ** 2
         return 1.0 / (u * u)
 
-    q = integrate_polar(field, Disk(r), tol)
+    q = _radial_reference(field, r, tol)
     return ReferenceIntegral(
         quadrature=q.value,
         closed_form=math.pi * r * r / (1.0 - r * r),
@@ -511,14 +544,13 @@ def shear_disk_integral(
     """Image area of the shear z + alpha conj(z)^power over Disk{r}.
 
     Closed form pi r^2 - pi p alpha^2 r^{2p}; the claimed value replaces
-    the factor p by 1.  The quadrature field always comes from
-    integrate_polar, never from image_area's closed form, so the reference
+    the factor p by 1.  The quadrature comes from _radial_reference on the
+    shear's Jacobian, never from image_area's closed form, so the reference
     rows keep comparing quadrature against the closed form.
     """
     if not 0.0 < r < 1.0:
         raise HypothesisError("radius must lie in (0, 1)")
-    f = shear(alpha, power)
-    q = integrate_polar(f.jacobian, Disk(r), tol)
+    q = _radial_reference(shear(alpha, power).jacobian, r, tol)
     a2 = alpha * alpha
     return ReferenceIntegral(
         quadrature=q.value,
@@ -572,19 +604,12 @@ def verification_suite(
     rows: list[VerificationReport] = []
     for r in VERIFY_RADII:
         rows.extend(disk_contraction_report(f, r, tol))
-        radial = radial_bound_profile(f, r)
-        worst = min(radial, key=lambda rep: rep.margin)
-        rows.append(
-            VerificationReport(
-                f"radial-worst r={r:.1f}",
-                worst.lhs,
-                worst.rhs,
-                worst.tolerance,
-                f"{hyp} worst {worst.detail}",
-                checked=validity.self_map,
-                evals=sum(rep.evals for rep in radial),
-            )
-        )
+        theta, lhs, evals = _radial_column(f, r)
+        rhs = r * r / 2.0
+        j = min(range(RADIAL_DIRECTIONS), key=lambda j: rhs - lhs[j])
+        detail = f"{hyp} worst theta={theta[j]:.17g}"
+        worst = (lhs[j], rhs, 1e-9, detail, validity.self_map, evals * RADIAL_DIRECTIONS)
+        rows.append(VerificationReport(f"radial-worst r={r:.1f}", *worst))
         star_row = star_contraction_report(f, star_cos3(256, scale=r), tol)
         rows.append(
             replace(

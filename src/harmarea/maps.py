@@ -441,8 +441,9 @@ def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
         reversing = k >= 1.0 - SENSE_MARGIN
         # T > 0 at every sample of a row that is not reversing.  The samples
         # see max T only up to the same factor: the true max is at most the
-        # sampled one / (1 - step).
-        t = abs_h * abs_h * ((1.0 - SENSE_MARGIN) ** 2 - ratio * ratio)
+        # sampled one / (1 - step).  A power-of-two scale per row keeps T finite.
+        scaled = np.ldexp(abs_h, -np.frexp(abs_h.max(axis=1))[1][:, None])
+        t = scaled * scaled * ((1.0 - SENSE_MARGIN) ** 2 - ratio * ratio)
         step = math.pi * d / m
         positive = (step < 1.0) & (t.min(axis=1) * (1.0 - step) > step * t.max(axis=1))
         decided = reversing | positive

@@ -1,17 +1,16 @@
 """Deterministic quadrature over disk, star and pixel-grid regions, plus a
 rasterization-based area oracle that bypasses the Jacobian entirely.
 
-Polar integration pairs Gauss-Legendre in radius with a trapezoid rule in
-angle (per-segment Gauss nodes on star regions, whose piecewise-linear
-boundary puts kinks at known angles).  Both directions refine by doubling
-until two successive levels agree to the requested tolerance.
+integrate_polar pairs Gauss-Legendre in radius with a trapezoid rule in
+angle (per-segment Gauss nodes on stars), refining both by doubling until
+two levels agree.  No package code calls it: it stays public as the
+independent slow path that tests check the closed forms against.
 
 Area integrals of analytic functions over star regions reduce to boundary
 integrals by Green's formula, int_E |F'|^2 dA = (1/2i) oint conj(F) dF
 (Duren, Harmonic Mappings in the Plane, 2004); integrate_boundary sums
 those over Gauss-Legendre nodes on boundary panels, the profile segments
-bisected toward any pole of the integrand, and refines by doubling in the
-same way.
+bisected toward any pole of the integrand, and refines by doubling.
 
 On pixel grids, integrate_runs applies a tensor Gauss-Legendre rule to each
 horizontal run of true cells; it is exact for the polynomial Jacobians and

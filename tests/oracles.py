@@ -132,6 +132,23 @@ def mobius_radial_integral_axis(a: float, r: float) -> float:
     return lead * (1.0 / 6.0 + 1.0 / (3.0 * v**3) - 1.0 / (2.0 * v**2))
 
 
+def polynomial_radial_integral_axis(h, g, r: float) -> float:
+    """int_0^r J_f(t) t dt along theta = 0 for f = h + conj(g), in exact
+    rational arithmetic, rounded once.
+
+    On the real axis h'(t) conj(h'(t)) = sum_{j,k} j k a_j conj(a_k)
+    t^{j+k-2}, so the integral is sum_{j,k} j k Re(a_j conj(a_k) - b_j
+    conj(b_k)) r^{j+k} / (j+k); floats are exact rationals.
+    """
+    r = Fraction(r)
+    total = Fraction(0)
+    for sign, cs in ((1, h), (-1, g)):
+        parts = [(n, Fraction(complex(c).real), Fraction(complex(c).imag)) for n, c in enumerate(cs)]
+        for (j, xj, yj), (k, xk, yk) in itertools.product(parts[1:], repeat=2):
+            total += sign * j * k * (xj * xk + yj * yk) * r ** (j + k) / (j + k)
+    return float(total)
+
+
 def hyperbolic_disk_integral(r: float) -> float:
     # int over rD of (1-|z|^2)^{-2}; radial antiderivative 1/(2(1-t^2))
     return math.pi * r * r / (1.0 - r * r)

@@ -58,6 +58,7 @@ from harmarea.quadrature import (
     DEFAULT_M0,
     DEFAULT_Q0,
     DEFAULT_TOL,
+    MIN_TOL,
     integrate_boundary,
     integrate_runs,
 )
@@ -645,6 +646,54 @@ class TestRadialBound:
         rows = radial_bound_profile(identity_map(), 0.3)
         assert "theta" in rows[3].detail
 
+    @given(
+        st.lists(coefficient, min_size=1, max_size=9),
+        st.lists(coefficient, min_size=1, max_size=9),
+        st.floats(0.05, 0.95),
+    )
+    def test_closed_form_matches_the_gauss_rule(self, h, g, r):
+        # The 128-node rule, the automorphism path, is exact for J t of
+        # degree <= 15, so the two differ only by rounding.  numpy's
+        # 128-node table integrates t^k with up to 4.5e-14 relative error,
+        # so the rule's error scales with the integral of |h'|^2 + |g'|^2,
+        # not with that of J, which may cancel.
+        f = raw_polynomial(h, g)
+        theta, lhs, _ = distortion._radial_column(f, r)
+        gauss = distortion._radial_sums(f.jacobian, r, theta, 128)
+        slopes = [s.derivative().evaluate for s in (f.h, f.g)]
+        size = distortion._radial_sums(
+            lambda z: sum(np.abs(d(z)) ** 2 for d in slopes), r, theta, 128
+        )
+        for v, ref, scale in zip(lhs, gauss, size):
+            assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref), scale)
+        # Along theta = 0 the closed form meets the exact value to rounding.
+        exact = oracles.polynomial_radial_integral_axis(h, g, r)
+        assert abs(lhs[0] - exact) <= 4e-15 * max(1.0, size[0])
+
+    @pytest.mark.parametrize("f", [identity_map(), affine(0.5), shear(0.3, 2)])
+    def test_radially_symmetric_jacobian_gives_one_value(self, f):
+        for r in distortion.VERIFY_RADII:
+            rows = radial_bound_profile(f, r)
+            assert len({row.lhs for row in rows}) == 1
+        worst = [row for row in verification_suite(f) if row.name.startswith("radial-worst")]
+        assert len(worst) == 9
+        assert all(row.detail.endswith("worst theta=0") for row in worst)
+
+    @pytest.mark.parametrize("f", [shear(0.3, 2), _poly_style_map(0), automorphism(0.5)])
+    def test_suite_row_is_the_profiles_worst(self, f):
+        rows = {row.name: row for row in verification_suite(f)}
+        for r in distortion.VERIFY_RADII:
+            profile = radial_bound_profile(f, r)
+            worst = min(profile, key=lambda row: row.margin)
+            row = rows[f"radial-worst r={r:.1f}"]
+            assert row.lhs == worst.lhs and row.rhs == worst.rhs
+            assert row.detail.endswith(f" worst {worst.detail}")
+            assert row.evals == sum(p.evals for p in profile)
+
+    def test_closed_form_past_the_float_range_raises(self):
+        with pytest.raises(ConstructionError):
+            radial_bound_profile(raw_polynomial((0.0, 1e200), (0.0,)), 0.5)
+
 
 class TestStarContraction:
     def test_rotation_equality_on_star(self):
@@ -896,7 +945,8 @@ class TestReferenceIntegrals:
 
     def test_shear_quadrature_and_flagged_claim(self):
         ref = shear_disk_integral(0.5, 0.3, 2)
-        assert ref.evals >= ONE_POLAR_LEVEL
+        # At least two levels of the radial rule: a quadrature, not a closed form.
+        assert ref.evals >= 3 * DEFAULT_Q0
         assert abs(ref.quadrature - oracles.FROZEN["shear-0.3-p2-disk-0.5"]) <= 1e-8
         assert ref.closed_form == oracles.shear_disk_area(0.3, 2, 0.5)
         assert ref.claimed_value == oracles.shear_claimed_area(0.3, 2, 0.5)
@@ -906,6 +956,23 @@ class TestReferenceIntegrals:
     def test_shear_power_three(self):
         ref = shear_disk_integral(0.7, 0.1, 3)
         assert abs(ref.quadrature - oracles.shear_disk_area(0.1, 3, 0.7)) <= 1e-9
+
+    @pytest.mark.parametrize("r", distortion.VERIFY_RADII)
+    @pytest.mark.parametrize("integral", [hyperbolic_disk_integral, shear_disk_integral])
+    def test_radial_rule_meets_the_closed_form(self, integral, r):
+        ref = integral(r)
+        assert ref.evals >= 3 * DEFAULT_Q0
+        assert abs(ref.quadrature - ref.closed_form) <= 1e-13 * ref.closed_form
+
+    def test_hyperbolic_near_the_rim_does_not_converge(self):
+        # 256 radial nodes cannot resolve the double pole at |z| = 1.
+        with pytest.raises(NonConvergenceError):
+            hyperbolic_disk_integral(0.999)
+
+    @pytest.mark.parametrize("integral", [hyperbolic_disk_integral, shear_disk_integral])
+    def test_tol_below_the_floor_raises(self, integral):
+        with pytest.raises(ConstructionError):
+            integral(0.5, tol=MIN_TOL / 2)
 
 
 class TestRigidity:
@@ -955,7 +1022,12 @@ class TestVerificationSuite:
         rows = verification_suite(identity_map())
         refs = [row for row in rows if row.name.startswith(("shear-", "hyperbolic-"))]
         assert len(refs) == 54
-        assert all(row.evals >= ONE_POLAR_LEVEL for row in refs)
+        # At least two levels of the radial rule, and the le rows compare
+        # that quadrature with the closed form.
+        assert all(row.evals >= 3 * DEFAULT_Q0 for row in refs)
+        le = [row for row in refs if "-le " in row.name]
+        assert len(le) == 18
+        assert all(abs(row.lhs - row.rhs) <= 1e-13 * row.rhs for row in le)
         # the disk rows of the identity take the closed form
         areasp = [row for row in rows if row.name.startswith("areasp")]
         assert all(row.evals == 1 and row.margin == 0.0 for row in areasp)

@@ -371,6 +371,32 @@ class TestSenseCertificate:
             assert rep.sense_preserving is expected[0], f
             assert rep.self_map_sup == expected[2], f
 
+    def test_huge_derivative_is_certified_without_overflow(self):
+        # |h'|^2 = 1e320 overflows; the certificate must not square it.
+        rep = validate(raw_polynomial((0.0, 1e160), (0.0,)))
+        assert rep.sense_preserving and rep.certified
+        assert rep.sup_abs_dilatation == 0.0
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            _excursion_map(),
+            _excursion_map(peak=0.9),
+            shear(0.3, 2),
+            RawBall(2, 0.5).construct((-0.4375, -0.4375, 0.1875)),  # doubles the circle
+        ],
+    )
+    def test_power_of_two_scaling_keeps_the_decision(self, f):
+        # Scaling h and g by 2^600 scales every sample exactly, so the
+        # decision and the dilatation keep their bits, past |h'|^2's range.
+        scaled = raw_polynomial(*[[c * 2.0**600 for c in s.coefficients] for s in (f.h, f.g)])
+        rep, big = validate(f), validate(scaled)
+        assert (big.sense_preserving, big.certified, big.sup_abs_dilatation) == (
+            rep.sense_preserving,
+            rep.certified,
+            rep.sup_abs_dilatation,
+        )
+
     def test_uncertified_past_the_cap_decides_from_the_circle(self, monkeypatch):
         # This rawball point needs a 1024-point circle to certify.
         f = RawBall(2, 0.5).construct((-0.4375, -0.4375, 0.1875))
