@@ -134,13 +134,13 @@ DIGESTS = {
     "sweep-rawball-notes": "dae07c5a7c3228e1d31ad9431cd09194994d8e5ec716a0b0062f109809a6e28e",
     "sweep-rawball-star": "aff3f543cf3166a7b586d5e2ba86c15264ac8e52eaa1d9bb57ea8314b5366740",
     "sweep-shear-notes": "3caad064f1db568c7844646770a60a5ec28aa333fdc7216c578c8ed0de070a9f",
-    "verify-automorphism-0.5": "d51eba380366bbfa09aa2b99cd6d3e5c7079d2d067bfe837ee90f53e038215b0",
-    "verify-example1-affine-0.2": "f715aa4e291be6b5374f372ec001152242456ec6facb07195cb7f618f04e3501",
-    "verify-example1-affine-0.5": "f0e231b45c4ebf1098db9e8106c28c53441bc824b8e1131119845facbde1e460",
-    "verify-example2-shear-0.1": "9b5a7c0b5bcd22209bbcb07879714773fbc0dbd2f45a170b7cd8e4d73465372e",
-    "verify-identity": "a9555e93280b842f304087c248763208b54fd6723d6648f3d00e083d44d3d258",
-    "verify-remark-shear-0.3": "51b6e34db46e73154a859e49ae46da4eccea7f36da181ed57922fb22f8594b40",
-    "verify-rotation": "a9555e93280b842f304087c248763208b54fd6723d6648f3d00e083d44d3d258",
+    "verify-automorphism-0.5": "5cb38fbcedbb7ca7da3dee95621054ceaffbd6c6c02ab73bda6336ac0e1f3802",
+    "verify-example1-affine-0.2": "ee38fe69e69eba30a9b5cd08ba2914b5edea0d832a768b03d67933730e5b676c",
+    "verify-example1-affine-0.5": "c2df03a07302274eaf3dee186db332dfd65418c9a95078bf64101c8bad3ae426",
+    "verify-example2-shear-0.1": "ff508b6680dcff5cfc4c657a334746ded3751fcd9824ff1f10937a61167861a0",
+    "verify-identity": "0a0c464c3ab9d376e02254d5fff4832c55c804d1569b5ebce75367b53a72d36d",
+    "verify-remark-shear-0.3": "1bcace4fd5956f1d0ca9dc37bde910f5e6b4823386e6902071ebb3adb184aa2b",
+    "verify-rotation": "0a0c464c3ab9d376e02254d5fff4832c55c804d1569b5ebce75367b53a72d36d",
 }
 
 
