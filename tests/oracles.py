@@ -143,7 +143,9 @@ def polynomial_radial_integral_axis(h, g, r: float) -> float:
     r = Fraction(r)
     total = Fraction(0)
     for sign, cs in ((1, h), (-1, g)):
-        parts = [(n, Fraction(complex(c).real), Fraction(complex(c).imag)) for n, c in enumerate(cs)]
+        parts = [
+            (n, Fraction(complex(c).real), Fraction(complex(c).imag)) for n, c in enumerate(cs)
+        ]
         for (j, xj, yj), (k, xk, yk) in itertools.product(parts[1:], repeat=2):
             total += sign * j * k * (xj * xk + yj * yk) * r ** (j + k) / (j + k)
     return float(total)
