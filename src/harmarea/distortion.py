@@ -245,11 +245,17 @@ def quantitative_bounds(
 
     k is sup_dilatation(f, E); k >= 1 is a hypothesis error.
     """
+    return _sandwich_rows(f, E, tol)
+
+
+def _sandwich_rows(f: HarmonicMap, E: Region, tol: float, quantities=None):
+    """quantitative_bounds' rows; quantities = (area, energy) if known."""
     k = sup_dilatation(f, E)
     if k >= 1.0:
         raise HypothesisError(f"sampled dilatation bound k = {k:.6g} is not < 1")
-    area = image_area(f, E, tol, check_sense=False)
-    energy = analytic_energy(f, E, tol)
+    if quantities is None:
+        quantities = image_area(f, E, tol, check_sense=False), analytic_energy(f, E, tol)
+    area, energy = quantities
     tolerance = default_tolerance(tol, area.error_estimate, energy.error_estimate)
     detail = (
         f"k={k:.17g} area_err={area.error_estimate:.3e} "
@@ -257,11 +263,7 @@ def quantitative_bounds(
     )
     evals = area.evals + energy.evals
     lower = VerificationReport(
-        "quantitative-lower",
-        (1.0 - k * k) * energy.value,
-        area.value,
-        tolerance,
-        detail,
+        "quantitative-lower", (1.0 - k * k) * energy.value, area.value, tolerance, detail,
         evals=evals,
     )
     upper = VerificationReport(
@@ -289,11 +291,16 @@ def disk_contraction_report(
     """
     if not 0.0 < r < 1.0:
         raise HypothesisError("radius must lie in (0, 1)")
+    return _disk_rows(f, r, tol)[0]
+
+
+def _disk_rows(f: HarmonicMap, r: float, tol: float, validity=None):
+    """disk_contraction_report's rows, and the (area, energy) they compare."""
     disk = Disk(r)
     area = image_area(f, disk, tol, check_sense=False)
     energy = analytic_energy(f, disk, tol)
     reference = math.pi * r * r
-    validity = validate(f)
+    validity = validity or validate(f)
     tolerance = default_tolerance(tol, area.error_estimate, energy.error_estimate)
     detail = _hypothesis_detail(validity)
     rows = [
@@ -301,48 +308,58 @@ def disk_contraction_report(
         ("chain-energy", area.value, energy.value, True, area.evals + energy.evals),
         ("chain-disk", energy.value, reference, validity.self_map, energy.evals),
     ]
-    return tuple(
-        VerificationReport(
-            f"{name} r={r:.3g}", lhs, rhs, tolerance, detail, checked, evals
-        )
+    reports = tuple(
+        VerificationReport(f"{name} r={r:.3g}", lhs, rhs, tolerance, detail, checked, evals)
         for name, lhs, rhs, checked, evals in rows
     )
+    return reports, (area, energy)
 
 
 RADIAL_DIRECTIONS = 64
 _RADIAL_Q = 128
 
 
-def _radial_sums(field, r: float, theta: np.ndarray, q: int) -> list[float]:
-    """One math.fsum per direction theta of the q-node Gauss-Legendre rule
-    for int_0^r field(t e^{i theta}) t dt."""
+def _radial_sums(field, radii, theta: np.ndarray, q: int) -> list[list[float]]:
+    """For each r in radii, one math.fsum per direction theta of the q-node
+    Gauss-Legendre rule for int_0^r field(t e^{i theta}) t dt."""
     x, w = _gauss(q)
+    r = np.asarray(radii, dtype=float)[:, None, None]
     t = r * (x + 1.0) / 2.0
-    vals = np.asarray(field(t[None, :] * np.exp(1j * theta)[:, None]), dtype=float)
-    return [math.fsum(row) for row in (vals * ((r / 2.0) * w * t)).tolist()]
+    vals = np.asarray(field(t * np.exp(1j * theta)[:, None]), dtype=float)
+    terms = (vals * ((r / 2.0) * w * t)).tolist()
+    return [[math.fsum(row) for row in rows] for rows in terms]
 
 
-def _radial_column(f: HarmonicMap, r: float) -> tuple[np.ndarray, list[float], int]:
-    """theta, int_0^r J_f(t e^{i theta}) t dt and evals per direction: the
-    _RADIAL_Q-node rule for an automorphism, else sum_{j,k} j k (a_j conj(a_k)
-    - b_j conj(b_k)) r^{j+k}/(j+k) e^{i(j-k) theta} (Duren 2004, sec. 1) as
-    one fsum per direction of the diagonal sums c_m, j - k = m: c_0 and
-    2 Re(c_m e^{i m theta}).  A value past the float range: ConstructionError."""
-    if not 0.0 < r < 1.0:
+def _radial_column(f: HarmonicMap, radii) -> tuple[np.ndarray, list[list[float]], int]:
+    """theta, int_0^r J_f(t e^{i theta}) t dt per direction for each r in radii,
+    and evals per direction: r^2/2 for a rotation (J = 1), the _RADIAL_Q-node
+    rule per radius for another automorphism, else in one pass for all radii
+    sum_{j,k} j k (a_j conj(a_k) - b_j conj(b_k)) r^{j+k}/(j+k) e^{i(j-k) theta}
+    (Duren 2004, sec. 1) as one fsum per direction of the diagonal sums c_m,
+    j - k = m: c_0 and 2 Re(c_m e^{i m theta}).  Past the float range:
+    ConstructionError."""
+    if not all(0.0 < r < 1.0 for r in radii):
         raise HypothesisError("radius must lie in (0, 1)")
     theta = 2.0 * np.pi * np.arange(RADIAL_DIRECTIONS) / RADIAL_DIRECTIONS
     if isinstance(f, DiskAutomorphism):
-        return theta, _radial_sums(f.jacobian, r, theta, _RADIAL_Q), _RADIAL_Q
+        if f.a == 0:
+            return theta, [[r * r / 2.0] * RADIAL_DIRECTIONS for r in radii], 1
+        lhs = [_radial_sums(f.jacobian, [r], theta, _RADIAL_Q)[0] for r in radii]
+        return theta, lhs, _RADIAL_Q
     rows, (d,) = coefficient_rows([f])
     n = np.arange(1, d + 1)
-    a, b = rows[0, :, 1:] * (n * r**n)
+    r = np.asarray(radii, dtype=float)[:, None]
+    a, b = rows[0, :, None, 1:] * (n * r**n)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = (np.outer(a, a.conj()) - np.outer(b, b.conj())) / np.add.outer(n, n)
-        diagonals = np.array([c.diagonal(-m).sum() for m in range(1, d)])
-        waves = 2.0 * (np.exp(1j * np.outer(theta, n[:-1])) * diagonals).real
+        c = a[:, :, None] * a[:, None].conj() - b[:, :, None] * b[:, None].conj()
+        c /= np.add.outer(n, n)
+        # sums[:, m] = c_m; c_0, the trace, is 0 for a constant map (d = 0).
+        sums = np.stack([c.diagonal(-m, 1, 2).sum(axis=1) for m in range(max(d, 1))], axis=1)
+        waves = 2.0 * (np.exp(1j * np.outer(theta, n[:-1])) * sums[:, None, 1:]).real
     try:  # inf - inf in fsum, or its intermediate overflow
-        lhs = [math.fsum([c.trace().real, *row]) for row in waves.tolist()]
-        if all(map(math.isfinite, lhs)):
+        c0 = sums[:, 0].real.tolist()
+        lhs = [[math.fsum([s, *row]) for row in rows] for s, rows in zip(c0, waves.tolist())]
+        if all(math.isfinite(v) for column in lhs for v in column):
             return theta, lhs, max(1, int(d))
     except (OverflowError, ValueError):
         pass
@@ -352,7 +369,7 @@ def _radial_column(f: HarmonicMap, r: float) -> tuple[np.ndarray, list[float], i
 def radial_bound_profile(f: HarmonicMap, r: float) -> list[VerificationReport]:
     """Per-direction check of int_0^r J_f(t e^{i theta}) t dt <= r^2/2, one
     row for each of RADIAL_DIRECTIONS equally spaced directions."""
-    theta, lhs, evals = _radial_column(f, r)
+    theta, (lhs,), evals = _radial_column(f, [r])
     rhs = r * r / 2.0
     return [
         VerificationReport(f"radial-{j:03d}", v, rhs, 1e-9, f"theta={t:.17g}", evals=evals)
@@ -503,62 +520,64 @@ class ReferenceIntegral:
     evals: int
 
 
-def _radial_reference(field, r: float, tol: float) -> QuadResult:
-    """2 pi int_0^r field(t) t dt, a radial field's integral over D_r: the Gauss
-    rule in t along theta = 0, nodes doubling from DEFAULT_Q0 to Q_CAP (_refine)."""
+def _radial_reference(density, r, tol: float, forms):
+    """ReferenceIntegral of q = 2 pi int_0^r phi(t) t dt, phi = density() a
+    radial field, and forms(r) = (closed form, claimed value): the Gauss rule
+    in t along theta = 0, nodes doubling from DEFAULT_Q0 to Q_CAP (_refine),
+    each level once for all radii of a sequence r not yet converged."""
+    radii = np.asarray(r, dtype=float).ravel().tolist()
+    if not all(0.0 < x < 1.0 for x in radii):
+        raise HypothesisError("radius must lie in (0, 1)")
+    field = density()
     check_tol(tol)
 
-    def level(q: int) -> tuple[float, int]:
-        return 2.0 * math.pi * _radial_sums(field, r, np.zeros(1), q)[0], q
+    def level(q: int, live: list[int]) -> tuple[list[float], int]:
+        sums = _radial_sums(field, [radii[i] for i in live], np.zeros(1), q)
+        return [2.0 * math.pi * column[0] for column in sums], q
 
     levels = [DEFAULT_Q0 << k for k in range((Q_CAP // DEFAULT_Q0).bit_length())]
-    return _refine(level, levels, tol, f"q={Q_CAP}")
+    results = _refine(level, levels, tol, f"q={Q_CAP}", len(radii))
+    out = [
+        ReferenceIntegral(q.value, *forms(x), q.error_estimate, q.evals)
+        for x, q in zip(radii, results)
+    ]
+    return out if np.ndim(r) else out[0]
 
 
-def hyperbolic_disk_integral(r: float, tol: float = DEFAULT_TOL) -> ReferenceIntegral:
+def hyperbolic_disk_integral(r, tol: float = DEFAULT_TOL):
     """Integral of (1-|z|^2)^-2 over Disk{r}: quadrature vs pi r^2/(1-r^2).
 
     The claimed value pi r^2 is reported alongside; the two agree only to
-    first order in r.
+    first order in r.  r may also be a sequence of radii: a list of the
+    ReferenceIntegrals is then returned, each the one for its radius alone.
     """
-    if not 0.0 < r < 1.0:
-        raise HypothesisError("radius must lie in (0, 1)")
+    def forms(r: float) -> tuple[float, float]:
+        return math.pi * r * r / (1.0 - r * r), math.pi * r * r
 
-    def field(z):
-        u = 1.0 - np.abs(z) ** 2
-        return 1.0 / (u * u)
+    def density():
+        return lambda z: 1.0 / (1.0 - np.abs(z) ** 2) ** 2
 
-    q = _radial_reference(field, r, tol)
-    return ReferenceIntegral(
-        quadrature=q.value,
-        closed_form=math.pi * r * r / (1.0 - r * r),
-        claimed_value=math.pi * r * r,
-        error_estimate=q.error_estimate,
-        evals=q.evals,
-    )
+    return _radial_reference(density, r, tol, forms)
 
 
-def shear_disk_integral(
-    r: float, alpha: float = 0.3, power: int = 2, tol: float = DEFAULT_TOL
-) -> ReferenceIntegral:
+def shear_disk_integral(r, alpha: float = 0.3, power: int = 2, tol: float = DEFAULT_TOL):
     """Image area of the shear z + alpha conj(z)^power over Disk{r}.
 
     Closed form pi r^2 - pi p alpha^2 r^{2p}; the claimed value replaces
     the factor p by 1.  The quadrature comes from _radial_reference on the
     shear's Jacobian, never from image_area's closed form, so the reference
-    rows keep comparing quadrature against the closed form.
+    rows keep comparing quadrature against the closed form.  r may also be
+    a sequence of radii, as in hyperbolic_disk_integral.
     """
-    if not 0.0 < r < 1.0:
-        raise HypothesisError("radius must lie in (0, 1)")
-    q = _radial_reference(shear(alpha, power).jacobian, r, tol)
     a2 = alpha * alpha
-    return ReferenceIntegral(
-        quadrature=q.value,
-        closed_form=math.pi * r * r - math.pi * power * a2 * r ** (2 * power),
-        claimed_value=math.pi * r * r - math.pi * a2 * r ** (2 * power),
-        error_estimate=q.error_estimate,
-        evals=q.evals,
-    )
+
+    def forms(r: float) -> tuple[float, float]:
+        return (
+            math.pi * r * r - math.pi * power * a2 * r ** (2 * power),
+            math.pi * r * r - math.pi * a2 * r ** (2 * power),
+        )
+
+    return _radial_reference(lambda: shear(alpha, power).jacobian, r, tol, forms)
 
 
 def rigidity_margin(f: HarmonicMap, r: float, tol: float = DEFAULT_TOL) -> float:
@@ -601,31 +620,30 @@ def verification_suite(
     """
     validity = validate(f)
     hyp = _hypothesis_detail(validity)
+    try:
+        theta, columns, evals = _radial_column(f, VERIFY_RADII)
+    except ConstructionError:  # raised again below at its radius, in row order
+        columns = [None] * len(VERIFY_RADII)
+    hyperbolic = hyperbolic_disk_integral(VERIFY_RADII, tol)
+    shears = shear_disk_integral(VERIFY_RADII, 0.3, 2, tol)
     rows: list[VerificationReport] = []
-    for r in VERIFY_RADII:
-        rows.extend(disk_contraction_report(f, r, tol))
-        theta, lhs, evals = _radial_column(f, r)
+    for r, lhs, hyperbolic_r, shear_r in zip(VERIFY_RADII, columns, hyperbolic, shears):
+        disk_rows, quantities = _disk_rows(f, r, tol, validity)
+        rows.extend(disk_rows)
+        if lhs is None:
+            theta, (lhs,), evals = _radial_column(f, [r])
         rhs = r * r / 2.0
         j = min(range(RADIAL_DIRECTIONS), key=lambda j: rhs - lhs[j])
         detail = f"{hyp} worst theta={theta[j]:.17g}"
         worst = (lhs[j], rhs, 1e-9, detail, validity.self_map, evals * RADIAL_DIRECTIONS)
         rows.append(VerificationReport(f"radial-worst r={r:.1f}", *worst))
-        star_row = star_contraction_report(f, star_cos3(256, scale=r), tol)
-        rows.append(
-            replace(
-                star_row,
-                name=f"star-contraction r={r:.1f}",
-                checked=star_row.checked and validity.self_map,
-                detail=f"{star_row.detail} {hyp}",
-            )
-        )
-        lower, upper = quantitative_bounds(f, Disk(r), tol)
+        star = star_contraction_report(f, star_cos3(256, scale=r), tol)
+        name, detail = f"star-contraction r={r:.1f}", f"{star.detail} {hyp}"
+        checked = star.checked and validity.self_map
+        rows.append(replace(star, name=name, checked=checked, detail=detail))
+        lower, upper = _sandwich_rows(f, Disk(r), tol, quantities)
         rows.append(replace(lower, name=f"sandwich-lower r={r:.1f}"))
         rows.append(replace(upper, name=f"sandwich-upper r={r:.1f}"))
-        rows.extend(
-            _reference_rows("hyperbolic", r, hyperbolic_disk_integral(r, tol), tol)
-        )
-        rows.extend(
-            _reference_rows("shear", r, shear_disk_integral(r, 0.3, 2, tol), tol)
-        )
+        rows.extend(_reference_rows("hyperbolic", r, hyperbolic_r, tol))
+        rows.extend(_reference_rows("shear", r, shear_r, tol))
     return rows

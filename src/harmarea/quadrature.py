@@ -113,7 +113,7 @@ def _angular_layout(E, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta.ravel(), np.ascontiguousarray(w).ravel(), radii.ravel()
 
 
-def _polar_level(field, E, q: int, m: int) -> tuple[float, int]:
+def _polar_level(field, E, q: int, m: int) -> tuple[list[float], int]:
     theta, wtheta, radii = _angular_layout(E, m)
     x, gw = _gauss(q)
     frac = (x + 1.0) / 2.0
@@ -129,7 +129,7 @@ def _polar_level(field, E, q: int, m: int) -> tuple[float, int]:
             w = wtheta[b : b + rows, None] * (rad / 2.0) * gw[None, :] * t
             yield (w * vals).ravel().tolist()
 
-    return math.fsum(chain.from_iterable(block_terms())), theta.size * q
+    return [math.fsum(chain.from_iterable(block_terms()))], theta.size * q
 
 
 def integrate_polar(field, E: Region, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -158,33 +158,40 @@ def integrate_polar(field, E: Region, tol: float = DEFAULT_TOL) -> QuadResult:
         if step == (q, m):
             break
         levels.append(step)
-    return _refine(
-        lambda qm: _polar_level(field, E, *qm),
-        levels,
-        tol,
-        f"q={Q_CAP}, angular cap {cap}",
-    )
+    caps = f"q={Q_CAP}, angular cap {cap}"
+    return _refine(lambda qm, _: _polar_level(field, E, *qm), levels, tol, caps)[0]
 
 
-def _refine(level, params, tol: float, caps: str) -> QuadResult:
-    """Evaluate level(p) for p in params until two successive values agree.
+def _refine(level, params, tol: float, caps: str, size: int = 1) -> list[QuadResult]:
+    """Evaluate level(p, live) for p in params until two successive values of
+    each of size integrals agree; level gives the values of the integrals
+    numbered in live and the evals each spent.
 
     params holds at least two levels.  Agreement means a difference within
     tol*max(1, |value|), or within 10x that at the last level; the
-    difference is the error estimate.  Running out of levels first raises
-    NonConvergenceError naming the caps.
+    difference is the error estimate.  An integral that agrees leaves live,
+    so its result is the one it gives alone.  Running out of levels first
+    raises NonConvergenceError naming the caps.
     """
-    value, total_evals = level(params[0])
+    live = list(range(size))
+    values, evals = level(params[0], live)
+    last, spent, out = dict(zip(live, values)), [evals] * size, [None] * size
     for k, p in enumerate(params[1:], 2):
-        new_value, evals = level(p)
-        total_evals += evals
-        err = abs(new_value - value)
+        values, evals = level(p, live)
         slack = 10.0 if k == len(params) else 1.0
-        if err <= slack * tol * max(1.0, abs(new_value)):
-            return QuadResult(new_value, err, total_evals)
-        value = new_value
+        errors = {}
+        for i, new_value in zip(live, values):
+            spent[i] += evals
+            err = abs(new_value - last[i])
+            if err <= slack * tol * max(1.0, abs(new_value)):
+                out[i] = QuadResult(new_value, err, spent[i])
+            else:
+                last[i], errors[i] = new_value, err
+        live = list(errors)
+        if not live:
+            return out
     raise NonConvergenceError(
-        f"quadrature caps reached ({caps}) with error estimate {err:.3e} "
+        f"quadrature caps reached ({caps}) with error estimate {errors[live[0]]:.3e} "
         "above 10*tol"
     )
 
@@ -224,8 +231,8 @@ def _panels(E: StarShaped, pole: complex | None) -> np.ndarray:
     return panels
 
 
-def _boundary_level(parts, panels: np.ndarray, m: int) -> tuple[float, int]:
-    """Boundary sum over m Gauss-Legendre nodes on each panel.
+def _boundary_level(parts, panels: np.ndarray, m: int) -> tuple[list[float], int]:
+    """Boundary sum over m Gauss-Legendre nodes on each panel, a batch of one.
 
     gamma(theta) = R(theta) e^{i theta} with R linear on each panel, so
     gamma' = (R' + i R) e^{i theta} and R' is the panel's slope.
@@ -243,7 +250,7 @@ def _boundary_level(parts, panels: np.ndarray, m: int) -> tuple[float, int]:
         # Shifting F by the constant F(0) leaves oint conj(F) dF unchanged.
         flux = np.conjugate(F(z) - F(0j)) * dF(z) * dz
         terms.append((0.5 * sign) * w * flux.imag)
-    return math.fsum(np.concatenate(terms).tolist()), z.size
+    return [math.fsum(np.concatenate(terms).tolist())], z.size
 
 
 def integrate_boundary(
@@ -282,7 +289,7 @@ def integrate_boundary(
         )
     levels = [m << k for k in range((cap // m).bit_length())]
     caps = f"{cap} boundary nodes per panel"
-    return _refine(lambda k: _boundary_level(parts, panels, k), levels, tol, caps)
+    return _refine(lambda k, _: _boundary_level(parts, panels, k), levels, tol, caps)[0]
 
 
 def quarter_cells(centers: np.ndarray, n: int) -> np.ndarray:
@@ -418,7 +425,8 @@ def _raster_pass(f, E: Region, n: int, rng) -> tuple[float, int]:
         parts = np.split(jitter, np.cumsum(sizes)[:-1], axis=1)
         centers = [c + j[0] + 1j * j[1] for c, j in zip(centers, parts)]
         centers = [c[np.abs(c) < 1.0] for c in centers]
-    images = [np.asarray(f.evaluate(c)) for c in centers if c.size]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite extremes raise below
+        images = [np.asarray(f.evaluate(c)) for c in centers if c.size]
     if not images:
         return 0.0, 0
     ends = [(w.real.min(), w.real.max(), w.imag.min(), w.imag.max()) for w in images]

@@ -48,6 +48,7 @@ from harmarea import (
     star_contraction_report,
     star_cos3,
     sup_dilatation,
+    validate,
     verification_suite,
     worst_case_image_area,
 )
@@ -658,11 +659,11 @@ class TestRadialBound:
         # so the rule's error scales with the integral of |h'|^2 + |g'|^2,
         # not with that of J, which may cancel.
         f = raw_polynomial(h, g)
-        theta, lhs, _ = distortion._radial_column(f, r)
-        gauss = distortion._radial_sums(f.jacobian, r, theta, 128)
+        theta, (lhs,), _ = distortion._radial_column(f, [r])
+        (gauss,) = distortion._radial_sums(f.jacobian, [r], theta, 128)
         slopes = [s.derivative().evaluate for s in (f.h, f.g)]
-        size = distortion._radial_sums(
-            lambda z: sum(np.abs(d(z)) ** 2 for d in slopes), r, theta, 128
+        (size,) = distortion._radial_sums(
+            lambda z: sum(np.abs(d(z)) ** 2 for d in slopes), [r], theta, 128
         )
         for v, ref, scale in zip(lhs, gauss, size):
             assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref), scale)
@@ -693,6 +694,35 @@ class TestRadialBound:
     def test_closed_form_past_the_float_range_raises(self):
         with pytest.raises(ConstructionError):
             radial_bound_profile(raw_polynomial((0.0, 1e200), (0.0,)), 0.5)
+
+    @given(
+        st.lists(coefficient, min_size=1, max_size=9),
+        st.lists(coefficient, min_size=1, max_size=9),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=9),
+    )
+    def test_one_pass_equals_each_radius_alone(self, h, g, radii):
+        # The closed form for all radii at once gives each radius's bits.
+        f = raw_polynomial(h, g)
+        theta, columns, evals = distortion._radial_column(f, radii)
+        assert len(columns) == len(radii)
+        for r, column in zip(radii, columns):
+            alone_theta, (alone,), alone_evals = distortion._radial_column(f, [r])
+            assert column == alone and evals == alone_evals
+            assert np.array_equal(theta, alone_theta)
+
+    @pytest.mark.parametrize("f", [identity_map(), rotation_map(math.pi / 3)])
+    def test_area_preserving_rows_are_half_r_squared(self, f):
+        # J = 1: the identity's series and a rotation's closed form both give
+        # r*r/2 bit for bit, which the 128-node rule meets to rounding.
+        theta, columns, evals = distortion._radial_column(f, distortion.VERIFY_RADII)
+        assert evals == 1
+        for r, column in zip(distortion.VERIFY_RADII, columns):
+            assert column == [r * r / 2.0] * distortion.RADIAL_DIRECTIONS
+            (gauss,) = distortion._radial_sums(lambda z: np.ones(z.shape), [r], theta, 128)
+            assert all(abs(v - r * r / 2.0) <= 1e-15 * r * r / 2.0 for v in gauss)
+        rows = [row for row in verification_suite(f) if row.name.startswith("radial-worst")]
+        assert [row.lhs for row in rows] == [r * r / 2.0 for r in distortion.VERIFY_RADII]
+        assert all(row.evals == distortion.RADIAL_DIRECTIONS for row in rows)
 
 
 class TestStarContraction:
@@ -968,6 +998,28 @@ class TestReferenceIntegrals:
         # 256 radial nodes cannot resolve the double pole at |z| = 1.
         with pytest.raises(NonConvergenceError):
             hyperbolic_disk_integral(0.999)
+        with pytest.raises(NonConvergenceError):
+            hyperbolic_disk_integral([0.5, 0.999, 0.9])
+
+    @pytest.mark.parametrize("tol", [MIN_TOL, DEFAULT_TOL, 1e-6])
+    @pytest.mark.parametrize(
+        "integral", [hyperbolic_disk_integral, lambda r, tol: shear_disk_integral(r, 0.2, 3, tol)]
+    )
+    def test_sequence_of_radii_equals_each_radius_alone(self, integral, tol):
+        # Each level runs once for the radii not yet converged; every entry is
+        # the scalar call's, field by field, however many levels it took.
+        radii = [0.9, 0.05, *distortion.VERIFY_RADII, 0.95]
+        refs = integral(radii, tol=tol)
+        assert isinstance(refs, list)
+        assert refs == [integral(r, tol=tol) for r in radii]
+        assert integral((), tol=tol) == []
+        # The hyperbolic radii leave the batch at different levels.
+        assert len({ref.evals for ref in hyperbolic_disk_integral(radii, tol)}) > 1
+
+    @pytest.mark.parametrize("integral", [hyperbolic_disk_integral, shear_disk_integral])
+    def test_sequence_with_a_bad_radius_raises(self, integral):
+        with pytest.raises(HypothesisError):
+            integral([0.5, 1.0])
 
     @pytest.mark.parametrize("integral", [hyperbolic_disk_integral, shear_disk_integral])
     def test_tol_below_the_floor_raises(self, integral):
@@ -1045,6 +1097,28 @@ class TestVerificationSuite:
             )
             for row in disk_contraction_report(f, r):
                 assert rows[row.name] == row
+
+    def test_suite_validates_once(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return validate(f)
+
+        monkeypatch.setattr(distortion, "validate", counted)
+        verification_suite(shear(0.3, 2))
+        assert len(calls) == 1
+
+    def test_suite_raises_the_first_error_in_row_order(self):
+        # h' = 1e154 (1 + z/2)^3 and g = 0.5e154 z: the radial closed form
+        # overflows only at r = 0.9, but the sandwich rows already refuse
+        # k >= 1 at r = 0.1, as each radius in turn finds.
+        f = raw_polynomial([0, 1e154, 0.75e154, 0.25e154, 0.03125e154], [0, 0.5e154])
+        with pytest.raises(ConstructionError, match="radial"):
+            distortion._radial_column(f, distortion.VERIFY_RADII)
+        distortion._radial_column(f, distortion.VERIFY_RADII[:-1])
+        with pytest.raises(HypothesisError, match="dilatation bound"):
+            verification_suite(f)
 
     def test_claimed_rows_never_counted(self):
         rows = verification_suite(rotation_map(0.0))

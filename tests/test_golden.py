@@ -7,7 +7,9 @@ An intended output change regenerates the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and states the changed bytes in CHANGES.md.
+which prints a new DIGESTS block and marks each digest that differs from
+the current one with a trailing "# moved" ("# new" for a new case); the
+changed bytes of the moved cases go in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -175,5 +177,7 @@ if __name__ == "__main__":
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             _, digest = run_case(CASES[name], Path(tmp))
-        print(f'    "{name}": "{digest}",')
+        old = DIGESTS.get(name)
+        mark = "" if digest == old else "  # new" if old is None else "  # moved"
+        print(f'    "{name}": "{digest}",{mark}')
     print("}")
