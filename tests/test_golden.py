@@ -140,9 +140,9 @@ DIGESTS = {
     "verify-example1-affine-0.2": "ee38fe69e69eba30a9b5cd08ba2914b5edea0d832a768b03d67933730e5b676c",
     "verify-example1-affine-0.5": "c2df03a07302274eaf3dee186db332dfd65418c9a95078bf64101c8bad3ae426",
     "verify-example2-shear-0.1": "ff508b6680dcff5cfc4c657a334746ded3751fcd9824ff1f10937a61167861a0",
-    "verify-identity": "0a0c464c3ab9d376e02254d5fff4832c55c804d1569b5ebce75367b53a72d36d",
+    "verify-identity": "05a94c4bd7c277861e480997610b1fffedcd7baac7f7fee7dffbc4dba813859e",
     "verify-remark-shear-0.3": "1bcace4fd5956f1d0ca9dc37bde910f5e6b4823386e6902071ebb3adb184aa2b",
-    "verify-rotation": "0a0c464c3ab9d376e02254d5fff4832c55c804d1569b5ebce75367b53a72d36d",
+    "verify-rotation": "05a94c4bd7c277861e480997610b1fffedcd7baac7f7fee7dffbc4dba813859e",
 }
 
 
