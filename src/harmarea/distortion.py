@@ -346,10 +346,10 @@ def _radial_column(f: HarmonicMap, radii) -> tuple[np.ndarray, list[list[float]]
             return theta, [[r * r / 2.0] * RADIAL_DIRECTIONS for r in radii], 1
         lhs = [_radial_sums(f.jacobian, [r], theta, _RADIAL_Q)[0] for r in radii]
         return theta, lhs, _RADIAL_Q
-    rows, (d,) = coefficient_rows([f])
+    coefficients, (d,) = coefficient_rows([f])
     n = np.arange(1, d + 1)
     r = np.asarray(radii, dtype=float)[:, None]
-    a, b = rows[0, :, None, 1:] * (n * r**n)
+    a, b = coefficients[0, :, None, 1:] * (n * r**n)
     with np.errstate(over="ignore", invalid="ignore"):
         c = a[:, :, None] * a[:, None].conj() - b[:, :, None] * b[:, None].conj()
         c /= np.add.outer(n, n)
@@ -520,15 +520,14 @@ class ReferenceIntegral:
     evals: int
 
 
-def _radial_reference(density, r, tol: float, forms):
-    """ReferenceIntegral of q = 2 pi int_0^r phi(t) t dt, phi = density() a
-    radial field, and forms(r) = (closed form, claimed value): the Gauss rule
-    in t along theta = 0, nodes doubling from DEFAULT_Q0 to Q_CAP (_refine),
-    each level once for all radii of a sequence r not yet converged."""
+def _radial_reference(field, r, tol: float, forms):
+    """ReferenceIntegral of q = 2 pi int_0^r field(t) t dt, a radial field's
+    integral over D_r, and forms(r) = (closed form, claimed value): the Gauss
+    rule in t along theta = 0, nodes doubling from DEFAULT_Q0 to Q_CAP
+    (_refine), each level once for all radii of a sequence r not yet converged."""
     radii = np.asarray(r, dtype=float).ravel().tolist()
     if not all(0.0 < x < 1.0 for x in radii):
         raise HypothesisError("radius must lie in (0, 1)")
-    field = density()
     check_tol(tol)
 
     def level(q: int, live: list[int]) -> tuple[list[float], int]:
@@ -554,10 +553,7 @@ def hyperbolic_disk_integral(r, tol: float = DEFAULT_TOL):
     def forms(r: float) -> tuple[float, float]:
         return math.pi * r * r / (1.0 - r * r), math.pi * r * r
 
-    def density():
-        return lambda z: 1.0 / (1.0 - np.abs(z) ** 2) ** 2
-
-    return _radial_reference(density, r, tol, forms)
+    return _radial_reference(lambda z: 1.0 / (1.0 - np.abs(z) ** 2) ** 2, r, tol, forms)
 
 
 def shear_disk_integral(r, alpha: float = 0.3, power: int = 2, tol: float = DEFAULT_TOL):
@@ -577,7 +573,7 @@ def shear_disk_integral(r, alpha: float = 0.3, power: int = 2, tol: float = DEFA
             math.pi * r * r - math.pi * a2 * r ** (2 * power),
         )
 
-    return _radial_reference(lambda: shear(alpha, power).jacobian, r, tol, forms)
+    return _radial_reference(shear(alpha, power).jacobian, r, tol, forms)
 
 
 def rigidity_margin(f: HarmonicMap, r: float, tol: float = DEFAULT_TOL) -> float:
