@@ -25,11 +25,10 @@ from .quadrature import (
     QuadResult,
     _gauss,
     _refine,
+    arc_grid_area,
     check_tol,
     integrate_boundary,
     integrate_grid,
-    integrate_runs,
-    quarter_cells,
 )
 from .regions import (
     Disk,
@@ -90,14 +89,7 @@ def _area_integral(
 ) -> QuadResult:
     """Integral of J_f (or |h'|^2 if energy) over E.
 
-    On a pixel grid a polynomial map's J_f and |h'|^2 are polynomials of
-    degree at most 2(d - 1) in x and in y, d >= 2 the largest degree of the
-    series integrated, so quadrature.integrate_runs with d nodes per axis
-    is exact up to rounding (error_estimate 0.0).  Any other automorphism's
-    Jacobian is not a polynomial, and a rim cell can reach toward its pole
-    1/conj(a): it keeps the midpoint rule of quadrature.integrate_grid.
-
-    Closed forms, exact up to rounding (error_estimate 0.0):
+    Closed forms and exact rules, exact up to rounding (error_estimate 0.0):
     - any region under a polynomial map of degree at most 1: J_f is the
       constant |a_1|^2 - |b_1|^2, the n = 1 terms below, times m(E).
     - a disk under a polynomial map: for h = sum a_n z^n, g = sum b_n z^n
@@ -110,38 +102,39 @@ def _area_integral(
       m(D_r) * S with S = ((1 - |a|^2) / (1 - |a|^2 r^2))^2, so S = 1 for
       a rotation.  An automorphism's energy density is its Jacobian.
     - any region under a rotation: J_f = 1, so the value is m(E).
+    - a pixel grid under any other automorphism: the circular arcs of
+      quadrature.arc_grid_area, which refuses a pole 1/conj(a) by a run.
+    - a pixel grid under a polynomial map, d >= 2 the largest degree of the
+      series integrated: the boundary integral below on the run sides, exact
+      with d nodes per side (quadrature.integrate_grid).
     Other stars take the boundary integral of the canonical decomposition,
     int_E J_f = (1/2i) oint (conj(h) dh - conj(g) dg), with g = 0 for an
-    automorphism.
+    automorphism, by quadrature.integrate_boundary.
     """
     check_tol(tol)
     if isinstance(f, DiskAutomorphism):
         if f.a == 0:
             return QuadResult(region_measure(E), 0.0, 1)
+        pole = 1.0 / f.a.conjugate()
         if isinstance(E, PixelGrid):
-            return integrate_grid(f.jacobian, E)
+            return arc_grid_area(f._evaluate_unchecked, E, pole)
         if isinstance(E, Disk):
             a2 = abs(f.a) ** 2
             s = (1.0 - a2) / (1.0 - a2 * E.r * E.r)
             return QuadResult(region_measure(E) * (s * s), 0.0, 1)
         parts = [(1.0, f.evaluate, f.analytic_derivative)]
-        return integrate_boundary(parts, E, tol, pole=1.0 / f.a.conjugate())
+        return integrate_boundary(parts, E, tol, pole=pole)
     series = [(1.0, f.h)] if energy else [(1.0, f.h), (-1.0, f.g)]
     degree = max(part.degree for _, part in series)
     if degree <= 1 or isinstance(E, Disk):
         area = disk_series_rows(E, [[part.coefficients for _, part in series]], degree)
         return QuadResult(area(0), 0.0, max(1, degree))
-    if isinstance(E, PixelGrid):
-        slopes = [(sign, part.derivative()._evaluate_unchecked) for sign, part in series]
-
-        def density(z):
-            return sum(sign * np.abs(d(z)) ** 2 for sign, d in slopes)
-
-        return integrate_runs(density, E, degree)
     parts = [
         (sign, part._evaluate_unchecked, part.derivative()._evaluate_unchecked)
         for sign, part in series
     ]
+    if isinstance(E, PixelGrid):
+        return integrate_grid(parts, E, degree)
     return integrate_boundary(parts, E, tol, min_nodes=4 * (degree + 1))
 
 
@@ -184,9 +177,10 @@ def image_area(
     Disks under any map, and any region under a rotation or a polynomial
     map of degree at most 1, use a closed form that is exact up to rounding
     (error_estimate 0.0).  Other stars use quadrature.integrate_boundary.
-    Pixel grids use the exact run rule of quadrature.integrate_runs under
-    other polynomial maps and the midpoint rule under other automorphisms;
-    see _area_integral.
+    Pixel grids are exact too: Green's formula on the sides of their runs,
+    by the exact side rule of quadrature.integrate_grid under other
+    polynomial maps and the closed-form arcs of quadrature.arc_grid_area
+    under other automorphisms; see _area_integral.
     Polar quadrature is never used.  On every region a tol that
     quadrature.check_tol rejects raises ConstructionError.
     """
@@ -205,8 +199,8 @@ def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> Quad
     """Integral of |h'|^2 over E (the analytic part's area integral).
 
     Closed form where image_area has one, the boundary integral of h alone
-    on other stars; on pixel grids the exact run rule under polynomial maps
-    and the midpoint rule under other automorphisms, as in image_area.
+    on other stars and on the run sides of pixel grids; an automorphism's
+    energy density is its Jacobian, so its energy is its image_area.
     """
     return _area_integral(f, E, tol, energy=True)
 
@@ -428,7 +422,8 @@ def local_contraction_constant(f: HarmonicMap, E: Region, grid: int = 129) -> fl
     if coarse_pts.size == 0:
         raise HypothesisError("no sample point lies in the region")
     if isinstance(E, PixelGrid):
-        fine_pts = quarter_cells(coarse_pts, E.n).ravel()
+        quarter = (0.5 / E.n) * np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j])
+        fine_pts = (coarse_pts[None, :] + quarter[:, None]).ravel()  # quarter cells
         fine_pts = fine_pts[np.abs(fine_pts) < 1.0]
     else:
         fine_pts = _sample_points(E, 2 * grid - 1)

@@ -160,6 +160,9 @@ class DiskAutomorphism:
 
     def evaluate(self, z):
         _check_disk(z)
+        return self._evaluate_unchecked(z)
+
+    def _evaluate_unchecked(self, z):
         phase = cmath.exp(1j * self.rotation)
         if self.a == 0:
             return phase * z

@@ -6,17 +6,15 @@ angle (per-segment Gauss nodes on stars), refining both by doubling until
 two levels agree.  No package code calls it: it stays public as the
 independent slow path that tests check the closed forms against.
 
-Area integrals of analytic functions over star regions reduce to boundary
-integrals by Green's formula, int_E |F'|^2 dA = (1/2i) oint conj(F) dF
-(Duren, Harmonic Mappings in the Plane, 2004); integrate_boundary sums
-those over Gauss-Legendre nodes on boundary panels, the profile segments
-bisected toward any pole of the integrand, and refines by doubling.
-
-On pixel grids, integrate_runs applies a tensor Gauss-Legendre rule to each
-horizontal run of true cells; it is exact for the polynomial Jacobians and
-energy densities of polynomial maps.  integrate_grid keeps the midpoint
-rule, with a refinement estimate, for fields that are not polynomials (disk
-automorphisms, whose pole may lie just past a rim cell).
+Area integrals of analytic functions reduce to boundary integrals by
+Green's formula, int_E |F'|^2 dA = (1/2i) oint conj(F) dF (Duren, Harmonic
+Mappings in the Plane, 2004).  integrate_boundary sums those over
+Gauss-Legendre nodes on star boundary panels, the profile segments bisected
+toward any pole of the integrand, and refines by doubling.  On pixel grids
+the boundary is the four sides of each horizontal run of true cells:
+integrate_grid puts a fixed number of Gauss-Legendre nodes on each side,
+exact for polynomials, and arc_grid_area sums the closed-form areas of a
+Mobius map's circular-arc images of the sides.
 
 Determinism contract: every pass evaluates its fields in one thread, on
 fixed index-ordered blocks of about regions.BLOCK points, and reduces the
@@ -71,9 +69,9 @@ def check_tol(tol: float) -> None:
 class QuadResult:
     """Integral value, two-level error estimate, and evaluation count.
 
-    A value from a closed form (see distortion.image_area) is exact up to
-    rounding: its error_estimate is 0.0 and evals counts the series terms
-    summed, at least 1.
+    A value from a closed form or an exact rule (see distortion.image_area)
+    is exact up to rounding: its error_estimate is 0.0 and evals counts the
+    series terms summed or the points evaluated, at least 1.
     """
 
     value: float
@@ -245,12 +243,19 @@ def _boundary_level(parts, panels: np.ndarray, m: int) -> tuple[list[float], int
     z = (radii * rot).ravel()
     dz = ((slope + 1j * radii) * rot).ravel()
     w = (gw * (width / 2.0)).ravel()
+    return [math.fsum(_green_terms(parts, z, dz, w))], z.size
+
+
+def _green_terms(parts, z, dz, w) -> list[float]:
+    """Terms w * sign * Im(conj(F(z) - F(0)) F'(z) dz)/2 of Green's formula
+    int_E |F'|^2 dA = (1/2i) oint conj(F) dF for each (sign, F, dF) part, at
+    nodes z with tangents dz and weights w (broadcast together)."""
     terms = []
     for sign, F, dF in parts:
         # Shifting F by the constant F(0) leaves oint conj(F) dF unchanged.
         flux = np.conjugate(F(z) - F(0j)) * dF(z) * dz
-        terms.append((0.5 * sign) * w * flux.imag)
-    return [math.fsum(np.concatenate(terms).tolist())], z.size
+        terms.append(((0.5 * sign) * w * flux.imag).ravel())
+    return np.concatenate(terms).tolist()
 
 
 def integrate_boundary(
@@ -292,106 +297,79 @@ def integrate_boundary(
     return _refine(lambda k, _: _boundary_level(parts, panels, k), levels, tol, caps)[0]
 
 
-def quarter_cells(centers: np.ndarray, n: int) -> np.ndarray:
-    """Centers of the four quarter cells of each n x n grid cell, shape (4, N)."""
-    q = 0.5 / n
-    offsets = np.array([-q - 1j * q, q - 1j * q, -q + 1j * q, q + 1j * q])
-    return centers[None, :] + offsets[:, None]
+def _run_corners(E: PixelGrid) -> np.ndarray:
+    """Corners of each run rectangle of E, counterclockwise from the lower
+    left, shape (k, 4); side j runs from corner j to corner j + 1 (mod 4)."""
+    row, start, stop = E.runs.T
+    side = 2.0 / E.n
+    x0, x1 = -1.0 + start * side, -1.0 + stop * side
+    y0, y1 = -1.0 + row * side, -1.0 + (row + 1) * side
+    return np.stack([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1], axis=1)
 
 
-def integrate_grid(field, E: PixelGrid) -> QuadResult:
-    """Midpoint rule over the true cells of a pixel grid.
+def integrate_grid(parts, E: PixelGrid, nodes: int) -> QuadResult:
+    """Sum of sign * int_E |F'|^2 dA over (sign, F, dF) parts on a pixel grid.
 
-    For fields that are not polynomials; integrate_runs is exact for those
-    that are.  The error estimate compares one dyadic mask refinement;
-    refined subcenters falling outside the open unit disk reuse their parent
-    center's field value (fields here are only defined on the disk).
+    Green's formula with integrate_boundary's terms, at nodes Gauss-Legendre
+    nodes on each side of each run rectangle of E.  The integrand has degree
+    2 deg F - 1 in the side parameter, so for deg F <= nodes the rule is
+    exact up to rounding (error estimate 0.0).  Rim sides reach past the
+    unit disk: F and dF must accept those points.  evals is 4 * nodes a run.
     """
     if not isinstance(E, PixelGrid):
         raise ConstructionError("integrate_grid needs a PixelGrid region")
-    centers = E.cell_centers()
-    count = centers.size
-    if count == 0:
-        return QuadResult(0.0, 0.0, 1)
-    side = 2.0 / E.n
-    area = side * side
-    blocks = [slice(i, i + BLOCK) for i in range(0, count, BLOCK)]
-    vals = np.empty(count)
-    for b in blocks:
-        vals[b] = field(centers[b])
-    base = math.fsum(chain.from_iterable((vals[b] * area).tolist() for b in blocks))
-
-    def refined_terms():
-        for b in blocks:
-            sub = quarter_cells(centers[b], E.n)
-            sub_vals = np.broadcast_to(vals[b], sub.shape).copy()
-            inside = np.abs(sub) < 1.0
-            if np.any(inside):
-                sub_vals[inside] = field(sub[inside])
-            yield (sub_vals * (area / 4.0)).ravel().tolist()
-
-    refined = math.fsum(chain.from_iterable(refined_terms()))
-    return QuadResult(base, abs(refined - base), count + 4 * count)
-
-
-# Veltkamp's splitting constant 2^27 + 1 for binary64.
-_SPLIT = 134217729.0
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = _SPLIT * a
-    high = c - (c - a)
-    return high, a - high
-
-
-def _exact_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise p + e == a * b exactly, barring overflow and underflow
-    (Dekker, Numer. Math. 18, 1971)."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def integrate_runs(field, E: PixelGrid, nodes: int) -> QuadResult:
-    """Tensor Gauss-Legendre rule, nodes x nodes points on each run of E.
-
-    E.runs splits the true cells into row runs; on each run rectangle the
-    rule is exact for polynomials of degree at most 2*nodes - 1 in x and in
-    y, so a polynomial field of that degree integrates exactly up to
-    rounding and the error estimate is 0.0.  Rim runs put nodes just outside
-    the unit disk, so the field must accept them.  Every node term is split
-    into two floats whose sum is exact, and fsum rounds the whole sum once.
-    With nodes = 1 and n a power of two the weights width * side^2 are
-    exact too, so a constant field c gives the bits of the midpoint rule's
-    sum of c * side^2 over the cells.  evals counts runs * nodes^2.
-    """
-    if not isinstance(E, PixelGrid):
-        raise ConstructionError("integrate_runs needs a PixelGrid region")
-    runs = E.runs
-    if runs.shape[0] == 0:
-        return QuadResult(0.0, 0.0, 1)
+    corners = _run_corners(E)
     x, gw = _gauss(nodes)
-    frac = (x + 1.0) / 2.0
-    side = 2.0 / E.n
-    wy = gw * (side / 2.0)
-    per_block = max(1, BLOCK // (nodes * nodes))
+    frac, w = (x + 1.0) / 2.0, gw / 2.0
+    per_block = max(1, BLOCK // (4 * nodes))
 
     def block_terms():
-        for b in range(0, runs.shape[0], per_block):
-            row, start, stop = runs[b : b + per_block].T
-            width = stop - start
-            xs = -1.0 + (start[:, None] + width[:, None] * frac[None, :]) * side
-            ys = -1.0 + (row[:, None] + frac[None, :]) * side
-            z = xs[:, None, :] + 1j * ys[:, :, None]
-            wx = (width * side / 2.0)[:, None] * gw[None, :]
-            w = wy[None, :, None] * wx[:, None, :]
-            vals = np.asarray(field(z), dtype=float)
-            for part in _exact_products(vals, w):
-                yield part.ravel().tolist()
+        for b in range(0, corners.shape[0], per_block):
+            start = corners[b : b + per_block, :, None]
+            dz = np.roll(start, -1, axis=1) - start
+            yield _green_terms(parts, start + dz * frac, dz, w)
 
     value = math.fsum(chain.from_iterable(block_terms()))
-    return QuadResult(value, 0.0, runs.shape[0] * nodes * nodes)
+    return QuadResult(value, 0.0, max(1, 4 * nodes * corners.shape[0]))
+
+
+# (2b - sin 2b)/(8 sin^2 b) = (b/6)(1 + 2b^2/15 + ...) to rounding for |b| < 0.1,
+# where the closed form loses about eps/b^2 of itself to cancellation.
+_SEGMENT_SERIES = (1.0, 2 / 15, 2 / 105, 4 / 1575, 2 / 6237, 2764 / 70945875)
+
+
+def arc_grid_area(mobius, E: PixelGrid, pole: complex) -> QuadResult:
+    """m(mobius(E)) in closed form for a Mobius map with its pole at pole.
+
+    The map sends each side A -> B of a run rectangle to a circular arc
+    through w_M = mobius((A + B)/2) that turns by beta = arg((w_B - w_M) /
+    (w_M - w_A)), half its central angle.  A rectangle's image is its chord
+    quadrilateral, half the cross product of the diagonals, plus the
+    segment (L^2/8)(2 beta - sin 2 beta)/sin^2 beta, L = |w_B - w_A|, of
+    each side.  Exact up to rounding (error_estimate 0.0); evals counts the
+    8 points of a run.  Rim rectangles reach past the unit disk: mobius must
+    accept those points.  A pole within BOUNDARY_POLE_CAP of a run
+    rectangle raises NonConvergenceError.
+    """
+    corners = _run_corners(E)
+    lo, hi = corners[:, 0], corners[:, 2]
+    near = np.clip(pole.real, lo.real, hi.real) + 1j * np.clip(pole.imag, lo.imag, hi.imag)
+    if np.any(np.abs(pole - near) < BOUNDARY_POLE_CAP):
+        raise NonConvergenceError(
+            f"Mobius pole within the cap of {BOUNDARY_POLE_CAP:.3g} of a run rectangle"
+        )
+    w = mobius(corners)
+    w_mid = mobius((corners + np.roll(corners, -1, axis=1)) / 2.0)
+    w_end = np.roll(w, -1, axis=1)
+    quad = 0.5 * (np.conjugate(w[:, 2] - w[:, 0]) * (w[:, 3] - w[:, 1])).imag
+    beta = np.angle(np.conjugate(w_mid - w) * (w_end - w_mid))
+    shape = beta / 6.0 * np.polynomial.polynomial.polyval(beta * beta, _SEGMENT_SERIES)
+    wide = np.abs(beta) >= 0.1
+    b = beta[wide]
+    shape[wide] = (2.0 * b - np.sin(2.0 * b)) / (8.0 * np.sin(b) ** 2)
+    segments = (np.abs(w_end - w) ** 2 * shape).ravel()
+    value = math.fsum(chain(quad.tolist(), segments.tolist()))
+    return QuadResult(value, 0.0, max(1, 8 * corners.shape[0]))
 
 
 def mc_image_area(f, E: Region, n: int = 1024, seed: int = 42) -> QuadResult:

@@ -6,10 +6,15 @@ failure.
 """
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
+import pytest
+
 import harmarea.cli as cli
+from harmarea import Disk, rasterize
+from harmarea.serialize import region_to_json
 
 _SPEC = importlib.util.spec_from_file_location(
     "tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -18,15 +23,24 @@ tracing = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracing)
 
 
-def test_traced_area_run(capsys, tmp_path):
+@pytest.mark.parametrize("preset, grid", [("identity", False), ("remark-shear-0.3", True)])
+def test_traced_area_run(capsys, tmp_path, preset, grid):
+    argv = ["area", "--preset", preset, "--out", str(tmp_path)]
+    if grid:
+        region = tmp_path / "grid.json"
+        region.write_text(json.dumps(region_to_json(rasterize(Disk(0.5), 16))))
+        argv += ["--region", str(region)]
     tracer = tracing.Tracer()
-    with tracer.installed(), tracer.job_scope("area-identity"):
-        code = cli.main(["area", "--preset", "identity", "--out", str(tmp_path)])
+    with tracer.installed(), tracer.job_scope(f"area-{preset}"):
+        code = cli.main(argv)
     capsys.readouterr()
     assert code == 0
     counts = tracing.summarize(tracer.take())
     assert counts["distortion.image_area.calls"] == 1
     assert counts["cli.self_s"] > 0.0
+    # A degree-2 map on a grid runs quadrature.integrate_grid, so renaming
+    # that kernel makes the grid job read 0 here.
+    assert (counts["quadrature.grid.evals"] > 0) == grid
 
 
 def test_traced_family_search(capsys, tmp_path):

@@ -5,12 +5,15 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 import harmarea.cli
 import harmarea.distortion
 import oracles
+from harmarea import Disk, PixelGrid, rasterize
 from harmarea.cli import main
+from harmarea.serialize import region_to_json
 
 
 RAWBALL = {"kind": "rawball", "degree": 2, "coeff_bound": 0.25}
@@ -147,6 +150,38 @@ class TestArea:
         expected = oracles.mobius_disk_area(0.999, 0.999)
         assert abs(got - expected) <= 1e-14 * expected
         assert stdout_value(out, "evals") == "1"
+
+    def test_mobius_grid_is_closed_form(self, capsys, tmp_path):
+        # The midpoint rule printed 2.20836 with quadrature_error 0.0108, below
+        # its true error of 0.014, and exited 0.
+        map_path = write_json(
+            tmp_path / "m.json", {"form": "automorphism", "a": [0.99, 0.0], "rotation": 0.3}
+        )
+        grid = region_to_json(rasterize(Disk(0.999), 1024))
+        region = write_json(tmp_path / "grid.json", grid)
+        code, out, _ = run(
+            capsys,
+            ["area", "--map", map_path, "--region", region, "--tol", "1e-9",
+             "--out", str(tmp_path)],
+        )
+        assert code == 0
+        expected = oracles.FROZEN["mobius-0.99-grid-disk-0.999"]
+        assert abs(float(stdout_value(out, "m(f(E))")) - expected) <= 1e-12 * expected
+        assert stdout_value(out, "quadrature_error") == "0"
+
+    def test_mobius_pole_in_a_grid_cell_exits_three(self, capsys, tmp_path):
+        a = 1.0 / (0.999 + 0.2j).conjugate()
+        map_path = write_json(
+            tmp_path / "m.json", {"form": "automorphism", "a": [a.real, a.imag]}
+        )
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[4, 7] = True  # the cell [0.75, 1] x [0, 0.25] holds the pole
+        region = write_json(tmp_path / "grid.json", region_to_json(PixelGrid(8, mask)))
+        code, _, err = run(
+            capsys, ["area", "--map", map_path, "--region", region, "--out", str(tmp_path)]
+        )
+        assert code == 3
+        assert "pole" in err
 
     def test_tol_floor(self, capsys, tmp_path):
         code, _, _ = run(

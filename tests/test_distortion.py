@@ -60,8 +60,8 @@ from harmarea.quadrature import (
     DEFAULT_Q0,
     DEFAULT_TOL,
     MIN_TOL,
+    arc_grid_area,
     integrate_boundary,
-    integrate_runs,
 )
 
 EXACT_RADII = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -116,52 +116,64 @@ class TestImageArea:
         assert abs(res.value - 0.75 * region_measure(g)) < 1e-12
 
     @pytest.mark.parametrize(
-        "f",
-        [affine(0.5), shear(0.3, 2), raw_polynomial([0, 1, 0.2j, 0.05], [0, 2.0])],
+        "f, calls",
+        [
+            (affine(0.5), []),
+            (shear(0.3, 2), [2]),
+            (raw_polynomial([0, 1, 0.2j, 0.05], [0, 2.0]), [3, 3]),
+        ],
         ids=["affine", "shear", "reversing"],
     )
-    def test_polynomial_maps_on_grids_skip_the_midpoint_rule(self, f, monkeypatch):
-        def forbidden(field, E):
-            raise AssertionError("integrate_grid called for a polynomial map")
+    def test_polynomial_maps_on_grids_take_the_side_rule(self, f, calls, monkeypatch):
+        # Nodes per side = the degree of the series integrated, and an
+        # affine map's closed form needs none.
+        seen = []
 
-        monkeypatch.setattr(distortion, "integrate_grid", forbidden)
+        def spy(parts, E, nodes):
+            seen.append(nodes)
+            return integrate_grid(parts, E, nodes)
+
+        monkeypatch.setattr(distortion, "integrate_grid", spy)
+        monkeypatch.setattr(distortion, "arc_grid_area", None)
         g = rasterize(Disk(0.9), 128)
         assert image_area(f, g, check_sense=False).error_estimate == 0.0
         assert analytic_energy(f, g).error_estimate == 0.0
+        assert seen == calls
 
     @pytest.mark.parametrize(
         "f",
         [automorphism(0.5), automorphism(0.3 - 0.4j, rotation=1.1)],
         ids=["mobius", "rotated-mobius"],
     )
-    def test_automorphisms_on_grids_keep_the_midpoint_rule(self, f, monkeypatch):
+    def test_automorphisms_on_grids_take_the_arc_rule(self, f, monkeypatch):
         calls = []
 
-        def spy(field, E):
-            calls.append(E)
-            return integrate_grid(field, E)
+        def spy(mobius, E, pole):
+            calls.append((E, pole))
+            return arc_grid_area(mobius, E, pole)
 
-        monkeypatch.setattr(distortion, "integrate_grid", spy)
+        monkeypatch.setattr(distortion, "arc_grid_area", spy)
+        monkeypatch.setattr(distortion, "integrate_grid", None)
         g = rasterize(Disk(0.9), 128)
         area = image_area(f, g)
         energy = analytic_energy(f, g)
-        assert calls == [g, g]
-        assert area == integrate_grid(f.jacobian, g)
-        assert energy == integrate_grid(f.analytic_energy_density, g)
+        pole = 1.0 / f.a.conjugate()
+        assert calls == [(g, pole), (g, pole)]
+        assert area == energy == arc_grid_area(f._evaluate_unchecked, g, pole)
+        assert area.error_estimate == 0.0
 
     @pytest.mark.parametrize(
         "f", [rotation_map(1.1), identity_map()], ids=["rotation", "identity"]
     )
     def test_rotations_on_grids_are_region_measure(self, f, monkeypatch):
-        def forbidden(field, E):
-            raise AssertionError("integrate_grid called for a rotation")
-
-        monkeypatch.setattr(distortion, "integrate_grid", forbidden)
+        monkeypatch.setattr(distortion, "integrate_grid", None)
+        monkeypatch.setattr(distortion, "arc_grid_area", None)
         for n in (128, 100):
             g = rasterize(Disk(0.9), n)
             exact = QuadResult(region_measure(g), 0.0, 1)
             assert image_area(f, g) == analytic_energy(f, g) == exact
-            midpoint = integrate_grid(f.jacobian, g).value
+            centers = oracles.cell_centers_whole(g.mask)
+            midpoint = oracles.grid_midpoint_whole(f.jacobian, centers, n)[0]
             assert abs(exact.value - midpoint) <= 1e-15 * midpoint
 
     def test_mobius_matches_circle_image(self):
@@ -243,7 +255,7 @@ class TestClosedFormDiskArea:
             (automorphism(0.4), 1e-13),
             (shear(0.3, 2), math.inf),
         ],
-        ids=["runs-nan", "rotation-negative", "midpoint-floor", "runs-inf"],
+        ids=["closed-form-nan", "rotation-negative", "arcs-floor", "sides-inf"],
     )
     def test_grids_check_the_tolerance(self, f, tol):
         # Grid areas ignore tol, but a bad one is still refused, as on stars.
@@ -346,11 +358,14 @@ class TestConstantJacobianClosedForm:
             assert abs(got.value - quad.value) <= DEFAULT_TOL * max(1.0, abs(got.value))
 
     @given(f=degree_one, E=grids)
-    def test_grids_match_the_run_rule(self, f, E):
+    def test_grids_match_the_side_rule(self, f, E):
         for got, series in _area_and_energy(f, E):
-            slopes = [(sign, s.derivative()._evaluate_unchecked) for sign, s in series]
-            runs = integrate_runs(lambda z: sum(c * np.abs(d(z)) ** 2 for c, d in slopes), E, 1)
-            assert math.isclose(got.value, runs.value, rel_tol=1e-15)
+            parts = [
+                (sign, s._evaluate_unchecked, s.derivative()._evaluate_unchecked)
+                for sign, s in series
+            ]
+            sides = integrate_grid(parts, E, 1)
+            assert math.isclose(got.value, sides.value, rel_tol=1e-15)
             assert (got.error_estimate, got.evals) == (0.0, 1)
 
     @given(f=degree_one, r=st.floats(0.0, 1.0, exclude_min=True))

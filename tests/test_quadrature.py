@@ -26,7 +26,6 @@ from harmarea import (
     integrate_boundary,
     integrate_grid,
     integrate_polar,
-    integrate_runs,
     mc_image_area,
     raw_polynomial,
     rasterize,
@@ -37,8 +36,7 @@ from harmarea import (
     star_cos3,
 )
 from harmarea import quadrature
-from harmarea.quadrature import _dilate, _panels
-from harmarea.regions import BLOCK
+from harmarea.quadrature import BOUNDARY_POLE_CAP, _dilate, _panels, arc_grid_area
 
 
 def one(z):
@@ -330,61 +328,49 @@ class TestIntegrateBoundary:
             integrate_boundary(parts, star_cos3(64), tol=1e-13)
 
 
+def _parts(f, energy=False):
+    """integrate_grid's (sign, F, dF) parts of a polynomial map's area, or
+    of its energy."""
+    series = [(1.0, f.h)] if energy else [(1.0, f.h), (-1.0, f.g)]
+    return [(c, s._evaluate_unchecked, s.derivative()._evaluate_unchecked) for c, s in series]
+
+
 class TestIntegrateGrid:
-    def test_constant_counts_cells(self):
+    def test_identity_counts_cells(self):
         g = rasterize(Disk(0.5), 64)
-        res = integrate_grid(one, g)
-        assert abs(res.value - region_measure(g)) < 1e-12
-        assert res.error_estimate < 1e-12
-
-    def test_affine_jacobian_exact_per_cell(self):
-        g = rasterize(Disk(0.5), 256)
-        res = integrate_grid(affine(0.5).jacobian, g)
-        assert abs(res.value - 0.75 * region_measure(g)) < 1e-12
-
-    def test_quadratic_field_refinement_estimate(self):
-        g = rasterize(Disk(1.0), 1024)
-        field = lambda z: np.abs(z) ** 2
-        res = integrate_grid(field, g)
-        assert abs(res.value - math.pi / 2.0) < 0.01
-        assert res.error_estimate > 0.0
+        res = integrate_grid([(1.0, _identity, _unit)], g, 1)
+        assert math.isclose(res.value, region_measure(g), rel_tol=1e-15)
+        assert res.error_estimate == 0.0
 
     def test_monotone_in_mask_for_nonnegative_fields(self):
         small = rasterize(Disk(0.3), 64)
         big = rasterize(Disk(0.6), 64)
-        field = lambda z: 1.0 + np.abs(z)
-        assert integrate_grid(field, small).value < integrate_grid(field, big).value
+        parts = _parts(raw_polynomial([0, 1, 0.25], [0]))  # |F'|^2 = |1 + z/2|^2 > 0
+        assert integrate_grid(parts, small, 2).value < integrate_grid(parts, big, 2).value
 
-    def test_evals_counts_refinement(self):
-        g = rasterize(Disk(0.5), 32)
-        res = integrate_grid(one, g)
-        count = int(np.count_nonzero(g.mask))
-        assert res.evals == 5 * count
+    def test_evals_count_four_sides_of_nodes_per_run(self):
+        g = rasterize(star_cos3(256, 0.9), 128)
+        res = integrate_grid(_parts(shear(0.3, 3)), g, 3)
+        assert res.evals == 12 * len(g.runs)
 
-    @pytest.mark.parametrize(
-        "f",
-        [
-            raw_polynomial([0, 1, 0.2j, 0.05], [0, 0.1, 0.05 - 0.1j]),
-            automorphism(0.3 - 0.4j, rotation=1.1),
-        ],
-        ids=["polynomial", "rotated-mobius"],
-    )
-    def test_blocked_sums_match_whole_array_reference(self, f):
-        # The unit disk's rim cells have quarter cells outside the disk,
-        # which reuse their parent's value.
-        g = rasterize(Disk(1.0), 512)
-        centers = oracles.cell_centers_whole(g.mask)
-        assert centers.size > 3 * BLOCK and centers.size % BLOCK != 0
-        res = integrate_grid(f.jacobian, g)
-        expected = oracles.grid_midpoint_whole(f.jacobian, centers, g.n)
-        assert (res.value, res.error_estimate, res.evals) == expected
+    @pytest.mark.parametrize("block", [1, 100, 2**62])
+    def test_block_size_is_invisible(self, block, monkeypatch):
+        # The unit disk's rim sides lie past the circle.
+        h = raw_polynomial([0, 1, 0.1, -0.05j, 0.02], [0]).h
+        F, dF = h._evaluate_unchecked, h.derivative()._evaluate_unchecked
+        g = rasterize(Disk(1.0), 256)
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        res = integrate_grid([(1.0, F, dF)], g, 4)
+        assert res.value == oracles.grid_gauss_sides(F, dF, g.mask, 4)
 
-    def test_peak_memory_is_blocked(self):
-        # Whole-array sums peak at 242 MiB here, about 24x the center array.
-        g = rasterize(Disk(0.9), 1024)
-        center_bytes = g.cell_centers().nbytes
-        peak = traced_peak(lambda: integrate_grid(affine(0.5).jacobian, g))
-        assert peak <= 5 * center_bytes
+    def test_empty_grid(self):
+        empty = PixelGrid(4, np.zeros((4, 4), dtype=bool))
+        assert integrate_grid(_parts(shear(0.3, 2)), empty, 2) == QuadResult(0.0, 0.0, 1)
+        assert arc_grid_area(automorphism(0.5).evaluate, empty, 2.0) == QuadResult(0.0, 0.0, 1)
+
+    def test_rejects_other_regions(self):
+        with pytest.raises(ConstructionError):
+            integrate_grid(_parts(shear(0.3, 2)), Disk(0.5), 2)
 
 
 _COEFF = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -401,13 +387,7 @@ _RASTERS = st.one_of(
 )
 
 
-def _poly_density(f):
-    hp = f.h.derivative()._evaluate_unchecked
-    gp = f.g.derivative()._evaluate_unchecked
-    return lambda z: np.abs(hp(z)) ** 2 - np.abs(gp(z)) ** 2
-
-
-class TestIntegrateRuns:
+class TestPolynomialGrids:
     @settings(max_examples=50)
     @given(_RASTERS, _SERIES, _SERIES)
     def test_polynomial_maps_match_the_exact_oracle(self, E, h, g):
@@ -426,60 +406,82 @@ class TestIntegrateRuns:
             shear(0.3, 2),
             raw_polynomial([0, 1, 0.2j, 0.05], [0, 0.1, 0.05 - 0.1j]),
             raw_polynomial([0, 1, 0.1, -0.05j, 0.02], [0.1, 0.2j, 0, 0.01]),
+            raw_polynomial([0] + [0.5**k for k in range(1, 9)], [0, 0.1]),
         ],
-        ids=["shear", "degree-3", "degree-4"],
+        ids=["shear", "degree-3", "degree-4", "degree-8"],
     )
-    def test_agrees_with_the_midpoint_rule(self, f):
+    def test_matches_the_tensor_rule(self, f):
         g = rasterize(Disk(0.9), 1024)
-        exact = integrate_runs(_poly_density(f), g, 4)
-        midpoint = integrate_grid(f.jacobian, g)
-        assert 0.0 < abs(exact.value - midpoint.value) <= 10.0 * midpoint.error_estimate
-
-    @pytest.mark.parametrize(
-        "f",
-        [affine(0.2), affine(0.5), affine(0.8), affine(0.3 + 0.4j), rescaled_affine(0.5)],
-        ids=["0.2", "0.5", "0.8", "complex", "rescaled"],
-    )
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_affine_maps_keep_the_midpoint_bits(self, f, n):
-        # A constant Jacobian c: both rules give c * m(E) rounded once.
-        g = rasterize(star_cos3(256, 0.9), n)
-        got = integrate_runs(_poly_density(f), g, 1)
-        midpoint = integrate_grid(f.jacobian, g)
-        assert (got.value, got.error_estimate) == (midpoint.value, midpoint.error_estimate)
-        assert got.evals == len(g.runs)
-
-    @pytest.mark.parametrize("block", [1, 100, 2**62])
-    def test_block_size_is_invisible(self, block, monkeypatch):
-        f = raw_polynomial([0, 1, 0.1, -0.05j, 0.02], [0.1, 0.2j, 0, 0.01])
-        g = rasterize(Disk(0.9), 256)
-        expected = integrate_runs(_poly_density(f), g, 4)
-        monkeypatch.setattr(quadrature, "BLOCK", block)
-        assert integrate_runs(_poly_density(f), g, 4) == expected
-
-    def test_evals_count_runs_times_nodes_squared(self):
-        g = rasterize(star_cos3(256, 0.9), 128)
-        res = integrate_runs(one, g, 3)
-        assert res.evals == 9 * len(g.runs)
-        # The 3-point Gauss weights sum to 2 only up to rounding.
-        assert math.isclose(res.value, region_measure(g), rel_tol=1e-15)
-
-    def test_empty_grid(self):
-        res = integrate_runs(one, PixelGrid(4, np.zeros((4, 4), dtype=bool)), 2)
-        assert (res.value, res.error_estimate, res.evals) == (0.0, 0.0, 1)
-
-    def test_rejects_other_regions(self):
-        with pytest.raises(ConstructionError):
-            integrate_runs(one, Disk(0.5), 2)
+        d = max(f.h.degree, f.g.degree)
+        for energy in (False, True):
+            parts = _parts(f, energy)
+            density = lambda z: sum(c * np.abs(dF(z)) ** 2 for c, _, dF in parts)
+            expected = oracles.grid_tensor_rule(density, g.mask, d)
+            got = integrate_grid(parts, g, d)
+            assert math.isclose(got.value, expected, rel_tol=1e-14)
+            assert got.evals == 4 * d * len(g.runs)
 
     def test_peak_memory_is_blocked(self):
-        # One block of about BLOCK nodes: 5.1 MiB measured for degree 8,
+        # Blocks of about BLOCK side nodes: 4.4 MiB measured for degree 8,
         # against 10 MiB for the cell-center array alone.
         f = raw_polynomial([0] + [0.5**k for k in range(1, 9)], [0, 0.1])
         g = rasterize(Disk(0.9), 1024)
         g.runs
         peak = traced_peak(lambda: image_area(f, g, check_sense=False))
         assert peak <= 8 * 2**20
+
+
+
+
+# A rim cell of an 8 x 8 grid that holds the pole 0.999 + 0.2i of the
+# automorphism with a = 1/conj(0.999 + 0.2i), |a| = 0.9815.
+_POLE_CELL = PixelGrid(8, np.arange(64).reshape(8, 8) == 4 * 8 + 7)
+_POLE_A = 1.0 / (0.999 + 0.2j).conjugate()
+
+
+class TestArcGridArea:
+    @settings(max_examples=50)
+    @example(_POLE_CELL, _POLE_A, 0.0)
+    @example(rasterize(Disk(1.0), 64), 0.99j, 0.3)
+    @given(
+        _RASTERS,
+        st.complex_numbers(max_magnitude=0.99, allow_nan=False, allow_infinity=False),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_mobius_maps_match_the_gauss_side_reference(self, E, a, rotation):
+        f = automorphism(a, rotation)
+        assume(f.a != 0)
+        pole = 1.0 / f.a.conjugate()
+        if E.mask.any() and oracles.rectangle_distances(E.mask, pole).min() < BOUNDARY_POLE_CAP:
+            with pytest.raises(NonConvergenceError):
+                image_area(f, E)
+            return
+        got = image_area(f, E)
+        assert got.error_estimate == 0.0 and analytic_energy(f, E) == got
+        F, dF = oracles.mobius_parts(f.a, f.rotation)
+        coarse, fine = (oracles.grid_gauss_sides(F, dF, E.mask, m, pole) for m in (64, 128))
+        for value in (coarse, got.value):
+            assert abs(value - fine) <= max(1e-13 * abs(fine), 1e-15)
+
+    def test_pole_inside_a_rim_cell_is_refused(self):
+        # The midpoint rule returned 0.2046 here, estimate 1.32, for an
+        # integral that diverges.
+        with pytest.raises(NonConvergenceError):
+            image_area(automorphism(_POLE_A), _POLE_CELL)
+
+    def test_midpoint_estimate_sees_three_quarters_of_its_error(self):
+        # The midpoint rule's dyadic estimate of an O(h^2) error is 3/4 of it.
+        f = automorphism(0.9 * cmath.exp(0.7j), 0.3)
+        g = rasterize(Disk(0.9), 256)
+        exact = image_area(f, g).value
+        value, estimate, _ = oracles.grid_midpoint_whole(
+            f.jacobian, oracles.cell_centers_whole(g.mask), g.n
+        )
+        assert 1.25 <= abs(exact - value) / estimate <= 1.45
+
+    def test_evals_count_corners_and_midpoints(self):
+        g = rasterize(Disk(0.9), 128)
+        assert image_area(automorphism(0.5), g).evals == 8 * len(g.runs)
 
 
 def _whole_member(region):
