@@ -115,8 +115,8 @@ EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1}
 
 DIGESTS = {
     "area-grid-affine": "6f009fe4724630f6cbee73da482fa78c8cfcfabd584cc414009b068eabb1c168",
-    "area-grid-mobius": "8adadbfd3c8ea18254e6baf0187a7999a27ae02941813167456587b8fc03888c",
-    "area-grid-shear": "a8ba84728515eed74f6e706714924c08a65e2d0e45088f8e1f1fe0090836cf89",
+    "area-grid-mobius": "c78630bc9ab39e9696cc561f6822a948f29433ef0e6f2a02cb28edb0da4fa2f0",
+    "area-grid-shear": "94ab8c9bc7b71ec7d2a20a235366170b691f27af9505ca3107ce138557d6ee4f",
     "area-star": "7af676728b7c5bbf7814b0ebee729425bdc6fb3edb4579520a23504ca02563ec",
     "area-star-mobius": "da0724c76bf894971dd3e0c71d7ef16bd1c97c6bbc19c1230f5661ec4bd94488",
     "oracle-disk": "26ab2656d1d24172af0c90174d9a8f4d64f9cb248e96ee08cd91c1e2a28f98a9",
