@@ -103,7 +103,7 @@ def _area_integral(
       a rotation.  An automorphism's energy density is its Jacobian.
     - any region under a rotation: J_f = 1, so the value is m(E).
     - a pixel grid under any other automorphism: the circular arcs of
-      quadrature.arc_grid_area, which refuses a pole 1/conj(a) by a run.
+      quadrature.arc_grid_area, which refuses a pole 1/conj(a) near a run.
     - a pixel grid under a polynomial map, d >= 2 the largest degree of the
       series integrated: the boundary integral below on the run sides, exact
       with d nodes per side (quadrature.integrate_grid).

@@ -115,3 +115,32 @@ def test_grid_polynomial_integral_against_scipy():
             total += val
         got = oracles.grid_polynomial_integral(h, g, mask, energy=energy)
         assert abs(got - total) <= 1e-13
+
+
+def test_grid_rules_match_the_exact_monomial_sum():
+    # The tensor rule and the Gauss-side Green's formula on a 16 x 16 disk
+    # mask, both exact for this degree-4 map, against the Fraction oracle.
+    h = (0.1, 1.0, 0.2j, 0.05, 0.3 - 0.1j)
+    g = (0.0, 0.1, 0.05 - 0.1j, 0.0, 0.2)
+    axis = -1.0 + (np.arange(16) + 0.5) / 8.0
+    mask = np.abs(axis[None, :] + 1j * axis[:, None]) < 0.9
+
+    def evaluate(coeffs, z):
+        return sum(c * z**k for k, c in enumerate(coeffs))
+
+    def derivative(coeffs, z):
+        return sum(k * c * z ** (k - 1) for k, c in enumerate(coeffs) if k)
+
+    def density(z):
+        return np.abs(derivative(h, z)) ** 2 - np.abs(derivative(g, z)) ** 2
+
+    expected = oracles.grid_polynomial_integral(h, g, mask)
+    tensor = oracles.grid_tensor_rule(density, mask, 4)
+    sides = [
+        oracles.grid_gauss_sides(
+            lambda z, c=c: evaluate(c, z), lambda z, c=c: derivative(c, z), mask, 4
+        )
+        for c in (h, g)
+    ]
+    assert abs(tensor - expected) <= 1e-14 * expected
+    assert abs(sides[0] - sides[1] - expected) <= 1e-14 * expected

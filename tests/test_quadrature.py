@@ -30,7 +30,6 @@ from harmarea import (
     raw_polynomial,
     rasterize,
     region_measure,
-    rescaled_affine,
     rotation_map,
     shear,
     star_cos3,
@@ -429,8 +428,6 @@ class TestPolynomialGrids:
         g.runs
         peak = traced_peak(lambda: image_area(f, g, check_sense=False))
         assert peak <= 8 * 2**20
-
-
 
 
 # A rim cell of an 8 x 8 grid that holds the pole 0.999 + 0.2i of the
