@@ -30,6 +30,7 @@ from harmarea import (
     raw_polynomial,
     rasterize,
     region_measure,
+    rescaled_affine,
     rotation_map,
     shear,
     star_cos3,
@@ -419,6 +420,40 @@ class TestPolynomialGrids:
             got = integrate_grid(parts, g, d)
             assert math.isclose(got.value, expected, rel_tol=1e-14)
             assert got.evals == 4 * d * len(g.runs)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            shear(0.3, 2),
+            raw_polynomial([0, 1, 0.2j, 0.05], [0, 0.1, 0.05 - 0.1j]),
+            raw_polynomial([0, 1, 0.1, -0.05j, 0.02], [0.1, 0.2j, 0, 0.01]),
+        ],
+        ids=["shear", "degree-3", "degree-4"],
+    )
+    def test_agrees_with_the_midpoint_rule(self, f):
+        g = rasterize(Disk(0.9), 1024)
+        exact = integrate_grid(_parts(f), g, max(f.h.degree, f.g.degree))
+        midpoint = oracles.grid_midpoint_whole(
+            f.jacobian, oracles.cell_centers_whole(g.mask), g.n
+        )
+        assert 0.0 < abs(exact.value - midpoint[0]) <= 10.0 * midpoint[1]
+
+    @pytest.mark.parametrize(
+        "f",
+        [affine(0.2), affine(0.5), affine(0.8), affine(0.3 + 0.4j), rescaled_affine(0.5)],
+        ids=["0.2", "0.5", "0.8", "complex", "rescaled"],
+    )
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_affine_maps_keep_the_midpoint_bits(self, f, n):
+        # A constant Jacobian c: the closed form and the midpoint rule give
+        # c * m(E) rounded once.
+        g = rasterize(star_cos3(256, 0.9), n)
+        got = image_area(f, g)
+        value, estimate, _ = oracles.grid_midpoint_whole(
+            f.jacobian, oracles.cell_centers_whole(g.mask), n
+        )
+        assert (got.value, got.error_estimate) == (value, estimate)
+        assert got.evals == 1
 
     def test_peak_memory_is_blocked(self):
         # Blocks of about BLOCK side nodes: 4.4 MiB measured for degree 8,
