@@ -65,33 +65,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "search": "maximize area ratio (--family) or Schwarz-Pick ratio (--map)",
         "oracle": "cross-check the Jacobian integral against rasterization",
     }
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--map", type=Path, help="map definition JSON file")
+    common.add_argument("--region", type=Path, help="region definition JSON file")
+    common.add_argument("--family", type=Path, help="family definition JSON file")
+    common.add_argument(
+        "--r", type=float, help="radius shorthand for a disk region (default 0.5)"
+    )
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    common.add_argument(
+        "--n", type=int, help="resolution knob: raster size (oracle), lattice points per axis "
+        "(sweep), refinement iterations (search); area and verify ignore it"
+    )
+    common.add_argument("--seed", type=int, default=42)
+    common.add_argument("--out", type=Path, default=Path("."))
+    common.add_argument("--format", choices=("json", "csv", "both"), default="csv")
+    common.add_argument(
+        "--preset", choices=preset_names(), help="built-in map name (alternative to --map)"
+    )
+    common.add_argument("--workers", type=int, default=1)
     for name, help_text in specs.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--map", type=Path, help="map definition JSON file")
-        cmd.add_argument("--region", type=Path, help="region definition JSON file")
-        cmd.add_argument("--family", type=Path, help="family definition JSON file")
-        cmd.add_argument(
-            "--r", type=float, help="radius shorthand for a disk region (default 0.5)"
-        )
-        cmd.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        cmd.add_argument(
-            "--n",
-            type=int,
-            help=(
-                "resolution knob: raster size (oracle), lattice points per "
-                "axis (sweep), refinement iterations (search); area and verify "
-                "ignore it"
-            ),
-        )
-        cmd.add_argument("--seed", type=int, default=42)
-        cmd.add_argument("--out", type=Path, default=Path("."))
-        cmd.add_argument("--format", choices=("json", "csv", "both"), default="csv")
-        cmd.add_argument(
-            "--preset",
-            choices=preset_names(),
-            help="built-in map name (alternative to --map)",
-        )
-        cmd.add_argument("--workers", type=int, default=1)
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

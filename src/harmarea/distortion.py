@@ -24,10 +24,10 @@ from .quadrature import (
     Q_CAP,
     QuadResult,
     _gauss,
+    _boundary_batch,
     _refine,
     arc_grid_area,
     check_tol,
-    integrate_boundary,
     integrate_grid,
 )
 from .regions import (
@@ -85,9 +85,9 @@ def default_tolerance(tol: float, *error_estimates: float) -> float:
 
 
 def _area_integral(
-    f: HarmonicMap, E: Region, tol: float, *, energy: bool
-) -> QuadResult:
-    """Integral of J_f (or |h'|^2 if energy) over E.
+    f: HarmonicMap, regions, tol: float, *, energy: bool
+) -> list[QuadResult]:
+    """Integrals of J_f (or |h'|^2 if energy) over each region of regions.
 
     Closed forms and exact rules, exact up to rounding (error_estimate 0.0):
     - any region under a polynomial map of degree at most 1: J_f is the
@@ -109,33 +109,41 @@ def _area_integral(
       with d nodes per side (quadrature.integrate_grid).
     Other stars take the boundary integral of the canonical decomposition,
     int_E J_f = (1/2i) oint (conj(h) dh - conj(g) dg), with g = 0 for an
-    automorphism, by quadrature.integrate_boundary.
+    automorphism, all stars in one quadrature._boundary_batch.
     """
     check_tol(tol)
+    out = [None] * len(regions)
     if isinstance(f, DiskAutomorphism):
-        if f.a == 0:
-            return QuadResult(region_measure(E), 0.0, 1)
-        pole = 1.0 / f.a.conjugate()
-        if isinstance(E, PixelGrid):
-            return arc_grid_area(f._evaluate_unchecked, E, pole)
-        if isinstance(E, Disk):
-            a2 = abs(f.a) ** 2
-            s = (1.0 - a2) / (1.0 - a2 * E.r * E.r)
-            return QuadResult(region_measure(E) * (s * s), 0.0, 1)
-        parts = [(1.0, f.evaluate, f.analytic_derivative)]
-        return integrate_boundary(parts, E, tol, pole=pole)
-    series = [(1.0, f.h)] if energy else [(1.0, f.h), (-1.0, f.g)]
-    degree = max(part.degree for _, part in series)
-    if degree <= 1 or isinstance(E, Disk):
-        area = disk_series_rows(E, [[part.coefficients for _, part in series]], degree)
-        return QuadResult(area(0), 0.0, max(1, degree))
-    parts = [
-        (sign, part._evaluate_unchecked, part.derivative()._evaluate_unchecked)
-        for sign, part in series
-    ]
-    if isinstance(E, PixelGrid):
-        return integrate_grid(parts, E, degree)
-    return integrate_boundary(parts, E, tol, min_nodes=4 * (degree + 1))
+        pole = None if f.a == 0 else 1.0 / f.a.conjugate()
+        parts, options = [(1.0, f.evaluate, f.analytic_derivative)], {"pole": pole}
+        for i, E in enumerate(regions):
+            if pole is None:
+                out[i] = QuadResult(region_measure(E), 0.0, 1)
+            elif isinstance(E, PixelGrid):
+                out[i] = arc_grid_area(f._evaluate_unchecked, E, pole)
+            elif isinstance(E, Disk):
+                a2 = abs(f.a) ** 2
+                s = (1.0 - a2) / (1.0 - a2 * E.r * E.r)
+                out[i] = QuadResult(region_measure(E) * (s * s), 0.0, 1)
+    else:
+        series = [(1.0, f.h)] if energy else [(1.0, f.h), (-1.0, f.g)]
+        degree = max(part.degree for _, part in series)
+        rows = [[part.coefficients for _, part in series]]
+        for i, E in enumerate(regions):
+            if degree <= 1 or isinstance(E, Disk):
+                out[i] = QuadResult(disk_series_rows(E, rows, degree)(0), 0.0, max(1, degree))
+        if None in out:
+            parts = [
+                (sign, part._evaluate_unchecked, part.derivative()._evaluate_unchecked)
+                for sign, part in series
+            ]
+            options = {"min_nodes": 4 * (degree + 1)}
+            for i, E in enumerate(regions):
+                if isinstance(E, PixelGrid):
+                    out[i] = integrate_grid(parts, E, degree)
+    stars = [E for E, q in zip(regions, out) if q is None]
+    batch = iter(_boundary_batch(parts, stars, tol, **options) if stars else ())
+    return [q or next(batch) for q in out]
 
 
 def disk_series_rows(E: Region, rows, degree: int):
@@ -176,13 +184,13 @@ def image_area(
 
     Disks under any map, and any region under a rotation or a polynomial
     map of degree at most 1, use a closed form that is exact up to rounding
-    (error_estimate 0.0).  Other stars use quadrature.integrate_boundary.
-    Pixel grids are exact too: Green's formula on the sides of their runs,
-    by the exact side rule of quadrature.integrate_grid under other
-    polynomial maps and the closed-form arcs of quadrature.arc_grid_area
-    under other automorphisms; see _area_integral.
-    Polar quadrature is never used.  On every region a tol that
-    quadrature.check_tol rejects raises ConstructionError.
+    (error_estimate 0.0).  Other stars take the boundary integral, whose bits
+    are quadrature.integrate_boundary's in a batch of any size.  Pixel grids
+    are exact too: Green's formula on the sides of their runs, by the exact
+    side rule of quadrature.integrate_grid under other polynomial maps and
+    the closed-form arcs of quadrature.arc_grid_area under other
+    automorphisms; see _area_integral.  Polar quadrature is never used.  On
+    every region a tol that quadrature.check_tol rejects raises ConstructionError.
     """
     if check_sense:
         rep = validate(f)
@@ -192,7 +200,7 @@ def image_area(
                 "%.6g); area formula may not equal m(f(E))",
                 rep.sup_abs_dilatation,
             )
-    return _area_integral(f, E, tol, energy=False)
+    return _area_integral(f, [E], tol, energy=False)[0]
 
 
 def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -202,7 +210,7 @@ def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> Quad
     on other stars and on the run sides of pixel grids; an automorphism's
     energy density is its Jacobian, so its energy is its image_area.
     """
-    return _area_integral(f, E, tol, energy=True)
+    return _area_integral(f, [E], tol, energy=True)[0]
 
 
 def sup_dilatation(f: HarmonicMap, E: Region) -> float:
@@ -242,9 +250,9 @@ def quantitative_bounds(
     return _sandwich_rows(f, E, tol)
 
 
-def _sandwich_rows(f: HarmonicMap, E: Region, tol: float, quantities=None):
-    """quantitative_bounds' rows; quantities = (area, energy) if known."""
-    k = sup_dilatation(f, E)
+def _sandwich_rows(f: HarmonicMap, E: Region, tol: float, quantities=None, k=None):
+    """quantitative_bounds' rows; quantities = (area, energy) and k if known."""
+    k = sup_dilatation(f, E) if k is None else k
     if k >= 1.0:
         raise HypothesisError(f"sampled dilatation bound k = {k:.6g} is not < 1")
     if quantities is None:
@@ -381,23 +389,21 @@ def star_contraction_report(
     """
     if isinstance(E, PixelGrid):
         raise HypothesisError("star contraction needs a Disk or StarShaped region")
+    return _star_rows(f, [E], tol)[0]
+
+
+def _star_rows(f: HarmonicMap, regions, tol: float) -> list[VerificationReport]:
+    """star_contraction_report for each region, from one _area_integral."""
     origin_image = abs(complex(f.evaluate(0j)))
     hypothesis_ok = origin_image <= ORIGIN_SLACK
-    area = image_area(f, E, tol, check_sense=False)
-    measure = region_measure(E)
-    tolerance = default_tolerance(tol, area.error_estimate)
-    detail = f"area_err={area.error_estimate:.3e} f(0)={origin_image:.3e}"
-    if not hypothesis_ok:
-        detail += " hypothesis-unmet: f(0) != 0"
-    return VerificationReport(
-        "star-contraction",
-        area.value,
-        measure,
-        tolerance,
-        detail,
-        checked=hypothesis_ok,
-        evals=area.evals,
-    )
+    unmet = "" if hypothesis_ok else " hypothesis-unmet: f(0) != 0"
+    rows = []
+    for E, area in zip(regions, _area_integral(f, regions, tol, energy=False)):
+        detail = f"area_err={area.error_estimate:.3e} f(0)={origin_image:.3e}{unmet}"
+        tolerance = default_tolerance(tol, area.error_estimate)
+        report = (area.value, region_measure(E), tolerance, detail, hypothesis_ok, area.evals)
+        rows.append(VerificationReport("star-contraction", *report))
+    return rows
 
 
 def _sample_points(E: Region, grid: int) -> np.ndarray:
@@ -600,6 +606,16 @@ def _reference_rows(
     ]
 
 
+def _suite_batch(compute):
+    """compute() with numpy's float errors raising, or if it raises a None per
+    radius, whose rows the suite then builds with their own errors and warnings."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return compute()
+    except (ArithmeticError, ValueError):
+        return [None] * len(VERIFY_RADII)
+
+
 def verification_suite(
     f: HarmonicMap, tol: float = DEFAULT_TOL
 ) -> list[VerificationReport]:
@@ -617,8 +633,18 @@ def verification_suite(
         columns = [None] * len(VERIFY_RADII)
     hyperbolic = hyperbolic_disk_integral(VERIFY_RADII, tol)
     shears = shear_disk_integral(VERIFY_RADII, 0.3, 2, tol)
+    stars = [star_cos3(256, scale=r) for r in VERIFY_RADII]
+    star_rows = _suite_batch(lambda: _star_rows(f, stars, tol))
+
+    def dilatations():
+        k = sup_dilatation(f, Disk(VERIFY_RADII[-1]))  # certifies h' on every smaller disk
+        theta = 2.0 * np.pi * np.arange(DILATATION_ANGULAR) / DILATATION_ANGULAR
+        circles = np.multiply.outer(VERIFY_RADII[:-1], np.exp(1j * theta))
+        return np.max(np.abs(f.dilatation(circles)), axis=1).tolist() + [k]
+
+    ks = _suite_batch(dilatations)
     rows: list[VerificationReport] = []
-    for r, lhs, hyperbolic_r, shear_r in zip(VERIFY_RADII, columns, hyperbolic, shears):
+    for i, (r, lhs) in enumerate(zip(VERIFY_RADII, columns)):
         disk_rows, quantities = _disk_rows(f, r, tol, validity)
         rows.extend(disk_rows)
         if lhs is None:
@@ -628,13 +654,13 @@ def verification_suite(
         detail = f"{hyp} worst theta={theta[j]:.17g}"
         worst = (lhs[j], rhs, 1e-9, detail, validity.self_map, evals * RADIAL_DIRECTIONS)
         rows.append(VerificationReport(f"radial-worst r={r:.1f}", *worst))
-        star = star_contraction_report(f, star_cos3(256, scale=r), tol)
+        star = star_rows[i] or star_contraction_report(f, stars[i], tol)
         name, detail = f"star-contraction r={r:.1f}", f"{star.detail} {hyp}"
         checked = star.checked and validity.self_map
         rows.append(replace(star, name=name, checked=checked, detail=detail))
-        lower, upper = _sandwich_rows(f, Disk(r), tol, quantities)
+        lower, upper = _sandwich_rows(f, Disk(r), tol, quantities, ks[i])
         rows.append(replace(lower, name=f"sandwich-lower r={r:.1f}"))
         rows.append(replace(upper, name=f"sandwich-upper r={r:.1f}"))
-        rows.extend(_reference_rows("hyperbolic", r, hyperbolic_r, tol))
-        rows.extend(_reference_rows("shear", r, shear_r, tol))
+        rows.extend(_reference_rows("hyperbolic", r, hyperbolic[i], tol))
+        rows.extend(_reference_rows("shear", r, shears[i], tol))
     return rows

@@ -16,11 +16,11 @@ integrate_grid puts a fixed number of Gauss-Legendre nodes on each side,
 exact for polynomials, and arc_grid_area sums the closed-form areas of a
 Mobius map's circular-arc images of the sides.
 
-Determinism contract: every pass evaluates its fields in one thread, on
-fixed index-ordered blocks of about regions.BLOCK points, and reduces the
-terms with math.fsum.  Fields act elementwise and fsum is correctly
-rounded, so the block boundaries are invisible in the result and identical
-inputs give bitwise identical results.
+Determinism contract: every pass evaluates its fields in one thread, on fixed
+index-ordered blocks (of about regions.BLOCK points, BOUNDARY_CHUNK in a boundary
+batch), and reduces each integral's terms with its own math.fsum.  Fields act
+elementwise and fsum is correctly rounded, so blocks and batches are invisible:
+identical inputs give identical bits, and a star in a batch the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ M_CAP = 4096
 BOUNDARY_M0 = 4
 BOUNDARY_NODE_CAP = 2 ** 15
 BOUNDARY_POLE_CAP = 2.0 ** -12
+BOUNDARY_CHUNK = 2 ** 12  # nodes a boundary batch evaluates at once: ~1 MB of temporaries
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -205,8 +206,8 @@ def _panels(E: StarShaped, pole: complex | None) -> np.ndarray:
     BOUNDARY_POLE_CAP whose bound is still below it raises
     NonConvergenceError.
     """
-    prof = np.asarray(E.profile, dtype=float)
-    p, nxt = prof.size, np.roll(prof, -1)
+    ends = np.array(E.profile + E.profile[:1])
+    p, prof, nxt = len(E.profile), ends[:-1], ends[1:]
     h = 2.0 * np.pi / p
     panels = np.stack([h * np.arange(p), np.full(p, h), prof, nxt, (nxt - prof) / h])
     while pole is not None:
@@ -229,33 +230,16 @@ def _panels(E: StarShaped, pole: complex | None) -> np.ndarray:
     return panels
 
 
-def _boundary_level(parts, panels: np.ndarray, m: int) -> tuple[list[float], int]:
-    """Boundary sum over m Gauss-Legendre nodes on each panel, a batch of one.
-
-    gamma(theta) = R(theta) e^{i theta} with R linear on each panel, so
-    gamma' = (R' + i R) e^{i theta} and R' is the panel's slope.
-    """
-    start, width, r0, r1, slope = panels[:, :, None]
-    x, gw = _gauss(m)
-    frac = (x + 1.0) / 2.0
-    radii = r0 + (r1 - r0) * frac
-    rot = np.exp(1j * (start + width * frac))
-    z = (radii * rot).ravel()
-    dz = ((slope + 1j * radii) * rot).ravel()
-    w = (gw * (width / 2.0)).ravel()
-    return [math.fsum(_green_terms(parts, z, dz, w))], z.size
-
-
-def _green_terms(parts, z, dz, w) -> list[float]:
+def _green_terms(parts, z, dz, w) -> np.ndarray:
     """Terms w * sign * Im(conj(F(z) - F(0)) F'(z) dz)/2 of Green's formula
-    int_E |F'|^2 dA = (1/2i) oint conj(F) dF for each (sign, F, dF) part, at
-    nodes z with tangents dz and weights w (broadcast together)."""
+    int_E |F'|^2 dA = (1/2i) oint conj(F) dF, stacked on the second-to-last
+    axis for the (sign, F, dF) parts, at nodes z, tangents dz, weights w."""
     terms = []
     for sign, F, dF in parts:
         # Shifting F by the constant F(0) leaves oint conj(F) dF unchanged.
         flux = np.conjugate(F(z) - F(0j)) * dF(z) * dz
-        terms.append(((0.5 * sign) * w * flux.imag).ravel())
-    return np.concatenate(terms).tolist()
+        terms.append((0.5 * sign) * w * flux.imag)
+    return np.stack(terms, axis=-2)
 
 
 def integrate_boundary(
@@ -280,21 +264,53 @@ def integrate_boundary(
     """
     if not isinstance(E, StarShaped):
         raise ConstructionError("integrate_boundary needs a StarShaped region")
+    return _boundary_batch(parts, [E], tol, min_nodes=min_nodes, pole=pole)[0]
+
+
+def _boundary_batch(parts, stars, tol: float, *, min_nodes: int = 1, pole=None):
+    """integrate_boundary(parts, E, tol, ...) for each E in stars, bit for bit.
+
+    Stars whose panels share their start angles and widths are refined
+    together (_refine); a level evaluates e^{i theta} once for them and the
+    parts on their live stars, about BOUNDARY_CHUNK nodes at a time.  With R
+    linear on a panel, gamma' = (R' + i R) e^{i theta}, R' the panel's slope.
+    """
     check_tol(tol)
-    panels = _panels(E, pole)
-    count = panels.shape[1]
-    cap = max(2 * BOUNDARY_M0, BOUNDARY_NODE_CAP // count)
-    m = BOUNDARY_M0
-    while m <= cap and m * count < min_nodes:
-        m *= 2
-    if 2 * m > cap:
-        raise NonConvergenceError(
-            f"resolving the integrand needs more than the cap of {cap} "
-            "boundary nodes per panel"
-        )
-    levels = [m << k for k in range((cap // m).bit_length())]
-    caps = f"{cap} boundary nodes per panel"
-    return _refine(lambda k, _: _boundary_level(parts, panels, k), levels, tol, caps)[0]
+    groups: dict[bytes, list] = {}
+    for i, E in enumerate(stars):
+        panels = _panels(E, pole)
+        groups.setdefault(panels[:2].tobytes(), []).append((i, panels))
+    out = {}
+    for members in groups.values():
+        start, width = members[0][1][:2, :, None]
+        r0, r1, slope = np.stack([panels[2:, :, None] for _, panels in members], axis=1)
+        cap = max(2 * BOUNDARY_M0, BOUNDARY_NODE_CAP // start.size)
+        m = BOUNDARY_M0
+        while m <= cap and m * start.size < min_nodes:
+            m *= 2
+        if 2 * m > cap:
+            raise NonConvergenceError(
+                f"resolving the integrand needs more than the cap of {cap} "
+                "boundary nodes per panel"
+            )
+
+        def level(m: int, live: list[int]) -> tuple[list[float], int]:
+            x, gw = _gauss(m)
+            frac = (x + 1.0) / 2.0
+            rot, w = np.exp(1j * (start + width * frac)), (gw * (width / 2.0)).ravel()
+            values, per = [], max(1, BOUNDARY_CHUNK // rot.size)
+            for rows in (live[i : i + per] for i in range(0, len(live), per)):
+                radii = r0[rows] + (r1[rows] - r0[rows]) * frac
+                z = (radii * rot).reshape(len(rows), -1)
+                dz = ((slope[rows] + 1j * radii) * rot).reshape(len(rows), -1)
+                terms = _green_terms(parts, z, dz, w).reshape(len(rows), -1)
+                values += [math.fsum(row.tolist()) for row in terms]
+            return values, rot.size
+
+        levels = [m << k for k in range((cap // m).bit_length())]
+        results = _refine(level, levels, tol, f"{cap} boundary nodes per panel", len(members))
+        out.update(zip([i for i, _ in members], results))
+    return [out[i] for i in range(len(stars))]
 
 
 def _run_corners(E: PixelGrid) -> np.ndarray:
@@ -327,7 +343,7 @@ def integrate_grid(parts, E: PixelGrid, nodes: int) -> QuadResult:
         for b in range(0, corners.shape[0], per_block):
             start = corners[b : b + per_block, :, None]
             dz = np.roll(start, -1, axis=1) - start
-            yield _green_terms(parts, start + dz * frac, dz, w)
+            yield _green_terms(parts, start + dz * frac, dz, w).ravel().tolist()
 
     value = math.fsum(chain.from_iterable(block_terms()))
     return QuadResult(value, 0.0, max(1, 4 * nodes * corners.shape[0]))

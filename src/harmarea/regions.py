@@ -45,14 +45,18 @@ class StarShaped:
     profile: tuple[float, ...]
 
     def __post_init__(self):
-        prof = tuple(float(v) for v in self.profile)
+        prof = tuple(map(float, self.profile))
         if len(prof) < MIN_PROFILE_SAMPLES:
             raise ConstructionError(
                 f"star profile needs at least {MIN_PROFILE_SAMPLES} samples"
             )
-        if any(not math.isfinite(v) or not 0.0 < v <= 1.0 for v in prof):
+        a = np.array(prof + prof[:1])
+        if not ((a > 0.0) & (a <= 1.0)).all():  # a nan fails both
             raise ConstructionError("star profile values must lie in (0, 1]")
+        a, b = a[:-1], a[1:]
+        terms = 2.0 * math.pi / a.size / 6.0 * (a * a + a * b + b * b)
         object.__setattr__(self, "profile", prof)
+        object.__setattr__(self, "_measure", math.fsum(terms.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,19 +166,14 @@ def region_measure(E: Region) -> float:
 
     A star's piecewise-linear profile runs from R_j to R_{j+1} over each
     segment of width h = 2*pi/M, so int R^2/2 dtheta is the exact finite sum
-    of (h/6)(R_j^2 + R_j R_{j+1} + R_{j+1}^2), reduced with math.fsum.
+    of (h/6)(R_j^2 + R_j R_{j+1} + R_{j+1}^2), fsum-reduced as the star is built.
     """
     if isinstance(E, Disk):
         return math.pi * E.r * E.r
     if isinstance(E, PixelGrid):
         side = 2.0 / E.n
         return int(np.count_nonzero(E.mask)) * side * side
-    prof = E.profile
-    step = 2.0 * math.pi / len(prof)
-    return math.fsum(
-        step / 6.0 * (a * a + a * b + b * b)
-        for a, b in zip(prof, prof[1:] + prof[:1])
-    )
+    return E._measure
 
 
 def contains(E: Region, z: complex) -> bool:
@@ -266,4 +265,4 @@ def bounding_radius(E: Region) -> float:
 def star_cos3(m: int = 256, scale: float = 1.0) -> StarShaped:
     """Built-in star region R(theta) = scale*(0.5 + 0.2*cos(3*theta))."""
     theta = 2.0 * np.pi * np.arange(m) / m
-    return StarShaped(tuple(float(scale) * (0.5 + 0.2 * np.cos(3.0 * theta))))
+    return StarShaped((float(scale) * (0.5 + 0.2 * np.cos(3.0 * theta))).tolist())

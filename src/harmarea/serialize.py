@@ -257,7 +257,12 @@ def report_to_dict(rep: VerificationReport) -> dict:
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True)
+    """json.dumps(dicts, indent=2, sort_keys=True), byte for byte, from the C
+    encoder: a string holds no raw newline, so "},\n    {" is a separator."""
+    dicts = [report_to_dict(r) for r in reports]
+    text = json.dumps(dicts, sort_keys=True, separators=(",\n    ", ": "))
+    body = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return "[\n  {\n    " + body + "\n  }\n]" if reports else "[]"
 
 
 def search_result_to_csv(result: SearchResult, param_names: tuple[str, ...]) -> str:

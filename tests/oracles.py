@@ -384,7 +384,15 @@ def node_doubling_boundary(parts, profile, tol, *, min_nodes=1, pole=None):
         ]
         return math.fsum(np.concatenate(terms).tolist()), z.size
 
-    levels = [m << k for k in range((cap // m).bit_length())]
+    return _doubling(level, [m << k for k in range((cap // m).bit_length())], tol)
+
+
+def _doubling(level, levels, tol):
+    """(value, error estimate, evals) of level(k) over levels until two
+    agree to tol * max(1, |value|), 10x that at the last; else
+    NonConvergenceError."""
+    from harmarea.errors import NonConvergenceError
+
     value, evals = level(levels[0])
     for k, nodes in enumerate(levels[1:], 2):
         new_value, more = level(nodes)
@@ -395,6 +403,40 @@ def node_doubling_boundary(parts, profile, tol, *, min_nodes=1, pole=None):
             return new_value, err, evals
         value = new_value
     raise NonConvergenceError("node cap")
+
+
+def panel_boundary_alone(parts, E, tol, *, min_nodes=1, pole=None):
+    """(value, error estimate, evals) of integrate_boundary for the star E
+    alone, written out: the levels on quadrature._panels(E, pole), each
+    evaluated for E's nodes only and summed with one fsum."""
+    from harmarea.errors import NonConvergenceError
+    from harmarea.quadrature import _panels
+
+    panels = _panels(E, pole)
+    count = panels.shape[1]
+    cap = max(8, 2**15 // count)
+    m = 4
+    while m <= cap and m * count < min_nodes:
+        m *= 2
+    if 2 * m > cap:
+        raise NonConvergenceError("node cap")
+
+    def level(k):
+        start, width, r0, r1, slope = panels[:, :, None]
+        x, gw = np.polynomial.legendre.leggauss(k)
+        frac = (x + 1.0) / 2.0
+        radii = r0 + (r1 - r0) * frac
+        rot = np.exp(1j * (start + width * frac))
+        z = (radii * rot).ravel()
+        dz = ((slope + 1j * radii) * rot).ravel()
+        w = (gw * (width / 2.0)).ravel()
+        terms = [
+            (0.5 * sign) * w * (np.conjugate(F(z) - F(0j)) * dF(z) * dz).imag
+            for sign, F, dF in parts
+        ]
+        return math.fsum(np.concatenate(terms).tolist()), z.size
+
+    return _doubling(level, [m << k for k in range((cap // m).bit_length())], tol)
 
 
 def sampled_validity(f, angular_samples: int = 64, radial_samples: int = 32):

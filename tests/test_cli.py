@@ -41,6 +41,81 @@ def stdout_value(text, key):
     raise AssertionError(f"{key} not printed:\n{text}")
 
 
+# `--help` at COLUMNS=80, as printed before the subcommands shared one
+# parent parser for their options.
+TOP_HELP = """\
+usage: harmarea [-h] {area,verify,sweep,search,oracle} ...
+
+Measure area distortion of planar harmonic maps: image areas, inequality margins, and extremal parameter searches.
+
+positional arguments:
+  {area,verify,sweep,search,oracle}
+    area                image area of a region under a map, plus the area
+                        ratio
+    verify              run the full inequality suite for one map
+    sweep               tabulate area ratios over a parameter lattice
+    search              maximize area ratio (--family) or Schwarz-Pick ratio
+                        (--map)
+    oracle              cross-check the Jacobian integral against
+                        rasterization
+
+options:
+  -h, --help            show this help message and exit
+
+Exit codes:
+  0  success (all checked inequalities pass)
+  1  a checked inequality or oracle-agreement test failed
+  2  input could not be parsed or violates a precondition
+  3  quadrature refinement hit its caps without converging
+  4  an evaluation budget would be exceeded
+"""
+PRESETS = (
+    "{automorphism-0.5,example1-affine-0.2,example1-affine-0.5,example2-shear-0.1,"
+    "identity,remark-shear-0.3,rotation}"
+)
+SUBCOMMAND_USAGE = """\
+usage: harmarea {name} [-h] [--map MAP] [--region REGION] [--family FAMILY]
+{pad}[--r R] [--tol TOL] [--n N] [--seed SEED] [--out OUT]
+{pad}[--format {{json,csv,both}}]
+{pad}[--preset {presets}]
+{pad}[--workers WORKERS]
+"""
+SUBCOMMAND_OPTIONS = f"""\
+options:
+  -h, --help            show this help message and exit
+  --map MAP             map definition JSON file
+  --region REGION       region definition JSON file
+  --family FAMILY       family definition JSON file
+  --r R                 radius shorthand for a disk region (default 0.5)
+  --tol TOL
+  --n N                 resolution knob: raster size (oracle), lattice points
+                        per axis (sweep), refinement iterations (search); area
+                        and verify ignore it
+  --seed SEED
+  --out OUT
+  --format {{json,csv,both}}
+  --preset {PRESETS}
+                        built-in map name (alternative to --map)
+  --workers WORKERS
+"""
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["", "area", "verify", "sweep", "search", "oracle"])
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        if command:
+            pad = " " * len(f"usage: harmarea {command} ")
+            usage = SUBCOMMAND_USAGE.format(name=command, pad=pad, presets=PRESETS)
+            expected = usage + "\n" + SUBCOMMAND_OPTIONS
+        else:
+            expected = TOP_HELP
+        assert capsys.readouterr().out == expected
+
+
 class TestArea:
     def test_affine_preset_on_half_disk(self, capsys, tmp_path):
         code, out, _ = run(
@@ -393,13 +468,13 @@ class TestSweep:
 
     def test_tol_reaches_the_star_quadrature(self, capsys, tmp_path, monkeypatch):
         seen = []
-        original = harmarea.distortion.integrate_boundary
+        original = harmarea.distortion._boundary_batch
 
-        def recording(parts, E, tol, **kwargs):
+        def recording(parts, stars, tol, **kwargs):
             seen.append(tol)
-            return original(parts, E, tol, **kwargs)
+            return original(parts, stars, tol, **kwargs)
 
-        monkeypatch.setattr(harmarea.distortion, "integrate_boundary", recording)
+        monkeypatch.setattr(harmarea.distortion, "_boundary_batch", recording)
         # A shear family: degree-1 maps take the closed form on every region.
         fam = write_json(tmp_path / "fam.json", {"kind": "shear", "alpha_range": [0.0, 0.3]})
         star = write_json(tmp_path / "star.json", {"kind": "star", "profile": [0.5, 0.6] * 8})

@@ -1135,6 +1135,63 @@ class TestVerificationSuite:
         with pytest.raises(HypothesisError, match="dilatation bound"):
             verification_suite(f)
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_star_rows_match_star_contraction_report(self, name):
+        f = preset_map(name)
+        rows = {row.name: row for row in verification_suite(f)}
+        for r in distortion.VERIFY_RADII:
+            row = rows[f"star-contraction r={r:.1f}"]
+            alone = star_contraction_report(f, star_cos3(256, r))
+            assert (row.lhs, row.rhs, row.tolerance, row.evals) == (
+                alone.lhs, alone.rhs, alone.tolerance, alone.evals
+            )
+
+    @pytest.mark.parametrize("name", ["remark-shear-0.3", "automorphism-0.5"])
+    def test_failed_star_batch_falls_back_to_each_radius(self, name, monkeypatch):
+        # A kernel that refuses every batch of more than one star, and any
+        # star reaching past 0.3 with its own message: the suite raises what
+        # the per-radius rows raise, at r = 0.5, the first such star.
+        original = distortion._boundary_batch
+
+        def refusing(parts, stars, tol, **options):
+            if len(stars) > 1:
+                raise NonConvergenceError(f"batch of {len(stars)} refused")
+            if max(stars[0].profile) > 0.3:
+                raise NonConvergenceError(f"star of {max(stars[0].profile):.3g} refused")
+            return original(parts, stars, tol, **options)
+
+        f = preset_map(name)
+        monkeypatch.setattr(distortion, "_boundary_batch", refusing)
+        with pytest.raises(NonConvergenceError) as alone:
+            star_contraction_report(f, star_cos3(256, 0.5))
+        with pytest.raises(NonConvergenceError) as suite:
+            verification_suite(f)
+        assert str(suite.value) == str(alone.value) == "star of 0.35 refused"
+
+    def test_failed_batches_keep_every_row(self, monkeypatch):
+        f = shear(0.3, 2)
+        expected = verification_suite(f)
+        original = distortion._boundary_batch
+
+        def single(parts, stars, tol, **options):
+            if len(stars) > 1:
+                raise NonConvergenceError("batch refused")
+            return original(parts, stars, tol, **options)
+
+        calls = []
+
+        def first_refused(f, E):
+            # The suite's first call is the dilatation batch's certificate.
+            calls.append(E)
+            if len(calls) == 1:
+                raise HypothesisError("certificate refused")
+            return sup_dilatation(f, E)
+
+        monkeypatch.setattr(distortion, "_boundary_batch", single)
+        monkeypatch.setattr(distortion, "sup_dilatation", first_refused)
+        assert verification_suite(f) == expected
+        assert calls == [Disk(0.9)] + [Disk(r) for r in distortion.VERIFY_RADII]
+
     def test_claimed_rows_never_counted(self):
         rows = verification_suite(rotation_map(0.0))
         claimed = [row for row in rows if "claimed" in row.name]

@@ -335,6 +335,92 @@ def _parts(f, energy=False):
     return [(c, s._evaluate_unchecked, s.derivative()._evaluate_unchecked) for c, s in series]
 
 
+def _polynomial_parts(h, g):
+    """distortion's parts for the area integral of raw_polynomial(h, g)."""
+    f = raw_polynomial(h, g)
+    return [
+        (sign, s._evaluate_unchecked, s.derivative()._evaluate_unchecked)
+        for sign, s in ((1.0, f.h), (-1.0, f.g))
+    ]
+
+
+def _batch_matches_each_star_alone(parts, stars, tol, **options):
+    """_boundary_batch equals, star by star, integrate_boundary and the
+    written-out one-star kernel in value, error estimate and evals; when a
+    star alone raises, the batch raises too."""
+    try:
+        alone = [oracles.panel_boundary_alone(parts, E, tol, **options) for E in stars]
+    except NonConvergenceError:
+        with pytest.raises(NonConvergenceError):
+            quadrature._boundary_batch(parts, stars, tol, **options)
+        return None
+    batch = quadrature._boundary_batch(parts, stars, tol, **options)
+    for E, got, ref in zip(stars, batch, alone):
+        assert (got.value, got.error_estimate, got.evals) == ref
+        assert integrate_boundary(parts, E, tol, **options) == got
+    return batch
+
+
+_coefficients = st.complex_numbers(max_magnitude=0.4, allow_nan=False, allow_infinity=False)
+# Degree 2 to 8 in h, the canonical part.
+_h_coefficients = st.integers(2, 8).flatmap(
+    lambda d: st.lists(_coefficients, min_size=d + 1, max_size=d + 1)
+)
+
+
+class TestBoundaryBatch:
+    @given(
+        h=_h_coefficients,
+        g=st.lists(_coefficients, min_size=1, max_size=9),
+        prof=profile_values,
+        scales=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+        other=profile_values,
+        tol=st.sampled_from([1e-9, 1e-12]),
+    )
+    def test_polynomial_batches_match_each_star_alone(self, h, g, prof, scales, other, tol):
+        stars = [StarShaped([s * v for v in prof]) for s in scales] + [StarShaped(other)]
+        degree = max(len(h), len(g)) - 1
+        _batch_matches_each_star_alone(
+            _polynomial_parts(h, g), stars, tol, min_nodes=4 * (degree + 1)
+        )
+
+    @given(
+        modulus=st.floats(0.0, 0.99),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        prof=profile_values,
+        scales=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+        tol=st.sampled_from([1e-9, 1e-12]),
+    )
+    @example(modulus=0.99, phase=0.0, prof=[1.0] * 16, scales=[1, 0.995, 0.9, 0.5], tol=1e-9)
+    def test_mobius_batches_match_each_star_alone(self, modulus, phase, prof, scales, tol):
+        a = modulus * cmath.exp(1j * phase)
+        f = automorphism(a, rotation=0.3)
+        stars = [StarShaped([s * v for v in prof]) for s in scales]
+        pole = None if a == 0 else 1.0 / a.conjugate()
+        parts = [(1.0, f.evaluate, f.analytic_derivative)]
+        _batch_matches_each_star_alone(parts, stars, tol, pole=pole)
+
+    def test_groups_and_levels_differ_within_one_batch(self):
+        # The pole 1/0.99 splits the unit circle's panels more often than
+        # those of the smaller stars: three panel layouts in one batch.
+        f = automorphism(0.99)
+        stars = [StarShaped([s] * 16) for s in (1.0, 0.995, 0.9, 0.5)]
+        layouts = {_panels(E, 1.0 / 0.99)[:2].tobytes() for E in stars}
+        assert len(layouts) >= 2
+        parts = [(1.0, f.evaluate, f.analytic_derivative)]
+        batch = _batch_matches_each_star_alone(parts, stars, 1e-9, pole=1.0 / 0.99)
+        nodes = {q.evals // _panels(E, 1.0 / 0.99).shape[1] for E, q in zip(stars, batch)}
+        assert len(nodes) >= 2
+        # One layout, levels that differ: a degree-8 map on scaled stars.
+        h = [0, 1] + [0.1] * 7
+        stars = [star_cos3(64, s) for s in (0.1, 0.5, 1.0)]
+        batch = _batch_matches_each_star_alone(_polynomial_parts(h, [0]), stars, 1e-12)
+        assert len({q.evals for q in batch}) >= 2
+
+    def test_empty_batch(self):
+        assert quadrature._boundary_batch([(1.0, _identity, _unit)], [], 1e-9) == []
+
+
 class TestIntegrateGrid:
     def test_identity_counts_cells(self):
         g = rasterize(Disk(0.5), 64)

@@ -26,6 +26,8 @@ from harmarea import (
 )
 from harmarea.regions import BLOCK
 
+_RANGE = "star profile values must lie in (0, 1]"
+
 EIGHT = (0.4, 0.6, 0.4, 0.6, 0.4, 0.6, 0.4, 0.6)
 
 
@@ -47,6 +49,33 @@ class TestConstruction:
             StarShaped((0.5,) * 7 + (0.0,))
         with pytest.raises(ConstructionError):
             StarShaped((0.5,) * 7 + (1.1,))
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ((0.5,) * 7, "star profile needs at least 8 samples"),
+            ((0.5,) * 7 + (math.nan,), _RANGE),
+            ((0.5,) * 7 + (math.inf,), _RANGE),
+            ((0.5,) * 7 + (0.0,), _RANGE),
+            ((0.5,) * 7 + (-0.5,), _RANGE),
+            ((0.5,) * 7 + (1.0 + 1e-15,), _RANGE),
+            ([[0.5] * 8], "float() argument must be a string or a real number, not 'list'"),
+            ((0.5,) * 8 + ([0.5],), "float() argument must be a string or a real number, not 'list'"),
+            (0.5, "'float' object is not iterable"),
+        ],
+        ids=["short", "nan", "inf", "zero", "negative", "above-one", "nested", "ragged", "scalar"],
+    )
+    def test_star_profile_errors(self, profile, message):
+        error = ConstructionError if "profile" in message else TypeError
+        with pytest.raises(error) as exc:
+            StarShaped(profile)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_star_profile_is_a_tuple_of_floats(self):
+        for profile in (np.full(8, 0.5), [1] * 8, ["0.25"] * 8, (x / 8 for x in range(1, 9))):
+            E = StarShaped(profile)
+            assert isinstance(E.profile, tuple)
+            assert all(type(v) is float for v in E.profile)
 
     def test_grid_rejects_cells_outside_disk(self):
         n = 4

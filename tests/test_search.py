@@ -148,13 +148,13 @@ class TestSweep:
 
     def test_tol_reaches_the_star_quadrature(self, monkeypatch):
         seen = []
-        original = harmarea.distortion.integrate_boundary
+        original = harmarea.distortion._boundary_batch
 
-        def recording(parts, E, tol, **kwargs):
+        def recording(parts, stars, tol, **kwargs):
             seen.append(tol)
-            return original(parts, E, tol, **kwargs)
+            return original(parts, stars, tol, **kwargs)
 
-        monkeypatch.setattr(harmarea.distortion, "integrate_boundary", recording)
+        monkeypatch.setattr(harmarea.distortion, "_boundary_batch", recording)
         fam = FamilySpec(ShearFamily((0.0, 0.3), powers=(2,)))
         sweep(fam, star_cos3(64), 3, tol=1e-5)
         assert seen and set(seen) == {1e-5}

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from harmarea import (
     Disk,
@@ -35,6 +37,7 @@ from harmarea.serialize import (
     map_to_json,
     region_from_json,
     region_to_json,
+    report_to_dict,
     reports_to_csv,
     reports_to_json,
     search_result_to_csv,
@@ -190,6 +193,29 @@ class TestReportCsv:
         assert lines[1] == "check-a,1,2,1,true,1.0000000000000001e-09,12"
         assert lines[2] == "check-b,3,1,-2,false,1.0000000000000001e-09,0"
         assert lines[3] == ""
+
+    @given(
+        st.lists(
+            st.builds(
+                VerificationReport,
+                name=st.text(max_size=12),
+                lhs=st.floats(allow_nan=False, allow_infinity=False),
+                rhs=st.floats(allow_nan=False, allow_infinity=False),
+                tolerance=st.floats(),
+                detail=st.text(st.sampled_from('ab"\\},{\n\t é∮'), max_size=20)
+                | st.sampled_from(['},\n    {"x": 1}', 'a"b\\c', "}, {", "k=1 \u00e9"]),
+                checked=st.booleans(),
+                evals=st.integers(0, 2**40),
+            ),
+            max_size=4,
+        )
+    )
+    @example([])
+    @example([VerificationReport("r", 0.0, 1.0, math.inf, '},\n    {"', evals=3)])
+    @example([VerificationReport("r", 0.0, 1.0, math.nan), VerificationReport("s", 1.0, 0.0, 0.0)])
+    def test_json_matches_the_indented_encoder(self, reports):
+        dicts = [report_to_dict(r) for r in reports]
+        assert reports_to_json(reports) == json.dumps(dicts, indent=2, sort_keys=True)
 
     def test_json_mirror_carries_detail_and_checked(self):
         rows = [VerificationReport("x", 0.0, 1.0, 1e-9, detail="why", checked=False)]
