@@ -299,7 +299,7 @@ def _boundary_batch(parts, stars, tol: float, *, min_nodes: int = 1, pole=None):
             frac = (x + 1.0) / 2.0
             rot, w = np.exp(1j * (start + width * frac)), (gw * (width / 2.0)).ravel()
             values, per = [], max(1, BOUNDARY_CHUNK // rot.size)
-            for rows in (live[i : i + per] for i in range(0, len(live), per)):
+            for rows in (live[c : c + per] for c in range(0, len(live), per)):
                 radii = r0[rows] + (r1[rows] - r0[rows]) * frac
                 z = (radii * rot).reshape(len(rows), -1)
                 dz = ((slope[rows] + 1j * radii) * rot).reshape(len(rows), -1)

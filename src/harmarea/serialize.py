@@ -258,7 +258,7 @@ def report_to_dict(rep: VerificationReport) -> dict:
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
     """json.dumps(dicts, indent=2, sort_keys=True), byte for byte, from the C
-    encoder: a string holds no raw newline, so "},\n    {" is a separator."""
+    encoder: JSON escapes a newline in a string, so only separators hold one."""
     dicts = [report_to_dict(r) for r in reports]
     text = json.dumps(dicts, sort_keys=True, separators=(",\n    ", ": "))
     body = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
