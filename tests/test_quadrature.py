@@ -417,9 +417,6 @@ class TestBoundaryBatch:
         batch = _batch_matches_each_star_alone(_polynomial_parts(h, [0]), stars, 1e-12)
         assert len({q.evals for q in batch}) >= 2
 
-    def test_empty_batch(self):
-        assert quadrature._boundary_batch([(1.0, _identity, _unit)], [], 1e-9) == []
-
 
 class TestIntegrateGrid:
     def test_identity_counts_cells(self):
