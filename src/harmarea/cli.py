@@ -277,23 +277,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"jacobian_integral = {fmt(integral.value)}")
     print(f"relative_gap = {fmt(rel_gap)}")
     print(f"threshold = {fmt(threshold)}")
+    detail, evals = f"rel_gap={fmt(rel_gap)}", raster.evals + integral.evals
     rows = [
-        VerificationReport(
-            "oracle-le",
-            raster.value,
-            integral.value,
-            threshold,
-            f"rel_gap={fmt(rel_gap)}",
-            evals=raster.evals + integral.evals,
-        ),
-        VerificationReport(
-            "oracle-ge",
-            integral.value,
-            raster.value,
-            threshold,
-            f"rel_gap={fmt(rel_gap)}",
-            evals=raster.evals + integral.evals,
-        ),
+        VerificationReport(name, lhs, rhs, threshold, detail, evals=evals)
+        for name, lhs, rhs in (
+            ("oracle-le", raster.value, integral.value),
+            ("oracle-ge", integral.value, raster.value),
+        )
     ]
     _emit(args, "oracle", reports_to_csv(rows), reports_to_json(rows))
     return 0 if all(row.passed for row in rows) else 1

@@ -48,8 +48,9 @@ ORIGIN_SLACK = 1e-10
 
 VERIFY_RADII = tuple(k / 10 for k in range(1, 10))
 
-# Boundary points of sup_dilatation on a disk or a star.
+# Boundary points of sup_dilatation on a disk or a star, at these angles.
 DILATATION_ANGULAR = 256
+_DILATATION_THETA = 2.0 * np.pi * np.arange(DILATATION_ANGULAR) / DILATATION_ANGULAR
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,7 @@ def sup_dilatation(f: HarmonicMap, E: Region) -> float:
             h_prime = f.h.derivative().coefficients
             if not _zero_free_closed_disk([c * b**k for k, c in enumerate(h_prime)]):
                 raise HypothesisError(f"h' has a zero on the closed disk |z| <= {b:.6g}")
-        theta = 2.0 * np.pi * np.arange(DILATATION_ANGULAR) / DILATATION_ANGULAR
-        pts = radial_profile(E, theta) * np.exp(1j * theta)
+        pts = radial_profile(E, _DILATATION_THETA) * np.exp(1j * _DILATATION_THETA)
     try:
         return float(np.max(np.abs(f.dilatation(pts))))
     except CriticalPointError as exc:
@@ -606,16 +606,6 @@ def _reference_rows(
     ]
 
 
-def _suite_batch(compute):
-    """compute() with numpy's float errors raising, or if it raises a None per
-    radius, whose rows the suite then builds with their own errors and warnings."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return compute()
-    except (ArithmeticError, ValueError):
-        return [None] * len(VERIFY_RADII)
-
-
 def verification_suite(
     f: HarmonicMap, tol: float = DEFAULT_TOL
 ) -> list[VerificationReport]:
@@ -623,42 +613,45 @@ def verification_suite(
 
     Rows whose theorem hypotheses the map does not satisfy (self-map of the
     disk, f(0) = 0) are emitted with checked=False, as are the rows quoting
-    claimed reference values.
+    claimed reference values.  One pass under numpy's raising float errors
+    computes the radial column, the star rows and k for all nine radii;
+    validate has certified that h' has no zero on the closed disk, so k is
+    read on each circle (maximum modulus principle).  If that pass raises,
+    each radius computes those layers on its own, so the suite raises the
+    first error in row order and warns as the per-radius rows do.
     """
     validity = validate(f)
     hyp = _hypothesis_detail(validity)
-    try:
-        theta, columns, evals = _radial_column(f, VERIFY_RADII)
-    except ConstructionError:  # raised again below at its radius, in row order
-        columns = [None] * len(VERIFY_RADII)
     hyperbolic = hyperbolic_disk_integral(VERIFY_RADII, tol)
     shears = shear_disk_integral(VERIFY_RADII, 0.3, 2, tol)
     stars = [star_cos3(256, scale=r) for r in VERIFY_RADII]
-    star_rows = _suite_batch(lambda: _star_rows(f, stars, tol))
-
-    def dilatations():
-        k = sup_dilatation(f, Disk(VERIFY_RADII[-1]))  # certifies h' on every smaller disk
-        theta = 2.0 * np.pi * np.arange(DILATATION_ANGULAR) / DILATATION_ANGULAR
-        circles = np.multiply.outer(VERIFY_RADII[:-1], np.exp(1j * theta))
-        return np.max(np.abs(f.dilatation(circles)), axis=1).tolist() + [k]
-
-    ks = _suite_batch(dilatations)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            theta, columns, evals = _radial_column(f, VERIFY_RADII)
+            star_rows = _star_rows(f, stars, tol)
+            circles = np.multiply.outer(VERIFY_RADII, np.exp(1j * _DILATATION_THETA))
+            ks = np.max(np.abs(f.dilatation(circles)), axis=1).tolist()
+        batch = list(zip(columns, star_rows, ks))
+    except (ArithmeticError, ValueError):
+        batch = None
     rows: list[VerificationReport] = []
-    for i, (r, lhs) in enumerate(zip(VERIFY_RADII, columns)):
+    for i, r in enumerate(VERIFY_RADII):
         disk_rows, quantities = _disk_rows(f, r, tol, validity)
         rows.extend(disk_rows)
-        if lhs is None:
+        if batch:
+            lhs, star, k = batch[i]
+        else:
             theta, (lhs,), evals = _radial_column(f, [r])
+            star, k = star_contraction_report(f, stars[i], tol), None
         rhs = r * r / 2.0
         j = min(range(RADIAL_DIRECTIONS), key=lambda j: rhs - lhs[j])
         detail = f"{hyp} worst theta={theta[j]:.17g}"
         worst = (lhs[j], rhs, 1e-9, detail, validity.self_map, evals * RADIAL_DIRECTIONS)
         rows.append(VerificationReport(f"radial-worst r={r:.1f}", *worst))
-        star = star_rows[i] or star_contraction_report(f, stars[i], tol)
         name, detail = f"star-contraction r={r:.1f}", f"{star.detail} {hyp}"
         checked = star.checked and validity.self_map
         rows.append(replace(star, name=name, checked=checked, detail=detail))
-        lower, upper = _sandwich_rows(f, Disk(r), tol, quantities, ks[i])
+        lower, upper = _sandwich_rows(f, Disk(r), tol, quantities, k)
         rows.append(replace(lower, name=f"sandwich-lower r={r:.1f}"))
         rows.append(replace(upper, name=f"sandwich-upper r={r:.1f}"))
         rows.extend(_reference_rows("hyperbolic", r, hyperbolic[i], tol))

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 import oracles
 from harmarea import (
     ConstructionError,
+    CriticalPointError,
     Disk,
     DomainError,
     HypothesisError,
     NonConvergenceError,
     PixelGrid,
+    PolynomialMap,
     QuadResult,
     StarShaped,
     VerificationReport,
@@ -711,13 +713,20 @@ class TestRadialBound:
             radial_bound_profile(raw_polynomial((0.0, 1e200), (0.0,)), 0.5)
 
     @given(
-        st.lists(coefficient, min_size=1, max_size=9),
-        st.lists(coefficient, min_size=1, max_size=9),
+        st.one_of(
+            st.tuples(
+                st.lists(coefficient, min_size=1, max_size=9),
+                st.lists(coefficient, min_size=1, max_size=9),
+            ).map(lambda hg: raw_polynomial(*hg)),
+            st.tuples(
+                st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)
+            ).map(lambda m: automorphism(m[0] * cmath.exp(1j * m[1]), rotation=m[2])),
+        ),
         st.lists(st.floats(0.01, 0.99), min_size=1, max_size=9),
     )
-    def test_one_pass_equals_each_radius_alone(self, h, g, radii):
-        # The closed form for all radii at once gives each radius's bits.
-        f = raw_polynomial(h, g)
+    def test_one_pass_equals_each_radius_alone(self, f, radii):
+        # A sequence of radii gives each radius's bits: the polynomial closed
+        # form in one pass, an automorphism's Gauss rule radius by radius.
         theta, columns, evals = distortion._radial_column(f, radii)
         assert len(columns) == len(radii)
         for r, column in zip(radii, columns):
@@ -1099,10 +1108,16 @@ class TestVerificationSuite:
         areasp = [row for row in rows if row.name.startswith("areasp")]
         assert all(row.evals == 1 and row.margin == 0.0 for row in areasp)
 
-    @pytest.mark.parametrize("f", [automorphism(0.5), shear(0.3, 2)])
-    def test_sandwich_rows_match_quantitative_bounds(self, f):
+    @pytest.mark.parametrize("name_or_seed", list(preset_names()) + [0])
+    def test_sandwich_rows_match_quantitative_bounds(self, name_or_seed):
+        # k comes from the suite's one dilatation pass, quantitative_bounds'
+        # from sup_dilatation: the same angles give the same bits at each r.
+        if isinstance(name_or_seed, str):
+            f = preset_map(name_or_seed)
+        else:
+            f = _poly_style_map(name_or_seed)
         rows = {row.name: row for row in verification_suite(f)}
-        for r in (0.1, 0.5, 0.9):
+        for r in distortion.VERIFY_RADII:
             lower, upper = quantitative_bounds(f, Disk(r))
             assert rows[f"sandwich-lower r={r:.1f}"] == replace(
                 lower, name=f"sandwich-lower r={r:.1f}"
@@ -1168,29 +1183,45 @@ class TestVerificationSuite:
             verification_suite(f)
         assert str(suite.value) == str(alone.value) == "star of 0.35 refused"
 
-    def test_failed_batches_keep_every_row(self, monkeypatch):
+    @pytest.mark.parametrize("layer", ["radial", "star", "dilatation"])
+    def test_failed_batches_keep_every_row(self, layer, monkeypatch):
+        # The batched pass reads k without sup_dilatation and takes the nine
+        # stars in one boundary batch.  Refusing any one of its layers sends
+        # every radius down its own path, which keeps every row's bits.
         f = shear(0.3, 2)
-        expected = verification_suite(f)
-        original = distortion._boundary_batch
+        original_batch, original_column = distortion._boundary_batch, distortion._radial_column
+        original_dilatation = PolynomialMap.dilatation
+        batches, calls, refused = [], [], set()
 
-        def single(parts, stars, tol, **options):
-            if len(stars) > 1:
+        def boundary_batch(parts, stars, tol, **options):
+            batches.append(len(stars))
+            if "star" in refused and len(stars) > 1:
                 raise NonConvergenceError("batch refused")
-            return original(parts, stars, tol, **options)
+            return original_batch(parts, stars, tol, **options)
 
-        calls = []
+        def radial_column(f, radii):
+            if "radial" in refused and len(radii) > 1:
+                raise ConstructionError("batch refused")
+            return original_column(f, radii)
 
-        def first_refused(f, E):
-            # The suite's first call is the dilatation batch's certificate.
+        def dilatation(self, z):
+            if "dilatation" in refused and np.ndim(z) > 1:
+                raise CriticalPointError("batch refused")
+            return original_dilatation(self, z)
+
+        def counted(f, E):
             calls.append(E)
-            if len(calls) == 1:
-                raise HypothesisError("certificate refused")
             return sup_dilatation(f, E)
 
-        monkeypatch.setattr(distortion, "_boundary_batch", single)
-        monkeypatch.setattr(distortion, "sup_dilatation", first_refused)
+        monkeypatch.setattr(distortion, "_boundary_batch", boundary_batch)
+        monkeypatch.setattr(distortion, "_radial_column", radial_column)
+        monkeypatch.setattr(PolynomialMap, "dilatation", dilatation)
+        monkeypatch.setattr(distortion, "sup_dilatation", counted)
+        expected = verification_suite(f)
+        assert (calls, batches) == ([], [len(distortion.VERIFY_RADII)])
+        refused.add(layer)
         assert verification_suite(f) == expected
-        assert calls == [Disk(0.9)] + [Disk(r) for r in distortion.VERIFY_RADII]
+        assert calls == [Disk(r) for r in distortion.VERIFY_RADII]
 
     def test_claimed_rows_never_counted(self):
         rows = verification_suite(rotation_map(0.0))
