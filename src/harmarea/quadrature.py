@@ -25,6 +25,7 @@ identical inputs give identical bits, and a star in a batch the bits it gets alo
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -48,15 +49,10 @@ BOUNDARY_NODE_CAP = 2 ** 15
 BOUNDARY_POLE_CAP = 2.0 ** -12
 BOUNDARY_CHUNK = 2 ** 12  # nodes a boundary batch evaluates at once: ~1 MB of temporaries
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _gauss(q: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _GAUSS_CACHE.get(q)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(q)
-        _GAUSS_CACHE[q] = got
-    return got
+    return np.polynomial.legendre.leggauss(q)
 
 
 def check_tol(tol: float) -> None:

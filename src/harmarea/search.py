@@ -9,15 +9,15 @@ lattice point found (row-major order), so runs are fully deterministic for
 a fixed seed.
 
 The lattice, of sweep and of maximize_area_ratio alike, is scored in
-blocks of rows, not one map at a time.  A block's polynomial maps are
-validated in one maps.validate_rows pass, as columns.  A RawBall row, whose
-parameters are its coefficients, needs no map object at all: on a disk its
-area is the closed form of distortion.disk_series_rows, one fsum per row.
-Only an area on a star or a pixel grid builds the map.  The result is bit
-for bit the one-map-at-a-time result: the same notes, ratios, incumbent,
-trace and evaluation count.  Each simplex vertex is scored as a one-row
-block of the same pass, so lattice and simplex share one feasibility
-decision and one area rule.
+blocks of rows, not one map at a time.  A block's maps are validated in one
+pass, as columns: maps.validate_rows, or maps.validate reports stacked for
+automorphisms.  A RawBall row, whose parameters are its coefficients, needs
+no map object at all: on a disk its area is the closed form of
+distortion.disk_series_rows, one fsum per row.  Only an area on a star or a
+pixel grid builds the map.  The result is bit for bit the one-map-at-a-time
+result: the same notes, ratios, incumbent, trace and evaluation count.
+Each simplex vertex is scored as a one-row block of the same pass, so
+lattice and simplex share one feasibility decision and one area rule.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from .distortion import disk_series_rows, image_area, sp_ratio
 from .errors import BudgetError, ConstructionError, CriticalPointError, HypothesisError
 from .maps import (
     DEGREE_CAP,
-    DiskAutomorphism,
     HarmonicMap,
-    PolynomialMap,
     RowValidity,
     affine,
     automorphism,
@@ -55,10 +53,18 @@ LATTICE_BLOCK = 1024
 
 
 def _check_range(name: str, rng) -> tuple[float, float]:
-    lo, hi = (float(rng[0]), float(rng[1]))
+    pair = np.asarray(rng, dtype=float)
+    lo, hi = pair.tolist() if pair.shape == (2,) else (math.nan, math.nan)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ConstructionError(f"{name} range must be a finite [lo, hi] interval")
     return lo, hi
+
+
+def _whole(value, what: str) -> int:
+    """int(value), refusing a value that is not a whole number (2.0 is one)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConstructionError(f"{what} must be a whole number, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ class ShearFamily:
         object.__setattr__(
             self, "alpha_range", _check_range("alpha", self.alpha_range)
         )
-        powers = tuple(int(p) for p in self.powers)
+        powers = tuple(_whole(p, "shear power") for p in self.powers)
         if not powers or any(p < 2 for p in powers):
             raise ConstructionError("shear powers must be a nonempty set of ints >= 2")
         object.__setattr__(self, "powers", powers)
@@ -150,7 +156,7 @@ class RawBall:
     coeff_bound: float
 
     def __post_init__(self):
-        degree = int(self.degree)
+        degree = _whole(self.degree, "degree")
         bound = float(self.coeff_bound)
         if not 1 <= degree <= DEGREE_CAP:
             raise ConstructionError(f"degree must lie in [1, {DEGREE_CAP}]")
@@ -301,8 +307,9 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     area(i) is image_area(f, E, tol, check_sense=False).value for row i's
     map f, or nan when f cannot be constructed.
 
-    The block's polynomial maps are validated together by
-    maps.validate_rows; FamilySpec._violations reads the notes off the
+    The block's constructed maps are validated in one pass: maps.validate_rows
+    on their coefficient rows, or stacked maps.validate reports for an
+    AutomorphismFamily.  FamilySpec._violations reads the notes off the
     columns.  A RawBall row is its coefficient row, with no map object but
     for an area on a region other than a disk.
     """
@@ -310,7 +317,7 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     notes = [""] * len(params)
     if isinstance(kind, RawBall):
         maps = None
-        polynomial = list(range(len(params)))
+        built = range(len(params))
         rows, degree = kind.coefficients(params), np.full(len(params), kind.degree)
     else:
         maps = []
@@ -320,18 +327,16 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
             except ConstructionError as exc:
                 maps.append(exc)
                 notes[i] = f"construction: {exc}"
-        polynomial = [i for i, f in enumerate(maps) if isinstance(f, PolynomialMap)]
-        if polynomial:
-            rows, degree = coefficient_rows([maps[i] for i in polynomial])
-    if family.require_self_map or family.require_sense_preserving:
-        if polynomial:
-            for j, why in family._violations(validate_rows(rows, degree)).items():
-                notes[polynomial[j]] = f"constraint: {why}"
-        # Automorphisms have no coefficient rows.
-        if auto := [i for i, f in enumerate(maps or ()) if isinstance(f, DiskAutomorphism)]:
-            validity = RowValidity.stack([validate(maps[i]) for i in auto])
-            for j, why in family._violations(validity).items():
-                notes[auto[j]] = f"constraint: {why}"
+        built = [i for i, f in enumerate(maps) if not isinstance(f, ConstructionError)]
+    if built and (family.require_self_map or family.require_sense_preserving):
+        if isinstance(kind, AutomorphismFamily):
+            validity = RowValidity.stack([validate(maps[i]) for i in built])
+        elif maps is None:
+            validity = validate_rows(rows, degree)
+        else:
+            validity = validate_rows(*coefficient_rows([maps[i] for i in built]))
+        for j, why in family._violations(validity).items():
+            notes[built[j]] = f"constraint: {why}"
 
     if maps is None and isinstance(E, Disk):
         check_tol(tol)

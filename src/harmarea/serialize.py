@@ -13,6 +13,7 @@ File formats:
           {"kind":"automorphism","modulus_range":[lo,hi],
            "rotation_range":[lo,hi], ...}
           {"kind":"rawball","degree":d,"coeff_bound":b, ...}
+          keys are the family class's fields; degree and powers are whole
           constraints: "require_self_map", "require_sense_preserving" (bool)
 
 Grid masks pack row-major (row 0 = lowest y), one bit per cell.  All CSV
@@ -27,6 +28,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -148,13 +150,6 @@ def region_to_json(E: Region) -> dict:
     }
 
 
-def _range(doc, key) -> tuple[float, float]:
-    value = doc[key]
-    if not isinstance(value, list) or len(value) != 2:
-        raise ParseError(f"{key} must be [lo, hi]")
-    return float(value[0]), float(value[1])
-
-
 def _flag(doc, key, default: bool) -> bool:
     value = doc.get(key, default)
     if not isinstance(value, bool):
@@ -162,28 +157,27 @@ def _flag(doc, key, default: bool) -> bool:
     return value
 
 
+_FAMILIES = {
+    "affine": AffineFamily,
+    "shear": ShearFamily,
+    "automorphism": AutomorphismFamily,
+    "rawball": RawBall,
+}
+
+
 def family_from_json(doc: dict) -> FamilySpec:
+    """The family class named by "kind", built from the document's keys of
+    the same names as its fields; the class checks them."""
     if not isinstance(doc, dict):
         raise ParseError("family document must be a JSON object")
     kind = doc.get("kind")
+    cls = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"unknown family kind: {kind!r}")
+    # A missing required field raises KeyError; a missing default one stays.
+    given = [f.name for f in fields(cls) if f.name in doc or f.default is MISSING]
     try:
-        if kind == "affine":
-            inner = AffineFamily(_range(doc, "alpha_range"))
-        elif kind == "shear":
-            inner = ShearFamily(
-                _range(doc, "alpha_range"),
-                tuple(int(p) for p in doc.get("powers", [2])),
-            )
-        elif kind == "automorphism":
-            inner = AutomorphismFamily(
-                _range(doc, "modulus_range"), _range(doc, "rotation_range")
-            )
-        elif kind == "rawball":
-            inner = RawBall(int(doc["degree"]), float(doc["coeff_bound"]))
-        else:
-            raise ParseError(f"unknown family kind: {kind!r}")
-    except ParseError:
-        raise
+        inner = cls(**{name: doc[name] for name in given})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad family document: {exc}") from exc
     return FamilySpec(
@@ -195,24 +189,12 @@ def family_from_json(doc: dict) -> FamilySpec:
 
 def family_to_json(spec: FamilySpec) -> dict:
     kind = spec.kind
-    if isinstance(kind, AffineFamily):
-        doc = {"kind": "affine", "alpha_range": list(kind.alpha_range)}
-    elif isinstance(kind, ShearFamily):
-        doc = {
-            "kind": "shear",
-            "alpha_range": list(kind.alpha_range),
-            "powers": list(kind.powers),
-        }
-    elif isinstance(kind, AutomorphismFamily):
-        doc = {
-            "kind": "automorphism",
-            "modulus_range": list(kind.modulus_range),
-            "rotation_range": list(kind.rotation_range),
-        }
-    elif isinstance(kind, RawBall):
-        doc = {"kind": "rawball", "degree": kind.degree, "coeff_bound": kind.coeff_bound}
-    else:
+    names = [name for name, cls in _FAMILIES.items() if isinstance(kind, cls)]
+    if not names:
         raise ParseError(f"cannot serialize family of type {type(kind).__name__}")
+    doc = {"kind": names[0]}
+    for key, value in asdict(kind).items():
+        doc[key] = list(value) if isinstance(value, tuple) else value
     doc["require_self_map"] = spec.require_self_map
     doc["require_sense_preserving"] = spec.require_sense_preserving
     return doc

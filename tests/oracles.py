@@ -155,6 +155,19 @@ def polynomial_radial_integral_axis(h, g, r: float) -> float:
     return float(total)
 
 
+def perturbed_identity_radial_axis(eps: float, r: float) -> float:
+    """int_0^r J_f(t) t dt along theta = 0 for f = (z + eps z^2)/(1 + eps),
+    g = 0, in exact rational arithmetic, rounded once.
+
+    h'(t) = (1 + 2 eps t)/(1 + eps), and int_0^r (1 + 2 eps t)^2 t dt =
+    r^2/2 + 4 eps r^3/3 + eps^2 r^4, so the integral is
+    (1 + 8 eps r/3 + 2 eps^2 r^2)/(1 + eps)^2 * r^2/2: past r^2/2 once
+    r (8/3 + 2 eps r) > 2 + eps.
+    """
+    e, r = Fraction(eps), Fraction(r)
+    return float((1 + 8 * e * r / 3 + 2 * e * e * r * r) / (1 + e) ** 2 * r * r / 2)
+
+
 def hyperbolic_disk_integral(r: float) -> float:
     # int over rD of (1-|z|^2)^{-2}; radial antiderivative 1/(2(1-t^2))
     return math.pi * r * r / (1.0 - r * r)

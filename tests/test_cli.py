@@ -482,6 +482,20 @@ class TestSweep:
         assert run(capsys, argv + ["--tol", "1e-5"])[0] == 0
         assert seen and set(seen) == {1e-5}
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "rawball", "degree": 2.9, "coeff_bound": 0.1},
+            {"kind": "shear", "alpha_range": [0.0, 0.3], "powers": [2.5]},
+        ],
+    )
+    def test_fractional_degree_or_power_exits_2(self, capsys, tmp_path, doc):
+        fam = write_json(tmp_path / "fam.json", doc)
+        code, _, err = run(capsys, ["sweep", "--family", fam, "--n", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert "whole number" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_deterministic(self, capsys, tmp_path):
         fam = write_json(
             tmp_path / "fam.json",

@@ -779,6 +779,67 @@ class TestStarContraction:
             star_contraction_report(identity_map(), g)
 
 
+def _perturbed_identity(eps: float = 0.3) -> PolynomialMap:
+    """f = (z + eps z^2)/(1 + eps), g = 0: univalent for eps < 1/2."""
+    return raw_polynomial([0.0, 1.0 / (1.0 + eps), eps / (1.0 + eps)], [0.0])
+
+
+# 256 samples, R = 0.95 at the five with |theta| < 0.05, 0.05 elsewhere.
+THIN_STAR = StarShaped(tuple(0.95 if j in (254, 255, 0, 1, 2) else 0.05 for j in range(256)))
+
+
+class TestThinSectorCounterexample:
+    """A map that meets every hypothesis the suite encodes, yet expands thin
+    sectors near the rim: the radial bound fails for it at r >= 0.8, and so
+    does m(f(E)) <= m(E) on a thin star (README, "Two findings")."""
+
+    def test_hypotheses_hold(self):
+        f = _perturbed_identity()
+        validity = validate(f)
+        assert validity.certified and validity.sense_preserving
+        assert validity.self_map and validity.self_map_sup == 0.9999999999999999
+        assert f.evaluate(0j) == 0
+
+    def test_only_the_outer_radial_rows_fail(self):
+        rows = {row.name: row for row in verification_suite(_perturbed_identity())}
+        failing = [name for name, row in rows.items() if row.checked and not row.passed]
+        assert failing == ["radial-worst r=0.8", "radial-worst r=0.9"]
+        assert rows["radial-worst r=0.7"].checked and rows["radial-worst r=0.7"].passed
+        assert rows["radial-worst r=0.9"].lhs == 0.44712958579881656
+
+    def test_direction_zero_is_the_closed_form(self):
+        # The worst direction is theta = 0, where h' is largest.  The map's
+        # coefficients 1/1.3 and 0.3/1.3 are rounded, so the exact closed
+        # form of eps = 0.3 is met to a few ulps, and to one at the failing
+        # radii.
+        f = _perturbed_identity()
+        rows = {row.name: row for row in verification_suite(f)}
+        theta, columns, _ = distortion._radial_column(f, distortion.VERIFY_RADII)
+        assert theta[0] == 0.0
+        for r, column in zip(distortion.VERIFY_RADII, columns):
+            exact = oracles.perturbed_identity_radial_axis(0.3, r)
+            ulps = 1 if r >= 0.8 else 4
+            assert abs(column[0] - exact) <= ulps * math.ulp(exact)
+            worst = rows[f"radial-worst r={r:.1f}"]
+            assert worst.lhs == column[0] and worst.detail.endswith("worst theta=0")
+            assert worst.passed == (exact <= r * r / 2.0)
+
+    def test_thin_star_expands(self):
+        f = _perturbed_identity()
+        area = image_area(f, THIN_STAR)
+        measure = region_measure(THIN_STAR)
+        assert abs(area.value - 0.0626081343627550) <= 1e-15
+        assert abs(measure - oracles.pl_star_measure(THIN_STAR.profile)) <= 1e-14 * measure
+        assert abs(measure - 0.0597638914960246) <= 1e-15
+        # 1.8e-15 with numpy 2.4's Gauss tables; integrate_polar's value
+        # rests on them, so the bound leaves room for another numpy's.
+        polar = integrate_polar(f.jacobian, THIN_STAR)
+        assert abs(polar.value - area.value) <= 4e-15 * area.value
+        report = star_contraction_report(f, THIN_STAR)
+        assert report.checked and not report.passed
+        assert (report.lhs, report.rhs) == (area.value, measure)
+
+
 class TestLocalContraction:
     def test_affine_constant(self):
         assert local_contraction_constant(affine(0.5), Disk(0.5)) == 0.75

@@ -66,10 +66,18 @@ MOBIUS_MAP = {"form": "automorphism", "a": [0.5, 0]}
 # |Re f| reaches 2.69 on the disk of radius 0.9, so the oracle's raster window
 # doubles from [-2, 2]^2 to [-4, 4]^2.
 WIDE_MAP = {"form": "polynomial", "h": [[0, 0], [2.5, 0]], "g": [[0, 0], [0.5, 0]]}
+# f = (z + 0.3 z^2)/1.3, g = 0: every hypothesis holds, yet radial-worst fails
+# at r = 0.8 and 0.9, so verify exits 1.  It expands THIN_STAR, 256 samples
+# with R = 0.95 at the five where |theta| < 0.05 and 0.05 elsewhere.
+PERTURBED_MAP = {"form": "polynomial", "h": [[0, 0], [1 / 1.3, 0], [0.3 / 1.3, 0]],
+                 "g": [[0, 0]]}
+THIN_STAR = {"kind": "star",
+             "profile": [0.95 if j in (254, 255, 0, 1, 2) else 0.05 for j in range(256)]}
 FILES = {"STAR": STAR, "RIM_STAR": RIM_STAR, "GRID": GRID, "FAMILY": AFFINE_FAMILY,
          "SHEAR_FAMILY": SHEAR_FAMILY, "AUTO_FAMILY": AUTO_FAMILY,
          "REVERSING_MAP": REVERSING_MAP, "MOBIUS_MAP": MOBIUS_MAP, "WIDE_MAP": WIDE_MAP,
-         "RAWBALL": RAWBALL, "RAWBALL_WIDE": RAWBALL_WIDE}
+         "RAWBALL": RAWBALL, "RAWBALL_WIDE": RAWBALL_WIDE,
+         "PERTURBED_MAP": PERTURBED_MAP, "THIN_STAR": THIN_STAR}
 
 CASES = {
     **{
@@ -78,6 +86,9 @@ CASES = {
     },
     "area-star": ["area", "--preset", "example1-affine-0.5", "--region", "STAR",
                   "--format", "both"],
+    "verify-perturbed-identity": ["verify", "--map", "PERTURBED_MAP", "--format", "both"],
+    "area-thin-star": ["area", "--map", "PERTURBED_MAP", "--region", "THIN_STAR",
+                       "--format", "both"],
     "area-star-mobius": ["area", "--map", "MOBIUS_MAP", "--region", "STAR",
                          "--format", "both"],
     "area-grid-affine": ["area", "--preset", "example1-affine-0.5", "--region", "GRID",
@@ -111,7 +122,8 @@ CASES = {
     "oracle-wide": ["oracle", "--map", "WIDE_MAP", "--r", "0.9", "--n", "512",
                     "--format", "both"],
 }
-EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1}
+EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1,
+              "verify-perturbed-identity": 1}
 
 DIGESTS = {
     "area-grid-affine": "6f009fe4724630f6cbee73da482fa78c8cfcfabd584cc414009b068eabb1c168",
@@ -119,6 +131,7 @@ DIGESTS = {
     "area-grid-shear": "94ab8c9bc7b71ec7d2a20a235366170b691f27af9505ca3107ce138557d6ee4f",
     "area-star": "7af676728b7c5bbf7814b0ebee729425bdc6fb3edb4579520a23504ca02563ec",
     "area-star-mobius": "da0724c76bf894971dd3e0c71d7ef16bd1c97c6bbc19c1230f5661ec4bd94488",
+    "area-thin-star": "f1c5ca6072c7e256180231dc2396ec444582be250ca40c462b472908dec915a3",
     "oracle-disk": "26ab2656d1d24172af0c90174d9a8f4d64f9cb248e96ee08cd91c1e2a28f98a9",
     "oracle-grid": "69826d5cdbd9624e779e1512e48a86b2b5071913a5f7bbb5e97ec02d55363127",
     "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
@@ -141,6 +154,7 @@ DIGESTS = {
     "verify-example1-affine-0.5": "c2df03a07302274eaf3dee186db332dfd65418c9a95078bf64101c8bad3ae426",
     "verify-example2-shear-0.1": "ff508b6680dcff5cfc4c657a334746ded3751fcd9824ff1f10937a61167861a0",
     "verify-identity": "05a94c4bd7c277861e480997610b1fffedcd7baac7f7fee7dffbc4dba813859e",
+    "verify-perturbed-identity": "6d80f6abe7743ed712bb1f30c640f3efe6783e9049459781a399a9435d418398",
     "verify-remark-shear-0.3": "1bcace4fd5956f1d0ca9dc37bde910f5e6b4823386e6902071ebb3adb184aa2b",
     "verify-rotation": "05a94c4bd7c277861e480997610b1fffedcd7baac7f7fee7dffbc4dba813859e",
 }

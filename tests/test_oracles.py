@@ -81,6 +81,12 @@ def test_shear_and_hyperbolic_radial_against_scipy():
         assert abs(val - oracles.hyperbolic_disk_integral(r)) < 1e-12
 
 
+def test_perturbed_identity_radial_against_scipy():
+    for eps, r in ((0.3, 0.7), (0.3, 0.9), (0.1, 0.8)):
+        val, _ = quad(lambda t: ((1.0 + 2.0 * eps * t) / (1.0 + eps)) ** 2 * t, 0.0, r)
+        assert abs(val - oracles.perturbed_identity_radial_axis(eps, r)) < 1e-14
+
+
 def test_shear_worst_case_formula():
     # integrate J over the centered disk of area s
     alpha, s = 0.3, 0.4

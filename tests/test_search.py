@@ -48,6 +48,23 @@ class TestFamilies:
         with pytest.raises(ConstructionError):
             ShearFamily(alpha_range=(0.0, 0.3), powers=(1,))
 
+    def test_fractional_degree_and_powers_refused(self):
+        # int() would truncate them: degree 2.9 to 2, power 2.5 to 2.
+        with pytest.raises(ConstructionError, match="whole number"):
+            RawBall(2.9, 0.1)
+        with pytest.raises(ConstructionError, match="whole number"):
+            ShearFamily((0.0, 0.3), powers=(2.5,))
+        with pytest.raises(ConstructionError, match="whole number"):
+            RawBall(math.inf, 0.1)
+        assert RawBall(2.0, 0.1) == RawBall(2, 0.1)
+        assert ShearFamily((0.0, 0.3), powers=(2.0, 3)).powers == (2, 3)
+
+    def test_range_needs_exactly_two_values(self):
+        with pytest.raises(ConstructionError, match="alpha range"):
+            AffineFamily(alpha_range=(0.0, 0.3, 0.5))
+        with pytest.raises(ConstructionError, match="alpha range"):
+            AffineFamily(alpha_range=(0.1,))
+
     def test_automorphism_modulus_nonnegative(self):
         with pytest.raises(ConstructionError):
             AutomorphismFamily(modulus_range=(-0.1, 0.5), rotation_range=(0.0, 1.0))

@@ -173,6 +173,31 @@ class TestFamilyRoundTrip:
         with pytest.raises(ParseError):
             family_from_json({"kind": "rawball", "degree": 2})
 
+    @pytest.mark.parametrize("value", [[0.1], [0.0, 0.1, 0.2], "01", 0.5, None])
+    def test_range_must_be_two_numbers(self, value):
+        with pytest.raises(ParseError, match=r"^bad family document: alpha range must be"):
+            family_from_json({"kind": "affine", "alpha_range": value})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "rawball", "degree": 2.9, "coeff_bound": 0.1},
+            {"kind": "shear", "alpha_range": [0.0, 0.3], "powers": [2, 2.5]},
+        ],
+    )
+    def test_fractional_degree_and_powers_refused(self, doc):
+        with pytest.raises(ParseError, match="whole number"):
+            family_from_json(doc)
+
+    def test_whole_floats_parse_to_ints(self):
+        doc = {"kind": "rawball", "degree": 2.0, "coeff_bound": 0.1}
+        assert family_from_json(doc) == FamilySpec(RawBall(2, 0.1))
+        assert family_to_json(family_from_json(doc))["degree"] == 2
+
+    def test_unhashable_kind(self):
+        with pytest.raises(ParseError, match="unknown family kind"):
+            family_from_json({"kind": ["affine"]})
+
     @pytest.mark.parametrize("key", ["require_self_map", "require_sense_preserving"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_constraint_flags_must_be_booleans(self, key, value):
