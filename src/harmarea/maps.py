@@ -46,6 +46,13 @@ def _require_finite(values, what: str) -> None:
             raise ConstructionError(f"{what} must have finite components")
 
 
+def _whole(value, what: str) -> int:
+    """int(value), refusing a value that is not a whole number (2.0 is one)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConstructionError(f"{what} must be a whole number, not {value!r}")
+    return int(value)
+
+
 def _check_disk(z) -> None:
     arr = np.asarray(z)
     # One pass: a nan or an inf fails it too.  Only a failure looks at why.
@@ -222,7 +229,7 @@ def shear(alpha: complex, power: int = 2) -> PolynomialMap:
     """
     alpha = complex(alpha)
     _require_finite([alpha], "alpha")
-    power = int(power)
+    power = _whole(power, "shear power")
     if power < 2:
         raise ConstructionError("shear power must be >= 2")
     if power * abs(alpha) >= 1.0:
@@ -384,12 +391,6 @@ class RowValidity:
         columns = [getattr(self, field.name) for field in fields(ValidityReport)]
         return self.critical.get(i) or ValidityReport(*[column.item(i) for column in columns])
 
-    @classmethod
-    def stack(cls, reports: list) -> RowValidity:
-        """The columns of a nonempty list of ValidityReports."""
-        names = [field.name for field in fields(ValidityReport)]
-        return cls(*[np.array([getattr(r, name) for r in reports]) for name in names], {})
-
 
 def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
     """validate for a stack of polynomial maps, one pass for all of them.
@@ -459,13 +460,25 @@ def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
     return RowValidity(sense, sup_k, sup_f, certified, critical)
 
 
+def validate_maps(maps) -> RowValidity:
+    """validate for a nonempty list of maps of one kind, as columns: row i is
+    what validate gives map i.  Automorphisms are conformal (sense-preserving,
+    certified, dilatation 0) and each reads |f| at CIRCLE_SAMPLES circle
+    points; polynomial maps go to validate_rows."""
+    if isinstance(maps[0], DiskAutomorphism):
+        sup_f = np.array([np.abs(f.evaluate(_circle(CIRCLE_SAMPLES))).max() for f in maps])
+        true = np.ones(len(maps), bool)
+        return RowValidity(true, np.zeros(len(maps)), sup_f, true, {})
+    return validate_rows(*coefficient_rows(maps))
+
+
 def validate(f: HarmonicMap) -> ValidityReport:
     """Decide sense-preservation exactly where possible; sample |f| on the circle.
 
     sense_preserving means sup |dilatation| < 1 - SENSE_MARGIN on the closed
-    disk.  Automorphisms are conformal (dilatation 0, certified).  A
-    polynomial map is the one-row case of validate_rows: a Schur-Cohn test
-    first shows that h' has no zero on the closed disk, else
+    disk.  This is the one-map case of validate_maps.  Automorphisms are
+    conformal (dilatation 0, certified).  For a polynomial map a Schur-Cohn
+    test first shows that h' has no zero on the closed disk, else
     CriticalPointError; then a Bernstein bound decides the sign of
     (1 - SENSE_MARGIN)^2 |h'|^2 - |g'|^2 on the unit circle, which is
     sampled at CIRCLE_SAMPLES points, doubled up to CIRCLE_CAP.  A sample at
@@ -475,15 +488,7 @@ def validate(f: HarmonicMap) -> ValidityReport:
     self_map_sup is the largest |f| at CIRCLE_SAMPLES circle points; self_map
     means it is <= 1 + SELF_MAP_SLACK.
     """
-    if isinstance(f, DiskAutomorphism):
-        values = f.evaluate(_circle(CIRCLE_SAMPLES))
-        return ValidityReport(
-            sense_preserving=True,
-            sup_abs_dilatation=0.0,
-            self_map_sup=float(np.max(np.abs(values))),
-            certified=True,
-        )
-    report = validate_rows(*coefficient_rows([f]))[0]
+    report = validate_maps([f])[0]
     if isinstance(report, CriticalPointError):
         raise report
     return report

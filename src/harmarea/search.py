@@ -9,15 +9,16 @@ lattice point found (row-major order), so runs are fully deterministic for
 a fixed seed.
 
 The lattice, of sweep and of maximize_area_ratio alike, is scored in
-blocks of rows, not one map at a time.  A block's maps are validated in one
-pass, as columns: maps.validate_rows, or maps.validate reports stacked for
-automorphisms.  A RawBall row, whose parameters are its coefficients, needs
-no map object at all: on a disk its area is the closed form of
+blocks of rows, not one map at a time.  A block is validated in one pass,
+as columns: maps.validate_maps on its maps, or maps.validate_rows on RawBall
+rows.  A RawBall row, whose parameters are its coefficients, needs no map
+object at all: on a disk its area is the closed form of
 distortion.disk_series_rows, one fsum per row.  Only an area on a star or a
 pixel grid builds the map.  The result is bit for bit the one-map-at-a-time
 result: the same notes, ratios, incumbent, trace and evaluation count.
 Each simplex vertex is scored as a one-row block of the same pass, so
-lattice and simplex share one feasibility decision and one area rule.
+lattice and simplex share one feasibility decision and one area rule.  The
+Schwarz-Pick search tests a block's points for membership in one call too.
 """
 
 from __future__ import annotations
@@ -29,21 +30,21 @@ from typing import Union
 import numpy as np
 
 from .distortion import disk_series_rows, image_area, sp_ratio
-from .errors import BudgetError, ConstructionError, CriticalPointError, HypothesisError
+from .errors import BudgetError, ConstructionError, HypothesisError
 from .maps import (
     DEGREE_CAP,
     HarmonicMap,
     RowValidity,
+    _whole,
     affine,
     automorphism,
-    coefficient_rows,
     raw_polynomial,
     shear,
-    validate,
+    validate_maps,
     validate_rows,
 )
 from .quadrature import DEFAULT_TOL, check_tol
-from .regions import Disk, Region, bounding_radius, contains, region_measure
+from .regions import Disk, Region, bounding_radius, contains_points, region_measure
 
 SWEEP_BUDGET = 10 ** 6
 SIMPLEX_DIAMETER = 1e-6
@@ -58,13 +59,6 @@ def _check_range(name: str, rng) -> tuple[float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ConstructionError(f"{name} range must be a finite [lo, hi] interval")
     return lo, hi
-
-
-def _whole(value, what: str) -> int:
-    """int(value), refusing a value that is not a whole number (2.0 is one)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConstructionError(f"{what} must be a whole number, not {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ class ShearFamily:
         return (tuple(float(p) for p in self.powers),)
 
     def construct(self, params) -> HarmonicMap:
-        return shear(params[0], int(round(params[1])))
+        return shear(params[0], params[1])
 
 
 @dataclass(frozen=True)
@@ -215,17 +209,14 @@ class FamilySpec:
 
     def check(self, f: HarmonicMap) -> None:
         """Raise HypothesisError when f violates a constraint, as decided by
-        maps.validate.
+        maps.validate_maps on the one map.
 
-        A map whose h' vanishes on the closed disk is not sense-preserving.
-        validate certifies every "not sense-preserving" it reports; the
-        self-map decision is always sampled.
+        A map whose h' may vanish on the closed disk is not sense-preserving,
+        noted by its CriticalPointError's text.  Every other "not
+        sense-preserving" is certified; the self-map decision is sampled.
         """
         if self.require_self_map or self.require_sense_preserving:
-            try:
-                why = self._violations(RowValidity.stack([validate(f)])).get(0)
-            except CriticalPointError as exc:
-                raise HypothesisError(str(exc)) from exc
+            why = self._violations(validate_maps([f])).get(0)
             if why:
                 raise HypothesisError(why)
 
@@ -307,11 +298,11 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     area(i) is image_area(f, E, tol, check_sense=False).value for row i's
     map f, or nan when f cannot be constructed.
 
-    The block's constructed maps are validated in one pass: maps.validate_rows
-    on their coefficient rows, or stacked maps.validate reports for an
-    AutomorphismFamily.  FamilySpec._violations reads the notes off the
-    columns.  A RawBall row is its coefficient row, with no map object but
-    for an area on a region other than a disk.
+    The block's constructed maps are validated in one pass, by
+    maps.validate_maps, or by maps.validate_rows on RawBall coefficient rows;
+    FamilySpec._violations reads the notes off the columns.  A RawBall row is
+    its coefficient row, with no map object but for an area on a region other
+    than a disk.
     """
     kind = family.kind
     notes = [""] * len(params)
@@ -329,12 +320,10 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
                 notes[i] = f"construction: {exc}"
         built = [i for i, f in enumerate(maps) if not isinstance(f, ConstructionError)]
     if built and (family.require_self_map or family.require_sense_preserving):
-        if isinstance(kind, AutomorphismFamily):
-            validity = RowValidity.stack([validate(maps[i]) for i in built])
-        elif maps is None:
+        if maps is None:
             validity = validate_rows(rows, degree)
         else:
-            validity = validate_rows(*coefficient_rows([maps[i] for i in built]))
+            validity = validate_maps([maps[i] for i in built])
         for j, why in family._violations(validity).items():
             notes[built[j]] = f"constraint: {why}"
 
@@ -535,6 +524,7 @@ def maximize_sp_ratio(
 
     def score_rows(rows) -> list[float]:
         points = [complex(x, y) for x, y in rows.tolist()]
-        return [sp_ratio(f, z) if contains(domain, z) else -1.0 for z in points]
+        inside = contains_points(domain, np.array(points)).tolist()
+        return [sp_ratio(f, z) if ok else -1.0 for z, ok in zip(points, inside)]
 
     return _maximize(score_rows, [(-b, b), (-b, b)], [], grid_per_axis, iterations, seed)

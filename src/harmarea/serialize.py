@@ -15,6 +15,7 @@ File formats:
           {"kind":"rawball","degree":d,"coeff_bound":b, ...}
           keys are the family class's fields; degree and powers are whole
           constraints: "require_self_map", "require_sense_preserving" (bool)
+          any other key is refused
 
 Grid masks pack row-major (row 0 = lowest y), one bit per cell.  All CSV
 floats print with 17 significant digits and \n line endings so identical
@@ -37,6 +38,7 @@ from .maps import (
     DiskAutomorphism,
     HarmonicMap,
     PolynomialMap,
+    _whole,
     affine,
     automorphism,
     raw_polynomial,
@@ -87,7 +89,7 @@ def map_from_json(doc: dict) -> HarmonicMap:
         if form == "affine":
             return affine(_pair(doc["alpha"], "alpha"))
         if form == "shear":
-            return shear(_pair(doc["alpha"], "alpha"), int(doc.get("power", 2)))
+            return shear(_pair(doc["alpha"], "alpha"), doc.get("power", 2))
         if form == "automorphism":
             return automorphism(_pair(doc["a"], "a"), float(doc.get("rotation", 0.0)))
     except ParseError:
@@ -123,7 +125,7 @@ def region_from_json(doc: dict) -> Region:
         if kind == "star":
             return StarShaped(tuple(float(v) for v in doc["profile"]))
         if kind == "grid":
-            n = int(doc["n"])
+            n = _whole(doc["n"], "grid n")
             raw = base64.b64decode(doc["mask"], validate=True)
             size = (n * n + 7) // 8
             if len(raw) != size:
@@ -167,24 +169,26 @@ _FAMILIES = {
 
 def family_from_json(doc: dict) -> FamilySpec:
     """The family class named by "kind", built from the document's keys of
-    the same names as its fields; the class checks them."""
+    the same names as its fields; the class checks them.  Any other key but
+    "kind" and the two flags is refused."""
     if not isinstance(doc, dict):
         raise ParseError("family document must be a JSON object")
     kind = doc.get("kind")
     cls = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ParseError(f"unknown family kind: {kind!r}")
+    # FamilySpec's fields are "kind" and the two flags.
+    unknown = sorted(doc.keys() - {f.name for f in fields(FamilySpec) + fields(cls)}, key=str)
+    if unknown:
+        raise ParseError(f"unknown family key: {unknown[0]!r}")
     # A missing required field raises KeyError; a missing default one stays.
     given = [f.name for f in fields(cls) if f.name in doc or f.default is MISSING]
     try:
         inner = cls(**{name: doc[name] for name in given})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad family document: {exc}") from exc
-    return FamilySpec(
-        kind=inner,
-        require_self_map=_flag(doc, "require_self_map", False),
-        require_sense_preserving=_flag(doc, "require_sense_preserving", True),
-    )
+    flags = {f.name: _flag(doc, f.name, f.default) for f in fields(FamilySpec)[1:]}
+    return FamilySpec(kind=inner, **flags)
 
 
 def family_to_json(spec: FamilySpec) -> dict:
@@ -195,8 +199,8 @@ def family_to_json(spec: FamilySpec) -> dict:
     doc = {"kind": names[0]}
     for key, value in asdict(kind).items():
         doc[key] = list(value) if isinstance(value, tuple) else value
-    doc["require_self_map"] = spec.require_self_map
-    doc["require_sense_preserving"] = spec.require_sense_preserving
+    for flag in fields(FamilySpec)[1:]:
+        doc[flag.name] = getattr(spec, flag.name)
     return doc
 
 

@@ -337,6 +337,28 @@ class TestUnevaluableMaps:
         assert (code, out, err) == (2, "", "error: the map's area integral overflows the float range\n")
 
 
+class TestWholeNumberFields:
+    """A fractional or infinite shear power or grid n is a bad input (exit 2),
+    not a truncated map or an OverflowError."""
+
+    @pytest.mark.parametrize("power, shown", [("2.5", "2.5"), ("1e999", "inf")])
+    def test_shear_power(self, capsys, tmp_path, power, shown):
+        path = tmp_path / "map.json"
+        path.write_text(f'{{"form": "shear", "alpha": [0.3, 0], "power": {power}}}')
+        code, out, err = run(capsys, ["area", "--map", str(path), "--out", str(tmp_path)])
+        message = f"error: bad map document: shear power must be a whole number, not {shown}\n"
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("n, shown", [("4.7", "4.7"), ("1e999", "inf")])
+    def test_grid_n(self, capsys, tmp_path, n, shown):
+        path = tmp_path / "grid.json"
+        path.write_text(f'{{"kind": "grid", "n": {n}, "mask": "AAA="}}')
+        argv = ["area", "--preset", "identity", "--region", str(path), "--out", str(tmp_path)]
+        code, out, err = run(capsys, argv)
+        message = f"error: bad region document: grid n must be a whole number, not {shown}\n"
+        assert (code, out, err) == (2, "", message)
+
+
 class TestZeroMeasureRegion:
     """Every ratio divides by m(E); an empty grid is rejected up front."""
 
@@ -494,6 +516,19 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--family", fam, "--n", "3", "--out", str(tmp_path)])
         assert code == 2
         assert "whole number" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"kind": "shear", "alpha_range": [0.0, 0.3], "power": [3]}, "power"),
+            ({**RAWBALL, "require_selfmap": True}, "require_selfmap"),
+        ],
+    )
+    def test_unknown_family_key_exits_2(self, capsys, tmp_path, doc, key):
+        fam = write_json(tmp_path / "fam.json", doc)
+        code, out, err = run(capsys, ["sweep", "--family", fam, "--n", "3", "--out", str(tmp_path)])
+        assert (code, out, err) == (2, "", f"error: unknown family key: {key!r}\n")
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_deterministic(self, capsys, tmp_path):

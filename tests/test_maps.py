@@ -526,12 +526,25 @@ _STACKED_MAP = st.one_of(
 )
 
 
+_AUTOMORPHISM = st.builds(
+    automorphism,
+    st.complex_numbers(max_magnitude=0.99, allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestValidateRows:
-    """validate_rows on a stack of maps of mixed degree gives each row what
-    validate gives the map alone, bit for bit."""
+    """validate_maps on a list of automorphisms, or validate_rows on a stack
+    of polynomial maps of mixed degree, gives each row what validate gives
+    the map alone, bit for bit."""
 
     @pytest.mark.parametrize("cap", [None, 64])
-    @given(st.lists(_STACKED_MAP, min_size=1, max_size=12))
+    @given(
+        st.one_of(
+            st.lists(_STACKED_MAP, min_size=1, max_size=12),
+            st.lists(_AUTOMORPHISM, min_size=1, max_size=12),
+        )
+    )
     @example(
         maps=[
             affine(0.5),
@@ -544,13 +557,14 @@ class TestValidateRows:
             raw_polynomial((0.0, 2.0), (0.0, 0.0, 0.0, 0.3)),  # not a self-map
         ]
     )
-    @settings(max_examples=150, deadline=None)
+    @example(maps=[automorphism(0.99 + 0j, 3.0), identity_map(), automorphism(-0.5j, -1e300)])
+    @settings(max_examples=300, deadline=None)
     def test_rows_match_one_row_validate(self, cap, maps):
         with pytest.MonkeyPatch.context() as mp:
             if cap is not None:
                 # Past the cap the samples decide, uncertified.
                 mp.setattr(harmarea.maps, "CIRCLE_CAP", cap)
-            stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
+            stacked = harmarea.maps.validate_maps(maps)
             assert len(stacked) == len(maps)
             for f, row in zip(maps, stacked):
                 try:
@@ -563,6 +577,12 @@ class TestValidateRows:
                 assert row.certified is alone.certified
                 assert row.sup_abs_dilatation.hex() == alone.sup_abs_dilatation.hex()
                 assert row.self_map_sup.hex() == alone.self_map_sup.hex()
+                if isinstance(f, DiskAutomorphism):
+                    # Conformal: certified, dilatation 0, |f| at the circle samples.
+                    circle = np.exp(1j * (2.0 * np.pi * np.arange(64) / 64))
+                    assert (row.sense_preserving, row.certified) == (True, True)
+                    assert row.sup_abs_dilatation == 0.0
+                    assert row.self_map_sup == float(np.max(np.abs(f.evaluate(circle))))
 
     def test_doubling_and_cap_rows_take_their_own_path(self, monkeypatch):
         slow = RawBall(2, 0.5).construct((-0.4375, -0.4375, 0.1875))
@@ -573,3 +593,16 @@ class TestValidateRows:
         monkeypatch.setattr(harmarea.maps, "CIRCLE_CAP", 64)
         stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
         assert [row.certified for row in stacked] == [True, False, True, False]
+
+
+class TestWholeShearPower:
+    """shear takes a whole power: 2.0 is 2, a fraction or an infinity is refused."""
+
+    def test_whole_float_is_the_int(self):
+        assert shear(0.3, 2.0) == shear(0.3, 2)
+        assert shear(0.1, 3.0).g.degree == 3
+
+    @pytest.mark.parametrize("power", [2.5, 3.000001, math.inf, -math.inf, math.nan])
+    def test_fraction_or_infinity_refused(self, power):
+        with pytest.raises(ConstructionError, match=r"^shear power must be a whole number, not "):
+            shear(0.3, power)

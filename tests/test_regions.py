@@ -438,6 +438,40 @@ class TestRadiusFirstMembership:
         assert _bits(g.cell_centers()) == _bits(oracles.cell_centers_whole(g.mask))
 
 
+_POINTS = st.lists(
+    st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False), max_size=30
+)
+
+
+class TestBlockMembership:
+    """One contains_points call on a block answers, point by point, what
+    contains answers for each point alone."""
+
+    @staticmethod
+    def _agrees(E, block):
+        block = np.asarray(block, dtype=complex)
+        assert contains_points(E, block).tolist() == [contains(E, z) for z in block.tolist()]
+
+    @given(st.floats(0.01, 1.0), st.lists(st.floats(0.0, 2.0 * math.pi), max_size=20), _POINTS)
+    def test_disk(self, r, angles, extra):
+        self._agrees(Disk(r), [*(r * np.exp(1j * np.array(angles))), *extra])
+
+    @given(_PROFILES, st.lists(st.floats(0.0, 2.0 * math.pi), max_size=20), _POINTS)
+    def test_star_with_boundary_points(self, profile, angles, extra):
+        # R(theta) e^{i theta} at the profile's samples, midway between
+        # them, and at drawn angles: the points exactly on the boundary.
+        E = StarShaped(tuple(profile))
+        theta = np.concatenate((np.pi * np.arange(2 * len(profile)) / len(profile), angles))
+        boundary = radial_profile(E, theta) * np.exp(1j * theta)
+        self._agrees(E, [*boundary, *extra])
+
+    @given(_PROFILES, st.sampled_from([2, 7, 64]), _POINTS)
+    def test_grid_with_cell_edges(self, profile, n, extra):
+        g = rasterize(StarShaped(tuple(profile)), n)
+        edges = np.linspace(-1.0, 1.0, n + 1)
+        self._agrees(g, [*(edges + 1j * edges[::-1]), *extra])
+
+
 class TestRuns:
     @given(st.integers(2, 24), st.data())
     def test_runs_rebuild_the_mask(self, n, data):

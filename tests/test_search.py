@@ -24,6 +24,7 @@ from harmarea import (
     maximize_area_ratio,
     maximize_sp_ratio,
     rasterize,
+    raw_polynomial,
     rotation_map,
     shear,
     star_cos3,
@@ -292,6 +293,14 @@ class TestCriticalPoints:
     def test_build_raises_hypothesis_error(self):
         with pytest.raises(HypothesisError):
             self.FAMILY.build((-0.5, 0.0, 0.0))
+
+    @pytest.mark.parametrize("self_map, sense", [(False, True), (True, False), (True, True)])
+    def test_check_notes_the_critical_point(self, self_map, sense):
+        # h' = 1 - z vanishes at the circle point z = 1, under either constraint.
+        spec = FamilySpec(AffineFamily((0.0, 0.3)), self_map, sense)
+        with pytest.raises(HypothesisError) as excinfo:
+            spec.check(raw_polynomial((0.0, 1.0, -0.5), (0.0,)))
+        assert str(excinfo.value) == "sense-preservation undecidable: h' vanishes near z = (1+0j)"
 
     def test_sweep_flags_point(self):
         rows = sweep(self.FAMILY, Disk(0.5), 3)

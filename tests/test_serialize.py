@@ -92,6 +92,19 @@ class TestMapRoundTrip:
         with pytest.raises(ParseError):
             map_from_json([1, 2, 3])
 
+    @pytest.mark.parametrize("power, shown", [(2.5, "2.5"), (math.inf, "inf"), (math.nan, "nan")])
+    def test_shear_power_must_be_whole(self, power, shown):
+        doc = {"form": "shear", "alpha": [0.3, 0.0], "power": power}
+        message = f"bad map document: shear power must be a whole number, not {shown}"
+        with pytest.raises(ParseError) as excinfo:
+            map_from_json(doc)
+        assert str(excinfo.value) == message
+
+    def test_whole_float_shear_power_parses(self):
+        for power in (2.0, 3.0):
+            doc = {"form": "shear", "alpha": [0.3, 0.0], "power": power}
+            assert map_from_json(doc) == shear(0.3, int(power))
+
     def test_image_area_survives_round_trip(self):
         f = shear(0.3, 2)
         g = map_from_json(map_to_json(f))
@@ -135,6 +148,19 @@ class TestRegionRoundTrip:
             region_from_json({"kind": "grid", "n": 8, "mask": "@@@"})
         with pytest.raises(ParseError):
             region_from_json({"kind": "star", "profile": [0.5] * 4})
+
+    @pytest.mark.parametrize("n, shown", [(4.7, "4.7"), ("1e999", "inf")])
+    def test_grid_n_must_be_whole(self, n, shown):
+        mask = base64.b64encode(bytes(3)).decode("ascii")
+        text = f'{{"kind": "grid", "n": {n}, "mask": "{mask}"}}'
+        with pytest.raises(ParseError) as excinfo:
+            region_from_json(json.loads(text))
+        assert str(excinfo.value) == f"bad region document: grid n must be a whole number, not {shown}"
+
+    def test_whole_float_grid_n_parses(self):
+        g = rasterize(Disk(0.5), 8)
+        doc = region_to_json(g)
+        assert region_from_json({**doc, "n": 8.0}) == g
 
     @pytest.mark.parametrize("size", [1, 7, 9])
     def test_grid_mask_length_must_match(self, size):
@@ -193,6 +219,22 @@ class TestFamilyRoundTrip:
         doc = {"kind": "rawball", "degree": 2.0, "coeff_bound": 0.1}
         assert family_from_json(doc) == FamilySpec(RawBall(2, 0.1))
         assert family_to_json(family_from_json(doc))["degree"] == 2
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"kind": "shear", "alpha_range": [0.0, 0.3], "power": [3]}, "power"),
+            ({"kind": "affine", "alpha_range": [0.0, 0.3], "require_selfmap": True}, "require_selfmap"),
+            # Two unknown keys: the first in sorted order is named.
+            ({"kind": "rawball", "degree": 2, "coeff_bound": 0.1, "zeta": 1, "bound": 2}, "bound"),
+            # A field of another family is unknown to this one.
+            ({"kind": "affine", "alpha_range": [0.0, 0.3], "powers": [2]}, "powers"),
+        ],
+    )
+    def test_unknown_keys_refused(self, doc, key):
+        with pytest.raises(ParseError) as excinfo:
+            family_from_json(doc)
+        assert str(excinfo.value) == f"unknown family key: {key!r}"
 
     def test_unhashable_kind(self):
         with pytest.raises(ParseError, match="unknown family kind"):
