@@ -35,6 +35,7 @@ from .regions import Disk, PixelGrid, region_measure
 from .search import FamilySpec, maximize_area_ratio, maximize_sp_ratio, sweep
 from .serialize import (
     ParseError,
+    _bool,
     family_from_json,
     fmt,
     map_from_json,
@@ -42,6 +43,7 @@ from .serialize import (
     report_to_dict,
     reports_to_csv,
     reports_to_json,
+    reports_to_text,
     search_result_to_csv,
     sweep_to_csv,
 )
@@ -124,6 +126,8 @@ def _load_map(args: argparse.Namespace):
 
 
 def _load_region(args: argparse.Namespace):
+    if args.region and args.r is not None:
+        raise ParseError("give either --region or --r, not both")
     if args.region:
         region = region_from_json(_read_json(args.region))
         # Every ratio divides by m(E), so an empty grid is not a usable region.
@@ -149,6 +153,11 @@ def _emit(args: argparse.Namespace, stem: str, csv_text: str | None, json_text: 
         (args.out / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
     if json_text is not None and args.format in ("json", "both"):
         (args.out / f"{stem}.json").write_text(json_text, encoding="utf-8")
+
+
+def _best(names, values) -> str:
+    """The "best: name=value ..." head of sweep's and search's summary line."""
+    return "best: " + " ".join(f"{name}={fmt(value)}" for name, value in zip(names, values))
 
 
 def cmd_area(args: argparse.Namespace) -> int:
@@ -191,20 +200,9 @@ def cmd_area(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     f = _load_map(args)
     rows = verification_suite(f, args.tol)
-    failed = 0
-    for row in rows:
-        if not row.checked:
-            status = "info"
-        elif row.passed:
-            status = "pass"
-        else:
-            status = "FAIL"
-            failed += 1
-        print(
-            f"{row.name}: lhs={fmt(row.lhs)} rhs={fmt(row.rhs)} "
-            f"margin={fmt(row.margin)} [{status}]"
-        )
+    print(reports_to_text(rows), end="")
     _emit(args, "verify", reports_to_csv(rows), reports_to_json(rows))
+    failed = sum(row.checked and not row.passed for row in rows)
     print(f"checked rows failing: {failed}")
     return 1 if failed else 0
 
@@ -216,11 +214,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(family, region, grid, args.tol)
     best = rows[0]
     names = family.param_names
-    best_params = " ".join(
-        f"{name}={fmt(value)}" for name, value in zip(names, best.params)
-    )
-    feasible = "true" if best.feasible else "false"
-    print(f"best: {best_params} ratio={fmt(best.ratio)} feasible={feasible}")
+    print(f"{_best(names, best.params)} ratio={fmt(best.ratio)} feasible={_bool(best.feasible)}")
     _emit(args, "sweep", sweep_to_csv(rows, names), None)
     return 0
 
@@ -242,15 +236,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         result = maximize_sp_ratio(f, region, iterations, args.seed)
         names = ("x", "y")
         objective = "sp-ratio"
-    best_params = " ".join(
-        f"{name}={fmt(value)}" for name, value in zip(names, result.best_params)
-    )
     print(f"objective = {objective}")
-    print(f"best: {best_params} value={fmt(result.best_value)}")
+    print(f"{_best(names, result.best_params)} value={fmt(result.best_value)}")
     print(f"evaluations = {result.evaluations}")
     if objective == "sp-ratio":
         exceeds = result.best_value > 1.0 + 10.0 * args.tol
-        print(f"exceeds_one = {'true' if exceeds else 'false'}")
+        print(f"exceeds_one = {_bool(exceeds)}")
     _emit(args, "search", search_result_to_csv(result, names), None)
     return 0
 

@@ -34,6 +34,7 @@ from .regions import (
     Disk,
     PixelGrid,
     Region,
+    StarShaped,
     bounding_radius,
     contains_points,
     radial_profile,
@@ -47,6 +48,8 @@ log = logging.getLogger(__name__)
 ORIGIN_SLACK = 1e-10
 
 VERIFY_RADII = tuple(k / 10 for k in range(1, 10))
+# verify's star at scale 1; r * profile is star_cos3(256, scale=r)'s profile.
+_VERIFY_STAR = np.array(star_cos3(256).profile)
 
 # Boundary points of sup_dilatation on a disk or a star, at these angles.
 DILATATION_ANGULAR = 256
@@ -624,7 +627,7 @@ def verification_suite(
     hyp = _hypothesis_detail(validity)
     hyperbolic = hyperbolic_disk_integral(VERIFY_RADII, tol)
     shears = shear_disk_integral(VERIFY_RADII, 0.3, 2, tol)
-    stars = [star_cos3(256, scale=r) for r in VERIFY_RADII]
+    stars = [StarShaped((r * _VERIFY_STAR).tolist()) for r in VERIFY_RADII]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             theta, columns, evals = _radial_column(f, VERIFY_RADII)

@@ -208,38 +208,42 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def reports_to_csv(reports: list[VerificationReport]) -> str:
-    """CSV rows (name, lhs, rhs, margin, pass, tol, evals)."""
+def _csv(header: list[str], rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "lhs", "rhs", "margin", "pass", "tol", "evals"])
-    for rep in reports:
-        writer.writerow(
-            [
-                rep.name,
-                fmt(rep.lhs),
-                fmt(rep.rhs),
-                fmt(rep.margin),
-                _bool(rep.passed),
-                fmt(rep.tolerance),
-                rep.evals,
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 
+def report_fields(rep: VerificationReport) -> list:
+    """One report row as printed: name, lhs, rhs, margin, pass, tol, evals."""
+    margin = rep.rhs - rep.lhs
+    passed = _bool(margin >= -rep.tolerance)
+    return [rep.name, fmt(rep.lhs), fmt(rep.rhs), fmt(margin), passed, fmt(rep.tolerance),
+            rep.evals]
+
+
+def reports_to_csv(reports: list[VerificationReport]) -> str:
+    """CSV rows (name, lhs, rhs, margin, pass, tol, evals)."""
+    header = ["name", "lhs", "rhs", "margin", "pass", "tol", "evals"]
+    return _csv(header, map(report_fields, reports))
+
+
+def reports_to_text(reports: list[VerificationReport]) -> str:
+    """Lines "name: lhs=... rhs=... margin=... [status]", status info for a
+    row that is not checked, else pass or FAIL."""
+    lines = []
+    for rep in reports:
+        name, lhs, rhs, margin, passed, _, _ = report_fields(rep)
+        status = ("pass" if passed == "true" else "FAIL") if rep.checked else "info"
+        lines.append(f"{name}: lhs={lhs} rhs={rhs} margin={margin} [{status}]\n")
+    return "".join(lines)
+
+
 def report_to_dict(rep: VerificationReport) -> dict:
-    return {
-        "name": rep.name,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "margin": rep.margin,
-        "pass": rep.passed,
-        "tolerance": rep.tolerance,
-        "detail": rep.detail,
-        "checked": rep.checked,
-        "evals": rep.evals,
-    }
+    """The report's fields, with its margin and pass."""
+    return {**vars(rep), "margin": rep.margin, "pass": rep.passed}
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
@@ -257,24 +261,18 @@ def search_result_to_csv(result: SearchResult, param_names: tuple[str, ...]) -> 
     Feasible is inferred from the -1 infeasibility penalty, which no
     feasible nonnegative objective in this package can reach.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["iteration", *param_names, "value", "feasible"])
-    for i, (params, value) in enumerate(result.trace):
-        writer.writerow(
-            [i, *[fmt(p) for p in params], fmt(value), _bool(value > -1.0)]
-        )
-    return out.getvalue()
+    rows = (
+        [i, *map(fmt, params), fmt(value), _bool(value > -1.0)]
+        for i, (params, value) in enumerate(result.trace)
+    )
+    return _csv(["iteration", *param_names, "value", "feasible"], rows)
 
 
 def sweep_to_csv(rows: list[SweepRow], param_names: tuple[str, ...]) -> str:
     """Sweep table CSV sorted as produced (descending ratio)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", *param_names, "ratio", "feasible", "note"])
-    for row in rows:
-        ratio = fmt(row.ratio) if math.isfinite(row.ratio) else "nan"
-        writer.writerow(
-            [row.index, *[fmt(p) for p in row.params], ratio, _bool(row.feasible), row.note]
-        )
-    return out.getvalue()
+    table = (
+        [row.index, *map(fmt, row.params), fmt(row.ratio) if math.isfinite(row.ratio) else "nan",
+         _bool(row.feasible), row.note]
+        for row in rows
+    )
+    return _csv(["index", *param_names, "ratio", "feasible", "note"], table)

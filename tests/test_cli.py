@@ -13,6 +13,7 @@ import harmarea.distortion
 import oracles
 from harmarea import Disk, PixelGrid, rasterize
 from harmarea.cli import main
+from harmarea.presets import preset_names
 from harmarea.serialize import region_to_json
 
 
@@ -174,6 +175,19 @@ class TestArea:
         )
         assert code == 2
         assert "either" in err
+
+    @pytest.mark.parametrize("command", ["area", "oracle", "search"])
+    def test_radius_and_region_conflict(self, capsys, tmp_path, command):
+        # Two regions contradict each other; neither may be dropped silently.
+        region = write_json(tmp_path / "region.json", {"kind": "disk", "r": 0.2})
+        code, out, err = run(
+            capsys,
+            [command, "--preset", "identity", "--region", region, "--r", "0.9",
+             "--out", str(tmp_path / "out")],
+        )
+        assert code == 2
+        assert err == "error: give either --region or --r, not both\n"
+        assert out == "" and not (tmp_path / "out").exists()
 
     def test_missing_map(self, capsys, tmp_path):
         code, _, err = run(capsys, ["area", "--out", str(tmp_path)])
@@ -430,6 +444,30 @@ class TestVerify:
         assert len(payload) == 117
         claimed = [row for row in payload if "claimed" in row["name"]]
         assert claimed and all(row["checked"] is False for row in claimed)
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_stdout_csv_and_json_rows_agree(self, capsys, tmp_path, preset):
+        code, out, _ = run(
+            capsys, ["verify", "--preset", preset, "--format", "both", "--out", str(tmp_path)]
+        )
+        *lines, summary = out.splitlines()
+        rows = csv_rows(tmp_path / "verify.csv")
+        payload = json.loads((tmp_path / "verify.json").read_text())
+        assert len(lines) == len(rows) == len(payload) == 117
+        for line, row, doc in zip(lines, rows, payload):
+            status = ("pass" if doc["pass"] else "FAIL") if doc["checked"] else "info"
+            assert line == (
+                f"{row['name']}: lhs={row['lhs']} rhs={row['rhs']} "
+                f"margin={row['margin']} [{status}]"
+            )
+            assert row["name"] == doc["name"]
+            for key, json_key in (("lhs", "lhs"), ("rhs", "rhs"), ("margin", "margin"),
+                                  ("tol", "tolerance")):
+                assert float(row[key]) == doc[json_key]
+            assert row["pass"] == ("true" if doc["pass"] else "false")
+        failing = [line for line in lines if line.endswith("[FAIL]")]
+        assert summary == f"checked rows failing: {len(failing)}"
+        assert code == (1 if failing else 0)
 
     def test_two_runs_byte_identical(self, capsys, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

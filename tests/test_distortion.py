@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from scipy import integrate
 
 import oracles
 from harmarea import (
@@ -707,6 +708,23 @@ class TestRadialBound:
             assert row.lhs == worst.lhs and row.rhs == worst.rhs
             assert row.detail.endswith(f" worst {worst.detail}")
             assert row.evals == sum(p.evals for p in profile)
+
+    @pytest.mark.parametrize("a", [0.5, 0.3 + 0.4j, 0.9, -0.7j])
+    def test_automorphism_column_meets_adaptive_quadrature(self, a):
+        # The 128-node Gauss rule off the axis, against scipy's quad of
+        # J t = (1 - |a|^2)^2 / |1 - conj(a) z|^4 t on every 4th direction.
+        # The worst case, |a| = 0.9 at r = 0.9 toward the pole, is 3.8e-14.
+        f = automorphism(a, rotation=0.4)
+        theta, columns, _ = distortion._radial_column(f, distortion.VERIFY_RADII)
+        lead, ca = (1.0 - abs(a) ** 2) ** 2, complex(a).conjugate()
+        for r, column in zip(distortion.VERIFY_RADII, columns):
+            for j in range(0, distortion.RADIAL_DIRECTIONS, 4):
+                u = cmath.exp(1j * theta[j])
+                ref, _ = integrate.quad(
+                    lambda t: lead / abs(1.0 - ca * t * u) ** 4 * t,
+                    0.0, r, epsabs=0.0, epsrel=1e-13,
+                )
+                assert abs(column[j] - ref) <= 1e-12 * ref
 
     def test_closed_form_past_the_float_range_raises(self):
         with pytest.raises(ConstructionError):

@@ -37,9 +37,11 @@ from harmarea.serialize import (
     map_to_json,
     region_from_json,
     region_to_json,
+    report_fields,
     report_to_dict,
     reports_to_csv,
     reports_to_json,
+    reports_to_text,
     search_result_to_csv,
     sweep_to_csv,
 )
@@ -290,6 +292,42 @@ class TestReportCsv:
         assert payload[0]["detail"] == "why"
         assert payload[0]["checked"] is False
         assert payload[0]["pass"] is True
+
+
+class TestReportText:
+    def test_exact_lines(self):
+        rows = [
+            VerificationReport("check-a", 1.0, 2.0, 1e-9),
+            VerificationReport("check-b", 3.0, 1.0, 1e-9),
+            VerificationReport("claim-c", 3.0, 1.0, 1e-9, checked=False),
+        ]
+        assert reports_to_text(rows) == (
+            "check-a: lhs=1 rhs=2 margin=1 [pass]\n"
+            "check-b: lhs=3 rhs=1 margin=-2 [FAIL]\n"
+            "claim-c: lhs=3 rhs=1 margin=-2 [info]\n"
+        )
+
+    @given(
+        st.builds(
+            VerificationReport,
+            name=st.text(max_size=12),
+            lhs=st.floats(allow_nan=False, allow_infinity=False),
+            rhs=st.floats(allow_nan=False, allow_infinity=False),
+            tolerance=st.floats(),
+            evals=st.integers(0, 2**40),
+        )
+    )
+    def test_fields_match_the_report(self, rep):
+        # margin and pass are computed once, as the report's properties are.
+        assert report_fields(rep) == [
+            rep.name,
+            fmt(rep.lhs),
+            fmt(rep.rhs),
+            fmt(rep.margin),
+            "true" if rep.passed else "false",
+            fmt(rep.tolerance),
+            rep.evals,
+        ]
 
 
 class TestSearchCsv:
