@@ -30,7 +30,7 @@ from .errors import (
     PoleError,
 )
 from .presets import preset_map, preset_names
-from .quadrature import DEFAULT_TOL, mc_image_area
+from .quadrature import DEFAULT_TOL, MIN_TOL, mc_image_area
 from .regions import Disk, PixelGrid, region_measure
 from .search import FamilySpec, maximize_area_ratio, maximize_sp_ratio, sweep
 from .serialize import (
@@ -91,11 +91,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The input flags each command has no use for: passing one exits 2.
+_UNREAD = {
+    "verify": ("region", "r", "family"),
+    "area": ("family",),
+    "oracle": ("family",),
+    "sweep": ("map", "preset"),
+}
+
+
 def _check_args(args: argparse.Namespace) -> None:
     if not math.isfinite(args.tol):
         raise ParseError("--tol must be finite")
-    if args.tol < 1e-12:
-        raise ParseError("--tol must be at least 1e-12")
+    if args.tol < MIN_TOL:
+        raise ParseError(f"--tol must be at least {MIN_TOL:g}")
     if args.command in ("sweep", "search") and args.format == "json":
         raise ParseError(f"{args.command} writes CSV only: use --format csv or both")
     # --workers is accepted for compatibility; every command runs serially.
@@ -103,6 +112,9 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ParseError("--workers must be >= 1")
     if args.seed < 0:
         raise ParseError("--seed must be >= 0")
+    for flag in _UNREAD.get(args.command, ()):
+        if getattr(args, flag) is not None:
+            raise ParseError(f"{args.command} does not read --{flag}")
 
 
 def _read_json(path: Path) -> dict:

@@ -17,8 +17,9 @@ distortion.disk_series_rows, one fsum per row.  Only an area on a star or a
 pixel grid builds the map.  The result is bit for bit the one-map-at-a-time
 result: the same notes, ratios, incumbent, trace and evaluation count.
 Each simplex vertex is scored as a one-row block of the same pass, so
-lattice and simplex share one feasibility decision and one area rule.  The
-Schwarz-Pick search tests a block's points for membership in one call too.
+lattice and simplex share one feasibility decision, one area rule and one
+incumbent rule.  The Schwarz-Pick search tests a block's points for
+membership in one call too.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     area(i) is image_area(f, E, tol, check_sense=False).value for row i's
     map f, or nan when f cannot be constructed.
 
-    The block's constructed maps are validated in one pass, by
+    The block's maps, kept by row, are validated in one pass, by
     maps.validate_maps, or by maps.validate_rows on RawBall coefficient rows;
     FamilySpec._violations reads the notes off the columns.  A RawBall row is
     its coefficient row, with no map object but for an area on a region other
@@ -306,36 +307,29 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     """
     kind = family.kind
     notes = [""] * len(params)
-    if isinstance(kind, RawBall):
-        maps = None
+    raw, maps = isinstance(kind, RawBall), {}
+    if raw:
         built = range(len(params))
         rows, degree = kind.coefficients(params), np.full(len(params), kind.degree)
     else:
-        maps = []
         for i, p in enumerate(params.tolist()):
             try:
-                maps.append(kind.construct(p))
+                maps[i] = kind.construct(p)
             except ConstructionError as exc:
-                maps.append(exc)
                 notes[i] = f"construction: {exc}"
-        built = [i for i, f in enumerate(maps) if not isinstance(f, ConstructionError)]
+        built = list(maps)
     if built and (family.require_self_map or family.require_sense_preserving):
-        if maps is None:
-            validity = validate_rows(rows, degree)
-        else:
-            validity = validate_maps([maps[i] for i in built])
+        validity = validate_rows(rows, degree) if raw else validate_maps(list(maps.values()))
         for j, why in family._violations(validity).items():
             notes[built[j]] = f"constraint: {why}"
 
-    if maps is None and isinstance(E, Disk):
+    if raw and isinstance(E, Disk):
         check_tol(tol)
         return notes, disk_series_rows(E, rows.tolist(), kind.degree)
 
     def area(i: int) -> float:
-        f = kind.construct(params[i]) if maps is None else maps[i]
-        if isinstance(f, ConstructionError):
-            return math.nan
-        return image_area(f, E, tol, check_sense=False).value
+        f = kind.construct(params[i]) if raw else maps.get(i)
+        return math.nan if f is None else image_area(f, E, tol, check_sense=False).value
 
     return notes, area
 
@@ -421,57 +415,50 @@ def _maximize(score_rows, cont_bounds, disc_axes, grid_per_axis, iterations, see
 
     score_rows maps an (N, dim) array of parameter rows to their objective
     values: the whole lattice in one call, each simplex point as one row.
-    Every row counts as an evaluation, and the incumbent and trace follow
-    one strict running maximum over the lattice (row-major) and then the
-    simplex.
+    Every lattice row (row-major) and then every simplex point passes
+    through one record: it counts as an evaluation, moves the incumbent
+    only when it beats every value before it, so the first of equal maxima
+    wins and a nan never does, and enters the trace when that improvement
+    is feasible (> -1).
     """
     if iterations < 1:
         raise ConstructionError("iterations must be >= 1")
     lattice = _lattice(cont_bounds, disc_axes, grid_per_axis)
-    values = np.asarray(score_rows(lattice), dtype=float)
     trace: list[tuple[tuple[float, ...], float]] = []
-    best_params, best_value, evaluations = None, -math.inf, len(values)
-    # Row i moves the incumbent when it beats every row before it, so the
-    # first of equal maxima wins; a nan never does.
-    before = np.fmax.accumulate(np.concatenate(([-math.inf], values[:-1])))
-    for i in np.flatnonzero(values > before).tolist():
-        best_params, best_value = tuple(lattice[i].tolist()), float(values[i])
-        # Infeasible points (penalized to -1) never enter the trace.
-        if best_value > -1.0:
-            trace.append((best_params, best_value))
+    best_params, best_value, evaluations = None, -math.inf, 0
 
-    def score(params) -> float:
-        """Penalized objective; counts the call and traces each improvement."""
+    def record(params: tuple[float, ...], val: float) -> float:
         nonlocal best_params, best_value, evaluations
         evaluations += 1
+        if val > best_value:
+            best_params, best_value = params, val
+            if val > -1.0:
+                trace.append((params, val))
+        return val
+
+    for params, val in zip(lattice.tolist(), score_rows(lattice)):
+        record(tuple(params), val)
+    n_cont = len(cont_bounds)
+    disc_best = best_params[n_cont:]
+
+    def frozen(x_cont) -> float:
+        params = np.concatenate([x_cont, disc_best])
         # The simplex may reflect outside the parameter box; such points are
         # infeasible even when the underlying map happens to be constructible.
         inside = all(lo <= c <= hi for c, (lo, hi) in zip(params, cont_bounds))
         val = score_rows(params[np.newaxis])[0] if inside else -1.0
-        if val > best_value:
-            best_value = val
-            best_params = tuple(float(c) for c in params)
-            if val > -1.0:
-                trace.append((best_params, val))
-        return val
+        return record(tuple(params.tolist()), val)
 
-    n_cont = len(cont_bounds)
-    if n_cont:
-        disc_best = best_params[n_cont:]
-
-        def frozen(x_cont):
-            return score(np.concatenate([x_cont, disc_best]))
-
-        steps = [
-            (hi - lo) / (2.0 * max(1, grid_per_axis - 1)) if hi > lo else 1e-3
-            for lo, hi in cont_bounds
-        ]
-        _simplex_refine(frozen, best_params[:n_cont], cont_bounds, steps, iterations)
-        # One seeded restart guards against a collapsed starting simplex.
-        rng = np.random.default_rng(seed)
-        jitter = rng.uniform(-0.125, 0.125, size=n_cont)
-        x1 = np.asarray(best_params[:n_cont]) + jitter * np.asarray(steps)
-        _simplex_refine(frozen, x1, cont_bounds, [s / 4.0 for s in steps], iterations)
+    steps = [
+        (hi - lo) / (2.0 * max(1, grid_per_axis - 1)) if hi > lo else 1e-3
+        for lo, hi in cont_bounds
+    ]
+    _simplex_refine(frozen, best_params[:n_cont], cont_bounds, steps, iterations)
+    # One seeded restart guards against a collapsed starting simplex.
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-0.125, 0.125, size=n_cont)
+    x1 = np.asarray(best_params[:n_cont]) + jitter * np.asarray(steps)
+    _simplex_refine(frozen, x1, cont_bounds, [s / 4.0 for s in steps], iterations)
     return SearchResult(best_params, best_value, evaluations, tuple(trace), seed)
 
 

@@ -218,10 +218,8 @@ def _csv(header: list[str], rows) -> str:
 
 def report_fields(rep: VerificationReport) -> list:
     """One report row as printed: name, lhs, rhs, margin, pass, tol, evals."""
-    margin = rep.rhs - rep.lhs
-    passed = _bool(margin >= -rep.tolerance)
-    return [rep.name, fmt(rep.lhs), fmt(rep.rhs), fmt(margin), passed, fmt(rep.tolerance),
-            rep.evals]
+    return [rep.name, fmt(rep.lhs), fmt(rep.rhs), fmt(rep.margin), _bool(rep.passed),
+            fmt(rep.tolerance), rep.evals]
 
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:
@@ -235,8 +233,8 @@ def reports_to_text(reports: list[VerificationReport]) -> str:
     row that is not checked, else pass or FAIL."""
     lines = []
     for rep in reports:
-        name, lhs, rhs, margin, passed, _, _ = report_fields(rep)
-        status = ("pass" if passed == "true" else "FAIL") if rep.checked else "info"
+        name, lhs, rhs, margin = report_fields(rep)[:4]
+        status = ("pass" if rep.passed else "FAIL") if rep.checked else "info"
         lines.append(f"{name}: lhs={lhs} rhs={rhs} margin={margin} [{status}]\n")
     return "".join(lines)
 

@@ -6,7 +6,9 @@ code; these are the independent answers the package is tested against.
 Numeric cross-checks of the formulas themselves (via scipy.integrate)
 live in test_oracles.py.  The one exception is the per-point search at the
 end: it scores a search lattice one map at a time through the package's
-per-map functions, as the reference for the search's batched lattice pass.
+per-map functions, as the reference for the search's batched lattice pass,
+and a Schwarz-Pick lattice one point at a time, as the reference for its
+batched membership test.
 node_doubling_boundary keeps the boundary kernel that resolved a pole by
 raising the node count on every profile segment, as the reference for the
 graded boundary panels.  star_contains_whole and mc_image_area_whole keep
@@ -667,14 +669,13 @@ FROZEN = {
 }
 
 
-def _lattice_points(family, grid_per_axis):
+def _lattice_points(cont_bounds, disc_axes, grid_per_axis):
     """Row-major lattice tuples: continuous axes first, then discrete axes."""
-    kind = family.kind
     axes = [
         np.asarray([lo]) if lo == hi else np.linspace(lo, hi, grid_per_axis)
-        for lo, hi in kind.continuous_bounds()
+        for lo, hi in cont_bounds
     ]
-    axes += [np.asarray(vals) for vals in kind.discrete_axes()]
+    axes += [np.asarray(vals) for vals in disc_axes]
     return [tuple(float(v) for v in values) for values in itertools.product(*axes)]
 
 
@@ -686,8 +687,10 @@ def sweep_per_point(family, E, grid_per_axis):
     from harmarea.search import SweepRow
 
     m_e = region_measure(E)
+    kind = family.kind
+    lattice = _lattice_points(kind.continuous_bounds(), kind.discrete_axes(), grid_per_axis)
     rows = []
-    for index, params in enumerate(_lattice_points(family, grid_per_axis)):
+    for index, params in enumerate(lattice):
         note = ""
         ratio = math.nan
         try:
@@ -706,25 +709,13 @@ def sweep_per_point(family, E, grid_per_axis):
     )
 
 
-def maximize_area_ratio_per_point(family, E, iterations, seed, grid_per_axis, tol):
-    """search.maximize_area_ratio with the lattice scored one map at a time,
-    each point through the same penalized, traced objective as the simplex."""
-    from harmarea.distortion import image_area
-    from harmarea.errors import ConstructionError, HypothesisError
-    from harmarea.regions import region_measure
+def _maximize_per_point(objective, cont_bounds, disc_axes, iterations, seed, grid_per_axis):
+    """search._maximize with every lattice point and simplex point scored
+    alone by objective, through one penalized, traced score."""
     from harmarea.search import SearchResult, _simplex_refine
 
-    m_e = region_measure(E)
-    cont_bounds = list(family.kind.continuous_bounds())
     trace = []
     best_params, best_value, evaluations = None, -math.inf, 0
-
-    def objective(params):
-        try:
-            f = family.build(params)
-        except (ConstructionError, HypothesisError):
-            return -1.0
-        return image_area(f, E, tol, check_sense=False).value / m_e
 
     def score(params):
         nonlocal best_params, best_value, evaluations
@@ -738,7 +729,7 @@ def maximize_area_ratio_per_point(family, E, iterations, seed, grid_per_axis, to
                 trace.append((best_params, val))
         return val
 
-    for params in _lattice_points(family, grid_per_axis):
+    for params in _lattice_points(cont_bounds, disc_axes, grid_per_axis):
         score(np.asarray(params))
     n_cont = len(cont_bounds)
     disc_best = best_params[n_cont:]
@@ -756,3 +747,41 @@ def maximize_area_ratio_per_point(family, E, iterations, seed, grid_per_axis, to
     x1 = np.asarray(best_params[:n_cont]) + jitter * np.asarray(steps)
     _simplex_refine(frozen, x1, cont_bounds, [s / 4.0 for s in steps], iterations)
     return SearchResult(best_params, best_value, evaluations, tuple(trace), seed)
+
+
+def maximize_area_ratio_per_point(family, E, iterations, seed, grid_per_axis, tol):
+    """search.maximize_area_ratio with the lattice scored one map at a time,
+    each point through the same penalized, traced objective as the simplex."""
+    from harmarea.distortion import image_area
+    from harmarea.errors import ConstructionError, HypothesisError
+    from harmarea.regions import region_measure
+
+    m_e = region_measure(E)
+
+    def objective(params):
+        try:
+            f = family.build(params)
+        except (ConstructionError, HypothesisError):
+            return -1.0
+        return image_area(f, E, tol, check_sense=False).value / m_e
+
+    kind = family.kind
+    return _maximize_per_point(
+        objective, list(kind.continuous_bounds()), list(kind.discrete_axes()),
+        iterations, seed, grid_per_axis,
+    )
+
+
+def maximize_sp_ratio_per_point(f, domain, iterations, seed, grid_per_axis):
+    """search.maximize_sp_ratio with sp_ratio scored one point at a time,
+    each point tested for membership alone with regions.contains."""
+    from harmarea.distortion import sp_ratio
+    from harmarea.regions import bounding_radius, contains
+
+    b = bounding_radius(domain)
+
+    def objective(params):
+        z = complex(params[0], params[1])
+        return sp_ratio(f, z) if contains(domain, z) else -1.0
+
+    return _maximize_per_point(objective, [(-b, b), (-b, b)], [], iterations, seed, grid_per_axis)

@@ -189,6 +189,34 @@ class TestArea:
         assert err == "error: give either --region or --r, not both\n"
         assert out == "" and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("verify", "--region", "missing.json"),
+            ("verify", "--r", "0.9"),
+            ("verify", "--family", "missing.json"),
+            ("area", "--family", "missing.json"),
+            ("oracle", "--family", "missing.json"),
+            ("sweep", "--map", "missing.json"),
+            ("sweep", "--preset", "identity"),
+        ],
+    )
+    def test_unread_input_refused(self, capsys, tmp_path, command, flag, value):
+        # Without the refusal each run exits 0, the flag silently dropped.
+        if command == "sweep":
+            family = {"kind": "affine", "alpha_range": [0.0, 0.5]}
+            source = ["--family", write_json(tmp_path / "family.json", family), "--n", "3"]
+        else:
+            source = ["--preset", "identity"]
+        if value == "missing.json":
+            value = str(tmp_path / value)
+        code, out, err = run(
+            capsys, [command, *source, flag, value, "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert err == f"error: {command} does not read {flag}\n"
+        assert out == "" and not (tmp_path / "out").exists()
+
     def test_missing_map(self, capsys, tmp_path):
         code, _, err = run(capsys, ["area", "--out", str(tmp_path)])
         assert code == 2
@@ -273,11 +301,13 @@ class TestArea:
         assert "pole" in err
 
     def test_tol_floor(self, capsys, tmp_path):
-        code, _, _ = run(
+        code, out, err = run(
             capsys,
-            ["area", "--preset", "rotation", "--tol", "1e-13", "--out", str(tmp_path)],
+            ["area", "--preset", "rotation", "--tol", "1e-13", "--out", str(tmp_path / "out")],
         )
         assert code == 2
+        assert err == "error: --tol must be at least 1e-12\n"
+        assert out == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["area", "verify"])
     @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -25,6 +25,7 @@ from harmarea import (
     maximize_sp_ratio,
     rasterize,
     raw_polynomial,
+    rescaled_affine,
     rotation_map,
     shear,
     star_cos3,
@@ -396,6 +397,31 @@ class TestOneScoringPath:
         monkeypatch.setattr(FamilySpec, "build", refuse)
         assert maximize_area_ratio(family, E, iterations=20, seed=3, grid_per_axis=5) == expected
         assert _row_bits(sweep(family, E, 5)) == _row_bits(oracles.sweep_per_point(family, E, 5))
+
+
+# The 64-sample star of test_golden's search jobs: r(t) = 0.55 + 0.25 cos 3t.
+GOLDEN_STAR = StarShaped(
+    tuple(round(0.55 + 0.25 * math.cos(3.0 * TWO_PI * k / 64), 4) for k in range(64))
+)
+SP_MAPS = {
+    "rescaled-affine": rescaled_affine(0.5),
+    "affine": affine(0.2),
+    # h = 0.6 z + 0.1 z^3, g = 0.1 z^2: |f| <= 0.8 on the disk.
+    "degree-3": raw_polynomial((0.0, 0.6, 0.0, 0.1), (0.0, 0.0, 0.1)),
+}
+
+
+class TestSpSearchMatchesPerPointReference:
+    """maximize_sp_ratio, whose lattice tests membership in one call, gives
+    exactly what scoring one point at a time gives: incumbent, trace and
+    evaluation count."""
+
+    @pytest.mark.parametrize("domain", [Disk(0.6), GOLDEN_STAR], ids=["disk", "star"])
+    @pytest.mark.parametrize("name", sorted(SP_MAPS))
+    def test_maps(self, name, domain):
+        f = SP_MAPS[name]
+        result = maximize_sp_ratio(f, domain, iterations=40, seed=3)
+        assert result == oracles.maximize_sp_ratio_per_point(f, domain, 40, 3, 17)
 
 
 class TestSearchResult:
