@@ -146,11 +146,7 @@ def _load_region(args: argparse.Namespace):
         if isinstance(region, PixelGrid) and not region.mask.any():
             raise ParseError("region has zero measure: the grid has no true cells")
         return region
-    r = args.r if args.r is not None else 0.5
-    try:
-        return Disk(r)
-    except ConstructionError as exc:
-        raise ParseError(str(exc)) from exc
+    return Disk(args.r if args.r is not None else 0.5)
 
 
 def _load_family(args: argparse.Namespace) -> FamilySpec:

@@ -13,9 +13,9 @@ File formats:
           {"kind":"automorphism","modulus_range":[lo,hi],
            "rotation_range":[lo,hi], ...}
           {"kind":"rawball","degree":d,"coeff_bound":b, ...}
-          keys are the family class's fields; degree and powers are whole
           constraints: "require_self_map", "require_sense_preserving" (bool)
-          any other key is refused
+The tag ("form" or "kind") picks a builder whose parameters are the other
+keys; any other key is refused.  Degree, powers, power and n are whole.
 
 Grid masks pack row-major (row 0 = lowest y), one bit per cell.  All CSV
 floats print with 17 significant digits and \n line endings so identical
@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import base64
 import csv
+import functools
 import io
 import json
 import math
-from dataclasses import MISSING, asdict, fields
+from dataclasses import asdict, fields
+from inspect import signature
 
 import numpy as np
 
@@ -73,30 +75,79 @@ def _pair(value, what: str) -> complex:
     return complex(re, im)
 
 
-def _coeffs(value, what: str) -> tuple[complex, ...]:
-    if not isinstance(value, list) or not value:
-        raise ParseError(f"{what} must be a nonempty list of [re, im] pairs")
-    return tuple(_pair(item, what) for item in value)
+def _grid(n, mask) -> PixelGrid:
+    n = _whole(n, "grid n")
+    raw = base64.b64decode(mask, validate=True)
+    size = (n * n + 7) // 8
+    if len(raw) != size:
+        raise ParseError(f"grid mask must be {size} bytes for n = {n}")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * n)
+    return PixelGrid(n=n, mask=bits.astype(bool).reshape(n, n))
 
 
-def map_from_json(doc: dict) -> HarmonicMap:
+def _flag(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{key} must be a JSON boolean (true or false)")
+    return value
+
+
+# FamilySpec's fields are "kind" and the two flags; no flag is required.
+_FLAGS = dict.fromkeys((f.name for f in fields(FamilySpec)[1:]), False)
+
+
+def _family(cls, **given) -> FamilySpec:
+    flags = {key: _flag(given.pop(key), key) for key in _FLAGS if key in given}
+    return FamilySpec(cls(**given), **flags)
+
+
+def _table(**builders) -> dict:
+    """tag value -> (builder, {key: required}), read once from its signature."""
+    return {
+        name: (build, {p.name: p.default is p.empty for p in signature(build).parameters.values()})
+        for name, build in builders.items()
+    }
+
+
+_MAPS = _table(
+    polynomial=lambda h, g: raw_polynomial([_pair(c, "h") for c in h], [_pair(c, "g") for c in g]),
+    affine=lambda alpha: affine(_pair(alpha, "alpha")),
+    shear=lambda alpha, power=2: shear(_pair(alpha, "alpha"), power),
+    automorphism=lambda a, rotation=0.0: automorphism(_pair(a, "a"), float(rotation)),
+)
+_REGIONS = _table(disk=Disk, star=StarShaped, grid=_grid)
+_FAMILIES = {
+    "affine": AffineFamily,
+    "shear": ShearFamily,
+    "automorphism": AutomorphismFamily,
+    "rawball": RawBall,
+}
+_SPECS = {kind: (functools.partial(_family, cls), {**keys, **_FLAGS})
+          for kind, (cls, keys) in _table(**_FAMILIES).items()}
+
+
+def _read(doc, what: str, tag: str, table: dict):
+    """What the builder named by doc[tag] makes from the other keys.  A key it
+    does not take is refused, a missing required one raises KeyError, and its
+    error is a bad document (its own ParseError stays as it is)."""
     if not isinstance(doc, dict):
-        raise ParseError("map document must be a JSON object")
-    form = doc.get("form")
+        raise ParseError(f"{what} document must be a JSON object")
+    name = doc.get(tag)
+    if not isinstance(name, str) or name not in table:
+        raise ParseError(f"unknown {what} {tag}: {name!r}")
+    build, keys = table[name]
+    unknown = sorted(doc.keys() - keys.keys() - {tag}, key=str)
+    if unknown:
+        raise ParseError(f"unknown {what} key: {unknown[0]!r}")
     try:
-        if form == "polynomial":
-            return raw_polynomial(_coeffs(doc["h"], "h"), _coeffs(doc["g"], "g"))
-        if form == "affine":
-            return affine(_pair(doc["alpha"], "alpha"))
-        if form == "shear":
-            return shear(_pair(doc["alpha"], "alpha"), doc.get("power", 2))
-        if form == "automorphism":
-            return automorphism(_pair(doc["a"], "a"), float(doc.get("rotation", 0.0)))
+        return build(**{key: doc[key] for key, needed in keys.items() if needed or key in doc})
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad map document: {exc}") from exc
-    raise ParseError(f"unknown map form: {form!r}")
+        raise ParseError(f"bad {what} document: {exc}") from exc
+
+
+def map_from_json(doc: dict) -> HarmonicMap:
+    return _read(doc, "map", "form", _MAPS)
 
 
 def map_to_json(f: HarmonicMap) -> dict:
@@ -116,27 +167,7 @@ def map_to_json(f: HarmonicMap) -> dict:
 
 
 def region_from_json(doc: dict) -> Region:
-    if not isinstance(doc, dict):
-        raise ParseError("region document must be a JSON object")
-    kind = doc.get("kind")
-    try:
-        if kind == "disk":
-            return Disk(float(doc["r"]))
-        if kind == "star":
-            return StarShaped(tuple(float(v) for v in doc["profile"]))
-        if kind == "grid":
-            n = _whole(doc["n"], "grid n")
-            raw = base64.b64decode(doc["mask"], validate=True)
-            size = (n * n + 7) // 8
-            if len(raw) != size:
-                raise ParseError(f"grid mask must be {size} bytes for n = {n}")
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * n)
-            return PixelGrid(n=n, mask=bits.astype(bool).reshape(n, n))
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad region document: {exc}") from exc
-    raise ParseError(f"unknown region kind: {kind!r}")
+    return _read(doc, "region", "kind", _REGIONS)
 
 
 def region_to_json(E: Region) -> dict:
@@ -152,43 +183,8 @@ def region_to_json(E: Region) -> dict:
     }
 
 
-def _flag(doc, key, default: bool) -> bool:
-    value = doc.get(key, default)
-    if not isinstance(value, bool):
-        raise ParseError(f"{key} must be a JSON boolean (true or false)")
-    return value
-
-
-_FAMILIES = {
-    "affine": AffineFamily,
-    "shear": ShearFamily,
-    "automorphism": AutomorphismFamily,
-    "rawball": RawBall,
-}
-
-
 def family_from_json(doc: dict) -> FamilySpec:
-    """The family class named by "kind", built from the document's keys of
-    the same names as its fields; the class checks them.  Any other key but
-    "kind" and the two flags is refused."""
-    if not isinstance(doc, dict):
-        raise ParseError("family document must be a JSON object")
-    kind = doc.get("kind")
-    cls = _FAMILIES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ParseError(f"unknown family kind: {kind!r}")
-    # FamilySpec's fields are "kind" and the two flags.
-    unknown = sorted(doc.keys() - {f.name for f in fields(FamilySpec) + fields(cls)}, key=str)
-    if unknown:
-        raise ParseError(f"unknown family key: {unknown[0]!r}")
-    # A missing required field raises KeyError; a missing default one stays.
-    given = [f.name for f in fields(cls) if f.name in doc or f.default is MISSING]
-    try:
-        inner = cls(**{name: doc[name] for name in given})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad family document: {exc}") from exc
-    flags = {f.name: _flag(doc, f.name, f.default) for f in fields(FamilySpec)[1:]}
-    return FamilySpec(kind=inner, **flags)
+    return _read(doc, "family", "kind", _SPECS)
 
 
 def family_to_json(spec: FamilySpec) -> dict:
