@@ -312,9 +312,9 @@ def main(argv=None) -> int:
     # BudgetError subclasses ValueError, so this catch-all must come last.
     # ParseError and the package's input and hypothesis errors subclass
     # ValueError.  CriticalPointError and PoleError mean the map cannot be
-    # evaluated where the command needs it: a precondition, not a failed
-    # inequality.
-    except (ValueError, CriticalPointError, PoleError) as exc:
+    # evaluated where the command needs it, and an OSError that the system
+    # refused a path: preconditions, not failed inequalities.
+    except (ValueError, OSError, CriticalPointError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,9 +46,16 @@ def _require_finite(values, what: str) -> None:
             raise ConstructionError(f"{what} must have finite components")
 
 
+def _number(value, what: str):
+    """value, refusing a bool or a str: JSON's true and "0.5" are not numbers."""
+    if isinstance(value, (bool, str)):
+        raise ConstructionError(f"{what} must be a number, not {value!r}")
+    return value
+
+
 def _whole(value, what: str) -> int:
     """int(value), refusing a value that is not a whole number (2.0 is one)."""
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_number(value, what), float) and not value.is_integer():
         raise ConstructionError(f"{what} must be a whole number, not {value!r}")
     return int(value)
 

@@ -36,6 +36,7 @@ from .maps import (
     DEGREE_CAP,
     HarmonicMap,
     RowValidity,
+    _number,
     _whole,
     affine,
     automorphism,
@@ -55,8 +56,10 @@ LATTICE_BLOCK = 1024
 
 
 def _check_range(name: str, rng) -> tuple[float, float]:
-    pair = np.asarray(rng, dtype=float)
-    lo, hi = pair.tolist() if pair.shape == (2,) else (math.nan, math.nan)
+    try:
+        lo, hi = (float(_number(v, name)) for v in rng)
+    except (TypeError, ValueError, OverflowError):
+        lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ConstructionError(f"{name} range must be a finite [lo, hi] interval")
     return lo, hi
@@ -97,8 +100,8 @@ class ShearFamily:
             self, "alpha_range", _check_range("alpha", self.alpha_range)
         )
         powers = tuple(_whole(p, "shear power") for p in self.powers)
-        if not powers or any(p < 2 for p in powers):
-            raise ConstructionError("shear powers must be a nonempty set of ints >= 2")
+        if not powers or any(not 2 <= p <= DEGREE_CAP for p in powers):
+            raise ConstructionError(f"shear powers must be nonempty ints in [2, {DEGREE_CAP}]")
         object.__setattr__(self, "powers", powers)
 
     param_names = ("alpha", "power")
@@ -152,7 +155,7 @@ class RawBall:
 
     def __post_init__(self):
         degree = _whole(self.degree, "degree")
-        bound = float(self.coeff_bound)
+        bound = float(_number(self.coeff_bound, "coefficient bound"))
         if not 1 <= degree <= DEGREE_CAP:
             raise ConstructionError(f"degree must lie in [1, {DEGREE_CAP}]")
         if not math.isfinite(bound) or bound < 0.0:

@@ -40,6 +40,7 @@ from .maps import (
     DiskAutomorphism,
     HarmonicMap,
     PolynomialMap,
+    _number,
     _whole,
     affine,
     automorphism,
@@ -69,10 +70,10 @@ def fmt(x: float) -> str:
 
 def _pair(value, what: str) -> complex:
     try:
-        re, im = float(value[0]), float(value[1])
-    except (TypeError, ValueError, IndexError) as exc:
+        re, im = value
+        return complex(_number(re, what), _number(im, what))
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{what} must be a [re, im] pair") from exc
-    return complex(re, im)
 
 
 def _grid(n, mask) -> PixelGrid:
@@ -112,9 +113,13 @@ _MAPS = _table(
     polynomial=lambda h, g: raw_polynomial([_pair(c, "h") for c in h], [_pair(c, "g") for c in g]),
     affine=lambda alpha: affine(_pair(alpha, "alpha")),
     shear=lambda alpha, power=2: shear(_pair(alpha, "alpha"), power),
-    automorphism=lambda a, rotation=0.0: automorphism(_pair(a, "a"), float(rotation)),
+    automorphism=lambda a, rotation=0.0: automorphism(_pair(a, "a"), _number(rotation, "rotation")),
 )
-_REGIONS = _table(disk=Disk, star=StarShaped, grid=_grid)
+_REGIONS = _table(
+    disk=lambda r: Disk(_number(r, "disk radius")),
+    star=lambda profile: StarShaped([_number(v, "profile value") for v in profile]),
+    grid=_grid,
+)
 _FAMILIES = {
     "affine": AffineFamily,
     "shear": ShearFamily,
@@ -142,7 +147,7 @@ def _read(doc, what: str, tag: str, table: dict):
         return build(**{key: doc[key] for key, needed in keys.items() if needed or key in doc})
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad {what} document: {exc}") from exc
 
 

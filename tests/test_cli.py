@@ -4,6 +4,10 @@ import base64
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +405,92 @@ class TestWholeNumberFields:
         code, out, err = run(capsys, argv)
         message = f"error: bad region document: grid n must be a whole number, not {shown}\n"
         assert (code, out, err) == (2, "", message)
+
+
+BIG = 10**400  # a JSON integer past the float range
+
+
+class TestInputContract:
+    """A document the CLI would misread, or a path the system refuses, exits
+    2 with one error line: not a different map (exit 0) or a traceback."""
+
+    @pytest.mark.parametrize("command", ["area", "verify"])
+    def test_unknown_map_key(self, capsys, tmp_path, command):
+        path = write_json(tmp_path / "map.json", {"form": "shear", "alpha": [0.3, 0], "powr": 3})
+        code, out, err = run(capsys, [command, "--map", path, "--out", str(tmp_path / "out")])
+        assert (code, out, err) == (2, "", "error: unknown map key: 'powr'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, doc, message",
+        [
+            ("--map", {"form": "automorphism", "a": [0.5, 0], "rotaton": 1},
+             "unknown map key: 'rotaton'"),
+            ("--map", {"form": "automorphism", "a": [0.5, 0], "rotation": "2"},
+             "bad map document: rotation must be a number, not '2'"),
+            ("--map", {"form": "polynomial", "h": ["01", "10"], "g": [[0, 0]]},
+             "h must be a [re, im] pair"),
+            ("--map", {"form": "affine", "alpha": [0.3, 0, 9]}, "alpha must be a [re, im] pair"),
+            ("--map", {"form": "affine", "alpha": [BIG, 0]},
+             "bad map document: int too large to convert to float"),
+            ("--map", {"form": "shear", "alpha": [0.1, 0], "power": BIG},
+             "bad map document: int too large to convert to float"),
+            ("--region", {"kind": "disk", "r": 0.5, "radius": 0.9}, "unknown region key: 'radius'"),
+            ("--region", {"kind": "disk", "r": True},
+             "bad region document: disk radius must be a number, not True"),
+            ("--region", {"kind": "disk", "r": "0.5"},
+             "bad region document: disk radius must be a number, not '0.5'"),
+            ("--region", {"kind": "disk", "r": BIG},
+             "bad region document: int too large to convert to float"),
+            ("--region", {"kind": "star", "profile": "11111111"},
+             "bad region document: profile value must be a number, not '1'"),
+            ("--region", {"kind": "grid", "n": BIG, "mask": "AAA="},
+             f"grid mask must be {(BIG * BIG + 7) // 8} bytes for n = {BIG}"),
+            ("--family", {"kind": "rawball", "degree": True, "coeff_bound": 0.1},
+             "bad family document: degree must be a number, not True"),
+            ("--family", {"kind": "rawball", "degree": "2", "coeff_bound": 0.1},
+             "bad family document: degree must be a number, not '2'"),
+            ("--family", {"kind": "rawball", "degree": 2, "coeff_bound": "0.1"},
+             "bad family document: coefficient bound must be a number, not '0.1'"),
+            ("--family", {"kind": "rawball", "degree": 2, "coeff_bound": BIG},
+             "bad family document: int too large to convert to float"),
+            ("--family", {"kind": "shear", "alpha_range": [0, 0.3], "powers": "23"},
+             "bad family document: shear power must be a number, not '2'"),
+            ("--family", {"kind": "shear", "alpha_range": [0, 0.3], "powers": [BIG]},
+             "bad family document: shear powers must be nonempty ints in [2, 64]"),
+            ("--family", {"kind": "affine", "alpha_range": ["0", "0.3"]},
+             "bad family document: alpha range must be a finite [lo, hi] interval"),
+        ],
+    )
+    def test_misread_document(self, capsys, tmp_path, flag, doc, message):
+        path = write_json(tmp_path / "doc.json", doc)
+        argv = {
+            "--map": ["area", "--map", path],
+            "--region": ["area", "--preset", "identity", "--region", path],
+            "--family": ["sweep", "--family", path, "--n", "3"],
+        }[flag]
+        code, out, err = run(capsys, [*argv, "--out", str(tmp_path / "out")])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["region is a directory", "out is a file", "out under a file"])
+    def test_refused_path(self, tmp_path, case):
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        argv = {
+            "region is a directory": ["area", "--region", str(tmp_path), "--out", str(tmp_path)],
+            "out is a file": ["verify", "--out", str(blocker)],
+            "out under a file": ["area", "--out", str(blocker / "sub")],
+        }[case]
+        src = str(Path(harmarea.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmarea", *argv, "--preset", "identity"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestZeroMeasureRegion:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from harmarea import (
@@ -248,6 +248,109 @@ class TestFamilyRoundTrip:
         doc = {"kind": "affine", "alpha_range": [0.0, 0.5], key: value}
         with pytest.raises(ParseError, match=key):
             family_from_json(doc)
+
+
+FINITE = st.floats(-0.7, 0.7)
+COEFFS = st.lists(st.builds(complex, FINITE, FINITE), min_size=1, max_size=4)
+MAPS = st.builds(raw_polynomial, COEFFS, COEFFS) | st.builds(
+    automorphism, st.builds(complex, FINITE, FINITE), st.floats(-7.0, 7.0)
+)
+REGIONS = (
+    st.builds(Disk, st.floats(0.01, 1.0))
+    | st.builds(StarShaped, st.lists(st.floats(0.01, 1.0), min_size=8, max_size=16))
+    | st.builds(lambda n, r: rasterize(Disk(r), n), st.integers(2, 24), st.floats(0.1, 1.0))
+)
+
+
+def ranges(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(sorted).map(tuple)
+
+
+KINDS = (
+    st.builds(AffineFamily, ranges(-0.9, 0.9))
+    | st.builds(ShearFamily, ranges(-0.4, 0.4), st.lists(st.integers(2, 6), min_size=1).map(tuple))
+    | st.builds(AutomorphismFamily, ranges(0.0, 0.9), ranges(-7.0, 7.0))
+    | st.builds(RawBall, st.integers(1, 4), st.floats(0.0, 1.0))
+)
+DRAWN = (
+    st.tuples(st.just("map"), MAPS)
+    | st.tuples(st.just("region"), REGIONS)
+    | st.tuples(st.just("family"), st.builds(FamilySpec, KINDS, st.booleans(), st.booleans()))
+)
+READERS = {
+    "map": (map_from_json, map_to_json),
+    "region": (region_from_json, region_to_json),
+    "family": (family_from_json, family_to_json),
+}
+
+
+def numeric_leaves(node, path=()):
+    """Paths to the JSON numbers in a document (a bool is not one)."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from numeric_leaves(value, (*path, key))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+class TestOneReader:
+    """Maps, regions and families are read by one rule: the tag picks a
+    builder, the other keys are its parameters, any other key is refused and
+    a number is a JSON number."""
+
+    @given(DRAWN)
+    def test_round_trip(self, drawn):
+        what, obj = drawn
+        read, write = READERS[what]
+        assert read(json.loads(json.dumps(write(obj)))) == obj
+
+    @given(DRAWN, st.text(min_size=1, max_size=8))
+    def test_unknown_key_is_named(self, drawn, key):
+        what, obj = drawn
+        read, write = READERS[what]
+        doc = write(obj)
+        assume(key not in doc)
+        with pytest.raises(ParseError) as excinfo:
+            read({**doc, key: 0.5})
+        assert str(excinfo.value) == f"unknown {what} key: {key!r}"
+
+    @given(DRAWN, st.data())
+    def test_wrong_leaf_type_refused(self, drawn, data):
+        what, obj = drawn
+        read, write = READERS[what]
+        doc = write(obj)
+        *head, last = data.draw(st.sampled_from(list(numeric_leaves(doc))))
+        node = doc
+        for key in head:
+            node = node[key]
+        node[last] = data.draw(st.sampled_from([str(node[last]), True]))
+        with pytest.raises(ParseError):
+            read(doc)
+
+    @pytest.mark.parametrize(
+        "read, doc",
+        [
+            (map_from_json, {"form": "affine", "alpha": [0.3, 0, 9]}),
+            (map_from_json, {"form": "polynomial", "h": ["01", "10"], "g": [[0, 0]]}),
+            (region_from_json, {"kind": "star", "profile": "11111111"}),
+            (family_from_json, {"kind": "shear", "alpha_range": [0.0, 0.3], "powers": "23"}),
+        ],
+    )
+    def test_strings_and_long_pairs_refused(self, read, doc):
+        with pytest.raises(ParseError):
+            read(doc)
+
+    @pytest.mark.parametrize(
+        "read, doc",
+        [
+            (map_from_json, {"form": "affine", "alpha": [10**400, 0]}),
+            (region_from_json, {"kind": "disk", "r": 10**400}),
+            (family_from_json, {"kind": "rawball", "degree": 2, "coeff_bound": 10**400}),
+        ],
+    )
+    def test_integer_past_the_float_range(self, read, doc):
+        with pytest.raises(ParseError, match="int too large to convert to float"):
+            read(doc)
 
 
 class TestReportCsv:
