@@ -327,31 +327,6 @@ class TestOneReader:
         with pytest.raises(ParseError):
             read(doc)
 
-    @pytest.mark.parametrize(
-        "read, doc",
-        [
-            (map_from_json, {"form": "affine", "alpha": [0.3, 0, 9]}),
-            (map_from_json, {"form": "polynomial", "h": ["01", "10"], "g": [[0, 0]]}),
-            (region_from_json, {"kind": "star", "profile": "11111111"}),
-            (family_from_json, {"kind": "shear", "alpha_range": [0.0, 0.3], "powers": "23"}),
-        ],
-    )
-    def test_strings_and_long_pairs_refused(self, read, doc):
-        with pytest.raises(ParseError):
-            read(doc)
-
-    @pytest.mark.parametrize(
-        "read, doc",
-        [
-            (map_from_json, {"form": "affine", "alpha": [10**400, 0]}),
-            (region_from_json, {"kind": "disk", "r": 10**400}),
-            (family_from_json, {"kind": "rawball", "degree": 2, "coeff_bound": 10**400}),
-        ],
-    )
-    def test_integer_past_the_float_range(self, read, doc):
-        with pytest.raises(ParseError, match="int too large to convert to float"):
-            read(doc)
-
 
 class TestReportCsv:
     def test_exact_layout(self):
