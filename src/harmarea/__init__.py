@@ -4,151 +4,41 @@ Compute image areas m(f(E)) of plane regions under sense-preserving
 harmonic maps of the unit disk via the area formula, verify the associated
 contraction inequalities with explicit margins, and search parametric map
 families for extremal area distortion.
+
+The names below load on first use (PEP 562), so `import harmarea` costs no
+numpy; each is looked up in its home module every time.
 """
 
-from .distortion import (
-    ReferenceIntegral,
-    VerificationReport,
-    analytic_energy,
-    disk_contraction_report,
-    hyperbolic_disk_integral,
-    image_area,
-    local_contraction_constant,
-    quantitative_bounds,
-    radial_bound_profile,
-    rigidity_margin,
-    shear_disk_integral,
-    small_set_threshold,
-    sp_ratio,
-    star_contraction_report,
-    sup_dilatation,
-    verification_suite,
-    worst_case_image_area,
-)
-from .errors import (
-    BudgetError,
-    ConstructionError,
-    CriticalPointError,
-    DomainError,
-    HypothesisError,
-    NonConvergenceError,
-    PoleError,
-)
-from .maps import (
-    AnalyticSeries,
-    DiskAutomorphism,
-    HarmonicMap,
-    PolynomialMap,
-    ValidityReport,
-    affine,
-    automorphism,
-    identity_map,
-    raw_polynomial,
-    rescaled_affine,
-    rotation_map,
-    shear,
-    validate,
-)
-from .presets import preset_map, preset_names
-from .quadrature import (
-    QuadResult,
-    integrate_boundary,
-    integrate_grid,
-    integrate_polar,
-    mc_image_area,
-)
-from .regions import (
-    Disk,
-    PixelGrid,
-    Region,
-    StarShaped,
-    bounding_radius,
-    contains,
-    contains_points,
-    radial_profile,
-    rasterize,
-    region_measure,
-    star_cos3,
-)
-from .search import (
-    AffineFamily,
-    AutomorphismFamily,
-    FamilySpec,
-    RawBall,
-    SearchResult,
-    ShearFamily,
-    SweepRow,
-    maximize_area_ratio,
-    maximize_sp_ratio,
-    sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineFamily",
-    "AnalyticSeries",
-    "AutomorphismFamily",
-    "BudgetError",
-    "ConstructionError",
-    "CriticalPointError",
-    "Disk",
-    "DiskAutomorphism",
-    "DomainError",
-    "FamilySpec",
-    "HarmonicMap",
-    "HypothesisError",
-    "NonConvergenceError",
-    "PixelGrid",
-    "PoleError",
-    "PolynomialMap",
-    "QuadResult",
-    "RawBall",
-    "ReferenceIntegral",
-    "Region",
-    "SearchResult",
-    "ShearFamily",
-    "StarShaped",
-    "SweepRow",
-    "ValidityReport",
-    "VerificationReport",
-    "affine",
-    "analytic_energy",
-    "automorphism",
-    "bounding_radius",
-    "contains",
-    "contains_points",
-    "disk_contraction_report",
-    "hyperbolic_disk_integral",
-    "identity_map",
-    "image_area",
-    "integrate_boundary",
-    "integrate_grid",
-    "integrate_polar",
-    "local_contraction_constant",
-    "maximize_area_ratio",
-    "maximize_sp_ratio",
-    "mc_image_area",
-    "preset_map",
-    "preset_names",
-    "quantitative_bounds",
-    "radial_bound_profile",
-    "radial_profile",
-    "rasterize",
-    "raw_polynomial",
-    "region_measure",
-    "rescaled_affine",
-    "rigidity_margin",
-    "rotation_map",
-    "shear",
-    "shear_disk_integral",
-    "small_set_threshold",
-    "sp_ratio",
-    "star_contraction_report",
-    "star_cos3",
-    "sup_dilatation",
-    "sweep",
-    "validate",
-    "verification_suite",
-    "worst_case_image_area",
-]
+_HOMES = {
+    "distortion": "ReferenceIntegral VerificationReport analytic_energy disk_contraction_report "
+    "hyperbolic_disk_integral image_area local_contraction_constant quantitative_bounds "
+    "radial_bound_profile rigidity_margin shear_disk_integral small_set_threshold sp_ratio "
+    "star_contraction_report sup_dilatation verification_suite worst_case_image_area",
+    "errors": "BudgetError ConstructionError CriticalPointError DomainError HypothesisError "
+    "NonConvergenceError PoleError",
+    "maps": "AnalyticSeries DiskAutomorphism HarmonicMap PolynomialMap ValidityReport affine "
+    "automorphism identity_map raw_polynomial rescaled_affine rotation_map shear validate",
+    "presets": "preset_map preset_names",
+    "quadrature": "QuadResult integrate_boundary integrate_grid integrate_polar mc_image_area",
+    "regions": "Disk PixelGrid Region StarShaped bounding_radius contains contains_points "
+    "radial_profile rasterize region_measure star_cos3",
+    "search": "AffineFamily AutomorphismFamily FamilySpec RawBall SearchResult ShearFamily "
+    "SweepRow maximize_area_ratio maximize_sp_ratio sweep",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

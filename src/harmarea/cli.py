@@ -1,11 +1,7 @@
-"""Command-line verification harness.
+"""The command stage of the CLI: one cmd_* function per subcommand.
 
-Subcommands: area, verify, sweep, search, oracle.  Exit codes:
-  0  success (all checked inequalities pass)
-  1  a checked inequality or oracle-agreement test failed
-  2  input could not be parsed or violates a precondition
-  3  quadrature refinement hit its caps without converging
-  4  an evaluation budget would be exceeded
+entry.py parses and checks the arguments, then calls run; main is entry's,
+re-exported so that harmarea.cli.main stays the whole CLI.
 """
 
 from __future__ import annotations
@@ -22,19 +18,13 @@ from .distortion import (
     image_area,
     verification_suite,
 )
-from .errors import (
-    BudgetError,
-    ConstructionError,
-    CriticalPointError,
-    NonConvergenceError,
-    PoleError,
-)
-from .presets import preset_map, preset_names
-from .quadrature import DEFAULT_TOL, MIN_TOL, mc_image_area
+from .entry import main
+from .errors import ConstructionError, ParseError
+from .presets import preset_map
+from .quadrature import mc_image_area
 from .regions import Disk, PixelGrid, region_measure
 from .search import FamilySpec, maximize_area_ratio, maximize_sp_ratio, sweep
 from .serialize import (
-    ParseError,
     _bool,
     family_from_json,
     fmt,
@@ -47,74 +37,6 @@ from .serialize import (
     search_result_to_csv,
     sweep_to_csv,
 )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="harmarea",
-        description=(
-            "Measure area distortion of planar harmonic maps: image areas, "
-            "inequality margins, and extremal parameter searches."
-        ),
-        epilog="Exit codes:" + __doc__.split("Exit codes:")[1],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "area": "image area of a region under a map, plus the area ratio",
-        "verify": "run the full inequality suite for one map",
-        "sweep": "tabulate area ratios over a parameter lattice",
-        "search": "maximize area ratio (--family) or Schwarz-Pick ratio (--map)",
-        "oracle": "cross-check the Jacobian integral against rasterization",
-    }
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--map", type=Path, help="map definition JSON file")
-    common.add_argument("--region", type=Path, help="region definition JSON file")
-    common.add_argument("--family", type=Path, help="family definition JSON file")
-    common.add_argument(
-        "--r", type=float, help="radius shorthand for a disk region (default 0.5)"
-    )
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common.add_argument(
-        "--n", type=int, help="resolution knob: raster size (oracle), lattice points per axis "
-        "(sweep), refinement iterations (search); area and verify ignore it"
-    )
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--out", type=Path, default=Path("."))
-    common.add_argument("--format", choices=("json", "csv", "both"), default="csv")
-    common.add_argument(
-        "--preset", choices=preset_names(), help="built-in map name (alternative to --map)"
-    )
-    common.add_argument("--workers", type=int, default=1)
-    for name, help_text in specs.items():
-        sub.add_parser(name, help=help_text, parents=[common])
-    return parser
-
-
-# The input flags each command has no use for: passing one exits 2.
-_UNREAD = {
-    "verify": ("region", "r", "family"),
-    "area": ("family",),
-    "oracle": ("family",),
-    "sweep": ("map", "preset"),
-}
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    if not math.isfinite(args.tol):
-        raise ParseError("--tol must be finite")
-    if args.tol < MIN_TOL:
-        raise ParseError(f"--tol must be at least {MIN_TOL:g}")
-    if args.command in ("sweep", "search") and args.format == "json":
-        raise ParseError(f"{args.command} writes CSV only: use --format csv or both")
-    # --workers is accepted for compatibility; every command runs serially.
-    if args.workers < 1:
-        raise ParseError("--workers must be >= 1")
-    if args.seed < 0:
-        raise ParseError("--seed must be >= 0")
-    for flag in _UNREAD.get(args.command, ()):
-        if getattr(args, flag) is not None:
-            raise ParseError(f"{args.command} does not read --{flag}")
 
 
 def _read_json(path: Path) -> dict:
@@ -297,26 +219,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        _check_args(args)
-        return _COMMANDS[args.command](args)
-    except NonConvergenceError as exc:
-        print(f"quadrature did not converge: {exc}", file=sys.stderr)
-        return 3
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
-    # BudgetError subclasses ValueError, so this catch-all must come last.
-    # ParseError and the package's input and hypothesis errors subclass
-    # ValueError.  CriticalPointError and PoleError mean the map cannot be
-    # evaluated where the command needs it, and an OSError that the system
-    # refused a path: preconditions, not failed inequalities.
-    except (ValueError, OSError, CriticalPointError, PoleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def run(args: argparse.Namespace) -> int:
+    """Run the command of arguments that entry.main has parsed and checked."""
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

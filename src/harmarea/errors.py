@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and tolerance limits shared across the package.
+
+No numpy here: the CLI's parse stage (entry.py) imports this module alone.
+"""
+
+DEFAULT_TOL = 1e-9
+MIN_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -27,3 +33,7 @@ class NonConvergenceError(ArithmeticError):
 
 class BudgetError(ValueError):
     """A configured evaluation budget would be exceeded."""
+
+
+class ParseError(ValueError):
+    """Input file or document does not match the expected schema."""

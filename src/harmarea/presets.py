@@ -1,19 +1,26 @@
-"""Named built-in maps reproducing the checkable textbook examples."""
+"""Named built-in maps reproducing the checkable textbook examples.
+
+Listing the names needs no numpy (the CLI parser offers them as choices);
+`maps` loads only to build one.
+"""
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .maps import HarmonicMap, affine, automorphism, identity_map, rotation_map, shear
+if TYPE_CHECKING:
+    from .maps import HarmonicMap
 
+# name -> (factory in maps, its arguments)
 _BUILDERS = {
-    "identity": identity_map,
-    "rotation": lambda: rotation_map(math.pi / 3.0),
-    "example1-affine-0.2": lambda: affine(0.2),
-    "example1-affine-0.5": lambda: affine(0.5),
-    "remark-shear-0.3": lambda: shear(0.3, 2),
-    "example2-shear-0.1": lambda: shear(0.1, 2),
-    "automorphism-0.5": lambda: automorphism(0.5, 0.0),
+    "identity": ("identity_map",),
+    "rotation": ("rotation_map", math.pi / 3.0),
+    "example1-affine-0.2": ("affine", 0.2),
+    "example1-affine-0.5": ("affine", 0.5),
+    "remark-shear-0.3": ("shear", 0.3, 2),
+    "example2-shear-0.1": ("shear", 0.1, 2),
+    "automorphism-0.5": ("automorphism", 0.5, 0.0),
 }
 
 
@@ -22,9 +29,11 @@ def preset_names() -> tuple[str, ...]:
 
 
 def preset_map(name: str) -> HarmonicMap:
+    from . import maps
+
     try:
-        builder = _BUILDERS[name]
+        factory, *params = _BUILDERS[name]
     except KeyError:
         known = ", ".join(preset_names())
         raise ValueError(f"unknown preset {name!r}; known presets: {known}") from None
-    return builder()
+    return getattr(maps, factory)(*params)

@@ -32,11 +32,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConstructionError, NonConvergenceError
+from .errors import DEFAULT_TOL, MIN_TOL, ConstructionError, NonConvergenceError
 from .regions import BLOCK, Disk, PixelGrid, Region, StarShaped, _member_blocks
 
-DEFAULT_TOL = 1e-9
-MIN_TOL = 1e-12
 DEFAULT_Q0 = 16
 DEFAULT_M0 = 64
 Q_CAP = 256

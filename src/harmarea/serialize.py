@@ -36,6 +36,7 @@ from inspect import signature
 import numpy as np
 
 from .distortion import VerificationReport
+from .errors import ParseError
 from .maps import (
     DiskAutomorphism,
     HarmonicMap,
@@ -57,10 +58,6 @@ from .search import (
     ShearFamily,
     SweepRow,
 )
-
-
-class ParseError(ValueError):
-    """Input file or document does not match the expected schema."""
 
 
 def fmt(x: float) -> str:

@@ -492,6 +492,19 @@ class TestInputContract:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("under", [False, True], ids=["out is a file", "out under a file"])
+    @pytest.mark.parametrize("command", ["area", "verify", "sweep", "search", "oracle"])
+    def test_out_not_a_directory_refused_before_any_work(self, capsys, tmp_path, command, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        fam = write_json(tmp_path / "fam.json", {"kind": "affine", "alpha_range": [0.0, 0.5]})
+        inputs = ["--family", fam] if command in ("sweep", "search") else ["--preset", "identity"]
+        out = blocker / "sub" if under else blocker
+        code, stdout, err = run(capsys, [command, *inputs, "--n", "4", "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --out path {blocker} exists and is not a directory\n"
+        assert blocker.read_text(encoding="utf-8") == "x"
+
 
 class TestZeroMeasureRegion:
     """Every ratio divides by m(E); an empty grid is rejected up front."""

@@ -1,0 +1,124 @@
+"""Start-up: the CLI's parse stage answers without numpy, and the package
+exports its names lazily from their home modules."""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import harmarea
+
+SRC = Path(harmarea.__file__).parents[1]
+ENV = {
+    **os.environ,
+    "COLUMNS": "80",
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+}
+
+
+def _console_script() -> str:
+    """The call the installed `harmarea` script makes, read from pyproject."""
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^harmarea = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"import {module}; sys.exit({module}.{function}())"
+
+
+CALLS = {
+    "python -m harmarea": "import runpy; runpy.run_module('harmarea', run_name='__main__')",
+    "console script": _console_script(),
+}
+
+# A fresh interpreter runs the call with argv[2:] as the command line and
+# writes the names in sys.modules to argv[1] on the way out.
+PROBE = """\
+import json, sys
+record, sys.argv = sys.argv[1], ["harmarea", *sys.argv[2:]]
+try:
+    {call}
+finally:
+    with open(record, "w", encoding="utf-8") as handle:
+        json.dump(sorted(sys.modules), handle)
+"""
+
+
+def fresh(call: str, argv: list[str], record: Path):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(call=call), str(record), *argv],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    return proc, set(json.loads(record.read_text(encoding="utf-8")))
+
+
+NO_COMMAND = (
+    "usage: harmarea [-h] {area,verify,sweep,search,oracle} ...\n"
+    "harmarea: error: the following arguments are required: command\n"
+)
+
+
+class TestParseStage:
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize(
+        "argv, code, stderr",
+        [
+            (["--help"], 0, ""),
+            (["verify", "--help"], 0, ""),
+            ([], 2, NO_COMMAND),
+            (["verify", "--tol", "nan"], 2, "error: --tol must be finite\n"),
+            (["verify", "--seed", "-1"], 2, "error: --seed must be >= 0\n"),
+            (["verify", "--r", "0.5"], 2, "error: verify does not read --r\n"),
+            (["sweep", "--format", "json"], 2,
+             "error: sweep writes CSV only: use --format csv or both\n"),
+        ],
+    )
+    def test_answers_without_numerical_modules(self, tmp_path, call, argv, code, stderr):
+        proc, loaded = fresh(CALLS[call], argv, tmp_path / "modules.json")
+        assert (proc.returncode, proc.stderr) == (code, stderr)
+        assert proc.stdout.startswith("usage: harmarea") == (code == 0)
+        assert not {"numpy", "harmarea.distortion"} & loaded
+
+    def test_a_command_still_loads_them(self, tmp_path):
+        # The probe's record does see loaded modules, so the test above
+        # cannot pass on an empty one.
+        argv = ["area", "--preset", "identity", "--out", str(tmp_path / "out")]
+        proc, loaded = fresh(CALLS["python -m harmarea"], argv, tmp_path / "modules.json")
+        assert proc.returncode == 0, proc.stderr
+        assert {"numpy", "harmarea.distortion"} <= loaded
+
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("name", harmarea.__all__)
+    def test_name_is_its_home_modules_object(self, name):
+        home = importlib.import_module(f"harmarea.{harmarea._HOME[name]}")
+        assert getattr(harmarea, name) is getattr(home, name)
+
+    def test_names_are_looked_up_on_every_access(self, monkeypatch):
+        import harmarea.maps
+
+        sentinel = object()
+        monkeypatch.setattr(harmarea.maps, "affine", sentinel)
+        assert harmarea.affine is sentinel
+
+    def test_dir_lists_every_export(self):
+        assert set(harmarea.__all__) <= set(dir(harmarea))
+        assert "__version__" in dir(harmarea)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'harmarea' has no attribute 'no_such'"):
+            harmarea.no_such  # noqa: B018
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from harmarea import *", namespace)
+        assert all(namespace[name] is getattr(harmarea, name) for name in harmarea.__all__)
+
+    def test_import_alone_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, harmarea; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=ENV, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
