@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import sys
 from pathlib import Path
 
 from .distortion import (
@@ -23,7 +22,7 @@ from .errors import ConstructionError, ParseError
 from .presets import preset_map
 from .quadrature import mc_image_area
 from .regions import Disk, PixelGrid, region_measure
-from .search import FamilySpec, maximize_area_ratio, maximize_sp_ratio, sweep
+from .search import maximize_area_ratio, maximize_sp_ratio, sweep
 from .serialize import (
     _bool,
     family_from_json,
@@ -50,18 +49,12 @@ def _read_json(path: Path) -> dict:
 
 
 def _load_map(args: argparse.Namespace):
-    if args.preset and args.map:
-        raise ParseError("give either --map or --preset, not both")
     if args.preset:
         return preset_map(args.preset)
-    if args.map:
-        return map_from_json(_read_json(args.map))
-    raise ParseError("a map is required: pass --map FILE or --preset NAME")
+    return map_from_json(_read_json(args.map))
 
 
 def _load_region(args: argparse.Namespace):
-    if args.region and args.r is not None:
-        raise ParseError("give either --region or --r, not both")
     if args.region:
         region = region_from_json(_read_json(args.region))
         # Every ratio divides by m(E), so an empty grid is not a usable region.
@@ -69,12 +62,6 @@ def _load_region(args: argparse.Namespace):
             raise ParseError("region has zero measure: the grid has no true cells")
         return region
     return Disk(args.r if args.r is not None else 0.5)
-
-
-def _load_family(args: argparse.Namespace) -> FamilySpec:
-    if not args.family:
-        raise ParseError("a family is required: pass --family FILE")
-    return family_from_json(_read_json(args.family))
 
 
 def _emit(args: argparse.Namespace, stem: str, csv_text: str | None, json_text: str | None):
@@ -138,7 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    family = _load_family(args)
+    family = family_from_json(_read_json(args.family))
     region = _load_region(args)
     grid = args.n if args.n is not None else 33
     rows = sweep(family, region, grid, args.tol)
@@ -152,10 +139,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     region = _load_region(args)
     iterations = args.n if args.n is not None else 200
-    if args.family and (args.map or args.preset):
-        raise ParseError("search takes --family or a map (--map/--preset), not both")
     if args.family:
-        family = _load_family(args)
+        family = family_from_json(_read_json(args.family))
         result = maximize_area_ratio(
             family, region, iterations, args.seed, tol=args.tol
         )
@@ -222,7 +207,3 @@ _COMMANDS = {
 def run(args: argparse.Namespace) -> int:
     """Run the command of arguments that entry.main has parsed and checked."""
     return _COMMANDS[args.command](args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

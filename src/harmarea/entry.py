@@ -31,6 +31,21 @@ from .errors import (
 from .presets import preset_names
 
 
+# Per subcommand: its help text, the inputs it reads and whether it writes
+# JSON.  Each input has the flags below.  A region given by neither flag is
+# the disk of radius 0.5, a map or a family must be given, and a command
+# that reads both takes one of them.
+_INPUTS = {"map": ("map", "preset"), "region": ("region", "r"), "family": ("family",)}
+_COMMANDS = {
+    "area": ("image area of a region under a map, plus the area ratio", ("map", "region"), True),
+    "verify": ("run the full inequality suite for one map", ("map",), True),
+    "sweep": ("tabulate area ratios over a parameter lattice", ("family", "region"), False),
+    "search": ("maximize area ratio (--family) or Schwarz-Pick ratio (--map)",
+               ("family", "map", "region"), False),
+    "oracle": ("cross-check the Jacobian integral against rasterization", ("map", "region"), True),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmarea",
@@ -42,13 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "area": "image area of a region under a map, plus the area ratio",
-        "verify": "run the full inequality suite for one map",
-        "sweep": "tabulate area ratios over a parameter lattice",
-        "search": "maximize area ratio (--family) or Schwarz-Pick ratio (--map)",
-        "oracle": "cross-check the Jacobian integral against rasterization",
-    }
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--map", type=Path, help="map definition JSON file")
     common.add_argument("--region", type=Path, help="region definition JSON file")
@@ -68,40 +76,43 @@ def _build_parser() -> argparse.ArgumentParser:
         "--preset", choices=preset_names(), help="built-in map name (alternative to --map)"
     )
     common.add_argument("--workers", type=int, default=1)
-    for name, help_text in specs.items():
+    for name, (help_text, _, _) in _COMMANDS.items():
         sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 
-# The input flags each command has no use for: passing one exits 2.
-_UNREAD = {
-    "verify": ("region", "r", "family"),
-    "area": ("family",),
-    "oracle": ("family",),
-    "sweep": ("map", "preset"),
-}
-
-
 def _check_args(args: argparse.Namespace) -> None:
+    _, reads, writes_json = _COMMANDS[args.command]
+    given = {name: [flag for flag in flags if getattr(args, flag) is not None]
+             for name, flags in _INPUTS.items()}
     if not math.isfinite(args.tol):
         raise ParseError("--tol must be finite")
     if args.tol < MIN_TOL:
         raise ParseError(f"--tol must be at least {MIN_TOL:g}")
-    if args.command in ("sweep", "search") and args.format == "json":
+    if not writes_json and args.format == "json":
         raise ParseError(f"{args.command} writes CSV only: use --format csv or both")
     # --workers is accepted for compatibility; every command runs serially.
     if args.workers < 1:
         raise ParseError("--workers must be >= 1")
     if args.seed < 0:
         raise ParseError("--seed must be >= 0")
-    for flag in _UNREAD.get(args.command, ()):
-        if getattr(args, flag) is not None:
-            raise ParseError(f"{args.command} does not read --{flag}")
+    for name, flags in given.items():
+        if flags and name not in reads:
+            raise ParseError(f"{args.command} does not read --{flags[0]}")
     # The reports are written last: a file in the way would fail the run
     # only after its work and its stdout.
     blocker = next((p for p in (args.out, *args.out.parents) if p.exists()), None)
     if blocker is not None and not blocker.is_dir():
         raise ParseError(f"--out path {blocker} exists and is not a directory")
+    for flags in given.values():
+        if len(flags) > 1:
+            raise ParseError(f"give either --{flags[0]} or --{flags[1]}, not both")
+    if given["family"] and given["map"]:
+        raise ParseError(f"{args.command} takes --family or a map (--map/--preset), not both")
+    if not (given["family"] or given["map"]):
+        if "map" in reads:
+            raise ParseError("a map is required: pass --map FILE or --preset NAME")
+        raise ParseError("a family is required: pass --family FILE")
 
 
 def main(argv=None) -> int:

@@ -36,7 +36,7 @@ from inspect import signature
 import numpy as np
 
 from .distortion import VerificationReport
-from .errors import ParseError
+from .errors import ConstructionError, ParseError
 from .maps import (
     DiskAutomorphism,
     HarmonicMap,
@@ -76,6 +76,12 @@ def _pair(value, what: str) -> complex:
 def _grid(n, mask) -> PixelGrid:
     n = _whole(n, "grid n")
     raw = base64.b64decode(mask, validate=True)
+    # Before n * n: reshape takes a negative n for "any size", and the message
+    # below would print a huge n in full.
+    if n < 2:
+        raise ConstructionError("grid resolution must be >= 2")
+    if n > 8 * len(raw):
+        raise ParseError(f"grid n is too large for its {len(raw)}-byte mask")
     size = (n * n + 7) // 8
     if len(raw) != size:
         raise ParseError(f"grid mask must be {size} bytes for n = {n}")

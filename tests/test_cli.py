@@ -226,6 +226,22 @@ class TestArea:
         assert code == 2
         assert "map is required" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["area", "--preset", "identity"], "give either --map or --preset, not both"),
+            (["area", "--region", "missing.json", "--r", "0.5"],
+             "give either --region or --r, not both"),
+        ],
+    )
+    def test_conflict_refused_before_any_file_is_read(self, capsys, tmp_path, argv, message):
+        # --map names no file: reading it would exit 2 with "file not found".
+        missing = str(tmp_path / "missing.json")
+        argv = [arg.replace("missing.json", missing) for arg in argv]
+        code, out, err = run(capsys, [*argv, "--map", missing, "--out", str(tmp_path / "out")])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_radius(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
@@ -445,7 +461,7 @@ class TestInputContract:
             ("--region", {"kind": "star", "profile": "11111111"},
              "bad region document: profile value must be a number, not '1'"),
             ("--region", {"kind": "grid", "n": BIG, "mask": "AAA="},
-             f"grid mask must be {(BIG * BIG + 7) // 8} bytes for n = {BIG}"),
+             "grid n is too large for its 2-byte mask"),
             ("--family", {"kind": "rawball", "degree": True, "coeff_bound": 0.1},
              "bad family document: degree must be a number, not True"),
             ("--family", {"kind": "rawball", "degree": "2", "coeff_bound": 0.1},

@@ -171,6 +171,24 @@ class TestRegionRoundTrip:
         with pytest.raises(ParseError, match="8 bytes"):
             region_from_json({"kind": "grid", "n": 8, "mask": mask})
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (-8, "bad region document: grid resolution must be >= 2"),
+            (-(10**400), "bad region document: grid resolution must be >= 2"),
+            (64, "grid mask must be 512 bytes for n = 64"),
+            (65, "grid n is too large for its 8-byte mask"),
+            (10**400, "grid n is too large for its 8-byte mask"),
+        ],
+    )
+    def test_grid_n_out_of_range(self, n, message):
+        # 8 mask bytes hold n * n bits for n = 8 only; past n = 64 the
+        # message no longer names the size that n needs.
+        mask = base64.b64encode(bytes(8)).decode("ascii")
+        with pytest.raises(ParseError) as excinfo:
+            region_from_json({"kind": "grid", "n": n, "mask": mask})
+        assert str(excinfo.value) == message
+
 
 class TestFamilyRoundTrip:
     @pytest.mark.parametrize(

@@ -81,6 +81,32 @@ class TestParseStage:
         assert proc.stdout.startswith("usage: harmarea") == (code == 0)
         assert not {"numpy", "harmarea.distortion"} & loaded
 
+    # The input refusals that argv alone decides: no input file is read (none
+    # of these exists) and the command stage never loads.
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["area", "--map", "x.json", "--preset", "identity"],
+             "give either --map or --preset, not both"),
+            (["oracle", "--preset", "identity", "--region", "r.json", "--r", "0.5"],
+             "give either --region or --r, not both"),
+            (["search", "--family", "f.json", "--preset", "identity"],
+             "search takes --family or a map (--map/--preset), not both"),
+            (["area"], "a map is required: pass --map FILE or --preset NAME"),
+            (["sweep"], "a family is required: pass --family FILE"),
+        ],
+    )
+    def test_input_refusals_answer_before_the_command_stage(
+        self, tmp_path, call, argv, message
+    ):
+        out = tmp_path / "out"
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+        proc, loaded = fresh(CALLS[call], [*argv, "--out", str(out)], tmp_path / "modules.json")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+        assert not {"numpy", "harmarea.cli"} & loaded
+
     def test_a_command_still_loads_them(self, tmp_path):
         # The probe's record does see loaded modules, so the test above
         # cannot pass on an empty one.
