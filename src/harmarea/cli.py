@@ -29,6 +29,7 @@ from .serialize import (
     fmt,
     map_from_json,
     region_from_json,
+    report_fields,
     report_to_dict,
     reports_to_csv,
     reports_to_json,
@@ -64,12 +65,12 @@ def _load_region(args: argparse.Namespace):
     return Disk(args.r if args.r is not None else 0.5)
 
 
-def _emit(args: argparse.Namespace, stem: str, csv_text: str | None, json_text: str | None):
+def _emit(args: argparse.Namespace, stem: str, csv_text, json_text=None):
+    """Write stem.csv and stem.json as --format asks, building a text only if it is written."""
     args.out.mkdir(parents=True, exist_ok=True)
-    if csv_text is not None and args.format in ("csv", "both"):
-        (args.out / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
-    if json_text is not None and args.format in ("json", "both"):
-        (args.out / f"{stem}.json").write_text(json_text, encoding="utf-8")
+    for suffix, text in (("csv", csv_text), ("json", json_text)):
+        if text is not None and args.format in (suffix, "both"):
+            (args.out / f"{stem}.{suffix}").write_text(text(), encoding="utf-8")
 
 
 def _best(names, values) -> str:
@@ -105,20 +106,17 @@ def cmd_area(args: argparse.Namespace) -> int:
         "evals": result.evals,
         "report": report_to_dict(row),
     }
-    _emit(
-        args,
-        "area",
-        reports_to_csv([row]),
-        json.dumps(payload, indent=2, sort_keys=True),
-    )
+    _emit(args, "area", lambda: reports_to_csv([row]),
+          lambda: json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     f = _load_map(args)
     rows = verification_suite(f, args.tol)
-    print(reports_to_text(rows), end="")
-    _emit(args, "verify", reports_to_csv(rows), reports_to_json(rows))
+    fields = [report_fields(row) for row in rows]
+    print(reports_to_text(rows, fields), end="")
+    _emit(args, "verify", lambda: reports_to_csv(rows, fields), lambda: reports_to_json(rows))
     failed = sum(row.checked and not row.passed for row in rows)
     print(f"checked rows failing: {failed}")
     return 1 if failed else 0
@@ -132,7 +130,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     best = rows[0]
     names = family.param_names
     print(f"{_best(names, best.params)} ratio={fmt(best.ratio)} feasible={_bool(best.feasible)}")
-    _emit(args, "sweep", sweep_to_csv(rows, names), None)
+    _emit(args, "sweep", lambda: sweep_to_csv(rows, names))
     return 0
 
 
@@ -157,7 +155,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if objective == "sp-ratio":
         exceeds = result.best_value > 1.0 + 10.0 * args.tol
         print(f"exceeds_one = {_bool(exceeds)}")
-    _emit(args, "search", search_result_to_csv(result, names), None)
+    _emit(args, "search", lambda: search_result_to_csv(result, names))
     return 0
 
 
@@ -191,7 +189,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             ("oracle-ge", integral.value, raster.value),
         )
     ]
-    _emit(args, "oracle", reports_to_csv(rows), reports_to_json(rows))
+    _emit(args, "oracle", lambda: reports_to_csv(rows), lambda: reports_to_json(rows))
     return 0 if all(row.passed for row in rows) else 1
 
 

@@ -226,18 +226,17 @@ def report_fields(rep: VerificationReport) -> list:
             fmt(rep.tolerance), rep.evals]
 
 
-def reports_to_csv(reports: list[VerificationReport]) -> str:
-    """CSV rows (name, lhs, rhs, margin, pass, tol, evals)."""
+def reports_to_csv(reports: list[VerificationReport], fields: list | None = None) -> str:
+    """CSV rows (name, lhs, rhs, margin, pass, tol, evals): fields, else report_fields(reports)."""
     header = ["name", "lhs", "rhs", "margin", "pass", "tol", "evals"]
-    return _csv(header, map(report_fields, reports))
+    return _csv(header, fields or map(report_fields, reports))
 
 
-def reports_to_text(reports: list[VerificationReport]) -> str:
+def reports_to_text(reports: list[VerificationReport], fields: list | None = None) -> str:
     """Lines "name: lhs=... rhs=... margin=... [status]", status info for a
-    row that is not checked, else pass or FAIL."""
+    row that is not checked, else pass or FAIL; fields as in reports_to_csv."""
     lines = []
-    for rep in reports:
-        name, lhs, rhs, margin = report_fields(rep)[:4]
+    for rep, (name, lhs, rhs, margin, *_) in zip(reports, fields or map(report_fields, reports)):
         status = ("pass" if rep.passed else "FAIL") if rep.checked else "info"
         lines.append(f"{name}: lhs={lhs} rhs={rhs} margin={margin} [{status}]\n")
     return "".join(lines)

@@ -8,7 +8,9 @@ live in test_oracles.py.  The one exception is the per-point search at the
 end: it scores a search lattice one map at a time through the package's
 per-map functions, as the reference for the search's batched lattice pass,
 and a Schwarz-Pick lattice one point at a time, as the reference for its
-batched membership test.
+batched membership test.  The Gauss-Legendre tables are the package's own
+(gauss_table): the references below that use one pin how the package batches
+and blocks a rule, not the rule, which test_quadrature checks against mpmath.
 node_doubling_boundary keeps the boundary kernel that resolved a pole by
 raising the node count on every profile segment, as the reference for the
 graded boundary panels.  star_contains_whole and mc_image_area_whole keep
@@ -30,6 +32,13 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+
+def gauss_table(nodes: int):
+    """quadrature._gauss(nodes): Gauss-Legendre nodes (ascending) and weights."""
+    from harmarea.quadrature import _gauss
+
+    return _gauss(nodes)
 
 
 def horner_from_zero(coefficients, z):
@@ -358,7 +367,7 @@ def segment_boundary_nodes(prof: np.ndarray, m: int):
     nodes on each profile segment, gamma = R e^{i theta} with R linear."""
     p = prof.size
     seg_width = 2.0 * np.pi / p
-    x, gw = np.polynomial.legendre.leggauss(m)
+    x, gw = gauss_table(m)
     frac = (x + 1.0) / 2.0
     theta = (seg_width * np.arange(p))[:, None] + seg_width * frac[None, :]
     nxt = np.roll(prof, -1)
@@ -438,7 +447,7 @@ def panel_boundary_alone(parts, E, tol, *, min_nodes=1, pole=None):
 
     def level(k):
         start, width, r0, r1, slope = panels[:, :, None]
-        x, gw = np.polynomial.legendre.leggauss(k)
+        x, gw = gauss_table(k)
         frac = (x + 1.0) / 2.0
         radii = r0 + (r1 - r0) * frac
         rot = np.exp(1j * (start + width * frac))
@@ -594,7 +603,7 @@ def grid_tensor_rule(density, mask: np.ndarray, nodes: int) -> float:
     Gauss-Legendre rule on each run rectangle, one math.fsum over all node
     terms.  Exact for polynomials of degree at most 2 * nodes - 1 in x and
     in y; the density is called at every node at once, rim nodes included."""
-    x, gw = np.polynomial.legendre.leggauss(nodes)
+    x, gw = gauss_table(nodes)
     frac = (x + 1.0) / 2.0
     x0, y0, x1, y1 = (c[:, None, None] for c in run_rectangles(mask).T)
     xs = x0 + (x1 - x0) * frac[None, None, :]
@@ -630,7 +639,7 @@ def grid_gauss_sides(F, dF, mask: np.ndarray, nodes: int, pole=None) -> float:
     rectangle's distance to pole (one piece when pole is None), with nodes
     Gauss-Legendre nodes on each piece; one math.fsum over all node terms.
     """
-    x, gw = np.polynomial.legendre.leggauss(nodes)
+    x, gw = gauss_table(nodes)
     frac, half = (x + 1.0) / 2.0, gw / 2.0
     x0, y0, x1, y1 = run_rectangles(mask).T
     ends = [x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1]

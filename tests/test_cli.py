@@ -14,6 +14,7 @@ import pytest
 
 import harmarea.cli
 import harmarea.distortion
+import harmarea.serialize
 import oracles
 from harmarea import Disk, PixelGrid, rasterize
 from harmarea.cli import main
@@ -617,6 +618,31 @@ class TestVerify:
         failing = [line for line in lines if line.endswith("[FAIL]")]
         assert summary == f"checked rows failing: {len(failing)}"
         assert code == (1 if failing else 0)
+
+    @pytest.mark.parametrize(
+        "fmt, built", [("csv", ["csv"]), ("json", ["json"]), ("both", ["csv", "json"])]
+    )
+    def test_rows_formatted_once_and_only_written_files_built(
+        self, capsys, tmp_path, monkeypatch, fmt, built
+    ):
+        formatted, emitted = [], []
+        fields = harmarea.serialize.report_fields
+
+        def counted(rep):
+            formatted.append(rep.name)
+            return fields(rep)
+
+        for module in (harmarea.cli, harmarea.serialize):
+            monkeypatch.setattr(module, "report_fields", counted)
+        for kind in ("csv", "json"):
+            emit = getattr(harmarea.cli, f"reports_to_{kind}")
+            monkeypatch.setattr(harmarea.cli, f"reports_to_{kind}",
+                                lambda *a, emit=emit, kind=kind: emitted.append(kind) or emit(*a))
+        code, out, _ = run(capsys, ["verify", "--preset", "rotation", "--format", fmt,
+                                    "--out", str(tmp_path)])
+        assert code == 0 and out.count("[pass]") + out.count("[info]") == 117
+        assert len(formatted) == 117 and emitted == built
+        assert sorted(path.suffix for path in tmp_path.iterdir()) == [f".{k}" for k in built]
 
     def test_two_runs_byte_identical(self, capsys, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -4,6 +4,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -66,6 +67,46 @@ class TestQuadResult:
             QuadResult(1.0, 0.0, 0)
         with pytest.raises(ConstructionError):
             QuadResult(math.nan, 0.0, 1)
+
+
+def mp_gauss_legendre(nodes, q: int):
+    """The q-node rule at 40 digits: two Newton steps on mpmath's P_q from
+    each node (quadratic from 1e-16), then the weight 2 / ((1 - x^2) P_q'^2)."""
+    out = []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, nodes.tolist()):
+            for step in range(3):
+                p, pm = mpmath.legendre(q, x), mpmath.legendre(q - 1, x)
+                dp = q * (pm - x * p) / (1 - x * x)
+                if step < 2:
+                    x -= p / dp
+            out.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return out
+
+
+class TestGaussTable:
+    """quadrature._gauss against mpmath: every quadrature layer reads it."""
+
+    @pytest.mark.parametrize("q", [*range(1, 65), 128, 256])
+    def test_matches_forty_digits(self, q):
+        x, w = quadrature._gauss(q)
+        assert x.shape == w.shape == (q,) and np.all(np.diff(x) > 0)
+        # Exact mirror images: odd moments vanish, and the halves agree bit for bit.
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(math.fsum(w.tolist()) - 2.0) <= 4 * np.spacing(2.0)
+        for xi, wi, (xr, wr) in zip(x.tolist(), w.tolist(), mp_gauss_legendre(x, q)):
+            assert abs(float(xr) - xi) <= 2.3e-16  # numpy's leggauss: up to 2.2e-16
+            assert abs(float((wi - wr) / wr)) <= 2e-13  # leggauss: 1.4e-11 at q = 128
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 7, 16, 33, 64, 128, 256])
+    def test_integrates_even_powers_exactly(self, q):
+        x, w = quadrature._gauss(q)
+        for k in range(q):  # 2k <= 2q - 2
+            # x^(2k) carries 2k times a node's rounding: numpy's leggauss
+            # reaches 26 (2k + 1) eps at q = 128.
+            moment = math.fsum((w * x ** (2 * k)).tolist())
+            rel = 4 * (2 * k + 1) * np.spacing(1.0)
+            assert moment == pytest.approx(2.0 / (2 * k + 1), rel=rel, abs=0.0)
 
 
 class TestIntegratePolar:
@@ -294,7 +335,7 @@ class TestIntegrateBoundary:
         arc = width * np.hypot(slope, np.maximum(r0, r1))
         mid = 0.5 * (r0 + r1) * np.exp(1j * (start + 0.5 * width))
         bound = np.abs(pole - mid) - 0.5 * arc
-        x = np.polynomial.legendre.leggauss(64)[0]
+        x = quadrature._gauss(64)[0]
         frac = np.concatenate([[0.0], (x + 1.0) / 2.0, [1.0]])
         theta = start[:, None] + width[:, None] * frac
         z = (r0[:, None] + (r1 - r0)[:, None] * frac) * np.exp(1j * theta)

@@ -116,6 +116,39 @@ class TestParseStage:
         assert {"numpy", "harmarea.distortion"} <= loaded
 
 
+class TestGaussTables:
+    """The Gauss-Legendre tables are computed in the package, so no command
+    loads numpy.polynomial (numpy's leggauss, an eigensolver call)."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "--preset", "automorphism-0.5"], 1),
+            # Green's formula on a star's panels, for a map of degree 2.
+            (["area", "--map", "MAP", "--region", "STAR"], 0),
+            # arc_grid_area's circular segments, for a Mobius map on a grid.
+            (["area", "--preset", "automorphism-0.5", "--region", "GRID"], 0),
+        ],
+    )
+    def test_commands_leave_numpy_polynomial_unloaded(self, tmp_path, argv, code):
+        from harmarea import Disk, rasterize
+        from harmarea.serialize import region_to_json
+
+        docs = {
+            "MAP": {"form": "polynomial", "h": [[0, 0], [1, 0], [0.2, 0]], "g": [[0, 0], [0.1, 0]]},
+            "STAR": {"kind": "star", "profile": [0.6 + 0.2 * (k % 2) for k in range(16)]},
+            "GRID": region_to_json(rasterize(Disk(0.7), 16)),
+        }
+        for key, doc in docs.items():
+            (tmp_path / f"{key}.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = [str(tmp_path / f"{arg}.json") if arg in docs else arg for arg in argv]
+        argv += ["--format", "both", "--out", str(tmp_path / "out")]
+        proc, loaded = fresh(CALLS["python -m harmarea"], argv, tmp_path / "modules.json")
+        assert proc.returncode == code, proc.stderr
+        assert "harmarea.quadrature" in loaded
+        assert not {m for m in loaded if m.startswith("numpy.polynomial")}
+
+
 class TestLazyPackage:
     @pytest.mark.parametrize("name", harmarea.__all__)
     def test_name_is_its_home_modules_object(self, name):
