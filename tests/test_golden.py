@@ -128,10 +128,10 @@ EXIT_CODES = {"verify-automorphism-0.5": 1, "oracle-reversing": 1,
 DIGESTS = {
     "area-grid-affine": "6f009fe4724630f6cbee73da482fa78c8cfcfabd584cc414009b068eabb1c168",
     "area-grid-mobius": "c78630bc9ab39e9696cc561f6822a948f29433ef0e6f2a02cb28edb0da4fa2f0",
-    "area-grid-shear": "94ab8c9bc7b71ec7d2a20a235366170b691f27af9505ca3107ce138557d6ee4f",
+    "area-grid-shear": "76d2b4e53b5779955cc2e7959cd27952d4ecec20b0633aae8621f05d5cf8b10f",
     "area-star": "7af676728b7c5bbf7814b0ebee729425bdc6fb3edb4579520a23504ca02563ec",
-    "area-star-mobius": "da0724c76bf894971dd3e0c71d7ef16bd1c97c6bbc19c1230f5661ec4bd94488",
-    "area-thin-star": "f1c5ca6072c7e256180231dc2396ec444582be250ca40c462b472908dec915a3",
+    "area-star-mobius": "695da183f6c6587a4b3cee4caa68c666ea4866d4a1bb0e818098731e5c32db94",
+    "area-thin-star": "8fab189072f37933cdcf102f5479954683631282e5bc164bee63bdf158cba8a8",
     "oracle-disk": "26ab2656d1d24172af0c90174d9a8f4d64f9cb248e96ee08cd91c1e2a28f98a9",
     "oracle-grid": "69826d5cdbd9624e779e1512e48a86b2b5071913a5f7bbb5e97ec02d55363127",
     "oracle-reversing": "d6f34af9a0518aca235555712a87e0fe57e0f5aba9bd2c203624df0a0ad42fbb",
@@ -147,16 +147,16 @@ DIGESTS = {
     "search-shear-notes": "c90601cf6bfc24d29a9f37e82d460694c47741d690732b6df76c213c9143b2eb",
     "sweep-affine": "954f42371d05518adc82034639c23f818ca09ab76d7fc8306c14138054fe0e87",
     "sweep-rawball-notes": "dae07c5a7c3228e1d31ad9431cd09194994d8e5ec716a0b0062f109809a6e28e",
-    "sweep-rawball-star": "aff3f543cf3166a7b586d5e2ba86c15264ac8e52eaa1d9bb57ea8314b5366740",
+    "sweep-rawball-star": "a71d8ea3be2afd6108c6d55e34acbc1f020fcbfeb2287a853a01b8996320aba6",
     "sweep-shear-notes": "3caad064f1db568c7844646770a60a5ec28aa333fdc7216c578c8ed0de070a9f",
-    "verify-automorphism-0.5": "5cb38fbcedbb7ca7da3dee95621054ceaffbd6c6c02ab73bda6336ac0e1f3802",
-    "verify-example1-affine-0.2": "ee38fe69e69eba30a9b5cd08ba2914b5edea0d832a768b03d67933730e5b676c",
-    "verify-example1-affine-0.5": "c2df03a07302274eaf3dee186db332dfd65418c9a95078bf64101c8bad3ae426",
-    "verify-example2-shear-0.1": "ff508b6680dcff5cfc4c657a334746ded3751fcd9824ff1f10937a61167861a0",
-    "verify-identity": "05a94c4bd7c277861e480997610b1fffedcd7baac7f7fee7dffbc4dba813859e",
-    "verify-perturbed-identity": "6d80f6abe7743ed712bb1f30c640f3efe6783e9049459781a399a9435d418398",
-    "verify-remark-shear-0.3": "1bcace4fd5956f1d0ca9dc37bde910f5e6b4823386e6902071ebb3adb184aa2b",
-    "verify-rotation": "05a94c4bd7c277861e480997610b1fffedcd7baac7f7fee7dffbc4dba813859e",
+    "verify-automorphism-0.5": "79c3bf857a4c597517f4b7539f44b9a46df2687cafc316de522e0ed7530213bd",
+    "verify-example1-affine-0.2": "7c7a80fd0f6df229a96c14072b430991f66e9598155f72d0dc53f42165c92544",
+    "verify-example1-affine-0.5": "ab9a76f05e7a3ff56c056069ce5fcdc7b9fb54bfb8ad3bb736fc2e7a91239403",
+    "verify-example2-shear-0.1": "20aa2b5b9d599b2212817d4a72c9345c7e928d9ae2430ee7b23533920eee0d7c",
+    "verify-identity": "8b08c1023b904246ef7283ad7ed86f7fc7df80f2eda4cbf3e13ac4bf5701288d",
+    "verify-perturbed-identity": "85312615f4e1d46d1bbcb2e4b87ecf587e432499ce8451e25664da9f4ad98271",
+    "verify-remark-shear-0.3": "bb6c0b9daa6c6d5ec6a5bde8ef3a574d591142cb7707aedddbf29a6014f4e1d1",
+    "verify-rotation": "8b08c1023b904246ef7283ad7ed86f7fc7df80f2eda4cbf3e13ac4bf5701288d",
 }
 
 
