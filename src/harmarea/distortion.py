@@ -616,36 +616,30 @@ def verification_suite(
 
     Rows whose theorem hypotheses the map does not satisfy (self-map of the
     disk, f(0) = 0) are emitted with checked=False, as are the rows quoting
-    claimed reference values.  One pass under numpy's raising float errors
-    computes the radial column, the star rows and k for all nine radii;
-    validate has certified that h' has no zero on the closed disk, so k is
-    read on each circle (maximum modulus principle).  If that pass raises,
-    each radius computes those layers on its own, so the suite raises the
-    first error in row order and warns as the per-radius rows do.
+    claimed reference values.  Each layer runs once for all nine radii, in
+    this order, so a failing map raises the first failing layer's error:
+    validate, the reference integrals, the disk rows, k from one dilatation
+    pass with the sandwich rows (validate has certified that h' has no zero
+    on the closed disk, so |g'/h'| peaks on each circle), the radial column
+    and the star rows.  The rows are then assembled radius by radius.
     """
     validity = validate(f)
     hyp = _hypothesis_detail(validity)
     hyperbolic = hyperbolic_disk_integral(VERIFY_RADII, tol)
     shears = shear_disk_integral(VERIFY_RADII, 0.3, 2, tol)
-    stars = [StarShaped((r * _VERIFY_STAR).tolist()) for r in VERIFY_RADII]
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            theta, columns, evals = _radial_column(f, VERIFY_RADII)
-            star_rows = _star_rows(f, stars, tol)
-            circles = np.multiply.outer(VERIFY_RADII, np.exp(1j * _DILATATION_THETA))
-            ks = np.max(np.abs(f.dilatation(circles)), axis=1).tolist()
-        batch = list(zip(columns, star_rows, ks))
-    except (ArithmeticError, ValueError):
-        batch = None
+    disks = [_disk_rows(f, r, tol, validity) for r in VERIFY_RADII]
+    circles = np.multiply.outer(VERIFY_RADII, np.exp(1j * _DILATATION_THETA))
+    ks = np.max(np.abs(f.dilatation(circles)), axis=1).tolist()
+    sandwiches = [
+        _sandwich_rows(f, Disk(r), tol, quantities, k)
+        for r, (_, quantities), k in zip(VERIFY_RADII, disks, ks)
+    ]
+    theta, columns, evals = _radial_column(f, VERIFY_RADII)
+    stars = _star_rows(f, [StarShaped((r * _VERIFY_STAR).tolist()) for r in VERIFY_RADII], tol)
     rows: list[VerificationReport] = []
-    for i, r in enumerate(VERIFY_RADII):
-        disk_rows, quantities = _disk_rows(f, r, tol, validity)
+    layers = zip(VERIFY_RADII, disks, columns, stars, sandwiches, hyperbolic, shears)
+    for r, (disk_rows, _), lhs, star, (lower, upper), hyperbolic_r, shear_r in layers:
         rows.extend(disk_rows)
-        if batch:
-            lhs, star, k = batch[i]
-        else:
-            theta, (lhs,), evals = _radial_column(f, [r])
-            star, k = star_contraction_report(f, stars[i], tol), None
         rhs = r * r / 2.0
         j = min(range(RADIAL_DIRECTIONS), key=lambda j: rhs - lhs[j])
         detail = f"{hyp} worst theta={theta[j]:.17g}"
@@ -654,9 +648,8 @@ def verification_suite(
         name, detail = f"star-contraction r={r:.1f}", f"{star.detail} {hyp}"
         checked = star.checked and validity.self_map
         rows.append(replace(star, name=name, checked=checked, detail=detail))
-        lower, upper = _sandwich_rows(f, Disk(r), tol, quantities, k)
         rows.append(replace(lower, name=f"sandwich-lower r={r:.1f}"))
         rows.append(replace(upper, name=f"sandwich-upper r={r:.1f}"))
-        rows.extend(_reference_rows("hyperbolic", r, hyperbolic[i], tol))
-        rows.extend(_reference_rows("shear", r, shears[i], tol))
+        rows.extend(_reference_rows("hyperbolic", r, hyperbolic_r, tol))
+        rows.extend(_reference_rows("shear", r, shear_r, tol))
     return rows

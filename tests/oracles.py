@@ -8,7 +8,10 @@ live in test_oracles.py.  The one exception is the per-point search at the
 end: it scores a search lattice one map at a time through the package's
 per-map functions, as the reference for the search's batched lattice pass,
 and a Schwarz-Pick lattice one point at a time, as the reference for its
-batched membership test.  The Gauss-Legendre tables are the package's own
+batched membership test.  suite_per_radius likewise composes verify's
+suite one radius at a time from the package's one-region functions, as the
+reference for the suite's layers, each run once for all nine radii.  The
+Gauss-Legendre tables are the package's own
 (gauss_table): the references below that use one pin how the package batches
 and blocks a rule, not the rule, which test_quadrature checks against mpmath.
 node_doubling_boundary keeps the boundary kernel that resolved a pole by
@@ -29,6 +32,7 @@ reference for the closed-form arcs of Mobius maps.
 import cmath
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -794,3 +798,56 @@ def maximize_sp_ratio_per_point(f, domain, iterations, seed, grid_per_axis):
         return sp_ratio(f, z) if contains(domain, z) else -1.0
 
     return _maximize_per_point(objective, [(-b, b), (-b, b)], [], iterations, seed, grid_per_axis)
+
+
+def suite_per_radius(f, tol):
+    """distortion.verification_suite from the public one-region functions,
+    radius by radius: validate and the reference integrals, then at each r
+    the disk rows, the radial profile's worst direction, the star
+    star_cos3(256, r) and the sandwich.  A map that fails raises the first
+    error in that order."""
+    from harmarea import distortion
+    from harmarea.distortion import VerificationReport, default_tolerance
+    from harmarea.maps import validate
+    from harmarea.regions import Disk, star_cos3
+
+    validity = validate(f)
+    hyp = (
+        f"self_map_sup={validity.self_map_sup:.17g} "
+        f"sense_preserving={validity.sense_preserving}"
+    )
+    references = [
+        (distortion.hyperbolic_disk_integral(r, tol), distortion.shear_disk_integral(r, 0.3, 2, tol))
+        for r in distortion.VERIFY_RADII
+    ]
+    rows = []
+    for r, refs in zip(distortion.VERIFY_RADII, references):
+        rows += distortion.disk_contraction_report(f, r, tol)
+        profile = distortion.radial_bound_profile(f, r)
+        worst = min(profile, key=lambda row: row.margin)
+        rows.append(replace(
+            worst, name=f"radial-worst r={r:.1f}", detail=f"{hyp} worst {worst.detail}",
+            checked=validity.self_map, evals=sum(row.evals for row in profile),
+        ))
+        star = distortion.star_contraction_report(f, star_cos3(256, r), tol)
+        rows.append(replace(
+            star, name=f"star-contraction r={r:.1f}", detail=f"{star.detail} {hyp}",
+            checked=star.checked and validity.self_map,
+        ))
+        for row in distortion.quantitative_bounds(f, Disk(r), tol):
+            rows.append(replace(row, name=f"{row.name.replace('quantitative', 'sandwich')} r={r:.1f}"))
+        for tag, ref in zip(("hyperbolic", "shear"), refs):
+            detail = (
+                f"closed_form={ref.closed_form:.17g} claimed_value={ref.claimed_value:.17g} "
+                f"err={ref.error_estimate:.3e}"
+            )
+            tolerance = default_tolerance(tol, ref.error_estimate)
+            for suffix, lhs, rhs, checked, text in (
+                ("le", ref.quadrature, ref.closed_form, True, detail),
+                ("ge", ref.closed_form, ref.quadrature, True, detail),
+                ("claimed", ref.quadrature, ref.claimed_value, False, f"{detail} informational"),
+            ):
+                rows.append(VerificationReport(
+                    f"{tag}-{suffix} r={r:.1f}", lhs, rhs, tolerance, text, checked, ref.evals
+                ))
+    return rows

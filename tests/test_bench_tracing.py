@@ -58,3 +58,31 @@ def test_traced_family_search(capsys, tmp_path):
     evaluations = int(re.search(r"^evaluations = (\d+)$", out, re.MULTILINE).group(1))
     assert counts["search.objective.calls"] == evaluations
     assert counts["cli.self_s"] > 0.0
+
+
+def test_traced_verify_repeats(capsys, tmp_path):
+    # The tracer wraps verification_suite, sup_dilatation and
+    # star_contraction_report: a traced verify must run and count the same
+    # layers in each cycle.
+    counts = []
+    for cycle in range(2):
+        argv = ["verify", "--preset", "remark-shear-0.3", "--out", str(tmp_path / str(cycle))]
+        tracer = tracing.Tracer()
+        with tracer.installed(), tracer.job_scope("verify-remark-shear-0.3"):
+            code = cli.main(argv)
+        capsys.readouterr()
+        assert code == 0
+        summary = tracing.summarize(tracer.take())
+        counts.append({name: summary[name] for name in tracing.COUNTS})
+    assert counts[0] == counts[1]
+    # One validate, a disk area and energy per radius, one batch per
+    # reference integral; the points are the 9 x 256 dilatation circles,
+    # f(0) and the shear reference's 9 x (16 + 32) Jacobian nodes.
+    expected = {
+        "distortion.image_area.calls": 9,
+        "distortion.energy.calls": 9,
+        "distortion.reference.calls": 2,
+        "maps.validate.calls": 1,
+        "maps.eval.points": 2737,
+    }
+    assert {name: counts[0][name] for name in expected} == expected

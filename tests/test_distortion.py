@@ -1,6 +1,7 @@
 """Inequality reports, reference integrals, and extremal-set envelopes."""
 
 import cmath
+import json
 import logging
 import math
 import random
@@ -15,7 +16,6 @@ from scipy import integrate
 import oracles
 from harmarea import (
     ConstructionError,
-    CriticalPointError,
     Disk,
     DomainError,
     HypothesisError,
@@ -506,6 +506,50 @@ def _poly_style_map(seed: int):
     h = [0j, 2.0 * phase()] + weighted(range(2, 5))
     g = [0j] + weighted(range(1, 5))
     return raw_polynomial(h, g)
+
+
+def _sense_preserving(a0, a1, h, b0, g):
+    """h = a0 + a1 z + sum_{k>=2} h_k z^k, g = b0 + sum_{k>=1} g_k z^k, each
+    tail scaled down to sum k|c_k| <= |a1|/4: |h'| >= 3|a1|/4 > |g'|."""
+
+    def tail(cs, first):
+        total = math.fsum(k * abs(c) for k, c in enumerate(cs, first))
+        scale = min(1.0, abs(a1) / (4.0 * total)) if total else 1.0
+        return [c * scale for c in cs]
+
+    return raw_polynomial([a0, a1, *tail(h, 2)], [b0, *tail(g, 1)])
+
+
+# Degree <= 6, f(0) = 0 or not, self-maps of the disk or not.
+sense_preserving_maps = st.builds(
+    _sense_preserving,
+    _complex(0.0, 0.2),
+    _complex(0.2, 1.2),
+    st.lists(_complex(0.0, 1.0), max_size=5),
+    _complex(0.0, 0.2),
+    st.lists(_complex(0.0, 1.0), max_size=6),
+)
+automorphisms = st.builds(automorphism, _complex(0.0, 0.9), st.floats(-math.pi, math.pi))
+
+
+def _huge_map(seed: int):
+    """h = a_0 + u z + sum_{k=2}^d a_k z^k and g = sum_k b_k z^k of degree
+    <= d <= 8, |u| = 1, |a_0|, |b_0| <= 0.1 and |k a_k| <= s, |k b_k| <= t
+    for s, t drawn per map, all scaled by 10^x, x uniform in [120, 160]:
+    past 10^154 a squared coefficient leaves the float range."""
+    rng = random.Random(f"huge-{seed}")
+    d = rng.randint(1, 8)
+
+    def coefficient(size):
+        return size * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+    spread, g_spread = rng.choice([0.1, 0.5, 1.0, 2.0]), rng.choice([0.0, 0.5, 0.9, 1.2])
+    h = [coefficient(rng.uniform(0.0, 0.1)), coefficient(1.0)]
+    h += [coefficient(rng.uniform(0.0, spread) / k) for k in range(2, d + 1)]
+    g = [coefficient(rng.uniform(0.0, 0.1))]
+    g += [coefficient(rng.uniform(0.0, g_spread) / k) for k in range(1, rng.randint(0, d) + 1)]
+    scale = 10.0 ** rng.uniform(120.0, 160.0)
+    return raw_polynomial([c * scale for c in h], [c * scale for c in g])
 
 
 # h' vanishes at Z0, which lies between the angular samples of the boundary.
@@ -1218,16 +1262,20 @@ class TestVerificationSuite:
         verification_suite(shear(0.3, 2))
         assert len(calls) == 1
 
-    def test_suite_raises_the_first_error_in_row_order(self):
-        # h' = 1e154 (1 + z/2)^3 and g = 0.5e154 z: the radial closed form
-        # overflows only at r = 0.9, but the sandwich rows already refuse
-        # k >= 1 at r = 0.1, as each radius in turn finds.
+    def test_suite_raises_the_first_error_in_layer_order(self):
+        # h' = 1e154 (1 + z/2)^3 and g = 0.5e154 z: k >= 1 from r = 0.5 on,
+        # the radial closed form overflows only at r = 0.9, and the disk
+        # rows overflow from r = 0.7.  The disk rows are the first of these
+        # layers, so their error is the one the suite raises.
         f = raw_polynomial([0, 1e154, 0.75e154, 0.25e154, 0.03125e154], [0, 0.5e154])
         with pytest.raises(ConstructionError, match="radial"):
             distortion._radial_column(f, distortion.VERIFY_RADII)
         distortion._radial_column(f, distortion.VERIFY_RADII[:-1])
-        with pytest.raises(HypothesisError, match="dilatation bound"):
+        with pytest.raises(ConstructionError, match="area integral overflows"):
             verification_suite(f)
+        # k = 1.5 on every circle, and every layer before it passes.
+        with pytest.raises(HypothesisError, match="dilatation bound"):
+            verification_suite(raw_polynomial([0, 1], [0, 1.5]))
 
     @pytest.mark.parametrize("name", preset_names())
     def test_star_rows_match_star_contraction_report(self, name):
@@ -1240,53 +1288,20 @@ class TestVerificationSuite:
                 alone.lhs, alone.rhs, alone.tolerance, alone.evals
             )
 
-    @pytest.mark.parametrize("name", ["remark-shear-0.3", "automorphism-0.5"])
-    def test_failed_star_batch_falls_back_to_each_radius(self, name, monkeypatch):
-        # A kernel that refuses every batch of more than one star, and any
-        # star reaching past 0.3 with its own message: the suite raises what
-        # the per-radius rows raise, at r = 0.5, the first such star.
-        original = distortion._boundary_batch
-
-        def refusing(parts, stars, tol, **options):
-            if len(stars) > 1:
-                raise NonConvergenceError(f"batch of {len(stars)} refused")
-            if max(stars[0].profile) > 0.3:
-                raise NonConvergenceError(f"star of {max(stars[0].profile):.3g} refused")
-            return original(parts, stars, tol, **options)
-
-        f = preset_map(name)
-        monkeypatch.setattr(distortion, "_boundary_batch", refusing)
-        with pytest.raises(NonConvergenceError) as alone:
-            star_contraction_report(f, star_cos3(256, 0.5))
-        with pytest.raises(NonConvergenceError) as suite:
-            verification_suite(f)
-        assert str(suite.value) == str(alone.value) == "star of 0.35 refused"
-
-    @pytest.mark.parametrize("layer", ["radial", "star", "dilatation"])
-    def test_failed_batches_keep_every_row(self, layer, monkeypatch):
-        # The batched pass reads k without sup_dilatation and takes the nine
-        # stars in one boundary batch.  Refusing any one of its layers sends
-        # every radius down its own path, which keeps every row's bits.
+    def test_each_layer_runs_once_for_the_nine_radii(self, monkeypatch):
+        # The suite reads k without sup_dilatation, takes the nine stars in
+        # one boundary batch and the radial column in one call.
         f = shear(0.3, 2)
         original_batch, original_column = distortion._boundary_batch, distortion._radial_column
-        original_dilatation = PolynomialMap.dilatation
-        batches, calls, refused = [], [], set()
+        batches, columns, calls = [], [], []
 
         def boundary_batch(parts, stars, tol, **options):
             batches.append(len(stars))
-            if "star" in refused and len(stars) > 1:
-                raise NonConvergenceError("batch refused")
             return original_batch(parts, stars, tol, **options)
 
         def radial_column(f, radii):
-            if "radial" in refused and len(radii) > 1:
-                raise ConstructionError("batch refused")
+            columns.append(tuple(radii))
             return original_column(f, radii)
-
-        def dilatation(self, z):
-            if "dilatation" in refused and np.ndim(z) > 1:
-                raise CriticalPointError("batch refused")
-            return original_dilatation(self, z)
 
         def counted(f, E):
             calls.append(E)
@@ -1294,13 +1309,67 @@ class TestVerificationSuite:
 
         monkeypatch.setattr(distortion, "_boundary_batch", boundary_batch)
         monkeypatch.setattr(distortion, "_radial_column", radial_column)
-        monkeypatch.setattr(PolynomialMap, "dilatation", dilatation)
         monkeypatch.setattr(distortion, "sup_dilatation", counted)
-        expected = verification_suite(f)
-        assert (calls, batches) == ([], [len(distortion.VERIFY_RADII)])
-        refused.add(layer)
-        assert verification_suite(f) == expected
-        assert calls == [Disk(r) for r in distortion.VERIFY_RADII]
+        verification_suite(f)
+        assert batches == [len(distortion.VERIFY_RADII)]
+        assert columns == [distortion.VERIFY_RADII]
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(preset_names()) + ["perturbed-identity"])
+    def test_rows_match_the_per_radius_oracle(self, name):
+        f = _perturbed_identity() if name == "perturbed-identity" else preset_map(name)
+        rows = verification_suite(f)
+        assert repr(rows) == repr(oracles.suite_per_radius(f, DEFAULT_TOL))
+
+    @given(st.one_of(sense_preserving_maps, automorphisms))
+    def test_drawn_maps_match_the_per_radius_oracle(self, f):
+        rows = verification_suite(f)
+        assert repr(rows) == repr(oracles.suite_per_radius(f, DEFAULT_TOL))
+
+    def test_raises_exactly_where_the_per_radius_oracle_raises(self, monkeypatch, tmp_path, capsys):
+        # Each map runs `verify --map` through the suite and through the
+        # oracle: both give the same rows or both raise, and main gives both
+        # the same exit code.  An exception main does not map escapes it,
+        # and then both sides must raise the same type.
+        from harmarea import cli, entry
+        from harmarea.serialize import map_to_json
+
+        path = tmp_path / "map.json"
+
+        def verify(suite):
+            """The rows' repr, or the type the suite raised, and main's exit
+            code, or the type that escaped main."""
+            outcome = []
+
+            def recording(f, tol):
+                try:
+                    rows = suite(f, tol)
+                except Exception as exc:
+                    outcome.append(type(exc))
+                    raise
+                outcome.append(repr(rows))
+                return rows
+
+            monkeypatch.setattr(cli, "verification_suite", recording)
+            try:
+                code = entry.main(["verify", "--map", str(path), "--out", str(tmp_path)])
+            except Exception as exc:
+                code = type(exc)
+            capsys.readouterr()
+            return outcome[0], code
+
+        reported = 0
+        for seed in range(200):
+            path.write_text(json.dumps(map_to_json(_huge_map(seed))))
+            rows, code = verify(verification_suite)
+            oracle_rows, oracle_code = verify(oracles.suite_per_radius)
+            assert isinstance(rows, str) == isinstance(oracle_rows, str), seed
+            assert code == oracle_code, seed
+            if isinstance(rows, str):
+                assert rows == oracle_rows, seed
+                reported += 1
+        # The list reaches both outcomes.
+        assert 20 <= reported <= 180
 
     def test_claimed_rows_never_counted(self):
         rows = verification_suite(rotation_map(0.0))
