@@ -23,7 +23,7 @@ _HOMES = {
     "maps": "AnalyticSeries DiskAutomorphism HarmonicMap PolynomialMap ValidityReport affine "
     "automorphism identity_map raw_polynomial rescaled_affine rotation_map shear validate",
     "presets": "preset_map preset_names",
-    "quadrature": "QuadResult integrate_boundary integrate_grid integrate_polar mc_image_area",
+    "quadrature": "QuadResult integrate_grid integrate_polar mc_image_area",
     "regions": "Disk PixelGrid Region StarShaped bounding_radius contains contains_points "
     "radial_profile rasterize region_measure star_cos3",
     "search": "AffineFamily AutomorphismFamily FamilySpec RawBall SearchResult ShearFamily "

@@ -189,7 +189,7 @@ def image_area(
     Disks under any map, and any region under a rotation or a polynomial
     map of degree at most 1, use a closed form that is exact up to rounding
     (error_estimate 0.0).  Other stars take the boundary integral, whose bits
-    are quadrature.integrate_boundary's in a batch of any size.  Pixel grids
+    are quadrature._boundary_batch's in a batch of any size.  Pixel grids
     are exact too: Green's formula on the sides of their runs, by the exact
     side rule of quadrature.integrate_grid under other polynomial maps and
     the closed-form arcs of quadrature.arc_grid_area under other
@@ -250,17 +250,15 @@ def quantitative_bounds(
 
     k is sup_dilatation(f, E); k >= 1 is a hypothesis error.
     """
-    return _sandwich_rows(f, E, tol)
+    k = sup_dilatation(f, E)
+    area = image_area(f, E, tol, check_sense=False)
+    return _sandwich_rows(area, analytic_energy(f, E, tol), k, tol)
 
 
-def _sandwich_rows(f: HarmonicMap, E: Region, tol: float, quantities=None, k=None):
-    """quantitative_bounds' rows; quantities = (area, energy) and k if known."""
-    k = sup_dilatation(f, E) if k is None else k
+def _sandwich_rows(area: QuadResult, energy: QuadResult, k: float, tol: float):
+    """quantitative_bounds' rows from the two integrals and k."""
     if k >= 1.0:
         raise HypothesisError(f"sampled dilatation bound k = {k:.6g} is not < 1")
-    if quantities is None:
-        quantities = image_area(f, E, tol, check_sense=False), analytic_energy(f, E, tol)
-    area, energy = quantities
     tolerance = default_tolerance(tol, area.error_estimate, energy.error_estimate)
     detail = (
         f"k={k:.17g} area_err={area.error_estimate:.3e} "
@@ -296,16 +294,15 @@ def disk_contraction_report(
     """
     if not 0.0 < r < 1.0:
         raise HypothesisError("radius must lie in (0, 1)")
-    return _disk_rows(f, r, tol)[0]
+    return _disk_rows(f, r, tol, validate(f))[0]
 
 
-def _disk_rows(f: HarmonicMap, r: float, tol: float, validity=None):
+def _disk_rows(f: HarmonicMap, r: float, tol: float, validity: ValidityReport):
     """disk_contraction_report's rows, and the (area, energy) they compare."""
     disk = Disk(r)
     area = image_area(f, disk, tol, check_sense=False)
     energy = analytic_energy(f, disk, tol)
     reference = math.pi * r * r
-    validity = validity or validate(f)
     tolerance = default_tolerance(tol, area.error_estimate, energy.error_estimate)
     detail = _hypothesis_detail(validity)
     rows = [
@@ -630,10 +627,7 @@ def verification_suite(
     disks = [_disk_rows(f, r, tol, validity) for r in VERIFY_RADII]
     circles = np.multiply.outer(VERIFY_RADII, np.exp(1j * _DILATATION_THETA))
     ks = np.max(np.abs(f.dilatation(circles)), axis=1).tolist()
-    sandwiches = [
-        _sandwich_rows(f, Disk(r), tol, quantities, k)
-        for r, (_, quantities), k in zip(VERIFY_RADII, disks, ks)
-    ]
+    sandwiches = [_sandwich_rows(*quantities, k, tol) for (_, quantities), k in zip(disks, ks)]
     theta, columns, evals = _radial_column(f, VERIFY_RADII)
     stars = _star_rows(f, [StarShaped((r * _VERIFY_STAR).tolist()) for r in VERIFY_RADII], tol)
     rows: list[VerificationReport] = []

@@ -323,17 +323,16 @@ def _zero_free_closed_disk(coefficients) -> bool:
             p.pop()
         if len(p) <= 1:
             return bool(p)
+        # Each step squares the coefficients' scale: first scale them by an
+        # exact power of two to a largest component in [1/2, 1), so no step
+        # overflows and scaling all coefficients by 2^k moves no bit.
+        e = -math.frexp(max(max(abs(c.real), abs(c.imag)) for c in p))[1]
+        p = [complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in p]
         a0, an = p[0], p[-1]
         if abs(a0) <= abs(an):
             return False
         c0 = a0.conjugate()
         p = [c0 * a - an * b.conjugate() for a, b in zip(p[:-1], reversed(p))]
-        # Each step squares the coefficients' scale; rescale so high
-        # degrees neither overflow nor underflow.
-        scale = max(abs(c) for c in p)
-        if scale == 0:
-            return False
-        p = [c / scale for c in p]
 
 
 def _horner_rows(rows: np.ndarray, m: int) -> np.ndarray:

@@ -8,13 +8,13 @@ independent slow path that tests check the closed forms against.
 
 Area integrals of analytic functions reduce to boundary integrals by
 Green's formula, int_E |F'|^2 dA = (1/2i) oint conj(F) dF (Duren, Harmonic
-Mappings in the Plane, 2004).  integrate_boundary sums those over
-Gauss-Legendre nodes on star boundary panels, the profile segments bisected
-toward any pole of the integrand, and refines by doubling.  On pixel grids
-the boundary is the four sides of each horizontal run of true cells:
-integrate_grid puts a fixed number of Gauss-Legendre nodes on each side,
-exact for polynomials, and arc_grid_area sums the closed-form areas of a
-Mobius map's circular-arc images of the sides.
+Mappings in the Plane, 2004).  _boundary_batch, the star kernel, sums those
+over Gauss-Legendre nodes on star boundary panels, the profile segments
+bisected toward any pole of the integrand, and refines by doubling.  On
+pixel grids the boundary is the four sides of each horizontal run of true
+cells: integrate_grid puts a fixed number of Gauss-Legendre nodes on each
+side, exact for polynomials, and arc_grid_area sums the closed-form areas
+of a Mobius map's circular-arc images of the sides.
 
 Determinism contract: every pass evaluates its fields in one thread, on fixed
 index-ordered blocks (of about regions.BLOCK points, BOUNDARY_CHUNK in a boundary
@@ -109,26 +109,20 @@ def _angular_layout(E, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angular nodes, weights, and boundary radii for one refinement level.
 
     Disks use the periodic trapezoid rule with m nodes.  Star regions use
-    Gauss-Legendre nodes on each profile segment; m is interpreted as the
-    per-segment node count there.
+    m Gauss-Legendre nodes on each profile segment, the panels of
+    _panels(E, None).
     """
     if isinstance(E, Disk):
         theta = 2.0 * np.pi * np.arange(m) / m
         w = np.full(m, 2.0 * np.pi / m)
         radii = np.full(m, E.r)
         return theta, w, radii
-    prof = np.asarray(E.profile, dtype=float)
-    p = prof.size
-    seg_width = 2.0 * np.pi / p
+    start, width, r0, r1, _ = _panels(E, None)[:, :, None]
     x, gw = _gauss(m)
-    starts = seg_width * np.arange(p)
-    # theta[j, i]: node i inside segment j; boundary radius is linear there.
     frac = (x + 1.0) / 2.0
-    theta = starts[:, None] + seg_width * frac[None, :]
-    nxt = np.roll(prof, -1)
-    radii = prof[:, None] + (nxt - prof)[:, None] * frac[None, :]
-    w = np.broadcast_to(gw[None, :] * (seg_width / 2.0), theta.shape)
-    return theta.ravel(), np.ascontiguousarray(w).ravel(), radii.ravel()
+    # theta[j, i]: node i inside segment j; boundary radius is linear there.
+    theta, radii = start + width * frac, r0 + (r1 - r0) * frac
+    return theta.ravel(), (gw * (width / 2.0)).ravel(), radii.ravel()
 
 
 def _polar_level(field, E, q: int, m: int) -> tuple[list[float], int]:
@@ -261,38 +255,25 @@ def _green_terms(parts, z, dz, w) -> np.ndarray:
     return np.stack(terms, axis=-2)
 
 
-def integrate_boundary(
-    parts,
-    E: StarShaped,
-    tol: float = DEFAULT_TOL,
-    *,
-    min_nodes: int = 1,
-    pole: complex | None = None,
-) -> QuadResult:
-    """Sum of sign * int_E |F'|^2 dA over (sign, F, dF) parts, on the boundary.
-
-    F must be analytic on a neighbourhood of E and, like dF, accept a
-    complex numpy array; pole, if given, is a singularity outside E.  Each
-    part contributes Im(conj(F - F(0)) F' gamma')/2 at Gauss-Legendre nodes
-    on every boundary panel: the profile segments, bisected toward the pole
-    until each lies at least its own arc length from it (see _panels).
-    Nodes per panel double from BOUNDARY_M0 until two levels agree, as in
-    integrate_polar; the first level has at least min_nodes nodes.  A pole
-    within BOUNDARY_POLE_CAP of the boundary, or a level of more than
-    BOUNDARY_NODE_CAP nodes, raises NonConvergenceError.
-    """
-    if not isinstance(E, StarShaped):
-        raise ConstructionError("integrate_boundary needs a StarShaped region")
-    return _boundary_batch(parts, [E], tol, min_nodes=min_nodes, pole=pole)[0]
-
-
 def _boundary_batch(parts, stars, tol: float, *, min_nodes: int = 1, pole=None):
-    """integrate_boundary(parts, E, tol, ...) for each E in stars, bit for bit.
+    """Sum of sign * int_E |F'|^2 dA over (sign, F, dF) parts, on the
+    boundary of each StarShaped E in stars.
+
+    F must be analytic on a neighbourhood of each E and, like dF, accept a
+    complex numpy array; pole, if given, is a singularity outside them.
+    Each part contributes Im(conj(F - F(0)) F' gamma')/2 at Gauss-Legendre
+    nodes on every boundary panel: the profile segments, bisected toward the
+    pole until each lies at least its own arc length from it (_panels).
+    With R linear on a panel, gamma' = (R' + i R) e^{i theta}, R' the
+    panel's slope.  Nodes per panel double from BOUNDARY_M0 until two levels
+    agree (_refine); the first level has at least min_nodes nodes.  A pole
+    within BOUNDARY_POLE_CAP of a boundary, or a level of more than
+    BOUNDARY_NODE_CAP nodes, raises NonConvergenceError.
 
     Stars whose panels share their start angles and widths are refined
-    together (_refine); a level evaluates e^{i theta} once for them and the
-    parts on their live stars, about BOUNDARY_CHUNK nodes at a time.  With R
-    linear on a panel, gamma' = (R' + i R) e^{i theta}, R' the panel's slope.
+    together; a level evaluates e^{i theta} once for them and the parts on
+    their live stars, about BOUNDARY_CHUNK nodes at a time.  Each star gets
+    the bits it gets alone, in a batch of any size.
     """
     check_tol(tol)
     groups: dict[bytes, list] = {}
@@ -345,11 +326,12 @@ def _run_corners(E: PixelGrid) -> np.ndarray:
 def integrate_grid(parts, E: PixelGrid, nodes: int) -> QuadResult:
     """Sum of sign * int_E |F'|^2 dA over (sign, F, dF) parts on a pixel grid.
 
-    Green's formula with integrate_boundary's terms, at nodes Gauss-Legendre
-    nodes on each side of each run rectangle of E.  The integrand has degree
-    2 deg F - 1 in the side parameter, so for deg F <= nodes the rule is
-    exact up to rounding (error estimate 0.0).  Rim sides reach past the
-    unit disk: F and dF must accept those points.  evals is 4 * nodes a run.
+    Green's formula with _boundary_batch's terms (_green_terms), at nodes
+    Gauss-Legendre nodes on each side of each run rectangle of E.  The
+    integrand has degree 2 deg F - 1 in the side parameter, so for deg F <=
+    nodes the rule is exact up to rounding (error estimate 0.0).  Rim sides
+    reach past the unit disk: F and dF must accept those points.  evals is
+    4 * nodes a run.
     """
     if not isinstance(E, PixelGrid):
         raise ConstructionError("integrate_grid needs a PixelGrid region")

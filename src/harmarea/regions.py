@@ -102,20 +102,8 @@ class PixelGrid:
 
     def cell_centers(self) -> np.ndarray:
         """Complex centers axis[col] + 1j * axis[row] of the true cells, in
-        row-major order, filled into one array from blocks of mask rows."""
-        n = self.n
-        axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
-        out = np.empty(int(np.count_nonzero(self.mask)), dtype=complex)
-        step = max(1, BLOCK // n)
-        i = 0
-        for r in range(0, n, step):
-            block = self.mask[r : r + step]
-            counts = np.count_nonzero(block, axis=1)
-            j = i + int(counts.sum())
-            out.real[i:j] = np.broadcast_to(axis, block.shape)[block]
-            out.imag[i:j] = np.repeat(axis[r : r + step], counts)
-            i = j
-        return out
+        row-major order: the members of _member_blocks' raster walk."""
+        return np.concatenate([z[inside] for _, _, z, inside in _member_blocks(self, self.n)])
 
     @functools.cached_property
     def runs(self) -> np.ndarray:

@@ -434,9 +434,9 @@ def _doubling(level, levels, tol):
 
 
 def panel_boundary_alone(parts, E, tol, *, min_nodes=1, pole=None):
-    """(value, error estimate, evals) of integrate_boundary for the star E
-    alone, written out: the levels on quadrature._panels(E, pole), each
-    evaluated for E's nodes only and summed with one fsum."""
+    """(value, error estimate, evals) of quadrature._boundary_batch for the
+    star E alone, written out: the levels on quadrature._panels(E, pole),
+    each evaluated for E's nodes only and summed with one fsum."""
     from harmarea.errors import NonConvergenceError
     from harmarea.quadrature import _panels
 

@@ -4,8 +4,12 @@ import cmath
 import json
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,8 +67,8 @@ from harmarea.quadrature import (
     DEFAULT_Q0,
     DEFAULT_TOL,
     MIN_TOL,
+    _boundary_batch,
     arc_grid_area,
-    integrate_boundary,
 )
 
 EXACT_RADII = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -356,7 +360,7 @@ class TestConstantJacobianClosedForm:
                 (sign, s._evaluate_unchecked, s.derivative()._evaluate_unchecked)
                 for sign, s in series
             ]
-            quad = integrate_boundary(parts, E, DEFAULT_TOL, min_nodes=8)
+            quad = _boundary_batch(parts, [E], DEFAULT_TOL, min_nodes=8)[0]
             assert (got.error_estimate, got.evals) == (0.0, 1)
             assert abs(got.value - quad.value) <= DEFAULT_TOL * max(1.0, abs(got.value))
 
@@ -1370,6 +1374,24 @@ class TestVerificationSuite:
                 reported += 1
         # The list reaches both outcomes.
         assert 20 <= reported <= 180
+
+    def test_huge_map_174_exits_two_without_a_traceback(self, tmp_path):
+        # validate's Schur-Cohn step once squared these coefficients of h'
+        # past the float range before rescaling, and abs raised an
+        # OverflowError that escaped main: exit 1 with a traceback.
+        import harmarea
+        from harmarea.serialize import map_to_json
+
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(map_to_json(_huge_map(174))))
+        src = str(Path(harmarea.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmarea", "verify", "--map", str(path), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: the map's area integral overflows the float range\n"
 
     def test_claimed_rows_never_counted(self):
         rows = verification_suite(rotation_map(0.0))

@@ -443,7 +443,24 @@ def _roots_decision(coeffs):
 ULP_PAIR = (-0.7767808583035435 - 0.6297709886722399j, 0.8085397783429935 + 0.5884415237192758j)
 
 
+# Real and imaginary parts of magnitude 0 or in [2^-20, 4]: scaled by 2^k,
+# |k| <= 900, none is subnormal or leaves the float range.
+_part = st.just(0.0) | st.builds(
+    math.copysign, st.floats(2.0**-20, 4.0), st.sampled_from([1.0, -1.0])
+)
+
+
 class TestZeroFreeClosedDisk:
+    @given(st.lists(st.builds(complex, _part, _part), min_size=1, max_size=9), st.integers(-900, 900))
+    @example([complex(0.5, 0.25), complex(4.0, -3.0), complex(2.0**-20, 1.0)], 900)
+    @example([complex(3.0, 1.0), complex(-1.0, 0.5), complex(0.25, 0.125)], -900)
+    @settings(max_examples=300)
+    def test_decision_is_invariant_under_powers_of_two(self, coeffs, k):
+        # Each step scales p by an exact power of two before it squares the
+        # coefficients' scale, so 2^k p takes the same steps bit for bit.
+        scaled = [complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)) for c in coeffs]
+        assert _zero_free_closed_disk(scaled) is _zero_free_closed_disk(coeffs)
+
     @given(
         st.lists(
             st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),

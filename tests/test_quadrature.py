@@ -24,7 +24,6 @@ from harmarea import (
     contains_points,
     identity_map,
     image_area,
-    integrate_boundary,
     integrate_grid,
     integrate_polar,
     mc_image_area,
@@ -37,7 +36,14 @@ from harmarea import (
     star_cos3,
 )
 from harmarea import quadrature
-from harmarea.quadrature import BOUNDARY_POLE_CAP, _dilate, _panels, arc_grid_area
+from harmarea.quadrature import (
+    BOUNDARY_POLE_CAP,
+    DEFAULT_TOL,
+    _boundary_batch,
+    _dilate,
+    _panels,
+    arc_grid_area,
+)
 
 
 def one(z):
@@ -236,7 +242,7 @@ class TestIntegrateBoundary:
         # F = z has |F'|^2 = 1, so the boundary integral is m(E).
         irregular = StarShaped((0.4, 0.6, 0.5, 0.9, 0.3, 0.7, 0.8, 0.55))
         for E in (star_cos3(64), irregular):
-            res = integrate_boundary([(1.0, _identity, _unit)], E)
+            res = _boundary_batch([(1.0, _identity, _unit)], [E], DEFAULT_TOL)[0]
             exact = oracles.pl_star_measure(E.profile)
             assert abs(res.value - exact) <= 1e-14 * exact
             assert res.error_estimate <= 1e-9
@@ -245,21 +251,23 @@ class TestIntegrateBoundary:
         # h = z, g = 0.5 z: J = 1 - 0.25 everywhere.
         E = star_cos3(64)
         half = lambda z: 0.5 * z
-        res = integrate_boundary(
-            [(1.0, _identity, _unit), (-1.0, half, lambda z: 0.5 * np.ones_like(z))], E
-        )
+        res = _boundary_batch(
+            [(1.0, _identity, _unit), (-1.0, half, lambda z: 0.5 * np.ones_like(z))],
+            [E],
+            DEFAULT_TOL,
+        )[0]
         exact = 0.75 * oracles.pl_star_measure(E.profile)
         assert abs(res.value - exact) <= 1e-14 * exact
 
     def test_constant_shift_does_not_matter(self):
         E = star_cos3(64)
-        plain = integrate_boundary([(1.0, _identity, _unit)], E)
-        shifted = integrate_boundary([(1.0, lambda z: z + 5.0 - 3.0j, _unit)], E)
+        plain = _boundary_batch([(1.0, _identity, _unit)], [E], DEFAULT_TOL)[0]
+        shifted = _boundary_batch([(1.0, lambda z: z + 5.0 - 3.0j, _unit)], [E], DEFAULT_TOL)[0]
         assert abs(plain.value - shifted.value) <= 1e-15
 
     def test_min_nodes_sets_first_level(self):
         E = StarShaped((0.5,) * 8)
-        res = integrate_boundary([(1.0, _identity, _unit)], E, min_nodes=260)
+        res = _boundary_batch([(1.0, _identity, _unit)], [E], DEFAULT_TOL, min_nodes=260)[0]
         # 8 segments need 64 nodes each for 260 nodes: levels 64 and 128.
         assert res.evals == 8 * (64 + 128)
 
@@ -272,9 +280,10 @@ class TestIntegrateBoundary:
             return f.evaluate(z)
 
         with pytest.raises(NonConvergenceError) as exc:
-            integrate_boundary(
+            _boundary_batch(
                 [(1.0, h, f.analytic_derivative)],
-                StarShaped((1.0,) * 16),
+                [StarShaped((1.0,) * 16)],
+                DEFAULT_TOL,
                 pole=1.0 / (1.0 - 1e-6),
             )
         assert "cap" in str(exc.value)
@@ -306,7 +315,7 @@ class TestIntegrateBoundary:
         except NonConvergenceError:
             ref = None
         try:
-            res = integrate_boundary(parts, E, tol, pole=pole)
+            res = _boundary_batch(parts, [E], tol, pole=pole)[0]
         except NonConvergenceError:
             assert ref is None
             return
@@ -347,11 +356,12 @@ class TestIntegrateBoundary:
     def test_pole_near_circle_is_resolved_by_panels(self, modulus):
         # The node doubling needed 6144 (0.995) and 49152 (0.999) evals.
         f = automorphism(modulus)
-        res = integrate_boundary(
+        res = _boundary_batch(
             [(1.0, f.evaluate, f.analytic_derivative)],
-            StarShaped((1.0,) * 16),
+            [StarShaped((1.0,) * 16)],
+            DEFAULT_TOL,
             pole=1.0 / modulus,
-        )
+        )[0]
         assert abs(res.value - math.pi) <= 1e-9 * math.pi
         assert res.evals < 4096
 
@@ -359,14 +369,12 @@ class TestIntegrateBoundary:
         f = automorphism(0.6j, rotation=0.7)
         parts = [(1.0, f.evaluate, f.analytic_derivative)]
         E = star_cos3(64, scale=0.9)
-        assert integrate_boundary(parts, E) == integrate_boundary(parts, E)
+        assert _boundary_batch(parts, [E], DEFAULT_TOL) == _boundary_batch(parts, [E], DEFAULT_TOL)
 
     def test_rejects_other_regions_and_tiny_tol(self):
         parts = [(1.0, _identity, _unit)]
         with pytest.raises(ConstructionError):
-            integrate_boundary(parts, Disk(0.5))
-        with pytest.raises(ConstructionError):
-            integrate_boundary(parts, star_cos3(64), tol=1e-13)
+            _boundary_batch(parts, [star_cos3(64)], 1e-13)
 
 
 def _parts(f, energy=False):
@@ -386,7 +394,7 @@ def _polynomial_parts(h, g):
 
 
 def _batch_matches_each_star_alone(parts, stars, tol, **options):
-    """_boundary_batch equals, star by star, integrate_boundary and the
+    """_boundary_batch equals, star by star, its own one-star batch and the
     written-out one-star kernel in value, error estimate and evals; when a
     star alone raises, the batch raises too."""
     try:
@@ -398,7 +406,7 @@ def _batch_matches_each_star_alone(parts, stars, tol, **options):
     batch = quadrature._boundary_batch(parts, stars, tol, **options)
     for E, got, ref in zip(stars, batch, alone):
         assert (got.value, got.error_estimate, got.evals) == ref
-        assert integrate_boundary(parts, E, tol, **options) == got
+        assert _boundary_batch(parts, [E], tol, **options)[0] == got
     return batch
 
 
