@@ -451,7 +451,10 @@ _part = st.just(0.0) | st.builds(
 
 
 class TestZeroFreeClosedDisk:
-    @given(st.lists(st.builds(complex, _part, _part), min_size=1, max_size=9), st.integers(-900, 900))
+    @given(
+        st.lists(st.builds(complex, _part, _part), min_size=1, max_size=9),
+        st.integers(-900, 900),
+    )
     @example([complex(0.5, 0.25), complex(4.0, -3.0), complex(2.0**-20, 1.0)], 900)
     @example([complex(3.0, 1.0), complex(-1.0, 0.5), complex(0.25, 0.125)], -900)
     @settings(max_examples=300)
