@@ -502,8 +502,10 @@ def sp_ratio(f: HarmonicMap, z: complex) -> float:
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("sp_ratio needs |z| < 1")
-    fz = complex(f.evaluate(z))
-    denom = 1.0 - abs(fz) ** 2
+    a = abs(complex(f.evaluate(z)))
+    if a >= 1.0:  # before the square, which overflows past 1.34e154
+        return math.inf
+    denom = 1.0 - a ** 2
     if denom < 1e-12:
         return math.inf
     num = (1.0 - abs(z) ** 2) ** 2

@@ -223,10 +223,7 @@ def affine(alpha: complex) -> PolynomialMap:
     _require_finite([alpha], "alpha")
     if abs(alpha) >= 1.0:
         raise ConstructionError("affine map requires |alpha| < 1")
-    return PolynomialMap(
-        h=AnalyticSeries((0j, 1 + 0j)),
-        g=AnalyticSeries((0j, alpha.conjugate())),
-    )
+    return raw_polynomial([0, 1], [0, alpha.conjugate()])
 
 
 def shear(alpha: complex, power: int = 2) -> PolynomialMap:
@@ -241,11 +238,7 @@ def shear(alpha: complex, power: int = 2) -> PolynomialMap:
         raise ConstructionError("shear power must be >= 2")
     if power * abs(alpha) >= 1.0:
         raise ConstructionError("shear requires power * |alpha| < 1")
-    g_coeffs = [0j] * power + [alpha]
-    return PolynomialMap(
-        h=AnalyticSeries((0j, 1 + 0j)),
-        g=AnalyticSeries(tuple(g_coeffs)),
-    )
+    return raw_polynomial([0, 1], [0] * power + [alpha])
 
 
 def automorphism(a: complex, rotation: float = 0.0) -> DiskAutomorphism:
@@ -274,10 +267,7 @@ def rescaled_affine(alpha: float) -> PolynomialMap:
     if abs(alpha) >= 1.0:
         raise ConstructionError("affine map requires |alpha| < 1")
     s = 1.0 / (1.0 + abs(alpha))
-    return PolynomialMap(
-        h=AnalyticSeries((0j, s + 0j)),
-        g=AnalyticSeries((0j, alpha.conjugate() * s)),
-    )
+    return raw_polynomial([0, s], [0, alpha.conjugate() * s])
 
 
 @dataclass(frozen=True)
@@ -446,13 +436,17 @@ def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
         if m > CIRCLE_SAMPLES:
             values = _horner_rows(derivatives[live], m)
             abs_h = np.abs(values[:, 0])
-        ratio = np.abs(values[:, 1] / values[:, 0])
+        with np.errstate(over="ignore"):  # an infinite ratio is a reversal
+            ratio = np.abs(values[:, 1] / values[:, 0])
         k = ratio.max(axis=1)
         reversing = k >= 1.0 - SENSE_MARGIN
         # T > 0 at every sample of a row that is not reversing.  The samples
         # see max T only up to the same factor: the true max is at most the
-        # sampled one / (1 - step).  A power-of-two scale per row keeps T finite.
+        # sampled one / (1 - step).  A power-of-two scale per row keeps T
+        # finite, and so does the ratio clipped at 1 (in place, k is read),
+        # which moves only reversing rows.
         scaled = np.ldexp(abs_h, -np.frexp(abs_h.max(axis=1))[1][:, None])
+        np.minimum(ratio, 1.0, out=ratio)
         t = scaled * scaled * ((1.0 - SENSE_MARGIN) ** 2 - ratio * ratio)
         step = math.pi * d / m
         positive = (step < 1.0) & (t.min(axis=1) * (1.0 - step) > step * t.max(axis=1))

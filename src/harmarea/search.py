@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -65,49 +64,52 @@ def _check_range(name: str, rng) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class AffineFamily:
-    """Maps z + alpha conj(z) with real alpha in the given range."""
+class _Family:
+    """A family's parameter box and document kind, each stated once: RANGES
+    names its [lo, hi] fields, checked in order and read as its continuous
+    bounds, and KIND is its family document's "kind"."""
 
-    alpha_range: tuple[float, float]
+    RANGES: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "alpha_range", _check_range("alpha", self.alpha_range)
-        )
-
-    param_names = ("alpha",)
+        for name in self.RANGES:
+            rng = _check_range(name.removesuffix("_range"), getattr(self, name))
+            object.__setattr__(self, name, rng)
 
     def continuous_bounds(self):
-        return (self.alpha_range,)
+        return tuple(getattr(self, name) for name in self.RANGES)
 
     def discrete_axes(self):
         return ()
+
+
+@dataclass(frozen=True)
+class AffineFamily(_Family):
+    """Maps z + alpha conj(z) with real alpha in the given range."""
+
+    alpha_range: tuple[float, float]
+    RANGES, KIND = ("alpha_range",), "affine"
+    param_names = ("alpha",)
 
     def construct(self, params) -> HarmonicMap:
         return affine(params[0])
 
 
 @dataclass(frozen=True)
-class ShearFamily:
+class ShearFamily(_Family):
     """Maps z + alpha conj(z)^p, alpha in a range, p from a finite set."""
 
     alpha_range: tuple[float, float]
     powers: tuple[int, ...] = (2,)
+    RANGES, KIND = ("alpha_range",), "shear"
+    param_names = ("alpha", "power")
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "alpha_range", _check_range("alpha", self.alpha_range)
-        )
+        super().__post_init__()
         powers = tuple(_whole(p, "shear power") for p in self.powers)
         if not powers or any(not 2 <= p <= DEGREE_CAP for p in powers):
             raise ConstructionError(f"shear powers must be nonempty ints in [2, {DEGREE_CAP}]")
         object.__setattr__(self, "powers", powers)
-
-    param_names = ("alpha", "power")
-
-    def continuous_bounds(self):
-        return (self.alpha_range,)
 
     def discrete_axes(self):
         return (tuple(float(p) for p in self.powers),)
@@ -117,41 +119,31 @@ class ShearFamily:
 
 
 @dataclass(frozen=True)
-class AutomorphismFamily:
+class AutomorphismFamily(_Family):
     """Automorphisms with |a| and rotation each from a range (a real >= 0)."""
 
     modulus_range: tuple[float, float]
     rotation_range: tuple[float, float]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "modulus_range", _check_range("modulus", self.modulus_range)
-        )
-        object.__setattr__(
-            self, "rotation_range", _check_range("rotation", self.rotation_range)
-        )
-        if self.modulus_range[0] < 0.0:
-            raise ConstructionError("modulus range must be nonnegative")
-
+    RANGES, KIND = ("modulus_range", "rotation_range"), "automorphism"
     param_names = ("modulus", "rotation")
 
-    def continuous_bounds(self):
-        return (self.modulus_range, self.rotation_range)
-
-    def discrete_axes(self):
-        return ()
+    def __post_init__(self):
+        super().__post_init__()
+        if self.modulus_range[0] < 0.0:
+            raise ConstructionError("modulus range must be nonnegative")
 
     def construct(self, params) -> HarmonicMap:
         return automorphism(params[0], params[1])
 
 
 @dataclass(frozen=True)
-class RawBall:
+class RawBall(_Family):
     """Real-coefficient polynomial pairs h = z + sum a_k z^k (k >= 2) and
     g = sum b_k z^k (k >= 1), every coefficient bounded in magnitude."""
 
     degree: int
     coeff_bound: float
+    KIND = "rawball"
 
     def __post_init__(self):
         degree = _whole(self.degree, "degree")
@@ -173,9 +165,6 @@ class RawBall:
         b = self.coeff_bound
         return tuple((-b, b) for _ in self.param_names)
 
-    def discrete_axes(self):
-        return ()
-
     def coefficients(self, params: np.ndarray) -> np.ndarray:
         """Ascending coefficients of h and g, shape (N, 2, degree + 1), for
         N rows of parameters: the rows maps.validate_rows takes."""
@@ -190,14 +179,11 @@ class RawBall:
         return raw_polynomial(h, g)
 
 
-FamilyKind = Union[AffineFamily, ShearFamily, AutomorphismFamily, RawBall]
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A searchable family plus feasibility constraints."""
 
-    kind: FamilyKind
+    kind: _Family
     require_self_map: bool = False
     require_sense_preserving: bool = True
 

@@ -123,12 +123,7 @@ _REGIONS = _table(
     star=lambda profile: StarShaped([_number(v, "profile value") for v in profile]),
     grid=_grid,
 )
-_FAMILIES = {
-    "affine": AffineFamily,
-    "shear": ShearFamily,
-    "automorphism": AutomorphismFamily,
-    "rawball": RawBall,
-}
+_FAMILIES = {cls.KIND: cls for cls in (AffineFamily, ShearFamily, AutomorphismFamily, RawBall)}
 _SPECS = {kind: (functools.partial(_family, cls), {**keys, **_FLAGS})
           for kind, (cls, keys) in _table(**_FAMILIES).items()}
 
@@ -196,12 +191,8 @@ def family_from_json(doc: dict) -> FamilySpec:
 
 
 def family_to_json(spec: FamilySpec) -> dict:
-    kind = spec.kind
-    names = [name for name, cls in _FAMILIES.items() if isinstance(kind, cls)]
-    if not names:
-        raise ParseError(f"cannot serialize family of type {type(kind).__name__}")
-    doc = {"kind": names[0]}
-    for key, value in asdict(kind).items():
+    doc = {"kind": spec.kind.KIND}
+    for key, value in asdict(spec.kind).items():
         doc[key] = list(value) if isinstance(value, tuple) else value
     for flag in fields(FamilySpec)[1:]:
         doc[flag.name] = getattr(spec, flag.name)

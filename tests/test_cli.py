@@ -477,6 +477,10 @@ class TestInputContract:
              "bad family document: shear powers must be nonempty ints in [2, 64]"),
             ("--family", {"kind": "affine", "alpha_range": ["0", "0.3"]},
              "bad family document: alpha range must be a finite [lo, hi] interval"),
+            ("--family", {"kind": "automorphism", "modulus_range": [0, 2, 3], "rotation_range": [0, 1]},
+             "bad family document: modulus range must be a finite [lo, hi] interval"),
+            ("--family", {"kind": "automorphism", "modulus_range": [0, 0.5], "rotation_range": [1, 0]},
+             "bad family document: rotation range must be a finite [lo, hi] interval"),
         ],
     )
     def test_misread_document(self, capsys, tmp_path, flag, doc, message):

@@ -1080,6 +1080,20 @@ class TestSmallSetThreshold:
         assert got == small_set_threshold(f, Disk(0.9))
 
 
+def _harmarea(*argv):
+    """The CLI run in a child process on this checkout's package."""
+    import harmarea
+
+    src = str(Path(harmarea.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "harmarea", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+HUGE_H = raw_polynomial((0.0, 1e200), (0.0,))  # |f(0.5)| squared overflows
+
+
 class TestSpRatio:
     @given(disk_points)
     def test_rotation_is_one(self, z):
@@ -1101,6 +1115,21 @@ class TestSpRatio:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             sp_ratio(identity_map(), 1.0)
+
+    def test_huge_image_is_infinite_without_overflow(self):
+        assert sp_ratio(HUGE_H, 0.5) == math.inf
+
+    def test_huge_image_search_exits_zero_without_a_traceback(self, tmp_path):
+        # In a child process: the jacobian at z = 0 still overflows with a
+        # RuntimeWarning, which this suite turns into an error.
+        from harmarea.serialize import map_to_json
+
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(map_to_json(HUGE_H)))
+        proc = _harmarea("search", "--map", str(path), "--r", "0.5", "--out", str(tmp_path))
+        assert proc.returncode == 0
+        assert "value=inf" in proc.stdout
+        assert "Traceback" not in proc.stderr
 
     def test_affine_formula(self):
         z = 0.3 - 0.2j
@@ -1379,17 +1408,11 @@ class TestVerificationSuite:
         # validate's Schur-Cohn step once squared these coefficients of h'
         # past the float range before rescaling, and abs raised an
         # OverflowError that escaped main: exit 1 with a traceback.
-        import harmarea
         from harmarea.serialize import map_to_json
 
         path = tmp_path / "map.json"
         path.write_text(json.dumps(map_to_json(_huge_map(174))))
-        src = str(Path(harmarea.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "harmarea", "verify", "--map", str(path), "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _harmarea("verify", "--map", str(path), "--out", str(tmp_path))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: the map's area integral overflows the float range\n"
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -376,6 +377,22 @@ class TestSenseCertificate:
         rep = validate(raw_polynomial((0.0, 1e160), (0.0,)))
         assert rep.sense_preserving and rep.certified
         assert rep.sup_abs_dilatation == 0.0
+
+    @pytest.mark.parametrize(
+        "h, g, sup_k",
+        [
+            ((0.0, 1.0), (0.0, 1e200), 1e200),  # ratio * ratio overflows
+            ((0.0, 1e-5), (0.0, 1e305), math.inf),  # g'/h' overflows
+            ((0.0, 1.0, 0.3), (0.0, 0.0, 1e180), 5e180),  # 2e180 / |h'(-1)|
+        ],
+    )
+    def test_huge_dilatation_is_a_certified_reversal_without_warnings(self, h, g, sup_k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate(raw_polynomial(h, g))
+        assert not rep.sense_preserving and rep.certified
+        # The dilatation is read from the unclipped ratio.
+        assert rep.sup_abs_dilatation == sup_k
 
     @pytest.mark.parametrize(
         "f",

@@ -29,6 +29,7 @@ from harmarea import (
 from harmarea.distortion import VerificationReport
 from harmarea.search import AffineFamily, AutomorphismFamily, ShearFamily, SweepRow
 from harmarea.serialize import (
+    _FAMILIES,
     ParseError,
     family_from_json,
     family_to_json,
@@ -223,6 +224,47 @@ class TestFamilyRoundTrip:
     def test_range_must_be_two_numbers(self, value):
         with pytest.raises(ParseError, match=r"^bad family document: alpha range must be"):
             family_from_json({"kind": "affine", "alpha_range": value})
+
+    @pytest.mark.parametrize(
+        "modulus, rotation, message",
+        [
+            ([0.0, "0.5"], [0.0, 1.0], "modulus range must be a finite [lo, hi] interval"),
+            ([0.5, 0.1], [0.0, 1.0], "modulus range must be a finite [lo, hi] interval"),
+            ([-0.1, 0.5], [0.0, 1.0], "modulus range must be nonnegative"),
+            ([0.0, 0.5], [0.0, math.inf], "rotation range must be a finite [lo, hi] interval"),
+            ([0.0, 0.5], [1.0], "rotation range must be a finite [lo, hi] interval"),
+            # The ranges are checked in order, then the sign of the modulus.
+            ([0.5, 0.1], [1.0, 0.0], "modulus range must be a finite [lo, hi] interval"),
+            ([-0.1, 0.5], [1.0, 0.0], "rotation range must be a finite [lo, hi] interval"),
+        ],
+    )
+    def test_automorphism_ranges_refused(self, modulus, rotation, message):
+        doc = {"kind": "automorphism", "modulus_range": modulus, "rotation_range": rotation}
+        with pytest.raises(ParseError) as excinfo:
+            family_from_json(doc)
+        assert str(excinfo.value) == f"bad family document: {message}"
+
+    # One document of each kind, its range fields in the order the kind declares.
+    KIND_EXAMPLES = {
+        "affine": {"alpha_range": [0.1, 0.4]},
+        "shear": {"alpha_range": [0.0, 0.3], "powers": [2, 3]},
+        "automorphism": {"modulus_range": [0.2, 0.5], "rotation_range": [-1.0, 1.0]},
+        "rawball": {"degree": 2, "coeff_bound": 0.1},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(_FAMILIES))
+    def test_kind_states_its_box_once(self, kind):
+        assert sorted(self.KIND_EXAMPLES) == sorted(_FAMILIES)
+        doc = self.KIND_EXAMPLES[kind]
+        family = family_from_json({"kind": kind, **doc}).kind
+        assert type(family) is _FAMILIES[kind] and family.KIND == kind
+        assert family.RANGES == tuple(key for key in doc if key.endswith("_range"))
+        if family.RANGES:
+            assert family.continuous_bounds() == tuple(getattr(family, key) for key in family.RANGES)
+            assert family.continuous_bounds() == tuple(tuple(doc[key]) for key in family.RANGES)
+        else:  # rawball: every coefficient in [-coeff_bound, coeff_bound]
+            assert family.continuous_bounds() == ((-0.1, 0.1),) * 3  # h2, g1, g2
+        assert family_to_json(FamilySpec(family))["kind"] == kind
 
     @pytest.mark.parametrize(
         "doc",
