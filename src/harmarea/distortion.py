@@ -509,7 +509,9 @@ def sp_ratio(f: HarmonicMap, z: complex) -> float:
     if denom < 1e-12:
         return math.inf
     num = (1.0 - abs(z) ** 2) ** 2
-    return float(f.jacobian(z)) * num / (denom * denom)
+    with np.errstate(over="ignore"):  # an infinite J is an infinite ratio
+        jacobian = float(f.jacobian(z))
+    return jacobian * num / (denom * denom)
 
 
 @dataclass(frozen=True)

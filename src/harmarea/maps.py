@@ -61,6 +61,8 @@ def _whole(value, what: str) -> int:
 
 
 def _check_disk(z) -> None:
+    if isinstance(z, complex) and abs(z) <= 1.0 + DOMAIN_EPS:
+        return  # the scalar case of the test below, without building an array
     arr = np.asarray(z)
     # One pass: a nan or an inf fails it too.  Only a failure looks at why.
     if not np.all(np.abs(arr) <= 1.0 + DOMAIN_EPS):
@@ -105,7 +107,12 @@ class AnalyticSeries:
         return result
 
     def derivative(self) -> "AnalyticSeries":
-        """Coefficient k of the output is (k+1)*c_{k+1}; constants map to [0]."""
+        """Coefficient k of the output is (k+1)*c_{k+1}; constants map to [0].
+        Built once per series, which is immutable."""
+        return self._derivative
+
+    @functools.cached_property
+    def _derivative(self) -> "AnalyticSeries":
         if self.degree == 0:
             return AnalyticSeries((0j,))
         return AnalyticSeries(
@@ -122,9 +129,10 @@ class PolynomialMap:
 
     def evaluate(self, z):
         _check_disk(z)
-        return self.h._evaluate_unchecked(z) + np.conjugate(
-            self.g._evaluate_unchecked(z)
-        )
+        return self._evaluate_unchecked(z)
+
+    def _evaluate_unchecked(self, z):
+        return self.h._evaluate_unchecked(z) + np.conjugate(self.g._evaluate_unchecked(z))
 
     def jacobian(self, z):
         """|h'(z)|^2 - |g'(z)|^2."""
@@ -458,6 +466,32 @@ def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
         live, d = live[undecided], d[undecided]
         m *= 2
     return RowValidity(sense, sup_k, sup_f, certified, critical)
+
+
+def _coefficient_certificate(coefficients: np.ndarray, self_map: bool) -> np.ndarray:
+    """Rows of coefficients (as validate_rows takes them) that validate_rows
+    calls sense-preserving with no CriticalPointError, and a self-map when
+    self_map is set, decided from the coefficients alone.
+
+    On |z| <= 1, |h'| >= low = |a_1| - sum_{k>=2} k|a_k| and |g'| <= sum k|b_k|,
+    |f| <= sum |a_k| + sum |b_k| (Avci and Zlotkiewicz, 1990).  So when low
+    > 0, h' is strictly diagonally dominant: zero-free by Schur-Cohn, whose
+    steps keep the relative margin.  The factors 1 - 1e-6 cover rounding in
+    the samples and the Schur-Cohn steps, and low > 1e-10 keeps |h'| past
+    CRITICAL_EPS.  Sums that overflow, and nans, certify nothing.
+    """
+    if coefficients.shape[-1] < 2:
+        return np.zeros(len(coefficients), bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(coefficients)
+        weighted = mags[:, :, 1:] * np.arange(1, coefficients.shape[-1])
+        a1 = mags[:, 0, 1]
+        low = a1 - weighted[:, 0, 1:].sum(axis=1)
+        sure = (low > 1e-6 * a1) & (low > 1e-10)
+        sure &= weighted[:, 1].sum(axis=1) < (1.0 - 1e-6) * (1.0 - SENSE_MARGIN) * low
+        if self_map:
+            sure &= mags.sum(axis=(1, 2)) <= 1.0 - 1e-6
+    return sure
 
 
 def validate_maps(maps) -> RowValidity:

@@ -421,15 +421,18 @@ def _raster_pass(f, E: Region, n: int, rng) -> tuple[float, int]:
         sizes = [c.size for c in centers]
         jitter = rng.uniform(-0.5, 0.5, size=(2, sum(sizes))) / n
         parts = np.split(jitter, np.cumsum(sizes)[:-1], axis=1)
-        centers = [c + j[0] + 1j * j[1] for c, j in zip(centers, parts)]
+        for c, (jx, jy) in zip(centers, parts):
+            c.real, c.imag = c.real + jx, c.imag + jy  # c is a fresh copy
         centers = [c[np.abs(c) < 1.0] for c in centers]
+    # Every center lies in the open unit disk, so the domain check is skipped.
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite extremes raise below
-        images = [np.asarray(f.evaluate(c)) for c in centers if c.size]
+        images = [np.asarray(f._evaluate_unchecked(c)) for c in centers if c.size]
     if not images:
         return 0.0, 0
-    ends = [(w.real.min(), w.real.max(), w.imag.min(), w.imag.max()) for w in images]
+    ends = np.array([(w.real.min(), w.real.max(), w.imag.min(), w.imag.max()) for w in images])
     # Rounded +, / by cell > 0 and floor are monotone, so the extremes decide
-    # if every bin index lies in [0, n); np.min and np.max keep a nan.
+    # if every bin index lies in [0, n), and bound the occupied box; np.min
+    # and np.max keep a nan.
     lo, hi = float(np.min(ends)), float(np.max(ends))
     half_width = 2.0
     while True:
@@ -439,12 +442,19 @@ def _raster_pass(f, E: Region, n: int, rng) -> tuple[float, int]:
         if (lo + half_width) / cell >= 0 and (hi + half_width) / cell < n:
             break
         half_width *= 2.0
-    occ = np.zeros(n * n, dtype=bool)
+    # The box of occupied bins, padded by the dilation's one cell and clipped
+    # to the window: no cell outside it is occupied or dilated.
+    x0, y0 = (((ends[:, ::2].min(axis=0) + half_width) / cell).astype(np.intp) - 1).clip(0)
+    x1, y1 = (((ends[:, 1::2].max(axis=0) + half_width) / cell).astype(np.intp) + 2).clip(0, n)
+    width = x1 - x0
+    occ = np.zeros((y1 - y0) * width, dtype=bool)
     for w in images:
         # Every coordinate is >= 0 in the window, so astype truncates as floor.
-        iy = ((w.imag + half_width) / cell).astype(np.intp)
-        occ[iy * n + ((w.real + half_width) / cell).astype(np.intp)] = True
-    area = float(np.count_nonzero(_dilate(occ.reshape(n, n)))) * cell * cell
+        index = ((w.imag + half_width) / cell).astype(np.intp) - y0
+        index *= width
+        index += ((w.real + half_width) / cell).astype(np.intp) - x0
+        occ[index] = True
+    area = float(np.count_nonzero(_dilate(occ.reshape(-1, width)))) * cell * cell
     if not math.isfinite(area):
         raise ConstructionError("the map's image overflows every raster window")
     return area, sum(w.size for w in images)

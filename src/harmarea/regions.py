@@ -231,7 +231,8 @@ def _member_blocks(E: Region, n: int):
     step = max(1, BLOCK // n)
     for r in range(cols.start, cols.stop, step):
         rows = slice(r, min(r + step, cols.stop))
-        z = axis[None, cols] + 1j * axis[rows, None]
+        z = np.empty((rows.stop - rows.start, cols.stop - cols.start), dtype=complex)
+        z.real, z.imag = axis[None, cols], axis[rows, None]
         inside = contains_points(E, z)
         if isinstance(E, PixelGrid):
             inside &= np.abs(z) < 1.0

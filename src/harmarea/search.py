@@ -9,12 +9,13 @@ lattice point found (row-major order), so runs are fully deterministic for
 a fixed seed.
 
 The lattice, of sweep and of maximize_area_ratio alike, is scored in
-blocks of rows, not one map at a time.  A block is validated in one pass,
-as columns: maps.validate_maps on its maps, or maps.validate_rows on RawBall
-rows.  A RawBall row, whose parameters are its coefficients, needs no map
-object at all: on a disk its area is the closed form of
-distortion.disk_series_rows, one fsum per row.  Only an area on a star or a
-pixel grid builds the map.  The result is bit for bit the one-map-at-a-time
+blocks of rows, not one map at a time.  A row whose coefficients certify
+it (maps._coefficient_certificate) is feasible with no circle samples; the
+rest of a block is validated in one pass, as columns: maps.validate_maps on
+automorphisms, or maps.validate_rows on coefficient rows.  A RawBall row,
+whose parameters are its coefficients, needs no map object at all: on a
+disk its area is the closed form of distortion.disk_series_rows, one fsum
+per row.  Only an area on a star or a pixel grid builds the map.  The result is bit for bit the one-map-at-a-time
 result: the same notes, ratios, incumbent, trace and evaluation count.
 Each simplex vertex is scored as a one-row block of the same pass, so
 lattice and simplex share one feasibility decision, one area rule and one
@@ -33,12 +34,15 @@ from .distortion import disk_series_rows, image_area, sp_ratio
 from .errors import BudgetError, ConstructionError, HypothesisError
 from .maps import (
     DEGREE_CAP,
+    DiskAutomorphism,
     HarmonicMap,
     RowValidity,
+    _coefficient_certificate,
     _number,
     _whole,
     affine,
     automorphism,
+    coefficient_rows,
     raw_polynomial,
     shear,
     validate_maps,
@@ -288,9 +292,11 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     area(i) is image_area(f, E, tol, check_sense=False).value for row i's
     map f, or nan when f cannot be constructed.
 
-    The block's maps, kept by row, are validated in one pass, by
-    maps.validate_maps, or by maps.validate_rows on RawBall coefficient rows;
-    FamilySpec._violations reads the notes off the columns.  A RawBall row is
+    Rows that maps._coefficient_certificate decides are feasible, and so
+    are automorphisms but for a required self-map.  The others are validated
+    in one pass, by maps.validate_maps on automorphisms, else validate_rows
+    on coefficient rows; FamilySpec._violations reads the notes off the
+    columns.  No row's decision depends on another row.  A RawBall row is
     its coefficient row, with no map object but for an area on a region other
     than a disk.
     """
@@ -308,9 +314,23 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
                 notes[i] = f"construction: {exc}"
         built = list(maps)
     if built and (family.require_self_map or family.require_sense_preserving):
-        validity = validate_rows(rows, degree) if raw else validate_maps(list(maps.values()))
-        for j, why in family._violations(validity).items():
-            notes[built[j]] = f"constraint: {why}"
+        # Certified rows get no note from validate_rows either: skip them.
+        conformal = not raw and isinstance(maps[built[0]], DiskAutomorphism)
+        if conformal:
+            sure = np.full(len(built), not family.require_self_map)
+        else:
+            if not raw:
+                rows, degree = coefficient_rows(list(maps.values()))
+            sure = _coefficient_certificate(rows, family.require_self_map)
+        open_rows = np.flatnonzero(~sure).tolist()
+        if open_rows:
+            validity = (
+                validate_maps([maps[built[j]] for j in open_rows])
+                if conformal
+                else validate_rows(rows[open_rows], degree[open_rows])
+            )
+            for j, why in family._violations(validity).items():
+                notes[built[open_rows[j]]] = f"constraint: {why}"
 
     if raw and isinstance(E, Disk):
         check_tol(tol)

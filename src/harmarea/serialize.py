@@ -86,7 +86,7 @@ def _grid(n, mask) -> PixelGrid:
     if len(raw) != size:
         raise ParseError(f"grid mask must be {size} bytes for n = {n}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * n)
-    return PixelGrid(n=n, mask=bits.astype(bool).reshape(n, n))
+    return PixelGrid(n=n, mask=bits.view(bool).reshape(n, n))
 
 
 def _flag(value, key: str) -> bool:

@@ -18,8 +18,9 @@ node_doubling_boundary keeps the boundary kernel that resolved a pole by
 raising the node count on every profile segment, as the reference for the
 graded boundary panels.  star_contains_whole and mc_image_area_whole keep
 the star membership that interpolates the profile at every point and the
-raster estimate built on full-length np.nonzero centers, as the references
-for the radius-first membership and the row-block centers.
+raster estimate built on full-length np.nonzero centers and binned on the
+whole n x n window, as the references for the radius-first membership, the
+row-block centers and the occupied box that the raster pass bins into.
 horner_from_zero and check_disk_three_pass keep series evaluation from a
 zero start and the domain check's three separate passes, as the references
 for the leading-coefficient start and the one-pass check.

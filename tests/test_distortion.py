@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1119,9 +1120,14 @@ class TestSpRatio:
     def test_huge_image_is_infinite_without_overflow(self):
         assert sp_ratio(HUGE_H, 0.5) == math.inf
 
+    def test_huge_jacobian_is_infinite_without_a_warning(self):
+        # J(0) = |h'(0)|^2 = 1e400 overflows: the documented infinite ratio.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sp_ratio(HUGE_H, 0j) == math.inf
+
     def test_huge_image_search_exits_zero_without_a_traceback(self, tmp_path):
-        # In a child process: the jacobian at z = 0 still overflows with a
-        # RuntimeWarning, which this suite turns into an error.
+        # In a child process, where numpy's warnings print rather than raise.
         from harmarea.serialize import map_to_json
 
         path = tmp_path / "map.json"
@@ -1129,7 +1135,7 @@ class TestSpRatio:
         proc = _harmarea("search", "--map", str(path), "--r", "0.5", "--out", str(tmp_path))
         assert proc.returncode == 0
         assert "value=inf" in proc.stdout
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stderr == ""
 
     def test_affine_formula(self):
         z = 0.3 - 0.2j

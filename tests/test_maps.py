@@ -1,6 +1,7 @@
 """Map construction, evaluation, and validation."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -117,13 +118,21 @@ class TestAnalyticSeries:
             float(np.nextafter(1.0 + DOMAIN_EPS, 2.0)),
             complex(0.0, np.nextafter(1.0 + DOMAIN_EPS, 2.0)),
             3.0 - 4.0j,
+            1.0 + 2e-12,
+            0.6 + (0.8 + 2e-12) * 1j,
+            1.0 + 0.5 * DOMAIN_EPS,
         ],
         ids=repr,
     )
-    @pytest.mark.parametrize("shape", ["scalar", "array", "after-outside"])
+    @pytest.mark.parametrize(
+        "shape", ["scalar", "array", "after-outside", "complex", "complex128"]
+    )
     def test_domain_check_matches_three_passes(self, point, shape):
         z = {
             "scalar": point,
+            # A Python complex takes the scalar test; np.complex128 is one too.
+            "complex": complex(point),
+            "complex128": np.complex128(point),
             "array": np.array([0.5, point]),
             # An outside point first: a non-finite one still names finiteness.
             "after-outside": np.array([2.0, point, 0.1j]),
@@ -138,7 +147,36 @@ class TestAnalyticSeries:
             harmarea.maps._check_disk(z)
 
 
+    @pytest.mark.parametrize(
+        "coefficients", [(0.3,), (0.0, 1.0), (1.0, -2.0j, 0.5), (0.0,) * 64 + (1.0,)], ids=len
+    )
+    def test_derivative_is_built_once(self, coefficients):
+        s = AnalyticSeries(coefficients)
+        fresh = AnalyticSeries(coefficients)
+        before = (repr(s), hash(s))
+        d = s.derivative()
+        assert s.derivative() is d and d.derivative() is d.derivative()
+        assert d == AnalyticSeries(tuple((k + 1) * c for k, c in enumerate(coefficients[1:])) or (0j,))
+        # The memo is not a field: eq, hash and repr read the coefficients only.
+        assert (repr(s), hash(s)) == before == (repr(fresh), hash(fresh))
+        assert s == fresh and repr(s) == f"AnalyticSeries(coefficients={s.coefficients!r})"
+        assert [f.name for f in dataclasses.fields(s)] == ["coefficients"]
+
+
 class TestPolynomialMap:
+    @given(
+        st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1, max_size=9),
+        st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1, max_size=9),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_unchecked_evaluation_is_evaluate(self, h, g, seed):
+        f = raw_polynomial(h, g)
+        rng = np.random.default_rng(seed)
+        z = np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+        assert f._evaluate_unchecked(z).tobytes() == f.evaluate(z).tobytes()
+        for point in (complex(z[0]), z[1], 0j, 1.0):
+            assert repr(f._evaluate_unchecked(point)) == repr(f.evaluate(point))
+
     def test_affine_jacobian_constant(self):
         f = affine(0.5)
         for z in (0.0, 0.3 + 0.4j, -0.9j):
@@ -643,3 +681,114 @@ class TestWholeShearPower:
     def test_fraction_or_infinity_refused(self, power):
         with pytest.raises(ConstructionError, match=r"^shear power must be a whole number, not "):
             shear(0.3, power)
+
+
+# The certificate's bound on sum k|b_k| / low.
+_MARGIN = (1.0 - 1e-6) * (1.0 - SENSE_MARGIN)
+# A factor on one side of a threshold: 1e-7 from it, or anywhere around it.
+_NEAR = st.one_of(st.sampled_from([1.0 - 1e-7, 1.0 + 1e-7]), st.floats(0.0, 1.5))
+
+
+@st.composite
+def _certificate_row(draw):
+    """Coefficients (2, degree + 1) of h and g, degree 0 to 8, built at or
+    around each of the certificate's thresholds, at scales 1e-150 to 1e150."""
+    degree = draw(st.integers(0, 8))
+    unit = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    weights = np.array(draw(st.lists(unit, min_size=2 * degree + 2, max_size=2 * degree + 2)))
+    turns = np.array(draw(st.lists(unit, min_size=2 * degree + 2, max_size=2 * degree + 2)))
+    row = (weights * np.exp(2j * np.pi * turns)).reshape(2, degree + 1)
+    k = np.arange(degree + 1)
+    if degree >= 1:
+        row[0, 1] = np.exp(2j * np.pi * turns[1])
+        # sum_{k>=2} k|a_k| = 1 - low, with low = 1e-6 (at the first
+        # threshold) or anywhere in [-0.2, 1].
+        low = draw(st.one_of(_NEAR.map(lambda t: 1e-6 * t), st.floats(-0.2, 1.0)))
+        tail = np.sum(k[2:] * np.abs(row[0, 2:]))
+        if tail > 0.0:
+            row[0, 2:] *= (1.0 - low) / tail
+        # sum k|b_k| at the second threshold, or around it.
+        slope = np.sum(k[1:] * np.abs(row[1, 1:]))
+        if slope > 0.0 and low > 0.0:
+            row[1, 1:] *= draw(_NEAR) * _MARGIN * low / slope
+    row[:, 0] *= draw(st.floats(0.0, 0.5))
+    if draw(st.booleans()):
+        # The self-map threshold: sum |a_k| + sum |b_k| = 1 - 1e-6, or around it.
+        row *= draw(_NEAR) * (1.0 - 1e-6) / max(np.sum(np.abs(row)), 1e-300)
+    else:
+        row *= 10.0 ** draw(st.integers(-150, 150))
+    return row
+
+
+class TestCoefficientCertificate:
+    """maps._coefficient_certificate decides a row only where validate_rows
+    gives it no CriticalPointError and calls it sense-preserving (and, when
+    asked, a self-map): search feasibility can skip the circle there."""
+
+    @given(st.lists(_certificate_row(), min_size=1, max_size=8), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_certified_rows_are_feasible(self, rows, self_map):
+        n = max(row.shape[1] for row in rows)
+        coefficients = np.array([np.pad(row, ((0, 0), (0, n - row.shape[1]))) for row in rows])
+        sure = harmarea.maps._coefficient_certificate(coefficients, self_map)
+        validity = harmarea.maps.validate_rows(coefficients, np.array([r.shape[1] - 1 for r in rows]))
+        for i in np.flatnonzero(sure).tolist():
+            assert i not in validity.critical
+            assert validity.sense_preserving[i]
+            assert validity.self_map[i] or not self_map
+
+    def test_certifies_most_of_the_bench_rawball(self):
+        kind = RawBall(2, 0.25)
+        lattice = _lattice(kind.continuous_bounds(), (), 17)
+        coefficients = kind.coefficients(lattice)
+        sure = harmarea.maps._coefficient_certificate(coefficients, False)
+        validity = harmarea.maps.validate_rows(coefficients, np.full(len(lattice), 2))
+        assert sure.mean() > 0.9
+        assert validity.sense_preserving[sure].all()
+        assert not set(np.flatnonzero(sure).tolist()) & set(validity.critical)
+        # h = z + ...: sum |a_k| >= 1, so no row is a certified self-map.
+        assert not harmarea.maps._coefficient_certificate(coefficients, True).any()
+
+    @staticmethod
+    def _decide(h, g, self_map=False):
+        (coefficients, degree) = harmarea.maps.coefficient_rows([raw_polynomial(h, g)])
+        sure = harmarea.maps._coefficient_certificate(coefficients, self_map)
+        return bool(sure[0]), harmarea.maps.validate_rows(coefficients, degree)[0]
+
+    def test_weights_by_k(self):
+        # sum |b_k| = 0.6 < 1, but g' = 1.2 z reaches 1.2 on the circle.
+        sure, report = self._decide((0.0, 1.0), (0.0, 0.0, 0.6))
+        assert not sure and not report.sense_preserving and report.certified
+
+    def test_keeps_the_sense_margin(self):
+        # Between (1 - 1e-6)(1 - SENSE_MARGIN) and 1 - 1e-6: refused.
+        assert not self._decide((0.0, 1.0), (0.0, (1.0 - 1e-6) * (1.0 - SENSE_MARGIN / 2)))[0]
+        assert self._decide((0.0, 1.0), (0.0, (1.0 - 1e-6) * (1.0 - 2 * SENSE_MARGIN)))[0]
+
+    def test_keeps_the_relative_floor(self):
+        # low = 1 - 2|a_2| against 1e-6 |a_1|, far above the 1e-10 floor.
+        assert not self._decide((0.0, 1.0, (1.0 - 0.5e-6) / 2), (0.0,))[0]
+        assert self._decide((0.0, 1.0, (1.0 - 2e-6) / 2), (0.0,))[0]
+
+    def test_self_map_needs_the_coefficient_sum(self):
+        sure, report = self._decide((0.0, 1.5), (0.0, 0.1), self_map=True)
+        assert not sure and report.sense_preserving and not report.self_map
+        assert self._decide((0.0, 1.5), (0.0, 0.1))[0]
+        assert self._decide((0.1, 0.7), (0.05, 0.1), self_map=True)[0]
+
+    @pytest.mark.parametrize(
+        "h, g",
+        [
+            ((0.3,), (0.0,)),  # degree 0: h' = 0
+            ((0.0, 1e-11), (0.0,)),  # |h'| below the floor
+            ((0.0, 1.0, 0.5), (0.0,)),  # h' = 1 + z vanishes at -1
+        ],
+    )
+    def test_undecided_rows(self, h, g):
+        assert not self._decide(h, g)[0]
+
+    @pytest.mark.parametrize(
+        "row", [[[0, 1e308 + 1e308j, 0], [0, 0, 0]], [[0, 1e308, 1e308], [0, 0, 0]], [[0, 1, 0], [1e308, 0, 1e308]]]
+    )
+    def test_overflowing_sums_certify_nothing(self, row):
+        assert not harmarea.maps._coefficient_certificate(np.array([row], dtype=complex), True).any()

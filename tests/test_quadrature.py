@@ -680,24 +680,57 @@ class TestMcImageArea:
                 lambda r, k: rasterize(Disk(r), k), st.floats(0.05, 1.0), st.integers(2, 96)
             ),
         ),
-        f=st.sampled_from(
-            [
-                affine(0.5),
-                automorphism(0.3 - 0.2j),
-                raw_polynomial([0, 1, 0.2j], [0, 0.1]),
-                # Images reach |Re w| = 3.5 and 7: the window doubles to 4 and to 8.
-                raw_polynomial([0, 3], [0, 0.5]),
-                raw_polynomial([0, 6], [0, 1]),
-            ]
+        f=st.one_of(
+            st.sampled_from(
+                [
+                    affine(0.5),
+                    automorphism(0.3 - 0.2j),
+                    raw_polynomial([0, 1, 0.2j], [0, 0.1]),
+                    # Images reach |Re w| = 3.5 and 7: the window doubles to 4 and to 8.
+                    raw_polynomial([0, 3], [0, 0.5]),
+                    raw_polynomial([0, 6], [0, 1]),
+                ]
+            ),
+            # Random maps: images anywhere in the window, so the occupied
+            # box that the pass bins into takes every shape.
+            st.builds(
+                raw_polynomial,
+                st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=5),
+                st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=4),
+            ),
+            st.builds(automorphism, st.complex_numbers(max_magnitude=0.9), st.floats(-4.0, 4.0)),
         ),
-        n=st.sampled_from([4, 16, 128]),
+        n=st.sampled_from([4, 16, 128, 256]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=60)
+    @settings(max_examples=100)
     def test_matches_the_full_length_center_reference(self, region, f, n, seed):
         res = mc_image_area(f, region, n=n, seed=seed)
         expected = oracles.mc_image_area_whole(f, _whole_member(region), n, seed)
         assert (res.value, res.error_estimate, res.evals) == expected
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # A small image at the window's top right and bottom left
+            # corners: the padded box is clipped at n and at 0.
+            raw_polynomial([1.975 + 1.975j, 0.02], [0]),
+            raw_polynomial([-1.975 - 1.975j, 0.02], [0]),
+            # A small image inside, far from every edge.
+            raw_polynomial([0.3j, 0.01], [0.0, 0.005]),
+            # |Re w| reaches 5.5: the window doubles to 8.
+            raw_polynomial([0, 5, 0.5], [0, 0.3]),
+        ],
+        ids=["top-right", "bottom-left", "inside", "wide"],
+    )
+    @pytest.mark.parametrize("region", [Disk(1.0), star_cos3(64, 1.2), rasterize(Disk(0.9), 40)])
+    def test_occupied_box_at_the_window_edges(self, f, region):
+        # The pass bins into the images' box, padded by one cell and clipped
+        # to the window; the reference bins on the whole n x n window.
+        res = mc_image_area(f, region, n=256, seed=5)
+        assert (res.value, res.error_estimate, res.evals) == oracles.mc_image_area_whole(
+            f, _whole_member(region), 256, 5
+        )
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import harmarea.distortion
+import harmarea.maps
 import harmarea.search
 import oracles
 from harmarea import (
@@ -397,6 +398,65 @@ class TestOneScoringPath:
         monkeypatch.setattr(FamilySpec, "build", refuse)
         assert maximize_area_ratio(family, E, iterations=20, seed=3, grid_per_axis=5) == expected
         assert _row_bits(sweep(family, E, 5)) == _row_bits(oracles.sweep_per_point(family, E, 5))
+
+
+# Families whose lattices mix certified rows with every kind of note:
+# construction failures (affine, shear), reversal and vanishing h' (rawball),
+# and maps that leave the disk.
+NOTE_FAMILIES = {
+    "rawball": RawBall(2, 0.5),
+    "affine": AffineFamily((-1.2, 1.2)),
+    "shear": ShearFamily((-0.6, 0.6), (2, 3)),
+    "automorphism": AutomorphismFamily((0.0, 0.8), (0.0, 6.0)),
+}
+REQUIREMENTS = {"sense": (False, True), "self-map": (True, False), "both": (True, True)}
+
+
+def _notes_validating_every_row(family, params):
+    """_score_block's notes from validate_maps on every constructible row."""
+    notes, maps = [""] * len(params), {}
+    for i, p in enumerate(params.tolist()):
+        try:
+            maps[i] = family.kind.construct(p)
+        except ConstructionError as exc:
+            notes[i] = f"construction: {exc}"
+    for j, why in family._violations(harmarea.maps.validate_maps(list(maps.values()))).items():
+        notes[list(maps)[j]] = f"constraint: {why}"
+    return notes
+
+
+class TestCertificateKeepsNotes:
+    """Rows that the coefficient certificate decides skip the circle, and
+    every note is still what validating every row gives, in a block or alone."""
+
+    @pytest.mark.parametrize("require", sorted(REQUIREMENTS))
+    @pytest.mark.parametrize("kind", sorted(NOTE_FAMILIES))
+    def test_notes_match_validating_every_row(self, kind, require, monkeypatch):
+        self_map, sense = REQUIREMENTS[require]
+        family = FamilySpec(NOTE_FAMILIES[kind], self_map, sense)
+        params = harmarea.search._lattice(
+            family.kind.continuous_bounds(), family.kind.discrete_axes(), 9
+        )
+        notes = harmarea.search._score_block(family, Disk(0.5), params, DEFAULT_TOL)[0]
+        assert notes == _notes_validating_every_row(family, params)
+        assert notes[::7] == [
+            harmarea.search._score_block(family, Disk(0.5), params[i : i + 1], DEFAULT_TOL)[0][0]
+            for i in range(0, len(params), 7)
+        ]
+        if kind != "automorphism":  # conformal rows never reach the certificate
+            built = [
+                family.kind.construct(p)
+                for p, note in zip(params.tolist(), notes)
+                if not note.startswith("construction")
+            ]
+            rows = harmarea.maps.coefficient_rows(built)[0]
+            # Not vacuous: without a self-map to show, the certificate decides rows.
+            assert harmarea.maps._coefficient_certificate(rows, self_map).any() or self_map
+            monkeypatch.setattr(
+                harmarea.search, "_coefficient_certificate", lambda rows, _: np.zeros(len(rows), bool)
+            )
+            forced = harmarea.search._score_block(family, Disk(0.5), params, DEFAULT_TOL)[0]
+            assert forced == _notes_validating_every_row(family, params)
 
 
 # The 64-sample star of test_golden's search jobs: r(t) = 0.55 + 0.25 cos 3t.
