@@ -408,13 +408,19 @@ def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
     the Schur-Cohn test runs once per distinct h'; the Bernstein test runs
     on all undecided rows at once, and only those rows go on to the doubled
     circle.  Memory is N * 4 * CIRCLE_SAMPLES complex values: callers bound N.
+    A row whose h' or g' samples on the first circle leave the float range
+    gets a CriticalPointError that says so.
     """
     count, _, n = coefficients.shape
     rows = np.zeros((count, 4, n), dtype=complex)
     rows[:, :2] = coefficients
-    rows[:, 2:, :-1] = coefficients[:, :, 1:] * np.arange(1, n)
-    on_circle = _horner_rows(rows, CIRCLE_SAMPLES)
-    sup_f = np.abs(on_circle[:, 0] + np.conjugate(on_circle[:, 1])).max(axis=1)
+    # An h' or g' sample past the float range makes its row undecidable
+    # (below); an h or g sample there makes sup |f| infinite or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[:, 2:, :-1] = coefficients[:, :, 1:] * np.arange(1, n)
+        on_circle = _horner_rows(rows, CIRCLE_SAMPLES)
+        sup_f = np.abs(on_circle[:, 0] + np.conjugate(on_circle[:, 1])).max(axis=1)
+    finite = np.isfinite(on_circle[:, 2:]).all(axis=(1, 2)).tolist()
     derivatives = rows[:, 2:, :-1]
     values = on_circle[:, 2:]
     abs_h = np.abs(values[:, 0])
@@ -422,7 +428,14 @@ def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
     # Stacked maps often share h', so the Schur-Cohn test runs once per h'.
     zero_free: dict[tuple, bool] = {}
     critical: dict[int, CriticalPointError] = {}
-    for i, h_prime in enumerate(map(tuple, derivatives[:, 0].tolist())):
+    h_primes = map(tuple, derivatives[:, 0].tolist())
+    for i, (h_prime, ok) in enumerate(zip(h_primes, finite)):
+        if not ok:
+            critical[i] = CriticalPointError(
+                "sense-preservation undecidable: h' or g' overflows the float"
+                " range on the unit circle"
+            )
+            continue
         if h_prime not in zero_free:
             zero_free[h_prime] = _zero_free_closed_disk(h_prime)
         if near_zero[i] or not zero_free[h_prime]:
@@ -513,7 +526,8 @@ def validate(f: HarmonicMap) -> ValidityReport:
     disk.  This is the one-map case of validate_maps.  Automorphisms are
     conformal (dilatation 0, certified).  For a polynomial map a Schur-Cohn
     test first shows that h' has no zero on the closed disk, else
-    CriticalPointError; then a Bernstein bound decides the sign of
+    CriticalPointError (raised too when the samples of h' or g' leave the
+    float range); then a Bernstein bound decides the sign of
     (1 - SENSE_MARGIN)^2 |h'|^2 - |g'|^2 on the unit circle, which is
     sampled at CIRCLE_SAMPLES points, doubled up to CIRCLE_CAP.  A sample at
     or past the margin certifies the map not sense-preserving; past the cap,

@@ -25,7 +25,9 @@ membership in one call too.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,51 +381,47 @@ def _simplex_refine(score, x0, bounds, steps, iterations):
 
     score evaluates a point and records it (see _maximize).  Coordinates
     outside `bounds` are its problem (it penalizes infeasible points), so no
-    projection happens here.
+    projection happens here.  Points are tuples of floats.  The centroid adds
+    the kept vertices left to right from +0.0, as np.mean does, so a column
+    of -0.0 gives +0.0; sum() compensates from Python 3.12.
     """
-    dim = len(x0)
-    vertices = [np.asarray(x0, dtype=float)]
-    for i in range(dim):
-        v = vertices[0].copy()
-        lo, hi = bounds[i]
-        step = steps[i]
-        if v[i] + step > hi and v[i] - step >= lo:
+    vertices = [x0]
+    for i, ((lo, hi), step) in enumerate(zip(bounds, steps)):
+        if x0[i] + step > hi and x0[i] - step >= lo:
             step = -step
-        v[i] = v[i] + step
-        vertices.append(v)
+        vertices.append(x0[:i] + (x0[i] + step,) + x0[i + 1 :])
     values = [score(v) for v in vertices]
     for _ in range(iterations):
         order = sorted(range(len(vertices)), key=lambda i: -values[i])
         vertices = [vertices[i] for i in order]
         values = [values[i] for i in order]
-        spread = max(
-            float(np.max(np.abs(v - vertices[0]))) for v in vertices[1:]
-        )
-        if spread < SIMPLEX_DIAMETER:
+        best, worst = vertices[0], vertices[-1]
+        if all(abs(c - b) < SIMPLEX_DIAMETER for v in vertices[1:] for c, b in zip(v, best)):
             break
-        centroid = np.mean(vertices[:-1], axis=0)
-        reflected = centroid + (centroid - vertices[-1])
+        kept = vertices[:-1]
+        centroid = [functools.reduce(operator.add, col, 0.0) / len(kept) for col in zip(*kept)]
+        reflected = tuple(c + (c - w) for c, w in zip(centroid, worst))
         f_reflected = score(reflected)
         if f_reflected > values[-2]:
             vertices[-1] = reflected
             values[-1] = f_reflected
             continue
-        contracted = (centroid + vertices[-1]) / 2.0
+        contracted = tuple((c + w) / 2.0 for c, w in zip(centroid, worst))
         f_contracted = score(contracted)
         if f_contracted > values[-1]:
             vertices[-1] = contracted
             values[-1] = f_contracted
             continue
         for i in range(1, len(vertices)):
-            vertices[i] = vertices[0] + 0.5 * (vertices[i] - vertices[0])
+            vertices[i] = tuple(b + 0.5 * (c - b) for c, b in zip(vertices[i], best))
             values[i] = score(vertices[i])
 
 
 def _maximize(score_rows, cont_bounds, disc_axes, grid_per_axis, iterations, seed):
     """Lattice scan then simplex refinement of the continuous coordinates.
 
-    score_rows maps an (N, dim) array of parameter rows to their objective
-    values: the whole lattice in one call, each simplex point as one row.
+    score_rows maps parameter rows to their objective values: the lattice
+    array in one call, each simplex point as a list of one tuple.
     Every lattice row (row-major) and then every simplex point passes
     through one record: it counts as an evaluation, moves the incumbent
     only when it beats every value before it, so the first of equal maxima
@@ -450,13 +448,12 @@ def _maximize(score_rows, cont_bounds, disc_axes, grid_per_axis, iterations, see
     n_cont = len(cont_bounds)
     disc_best = best_params[n_cont:]
 
-    def frozen(x_cont) -> float:
-        params = np.concatenate([x_cont, disc_best])
+    def frozen(x_cont: tuple[float, ...]) -> float:
+        params = x_cont + disc_best
         # The simplex may reflect outside the parameter box; such points are
         # infeasible even when the underlying map happens to be constructible.
         inside = all(lo <= c <= hi for c, (lo, hi) in zip(params, cont_bounds))
-        val = score_rows(params[np.newaxis])[0] if inside else -1.0
-        return record(tuple(params.tolist()), val)
+        return record(params, score_rows([params])[0] if inside else -1.0)
 
     steps = [
         (hi - lo) / (2.0 * max(1, grid_per_axis - 1)) if hi > lo else 1e-3
@@ -464,9 +461,8 @@ def _maximize(score_rows, cont_bounds, disc_axes, grid_per_axis, iterations, see
     ]
     _simplex_refine(frozen, best_params[:n_cont], cont_bounds, steps, iterations)
     # One seeded restart guards against a collapsed starting simplex.
-    rng = np.random.default_rng(seed)
-    jitter = rng.uniform(-0.125, 0.125, size=n_cont)
-    x1 = np.asarray(best_params[:n_cont]) + jitter * np.asarray(steps)
+    jitter = np.random.default_rng(seed).uniform(-0.125, 0.125, size=n_cont).tolist()
+    x1 = tuple(x + j * s for x, j, s in zip(best_params[:n_cont], jitter, steps))
     _simplex_refine(frozen, x1, cont_bounds, [s / 4.0 for s in steps], iterations)
     return SearchResult(best_params, best_value, evaluations, tuple(trace), seed)
 
@@ -484,7 +480,7 @@ def maximize_area_ratio(
     m_e = region_measure(E)
 
     def score_rows(rows) -> list[float]:
-        scores = []
+        rows, scores = np.asarray(rows, dtype=float), []
         for start in range(0, len(rows), LATTICE_BLOCK):
             notes, area = _score_block(family, E, rows[start : start + LATTICE_BLOCK], tol)
             scores += [-1.0 if note else area(i) / m_e for i, note in enumerate(notes)]
@@ -519,7 +515,7 @@ def maximize_sp_ratio(
         raise HypothesisError("domain must have bounding radius <= 1 - 1e-3")
 
     def score_rows(rows) -> list[float]:
-        points = [complex(x, y) for x, y in rows.tolist()]
+        points = [complex(x, y) for x, y in np.asarray(rows).tolist()]
         inside = contains_points(domain, np.array(points)).tolist()
         return [sp_ratio(f, z) if ok else -1.0 for z, ok in zip(points, inside)]
 

@@ -8,9 +8,11 @@ live in test_oracles.py.  The one exception is the per-point search at the
 end: it scores a search lattice one map at a time through the package's
 per-map functions, as the reference for the search's batched lattice pass,
 and a Schwarz-Pick lattice one point at a time, as the reference for its
-batched membership test.  suite_per_radius likewise composes verify's
-suite one radius at a time from the package's one-region functions, as the
-reference for the suite's layers, each run once for all nine radii.  The
+batched membership test; its simplex, simplex_refine_numpy, keeps each
+point a numpy array, as the reference for the float-tuple simplex.
+suite_per_radius likewise composes verify's suite one radius at a time
+from the package's one-region functions, as the reference for the suite's
+layers, each run once for all nine radii.  The
 Gauss-Legendre tables are the package's own
 (gauss_table): the references below that use one pin how the package batches
 and blocks a rule, not the rule, which test_quadrature checks against mpmath.
@@ -723,10 +725,61 @@ def sweep_per_point(family, E, grid_per_axis):
     )
 
 
+SIMPLEX_DIAMETER = 1e-6
+
+
+def simplex_refine_numpy(score, x0, bounds, steps, iterations):
+    """search._simplex_refine in its numpy form, each point an array: the
+    reference for the float-tuple simplex, which must score the same points
+    in the same order.  Maximizing simplex with reflection 1.0, contraction
+    0.5, shrink 0.5.
+
+    score evaluates a point and records it (see _maximize).  Coordinates
+    outside `bounds` are its problem (it penalizes infeasible points), so no
+    projection happens here.
+    """
+    dim = len(x0)
+    vertices = [np.asarray(x0, dtype=float)]
+    for i in range(dim):
+        v = vertices[0].copy()
+        lo, hi = bounds[i]
+        step = steps[i]
+        if v[i] + step > hi and v[i] - step >= lo:
+            step = -step
+        v[i] = v[i] + step
+        vertices.append(v)
+    values = [score(v) for v in vertices]
+    for _ in range(iterations):
+        order = sorted(range(len(vertices)), key=lambda i: -values[i])
+        vertices = [vertices[i] for i in order]
+        values = [values[i] for i in order]
+        spread = max(
+            float(np.max(np.abs(v - vertices[0]))) for v in vertices[1:]
+        )
+        if spread < SIMPLEX_DIAMETER:
+            break
+        centroid = np.mean(vertices[:-1], axis=0)
+        reflected = centroid + (centroid - vertices[-1])
+        f_reflected = score(reflected)
+        if f_reflected > values[-2]:
+            vertices[-1] = reflected
+            values[-1] = f_reflected
+            continue
+        contracted = (centroid + vertices[-1]) / 2.0
+        f_contracted = score(contracted)
+        if f_contracted > values[-1]:
+            vertices[-1] = contracted
+            values[-1] = f_contracted
+            continue
+        for i in range(1, len(vertices)):
+            vertices[i] = vertices[0] + 0.5 * (vertices[i] - vertices[0])
+            values[i] = score(vertices[i])
+
+
 def _maximize_per_point(objective, cont_bounds, disc_axes, iterations, seed, grid_per_axis):
     """search._maximize with every lattice point and simplex point scored
     alone by objective, through one penalized, traced score."""
-    from harmarea.search import SearchResult, _simplex_refine
+    from harmarea.search import SearchResult
 
     trace = []
     best_params, best_value, evaluations = None, -math.inf, 0
@@ -755,11 +808,11 @@ def _maximize_per_point(objective, cont_bounds, disc_axes, iterations, seed, gri
         (hi - lo) / (2.0 * max(1, grid_per_axis - 1)) if hi > lo else 1e-3
         for lo, hi in cont_bounds
     ]
-    _simplex_refine(frozen, best_params[:n_cont], cont_bounds, steps, iterations)
+    simplex_refine_numpy(frozen, best_params[:n_cont], cont_bounds, steps, iterations)
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(-0.125, 0.125, size=n_cont)
     x1 = np.asarray(best_params[:n_cont]) + jitter * np.asarray(steps)
-    _simplex_refine(frozen, x1, cont_bounds, [s / 4.0 for s in steps], iterations)
+    simplex_refine_numpy(frozen, x1, cont_bounds, [s / 4.0 for s in steps], iterations)
     return SearchResult(best_params, best_value, evaluations, tuple(trace), seed)
 
 

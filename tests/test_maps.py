@@ -669,6 +669,22 @@ class TestValidateRows:
         stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
         assert [row.certified for row in stacked] == [True, False, True, False]
 
+    def test_derivative_samples_past_the_float_range_are_undecidable(self):
+        # h' = 1e308 + 2e308 z overflows: that row is undecidable.  h =
+        # 1e308 + 1e308 z overflows at z = 1 but h' does not: that row is
+        # decided, with sup |f| = inf.  Neither prints a RuntimeWarning, and
+        # each stacked row is what validate gives the map alone.
+        huge_h_prime = raw_polynomial((0.0, 1e308, 1e308), (0.0,))
+        huge_h = raw_polynomial((1e308, 1e308), (0.0,))
+        maps = [huge_h_prime, huge_h, shear(0.3, 3)]
+        stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
+        assert isinstance(stacked[0], CriticalPointError)
+        assert "overflows the float range" in str(stacked[0])
+        with pytest.raises(CriticalPointError, match="overflows the float range"):
+            validate(huge_h_prime)
+        assert stacked[1].sense_preserving and stacked[1].certified
+        assert stacked[1].self_map_sup == math.inf
+        assert [stacked[1], stacked[2]] == [validate(f) for f in maps[1:]]
 
 class TestWholeShearPower:
     """shear takes a whole power: 2.0 is 2, a fraction or an infinity is refused."""

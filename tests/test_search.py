@@ -1,9 +1,12 @@
 """Parameter sweeps and derivative-free maximization."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import harmarea.distortion
 import harmarea.maps
@@ -482,6 +485,100 @@ class TestSpSearchMatchesPerPointReference:
         f = SP_MAPS[name]
         result = maximize_sp_ratio(f, domain, iterations=40, seed=3)
         assert result == oracles.maximize_sp_ratio_per_point(f, domain, 40, 3, 17)
+
+
+SCORE_TABLE = (-1.0, math.nan, 0.0, 0.5, 0.5, 1.0, 2.0)
+
+
+def _score(kind, bounds):
+    """A deterministic score of a tuple of floats, with ties, -1.0 and nan:
+    "constant" is 0.0, so every step ties; "table" reads SCORE_TABLE at a
+    checksum of the point's repr; "peak" is -1.0 outside bounds, nan past
+    the middle of the last axis, and else a rounded distance to 0, so
+    neighbours tie."""
+
+    def score(point):
+        if kind == "constant":
+            return 0.0
+        if kind == "table":
+            return SCORE_TABLE[zlib.crc32(repr(point).encode()) % len(SCORE_TABLE)]
+        if not all(lo <= c <= hi for c, (lo, hi) in zip(point, bounds)):
+            return -1.0
+        if point[-1] > (bounds[-1][0] + bounds[-1][1]) / 2.0:
+            return math.nan
+        return -round(math.hypot(*point), 1)
+
+    return score
+
+
+def _scored(refine, kind, x0, bounds, steps, iterations):
+    """The points, as bit strings, that refine passes to a score of kind, in
+    the order it passes them."""
+    score, calls = _score(kind, bounds), []
+
+    def recorded(point):
+        point = tuple(float(c) for c in point)
+        calls.append(tuple(c.hex() for c in point))
+        return score(point)
+
+    refine(recorded, x0, bounds, steps, iterations)
+    return calls
+
+
+def _check_simplex(kind, x0, bounds, steps, iterations):
+    expected = _scored(oracles.simplex_refine_numpy, kind, x0, bounds, steps, iterations)
+    got = _scored(harmarea.search._simplex_refine, kind, x0, bounds, steps, iterations)
+    assert got == expected
+
+
+_coordinate = st.one_of(st.just(-0.0), st.floats(-10.0, 10.0))
+_step = st.one_of(st.just(-0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+
+
+@st.composite
+def _simplex_cases(draw):
+    dim = draw(st.integers(1, 4))
+    bounds = [tuple(sorted(draw(st.tuples(_coordinate, _coordinate)))) for _ in range(dim)]
+    x0 = tuple(draw(_coordinate) for _ in range(dim))
+    steps = [draw(_step) for _ in range(dim)]
+    return x0, bounds, steps
+
+
+class TestSimplexMatchesNumpyReference:
+    """The float-tuple simplex scores bit for bit the points of its numpy
+    form (oracles.simplex_refine_numpy), in the same order."""
+
+    @settings(max_examples=200)
+    @given(
+        case=_simplex_cases(),
+        kind=st.sampled_from(["constant", "table", "peak"]),
+        iterations=st.integers(1, 30),
+    )
+    @example(case=((-0.0,), [(-0.0, 1.0)], [-0.0]), kind="table", iterations=5)
+    @example(case=((-0.0, 2.0), [(-1.0, -0.0), (0.0, 3.0)], [0.5, 1.0]), kind="peak", iterations=30)
+    def test_same_points_in_order(self, case, kind, iterations):
+        _check_simplex(kind, *case, iterations)
+
+    def test_centroid_sums_left_to_right(self):
+        # The first centroid's first column is 1.0, 1e16 (= 1.0 + 1e16) and
+        # 1.0: added left to right each 1.0 is lost, while a compensated sum
+        # (math.fsum, or sum() from Python 3.12) keeps both and moves the
+        # reflected point.
+        _check_simplex("constant", (1.0, 0.0, 0.0), [(-1e17, 1e17)] * 3, [1e16, 1.0, 1.0], 1)
+
+    def test_centroid_sums_from_positive_zero(self):
+        # The second column is -0.0 at every vertex.  np.mean adds from
+        # +0.0, so the contracted point (the fifth) reads +0.0 there, where
+        # a sum started from the first vertex would keep -0.0.
+        case = ((-0.0, -0.0), [(-1.0, 1.0)] * 2, [1.0, -0.0], 1)
+        calls = _scored(harmarea.search._simplex_refine, "constant", *case)
+        assert calls[4] == ((0.25).hex(), (0.0).hex())
+        _check_simplex("constant", *case)
+
+    def test_shrink_scores_vertices_in_order(self):
+        # A constant score rejects reflection and contraction: all three
+        # dimensions' vertices shrink, scored from the second onwards.
+        _check_simplex("constant", (0.0, 0.0, 0.0), [(-1.0, 1.0)] * 3, [0.5, 0.25, 0.125], 2)
 
 
 class TestSearchResult:
