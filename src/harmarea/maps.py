@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -375,51 +375,38 @@ def coefficient_rows(maps) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=complex), np.array(degree)
 
 
-@dataclass(frozen=True)
-class RowValidity:
-    """The ValidityReport fields as per-row arrays, and the CriticalPointError
-    of each row whose h' may vanish on the closed disk (neither sense-preserving
-    nor certified there).  Row i is what validate gives map i: report or error."""
-
-    sense_preserving: np.ndarray
-    sup_abs_dilatation: np.ndarray
-    self_map_sup: np.ndarray
-    certified: np.ndarray
-    critical: dict
-    self_map = ValidityReport.self_map
-
-    def __len__(self) -> int:
-        return len(self.certified)
-
-    def __getitem__(self, i: int):
-        columns = [getattr(self, field.name) for field in fields(ValidityReport)]
-        return self.critical.get(i) or ValidityReport(*[column.item(i) for column in columns])
-
-
-def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
+def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> list:
     """validate for a stack of polynomial maps, one pass for all of them.
 
     coefficients has shape (N, 2, n): the ascending coefficients of h and g
     of each map, zero padded; degree holds each map's max(h.degree,
-    g.degree).  Row i of the result is bit for bit what validate gives map
-    i, decided as columns: no report is built until a row is indexed.
+    g.degree).  Entry i of the result is bit for bit what validate gives map
+    i: its ValidityReport, or the CriticalPointError it raises.
 
     One Horner pass puts h, g, h' and g' of every row on the first circle;
     the Schur-Cohn test runs once per distinct h'; the Bernstein test runs
     on all undecided rows at once, and only those rows go on to the doubled
     circle.  Memory is N * 4 * CIRCLE_SAMPLES complex values: callers bound N.
     A row whose h' or g' samples on the first circle leave the float range
-    gets a CriticalPointError that says so.
+    gets a CriticalPointError that says so.  sup |f| reads inf only past the
+    float range, never nan: h and conj(g) may overflow with opposite signs.
     """
     count, _, n = coefficients.shape
     rows = np.zeros((count, 4, n), dtype=complex)
     rows[:, :2] = coefficients
     # An h' or g' sample past the float range makes its row undecidable
-    # (below); an h or g sample there makes sup |f| infinite or nan.
+    # (below).  A row whose sup |f| is not finite is summed again scaled by
+    # 2^-e, as in _zero_free_closed_disk, and its sup scaled back.
     with np.errstate(over="ignore", invalid="ignore"):
         rows[:, 2:, :-1] = coefficients[:, :, 1:] * np.arange(1, n)
         on_circle = _horner_rows(rows, CIRCLE_SAMPLES)
         sup_f = np.abs(on_circle[:, 0] + np.conjugate(on_circle[:, 1])).max(axis=1)
+        redo = np.flatnonzero(~np.isfinite(sup_f))
+        if redo.size:
+            parts = coefficients[redo].view(float)
+            e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+            hg = _horner_rows(np.ldexp(parts, -e[:, None, None]).view(complex), CIRCLE_SAMPLES)
+            sup_f[redo] = np.ldexp(np.abs(hg[:, 0] + np.conjugate(hg[:, 1])).max(axis=1), e)
     finite = np.isfinite(on_circle[:, 2:]).all(axis=(1, 2)).tolist()
     derivatives = rows[:, 2:, :-1]
     values = on_circle[:, 2:]
@@ -478,7 +465,8 @@ def validate_rows(coefficients: np.ndarray, degree: np.ndarray) -> RowValidity:
         undecided = ~decided & (2 * m <= CIRCLE_CAP)
         live, d = live[undecided], d[undecided]
         m *= 2
-    return RowValidity(sense, sup_k, sup_f, certified, critical)
+    columns = zip(sense.tolist(), sup_k.tolist(), sup_f.tolist(), certified.tolist())
+    return [critical.get(i) or ValidityReport(*row) for i, row in enumerate(columns)]
 
 
 def _coefficient_certificate(coefficients: np.ndarray, self_map: bool) -> np.ndarray:
@@ -507,15 +495,14 @@ def _coefficient_certificate(coefficients: np.ndarray, self_map: bool) -> np.nda
     return sure
 
 
-def validate_maps(maps) -> RowValidity:
-    """validate for a nonempty list of maps of one kind, as columns: row i is
-    what validate gives map i.  Automorphisms are conformal (sense-preserving,
-    certified, dilatation 0) and each reads |f| at CIRCLE_SAMPLES circle
-    points; polynomial maps go to validate_rows."""
+def validate_maps(maps) -> list:
+    """validate for a nonempty list of maps of one kind: entry i is what
+    validate gives map i, its report or its CriticalPointError.  Automorphisms
+    are conformal (sense-preserving, certified, dilatation 0) and each reads
+    |f| at CIRCLE_SAMPLES circle points; polynomial maps go to validate_rows."""
     if isinstance(maps[0], DiskAutomorphism):
-        sup_f = np.array([np.abs(f.evaluate(_circle(CIRCLE_SAMPLES))).max() for f in maps])
-        true = np.ones(len(maps), bool)
-        return RowValidity(true, np.zeros(len(maps)), sup_f, true, {})
+        sup_f = [float(np.abs(f.evaluate(_circle(CIRCLE_SAMPLES))).max()) for f in maps]
+        return [ValidityReport(True, 0.0, sup, True) for sup in sup_f]
     return validate_rows(*coefficient_rows(maps))
 
 

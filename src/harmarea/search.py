@@ -11,12 +11,12 @@ a fixed seed.
 The lattice, of sweep and of maximize_area_ratio alike, is scored in
 blocks of rows, not one map at a time.  A row whose coefficients certify
 it (maps._coefficient_certificate) is feasible with no circle samples; the
-rest of a block is validated in one pass, as columns: maps.validate_maps on
-automorphisms, or maps.validate_rows on coefficient rows.  A RawBall row,
-whose parameters are its coefficients, needs no map object at all: on a
-disk its area is the closed form of distortion.disk_series_rows, one fsum
-per row.  Only an area on a star or a pixel grid builds the map.  The result is bit for bit the one-map-at-a-time
-result: the same notes, ratios, incumbent, trace and evaluation count.
+rest of a block is validated in one pass (maps.validate_maps or
+validate_rows), which gives each row what maps.validate gives its map.  A
+RawBall row needs no map object: on a disk its area is the closed form of
+distortion.disk_series_rows, one fsum per row; only a star or a pixel grid
+builds the map.  The result is bit for bit the one-map-at-a-time result:
+the same notes, ratios, incumbent, trace and evaluation count.
 Each simplex vertex is scored as a one-row block of the same pass, so
 lattice and simplex share one feasibility decision, one area rule and one
 incumbent rule.  The Schwarz-Pick search tests a block's points for
@@ -33,12 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortion import disk_series_rows, image_area, sp_ratio
-from .errors import BudgetError, ConstructionError, HypothesisError
+from .errors import BudgetError, ConstructionError, CriticalPointError, HypothesisError
 from .maps import (
     DEGREE_CAP,
     DiskAutomorphism,
     HarmonicMap,
-    RowValidity,
     _coefficient_certificate,
     _number,
     _whole,
@@ -216,18 +215,16 @@ class FamilySpec:
             if why:
                 raise HypothesisError(why)
 
-    def _violations(self, validity: RowValidity) -> dict[int, str]:
-        """Each violating row's note: its CriticalPointError, else a reversal, else sup |f|."""
+    def _violations(self, validity: list) -> dict[int, str]:
+        """Each violating entry's note: its CriticalPointError, else a reversal, else sup |f|."""
         why = {}
-        if self.require_self_map:
-            for j in (~validity.self_map).nonzero()[0].tolist():
-                why[j] = f"not a self-map (sup |f| = {validity.self_map_sup.item(j):.6g})"
-        if self.require_sense_preserving:
-            for j, sense in enumerate(validity.sense_preserving.tolist()):
-                if not sense:
-                    why[j] = "not sense-preserving (certified)"
-        for j, exc in validity.critical.items():
-            why[j] = str(exc)
+        for j, report in enumerate(validity):
+            if isinstance(report, CriticalPointError):
+                why[j] = str(report)
+            elif self.require_sense_preserving and not report.sense_preserving:
+                why[j] = "not sense-preserving (certified)"
+            elif self.require_self_map and not report.self_map:
+                why[j] = f"not a self-map (sup |f| = {report.self_map_sup:.6g})"
         return why
 
 
@@ -297,8 +294,8 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     Rows that maps._coefficient_certificate decides are feasible, and so
     are automorphisms but for a required self-map.  The others are validated
     in one pass, by maps.validate_maps on automorphisms, else validate_rows
-    on coefficient rows; FamilySpec._violations reads the notes off the
-    columns.  No row's decision depends on another row.  A RawBall row is
+    on coefficient rows; FamilySpec._violations reads the notes off their
+    entries.  No row's decision depends on another row.  A RawBall row is
     its coefficient row, with no map object but for an area on a region other
     than a disk.
     """

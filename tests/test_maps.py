@@ -686,6 +686,21 @@ class TestValidateRows:
         assert stacked[1].self_map_sup == math.inf
         assert [stacked[1], stacked[2]] == [validate(f) for f in maps[1:]]
 
+    def test_sup_f_past_the_float_range_reads_inf_not_nan(self):
+        # At z = 1, h and conj(g) overflow with opposite signs, so sup |f|
+        # once read nan.  f = 0.7e308 z - 0.6e308 conj(z) peaks at 1.3e308
+        # (z = i); f = 1e308 (z - conj z) peaks at 2e308, past the float
+        # range.  pytest turns a RuntimeWarning into an error.
+        peak = validate(raw_polynomial((1.2e308, 0.7e308), (-1.2e308, -0.6e308)))
+        assert peak.sense_preserving and peak.certified
+        assert peak.self_map_sup == pytest.approx(1.3e308, rel=1e-15)
+        assert validate(raw_polynomial((1e308, 1e308), (-1e308, -1e308))).self_map_sup == math.inf
+        # A row whose sup |f| is finite keeps every bit beside such rows.
+        maps = [raw_polynomial((1.2e308, 0.7e308), (-1.2e308, -0.6e308)), shear(0.3, 3)]
+        stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
+        assert stacked == [peak, validate(shear(0.3, 3))]
+
+
 class TestWholeShearPower:
     """shear takes a whole power: 2.0 is 2, a fraction or an infinity is refused."""
 
@@ -749,9 +764,9 @@ class TestCoefficientCertificate:
         sure = harmarea.maps._coefficient_certificate(coefficients, self_map)
         validity = harmarea.maps.validate_rows(coefficients, np.array([r.shape[1] - 1 for r in rows]))
         for i in np.flatnonzero(sure).tolist():
-            assert i not in validity.critical
-            assert validity.sense_preserving[i]
-            assert validity.self_map[i] or not self_map
+            assert not isinstance(validity[i], CriticalPointError)
+            assert validity[i].sense_preserving
+            assert validity[i].self_map or not self_map
 
     def test_certifies_most_of_the_bench_rawball(self):
         kind = RawBall(2, 0.25)
@@ -760,8 +775,9 @@ class TestCoefficientCertificate:
         sure = harmarea.maps._coefficient_certificate(coefficients, False)
         validity = harmarea.maps.validate_rows(coefficients, np.full(len(lattice), 2))
         assert sure.mean() > 0.9
-        assert validity.sense_preserving[sure].all()
-        assert not set(np.flatnonzero(sure).tolist()) & set(validity.critical)
+        certified = [validity[i] for i in np.flatnonzero(sure).tolist()]
+        assert not any(isinstance(report, CriticalPointError) for report in certified)
+        assert all(report.sense_preserving for report in certified)
         # h = z + ...: sum |a_k| >= 1, so no row is a certified self-map.
         assert not harmarea.maps._coefficient_certificate(coefficients, True).any()
 

@@ -462,6 +462,55 @@ class TestCertificateKeepsNotes:
             assert forced == _notes_validating_every_row(family, params)
 
 
+class _ListedMaps:
+    """A family kind whose parameter row (i,) is the i-th of its maps."""
+
+    def __init__(self, maps):
+        self.maps = maps
+
+    def construct(self, params):
+        return self.maps[int(params[0])]
+
+
+# Rows that break two constraints, one, and none.
+PRECEDENCE_MAPS = [
+    raw_polynomial((0, 1, -0.5), (0,)),  # h' vanishes at z = 1; sup |f| = 1.5
+    raw_polynomial((0, 1), (0, 2)),  # reversing; sup |f| = 3
+    raw_polynomial((0, 2), (0,)),  # only sup |f| = 2
+    rescaled_affine(0.2),  # feasible
+]
+_CRITICAL = "sense-preservation undecidable: h' vanishes near z = (1+0j)"
+PRECEDENCE_NOTES = {
+    "sense": [_CRITICAL, "not sense-preserving (certified)", "", ""],
+    "self-map": [_CRITICAL, "not a self-map (sup |f| = 3)", "not a self-map (sup |f| = 2)", ""],
+    "both": [_CRITICAL, "not sense-preserving (certified)", "not a self-map (sup |f| = 2)", ""],
+}
+
+
+class TestNotePrecedence:
+    """A row that breaks two constraints is noted by the first of: its
+    CriticalPointError, a certified reversal, sup |f| past the disk."""
+
+    @pytest.mark.parametrize("require", sorted(REQUIREMENTS))
+    def test_score_block_notes(self, require):
+        family = FamilySpec(_ListedMaps(PRECEDENCE_MAPS), *REQUIREMENTS[require])
+        params = np.arange(len(PRECEDENCE_MAPS), dtype=float)[:, None]
+        notes = harmarea.search._score_block(family, Disk(0.5), params, DEFAULT_TOL)[0]
+        expected = [why and f"constraint: {why}" for why in PRECEDENCE_NOTES[require]]
+        assert notes == expected
+
+    @pytest.mark.parametrize("require", sorted(REQUIREMENTS))
+    def test_check_notes(self, require):
+        family = FamilySpec(_ListedMaps(PRECEDENCE_MAPS), *REQUIREMENTS[require])
+        for f, why in zip(PRECEDENCE_MAPS, PRECEDENCE_NOTES[require]):
+            if why:
+                with pytest.raises(HypothesisError) as refused:
+                    family.check(f)
+                assert str(refused.value) == why
+            else:
+                family.check(f)
+
+
 # The 64-sample star of test_golden's search jobs: r(t) = 0.55 + 0.25 cos 3t.
 GOLDEN_STAR = StarShaped(
     tuple(round(0.55 + 0.25 * math.cos(3.0 * TWO_PI * k / 64), 4) for k in range(64))
