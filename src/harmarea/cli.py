@@ -21,7 +21,7 @@ from .entry import main
 from .errors import ConstructionError, ParseError
 from .presets import preset_map
 from .quadrature import mc_image_area
-from .regions import Disk, PixelGrid, region_measure
+from .regions import Disk, region_measure
 from .search import maximize_area_ratio, maximize_sp_ratio, sweep
 from .serialize import (
     _bool,
@@ -58,11 +58,13 @@ def _load_map(args: argparse.Namespace):
 def _load_region(args: argparse.Namespace):
     if args.region:
         region = region_from_json(_read_json(args.region))
-        # Every ratio divides by m(E), so an empty grid is not a usable region.
-        if isinstance(region, PixelGrid) and not region.mask.any():
-            raise ParseError("region has zero measure: the grid has no true cells")
-        return region
-    return Disk(args.r if args.r is not None else 0.5)
+    else:
+        region = Disk(args.r if args.r is not None else 0.5)
+    # Every ratio divides by m(E): an empty grid, or a disk or star whose
+    # measure underflows, is not a usable region.
+    if region_measure(region) == 0.0:
+        raise ParseError("region has zero measure")
+    return region
 
 
 def _emit(args: argparse.Namespace, stem: str, csv_text, json_text=None):

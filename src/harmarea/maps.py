@@ -358,7 +358,13 @@ def _critical_point(h_prime: np.ndarray, abs_h: np.ndarray) -> str:
     small = abs_h < CRITICAL_EPS
     if small.any():
         return f"h' vanishes near z = {_circle(abs_h.size)[small][0]}"
-    roots = np.roots(h_prime[::-1])
+    # h' scaled by 2^-e, as in _zero_free_closed_disk, keeps its companion
+    # matrix and so its roots.  A leading coefficient still subnormal would
+    # overflow that matrix and adds only zeros far outside the disk: drop it.
+    parts = np.ascontiguousarray(h_prime).view(float)
+    scaled = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+    kept = np.flatnonzero(np.abs(scaled) >= np.finfo(float).tiny)
+    roots = np.roots(scaled[: kept[-1] + 1][::-1])
     # Adding 0j turns a negative zero part positive.
     return f"h' vanishes near z = {complex(roots[np.argmin(np.abs(roots))]) + 0j}"
 
@@ -495,24 +501,13 @@ def _coefficient_certificate(coefficients: np.ndarray, self_map: bool) -> np.nda
     return sure
 
 
-def validate_maps(maps) -> list:
-    """validate for a nonempty list of maps of one kind: entry i is what
-    validate gives map i, its report or its CriticalPointError.  Automorphisms
-    are conformal (sense-preserving, certified, dilatation 0) and each reads
-    |f| at CIRCLE_SAMPLES circle points; polynomial maps go to validate_rows."""
-    if isinstance(maps[0], DiskAutomorphism):
-        sup_f = [float(np.abs(f.evaluate(_circle(CIRCLE_SAMPLES))).max()) for f in maps]
-        return [ValidityReport(True, 0.0, sup, True) for sup in sup_f]
-    return validate_rows(*coefficient_rows(maps))
-
-
 def validate(f: HarmonicMap) -> ValidityReport:
     """Decide sense-preservation exactly where possible; sample |f| on the circle.
 
     sense_preserving means sup |dilatation| < 1 - SENSE_MARGIN on the closed
-    disk.  This is the one-map case of validate_maps.  Automorphisms are
-    conformal (dilatation 0, certified).  For a polynomial map a Schur-Cohn
-    test first shows that h' has no zero on the closed disk, else
+    disk.  Automorphisms are conformal (dilatation 0, certified).  A
+    polynomial map is the one-row case of validate_rows: a Schur-Cohn test
+    first shows that h' has no zero on the closed disk, else
     CriticalPointError (raised too when the samples of h' or g' leave the
     float range); then a Bernstein bound decides the sign of
     (1 - SENSE_MARGIN)^2 |h'|^2 - |g'|^2 on the unit circle, which is
@@ -523,7 +518,10 @@ def validate(f: HarmonicMap) -> ValidityReport:
     self_map_sup is the largest |f| at CIRCLE_SAMPLES circle points; self_map
     means it is <= 1 + SELF_MAP_SLACK.
     """
-    report = validate_maps([f])[0]
+    if isinstance(f, DiskAutomorphism):
+        sup_f = float(np.abs(f.evaluate(_circle(CIRCLE_SAMPLES))).max())
+        return ValidityReport(True, 0.0, sup_f, True)
+    report = validate_rows(*coefficient_rows([f]))[0]
     if isinstance(report, CriticalPointError):
         raise report
     return report

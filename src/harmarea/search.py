@@ -11,12 +11,13 @@ a fixed seed.
 The lattice, of sweep and of maximize_area_ratio alike, is scored in
 blocks of rows, not one map at a time.  A row whose coefficients certify
 it (maps._coefficient_certificate) is feasible with no circle samples; the
-rest of a block is validated in one pass (maps.validate_maps or
-validate_rows), which gives each row what maps.validate gives its map.  A
-RawBall row needs no map object: on a disk its area is the closed form of
-distortion.disk_series_rows, one fsum per row; only a star or a pixel grid
-builds the map.  The result is bit for bit the one-map-at-a-time result:
-the same notes, ratios, incumbent, trace and evaluation count.
+rest of a block is validated in one pass by validate_rows, which gives
+each row what maps.validate gives its map; automorphisms, conformal
+self-maps of the disk, need no pass.  A RawBall row needs no map object:
+on a disk its area is the closed form of distortion.disk_series_rows, one
+fsum per row; only a star or a pixel grid builds the map.  The result is
+bit for bit the one-map-at-a-time result: the same notes, ratios,
+incumbent, trace and evaluation count.
 Each simplex vertex is scored as a one-row block of the same pass, so
 lattice and simplex share one feasibility decision, one area rule and one
 incumbent rule.  The Schwarz-Pick search tests a block's points for
@@ -46,7 +47,6 @@ from .maps import (
     coefficient_rows,
     raw_polynomial,
     shear,
-    validate_maps,
     validate_rows,
 )
 from .quadrature import DEFAULT_TOL, check_tol
@@ -203,15 +203,18 @@ class FamilySpec:
         return f
 
     def check(self, f: HarmonicMap) -> None:
-        """Raise HypothesisError when f violates a constraint, as decided by
-        maps.validate_maps on the one map.
+        """Raise HypothesisError when a polynomial map f violates a
+        constraint, as decided by maps.validate_rows on the one map; an
+        automorphism, a conformal self-map, violates none.
 
         A map whose h' may vanish on the closed disk is not sense-preserving,
         noted by its CriticalPointError's text.  Every other "not
         sense-preserving" is certified; the self-map decision is sampled.
         """
+        if isinstance(f, DiskAutomorphism):
+            return
         if self.require_self_map or self.require_sense_preserving:
-            why = self._violations(validate_maps([f])).get(0)
+            why = self._violations(validate_rows(*coefficient_rows([f]))).get(0)
             if why:
                 raise HypothesisError(why)
 
@@ -291,13 +294,12 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
     area(i) is image_area(f, E, tol, check_sense=False).value for row i's
     map f, or nan when f cannot be constructed.
 
-    Rows that maps._coefficient_certificate decides are feasible, and so
-    are automorphisms but for a required self-map.  The others are validated
-    in one pass, by maps.validate_maps on automorphisms, else validate_rows
-    on coefficient rows; FamilySpec._violations reads the notes off their
-    entries.  No row's decision depends on another row.  A RawBall row is
-    its coefficient row, with no map object but for an area on a region other
-    than a disk.
+    Automorphisms are feasible, and so are the rows that
+    maps._coefficient_certificate decides.  The others are validated in one
+    pass by validate_rows on their coefficient rows; FamilySpec._violations
+    reads the notes off its entries.  No row's decision depends on another
+    row.  A RawBall row is its coefficient row, with no map object but for
+    an area on a region other than a disk.
     """
     kind = family.kind
     notes = [""] * len(params)
@@ -312,22 +314,15 @@ def _score_block(family: FamilySpec, E: Region, params: np.ndarray, tol: float):
             except ConstructionError as exc:
                 notes[i] = f"construction: {exc}"
         built = list(maps)
-    if built and (family.require_self_map or family.require_sense_preserving):
+    conformal = isinstance(kind, AutomorphismFamily)
+    if built and not conformal and (family.require_self_map or family.require_sense_preserving):
+        if not raw:
+            rows, degree = coefficient_rows(list(maps.values()))
         # Certified rows get no note from validate_rows either: skip them.
-        conformal = not raw and isinstance(maps[built[0]], DiskAutomorphism)
-        if conformal:
-            sure = np.full(len(built), not family.require_self_map)
-        else:
-            if not raw:
-                rows, degree = coefficient_rows(list(maps.values()))
-            sure = _coefficient_certificate(rows, family.require_self_map)
+        sure = _coefficient_certificate(rows, family.require_self_map)
         open_rows = np.flatnonzero(~sure).tolist()
         if open_rows:
-            validity = (
-                validate_maps([maps[built[j]] for j in open_rows])
-                if conformal
-                else validate_rows(rows[open_rows], degree[open_rows])
-            )
+            validity = validate_rows(rows[open_rows], degree[open_rows])
             for j, why in family._violations(validity).items():
                 notes[built[open_rows[j]]] = f"constraint: {why}"
 

@@ -222,6 +222,11 @@ class TestArea:
         assert err == f"error: {command} does not read {flag}\n"
         assert out == "" and not (tmp_path / "out").exists()
 
+    def test_map_file_not_found(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, ["area", "--map", str(missing), "--out", str(tmp_path)])
+        assert (code, out, err) == (2, "", f"error: file not found: {missing}\n")
+
     def test_missing_map(self, capsys, tmp_path):
         code, _, err = run(capsys, ["area", "--out", str(tmp_path)])
         assert code == 2
@@ -528,7 +533,8 @@ class TestInputContract:
 
 
 class TestZeroMeasureRegion:
-    """Every ratio divides by m(E); an empty grid is rejected up front."""
+    """Every ratio divides by m(E); a region of zero measure is rejected up
+    front, an empty grid as well as a disk or star whose measure underflows."""
 
     @pytest.mark.parametrize(
         "source",
@@ -552,6 +558,38 @@ class TestZeroMeasureRegion:
         )
         assert code == 2
         assert "zero measure" in err
+
+    @pytest.mark.parametrize("region", ["grid", "disk", "star", "--r"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["area", "--preset", "identity"],
+            ["sweep", "--family", "FAMILY"],
+            ["search", "--family", "FAMILY"],
+            ["search", "--preset", "identity"],
+            ["oracle", "--preset", "identity"],
+        ],
+        ids=["area", "sweep", "search-family", "search-map", "oracle"],
+    )
+    def test_refused_with_one_error_line(self, capsys, tmp_path, source, region):
+        # m(E) of a disk or star of radius 1e-300 underflows to 0: the
+        # ratio once raised ZeroDivisionError (exit 1 with a traceback), and
+        # search --map and oracle ran on.
+        docs = {
+            "grid": {"kind": "grid", "n": 8, "mask": base64.b64encode(bytes(8)).decode()},
+            "disk": {"kind": "disk", "r": 1e-300},
+            "star": {"kind": "star", "profile": [1e-300] * 8},
+        }
+        if region == "--r":
+            where = ["--r", "1e-300"]
+        else:
+            where = ["--region", write_json(tmp_path / "region.json", docs[region])]
+        fam = write_json(tmp_path / "fam.json", {"kind": "affine", "alpha_range": [0.0, 0.5]})
+        argv = [fam if arg == "FAMILY" else arg for arg in source]
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, [*argv, *where, "--n", "3", "--out", str(out_dir)])
+        assert (code, out, err) == (2, "", "error: region has zero measure\n")
+        assert not out_dir.exists()
 
 
 class TestVerify:

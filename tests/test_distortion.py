@@ -582,6 +582,11 @@ class TestSupDilatationBoundaryRule:
         with pytest.raises(HypothesisError):
             sup_dilatation(raw_polynomial([0.25], [0, 0.1]), E)
 
+    def test_h_prime_below_the_critical_floor_raises(self):
+        # h' = 1e-13 has no zero, but |h'| < CRITICAL_EPS leaves g'/h' undefined.
+        with pytest.raises(HypothesisError, match="^dilatation undefined on the region: "):
+            sup_dilatation(raw_polynomial([0, 1e-13], [0]), Disk(0.5))
+
     def test_automorphism_on_a_star_is_zero(self):
         assert sup_dilatation(automorphism(0.5, 1.0), star_cos3(256, 0.9)) == 0.0
 
@@ -1112,6 +1117,10 @@ class TestSpRatio:
     def test_escaping_point_is_flagged_infinite(self):
         f = affine(0.9)  # |f(x)| = 1.9|x| on the real axis
         assert math.isinf(sp_ratio(f, 0.9))
+
+    def test_image_within_1e_12_of_the_circle_is_infinite(self):
+        # |f(z)| = 1 - 1e-13 < 1, but 1 - |f(z)|^2 < 1e-12.
+        assert sp_ratio(identity_map(), 1.0 - 1e-13) == math.inf
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):

@@ -340,6 +340,15 @@ class TestValidate:
         with pytest.raises(CriticalPointError):
             validate(f)
 
+    @pytest.mark.parametrize("top", [2.2250738585e-313, 5e-324, -1e-310j])
+    def test_subnormal_leading_coefficient_is_a_critical_point_at_zero(self, top):
+        # h' = 2z + 3 top z^2: np.roots once overflowed dividing by the
+        # subnormal leading coefficient, with two RuntimeWarnings and a
+        # LinAlgError.  Its zeros are 0 and one past the float range.
+        f = raw_polynomial((0.0, 0.0, 1.0, top), (0.0,))
+        with pytest.raises(CriticalPointError, match=r"undecidable: h' vanishes near z = 0j$"):
+            validate(f)
+
     @given(st.floats(0.0, 0.8), st.floats(0.0, 2.0 * math.pi))
     def test_automorphisms_validate(self, a, rho):
         rep = validate(automorphism(a, rotation=rho))
@@ -609,9 +618,9 @@ _AUTOMORPHISM = st.builds(
 
 
 class TestValidateRows:
-    """validate_maps on a list of automorphisms, or validate_rows on a stack
-    of polynomial maps of mixed degree, gives each row what validate gives
-    the map alone, bit for bit."""
+    """validate_rows on a stack of polynomial maps of mixed degree gives each
+    row what validate gives the map alone, bit for bit; validate gives each
+    automorphism its conformal report."""
 
     @pytest.mark.parametrize("cap", [None, 64])
     @given(
@@ -633,13 +642,19 @@ class TestValidateRows:
         ]
     )
     @example(maps=[automorphism(0.99 + 0j, 3.0), identity_map(), automorphism(-0.5j, -1e300)])
+    # h' = 2z + 6.7e-313 z^2: np.roots once overflowed dividing by the
+    # subnormal leading coefficient and raised LinAlgError.
+    @example(maps=[raw_polynomial((0.0, 0.0, 1.0, 2.2250738585e-313), (0.0,)), affine(0.5)])
     @settings(max_examples=300, deadline=None)
     def test_rows_match_one_row_validate(self, cap, maps):
         with pytest.MonkeyPatch.context() as mp:
             if cap is not None:
                 # Past the cap the samples decide, uncertified.
                 mp.setattr(harmarea.maps, "CIRCLE_CAP", cap)
-            stacked = harmarea.maps.validate_maps(maps)
+            if isinstance(maps[0], DiskAutomorphism):
+                stacked = [validate(f) for f in maps]
+            else:
+                stacked = harmarea.maps.validate_rows(*harmarea.maps.coefficient_rows(maps))
             assert len(stacked) == len(maps)
             for f, row in zip(maps, stacked):
                 try:

@@ -17,6 +17,7 @@ from harmarea import (
     AutomorphismFamily,
     BudgetError,
     ConstructionError,
+    CriticalPointError,
     Disk,
     FamilySpec,
     HypothesisError,
@@ -34,6 +35,7 @@ from harmarea import (
     shear,
     star_cos3,
     sweep,
+    validate,
 )
 from harmarea.cli import main
 from harmarea.quadrature import DEFAULT_TOL
@@ -81,6 +83,11 @@ class TestFamilies:
         f = fam.construct((0.1, 0.0, 0.05, 0.0, 0.0))
         assert abs(f.evaluate(0.5) - (0.5 + 0.1 * 0.25 + 0.05 * 0.5)) < 1e-15
 
+    @pytest.mark.parametrize("bound", [-1.0, math.inf])
+    def test_rawball_bound_finite_and_nonnegative(self, bound):
+        with pytest.raises(ConstructionError, match="coefficient bound must be finite and >= 0"):
+            RawBall(2, bound)
+
     def test_rawball_degree_cap(self):
         with pytest.raises(ConstructionError):
             RawBall(degree=0, coeff_bound=0.1)
@@ -116,6 +123,15 @@ class TestSweep:
         rows = sweep(fam, Disk(0.5), 4)
         for row in rows:
             assert abs(row.ratio - 1.0) < 1e-12
+
+    def test_self_map_requirement_moves_no_automorphism_row(self):
+        # Automorphisms are self-maps by construction, so requiring one moves
+        # no row.  Sampling them on the circle once raised PoleError at
+        # |a| = 1 - 1e-15, where |1 - conj(a) z| < POLE_EPS at z = 1.
+        kind = AutomorphismFamily((0.0, 0.999999999999999), (0.0, 0.0))
+        rows = sweep(FamilySpec(kind, require_self_map=True), Disk(0.5), 33)
+        assert rows == sweep(FamilySpec(kind), Disk(0.5), 33)
+        assert len(rows) == 33 and all(row.feasible for row in rows)
 
     def test_shear_grid_covers_powers(self):
         fam = FamilySpec(ShearFamily((0.0, 0.4), powers=(2, 3)))
@@ -416,21 +432,28 @@ REQUIREMENTS = {"sense": (False, True), "self-map": (True, False), "both": (True
 
 
 def _notes_validating_every_row(family, params):
-    """_score_block's notes from validate_maps on every constructible row."""
-    notes, maps = [""] * len(params), {}
+    """_score_block's notes from validate on every constructible row,
+    automorphisms included; a CriticalPointError is its row's entry."""
+    notes, validity = [""] * len(params), {}
     for i, p in enumerate(params.tolist()):
         try:
-            maps[i] = family.kind.construct(p)
+            f = family.kind.construct(p)
         except ConstructionError as exc:
             notes[i] = f"construction: {exc}"
-    for j, why in family._violations(harmarea.maps.validate_maps(list(maps.values()))).items():
-        notes[list(maps)[j]] = f"constraint: {why}"
+            continue
+        try:
+            validity[i] = validate(f)
+        except CriticalPointError as exc:
+            validity[i] = exc
+    for j, why in family._violations(list(validity.values())).items():
+        notes[list(validity)[j]] = f"constraint: {why}"
     return notes
 
 
 class TestCertificateKeepsNotes:
-    """Rows that the coefficient certificate decides skip the circle, and
-    every note is still what validating every row gives, in a block or alone."""
+    """Rows that the coefficient certificate decides, and automorphisms,
+    skip the circle, and every note is still what validating every row
+    gives, in a block or alone."""
 
     @pytest.mark.parametrize("require", sorted(REQUIREMENTS))
     @pytest.mark.parametrize("kind", sorted(NOTE_FAMILIES))
