@@ -219,8 +219,7 @@ def _panels(E: StarShaped, pole: complex | None) -> np.ndarray:
     BOUNDARY_POLE_CAP whose bound is still below it raises
     NonConvergenceError.
     """
-    ends = np.array(E.profile + E.profile[:1])
-    p, prof, nxt = len(E.profile), ends[:-1], ends[1:]
+    p, prof, nxt = len(E.profile), E._closed[:-1], E._closed[1:]
     h = 2.0 * np.pi / p
     panels = np.stack([h * np.arange(p), np.full(p, h), prof, nxt, (nxt - prof) / h])
     while pole is not None:
@@ -268,7 +267,10 @@ def _boundary_batch(parts, stars, tol: float, *, min_nodes: int = 1, pole=None):
     panel's slope.  Nodes per panel double from BOUNDARY_M0 until two levels
     agree (_refine); the first level has at least min_nodes nodes.  A pole
     within BOUNDARY_POLE_CAP of a boundary, or a level of more than
-    BOUNDARY_NODE_CAP nodes, raises NonConvergenceError.
+    BOUNDARY_NODE_CAP nodes, raises NonConvergenceError.  Its one caller
+    passes min_nodes <= 4 * (maps.DEGREE_CAP + 1) = 260, so its first level
+    (BOUNDARY_M0 a panel, or under 520 nodes in all) is at most half the cap
+    max(2 * BOUNDARY_M0, BOUNDARY_NODE_CAP // panels): two levels or more.
 
     Stars whose panels share their start angles and widths are refined
     together; a level evaluates e^{i theta} once for them and the parts on
@@ -288,11 +290,6 @@ def _boundary_batch(parts, stars, tol: float, *, min_nodes: int = 1, pole=None):
         m = BOUNDARY_M0
         while m <= cap and m * start.size < min_nodes:
             m *= 2
-        if 2 * m > cap:
-            raise NonConvergenceError(
-                f"resolving the integrand needs more than the cap of {cap} "
-                "boundary nodes per panel"
-            )
 
         def level(m: int, live: list[int]) -> tuple[list[float], int]:
             x, gw = _gauss(m)

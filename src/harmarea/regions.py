@@ -4,7 +4,9 @@ A star-shaped region is stored as M >= 8 radial samples R_j = R(2*pi*j/M)
 in (0, 1], interpreted by piecewise-linear periodic interpolation.  A pixel
 grid covers [-1,1]^2 with n x n cells; a cell belongs to the region when its
 mask entry is true, and every true cell's center must lie in the open unit
-disk.
+disk.  Each region works out its measure and reach (region_measure and
+bounding_radius read them) once, when built; a star also keeps its closed
+profile R_0, ..., R_{M-1}, R_0 as a read-only array.
 """
 
 from __future__ import annotations
@@ -36,11 +38,15 @@ class Disk:
         if not math.isfinite(r) or not 0.0 < r <= 1.0:
             raise ConstructionError("disk radius must lie in (0, 1]")
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "_measure", math.pi * r * r)
+        object.__setattr__(self, "_reach", r)
 
 
 @dataclass(frozen=True)
 class StarShaped:
-    """Region |z| <= R(arg z) with piecewise-linear periodic profile R."""
+    """Region |z| <= R(arg z) with piecewise-linear periodic profile R: its
+    measure int R^2/2 dtheta is the exact sum over segments of width h =
+    2*pi/M of (h/6)(R_j^2 + R_j R_{j+1} + R_{j+1}^2), fsum-reduced."""
 
     profile: tuple[float, ...]
 
@@ -50,13 +56,16 @@ class StarShaped:
             raise ConstructionError(
                 f"star profile needs at least {MIN_PROFILE_SAMPLES} samples"
             )
-        a = np.array(prof + prof[:1])
-        if not ((a > 0.0) & (a <= 1.0)).all():  # a nan fails both
+        closed = np.array(prof + prof[:1])
+        if not ((closed > 0.0) & (closed <= 1.0)).all():  # a nan fails both
             raise ConstructionError("star profile values must lie in (0, 1]")
-        a, b = a[:-1], a[1:]
+        closed.flags.writeable = False
+        a, b = closed[:-1], closed[1:]
         terms = 2.0 * math.pi / a.size / 6.0 * (a * a + a * b + b * b)
         object.__setattr__(self, "profile", prof)
+        object.__setattr__(self, "_closed", closed)
         object.__setattr__(self, "_measure", math.fsum(terms.tolist()))
+        object.__setattr__(self, "_reach", float(closed.max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +84,10 @@ class PixelGrid:
             raise ConstructionError(f"mask must have shape ({n}, {n})")
         # In a row, hypot(cx, cy) is largest at its first or last true
         # column, so those two per row decide every true cell and hold the
-        # farthest center: bounding_radius reads its complex abs, the bits
-        # of cell_centers (hypot can differ by an ulp).
+        # farthest center: the reach pads its complex abs, the bits of
+        # cell_centers (hypot can differ by an ulp), by half a cell diagonal.
         occupied = mask.any(axis=1)
-        farthest = None
+        reach = 0.0
         if occupied.any():
             rows = np.flatnonzero(occupied)
             first = mask.argmax(axis=1)[occupied]
@@ -89,11 +98,12 @@ class PixelGrid:
                 raise ConstructionError(
                     "true cells must have centers in the open unit disk"
                 )
-            farthest = float(np.max(np.abs(cx + 1j * cy)))
+            reach = float(np.max(np.abs(cx + 1j * cy))) + math.sqrt(2.0) / n
         mask.flags.writeable = False
-        object.__setattr__(self, "_farthest", farthest)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_measure", int(np.count_nonzero(mask)) * (2.0 / n) * (2.0 / n))
+        object.__setattr__(self, "_reach", reach)
 
     def __eq__(self, other):
         if not isinstance(other, PixelGrid):
@@ -132,11 +142,8 @@ Region = Union[Disk, StarShaped, PixelGrid]
 
 def _interp_profile(E: StarShaped, t) -> np.ndarray:
     """The profile's interpolant at angles t in [0, 2 pi]."""
-    prof = np.asarray(E.profile, dtype=float)
-    m = prof.size
-    xp = 2.0 * np.pi * np.arange(m + 1) / m
-    fp = np.append(prof, prof[0])
-    return np.interp(t, xp, fp)
+    m = len(E.profile)
+    return np.interp(t, 2.0 * np.pi * np.arange(m + 1) / m, E._closed)
 
 
 def radial_profile(E: Region, theta: float):
@@ -150,17 +157,8 @@ def radial_profile(E: Region, theta: float):
 
 
 def region_measure(E: Region) -> float:
-    """Lebesgue measure of the region, in closed form.
-
-    A star's piecewise-linear profile runs from R_j to R_{j+1} over each
-    segment of width h = 2*pi/M, so int R^2/2 dtheta is the exact finite sum
-    of (h/6)(R_j^2 + R_j R_{j+1} + R_{j+1}^2), fsum-reduced as the star is built.
-    """
-    if isinstance(E, Disk):
-        return math.pi * E.r * E.r
-    if isinstance(E, PixelGrid):
-        side = 2.0 / E.n
-        return int(np.count_nonzero(E.mask)) * side * side
+    """Lebesgue measure of the region in closed form, as built: pi r^2, true
+    cells times the cell area, or StarShaped's exact segment sum."""
     return E._measure
 
 
@@ -183,7 +181,7 @@ def contains_points(E: Region, z: np.ndarray) -> np.ndarray:
     if isinstance(E, StarShaped):
         r = np.abs(z)
         out = r < min(E.profile) * (1.0 - 1e-12)
-        ring = ~out & (r <= max(E.profile) * (1.0 + 1e-12))
+        ring = ~out & (r <= E._reach * (1.0 + 1e-12))
         theta = np.angle(z[ring])
         theta[theta < 0.0] += 2.0 * np.pi  # np.mod(theta, 2 pi), to the bit
         out[ring] = r[ring] <= _interp_profile(E, theta)
@@ -240,15 +238,10 @@ def _member_blocks(E: Region, n: int):
 
 
 def bounding_radius(E: Region) -> float:
-    """Smallest centered disk radius covering the region model."""
-    if isinstance(E, Disk):
-        return E.r
-    if isinstance(E, StarShaped):
-        return max(E.profile)
-    if E._farthest is None:
-        return 0.0
-    # Half the cell diagonal pads the farthest center to cover whole cells.
-    return E._farthest + math.sqrt(2.0) / E.n
+    """Smallest centered disk radius covering the region model, as built: r,
+    max R, or the farthest true cell center plus half a cell diagonal (0.0
+    for an empty grid)."""
+    return E._reach
 
 
 def star_cos3(m: int = 256, scale: float = 1.0) -> StarShaped:

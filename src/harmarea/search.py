@@ -168,7 +168,7 @@ class RawBall(_Family):
 
     def continuous_bounds(self):
         b = self.coeff_bound
-        return tuple((-b, b) for _ in self.param_names)
+        return tuple((0.0 - b, b) for _ in self.param_names)  # -0.0 would print "-0"
 
     def coefficients(self, params: np.ndarray) -> np.ndarray:
         """Ascending coefficients of h and g, shape (N, 2, degree + 1), for

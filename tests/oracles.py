@@ -30,6 +30,10 @@ grid_midpoint_whole and grid_tensor_rule keep the midpoint rule and the
 tensor Gauss rule per run that pixel grids used before Green's formula on
 the run sides; grid_gauss_sides is that formula by plain Gauss sums, the
 reference for the closed-form arcs of Mobius maps.
+region_measure_per_kind and bounding_radius_per_kind keep region_measure
+and bounding_radius as they branched on the region kind at each call, and
+profile_interp_whole the star interpolant that rebuilt the closed profile at
+each call, as the references for the values a region stores when built.
 """
 
 import cmath
@@ -242,15 +246,50 @@ def rasterize_whole(member, n: int) -> np.ndarray:
     return member(z) & (np.abs(z) < 1.0)
 
 
-def star_contains_whole(profile, z: np.ndarray) -> np.ndarray:
-    """|z| <= R(arg z) at every point, R the periodic piecewise-linear
-    interpolant of the profile samples."""
+def profile_interp_whole(profile, t) -> np.ndarray:
+    """R(t) for angles t in [0, 2 pi], R the periodic piecewise-linear
+    interpolant of the profile samples, closed afresh from the samples."""
     prof = np.asarray(profile, dtype=float)
     m = prof.size
     xp = 2.0 * np.pi * np.arange(m + 1) / m
     fp = np.append(prof, prof[0])
-    t = np.mod(np.angle(z), 2.0 * np.pi)
-    return np.abs(z) <= np.interp(t, xp, fp)
+    return np.interp(t, xp, fp)
+
+
+def star_contains_whole(profile, z: np.ndarray) -> np.ndarray:
+    """|z| <= R(arg z) at every point, R the periodic piecewise-linear
+    interpolant of the profile samples."""
+    return np.abs(z) <= profile_interp_whole(profile, np.mod(np.angle(z), 2.0 * np.pi))
+
+
+def region_measure_per_kind(E) -> float:
+    """m(E) worked out from the region's fields by its kind: pi r^2, the
+    fsum of (h/6)(a^2 + ab + b^2) over a star's segments, or the true-cell
+    count times the cell area."""
+    from harmarea.regions import Disk, PixelGrid
+
+    if isinstance(E, Disk):
+        return math.pi * E.r * E.r
+    if isinstance(E, PixelGrid):
+        side = 2.0 / E.n
+        return int(np.count_nonzero(E.mask)) * side * side
+    ends = np.array(E.profile + E.profile[:1])
+    a, b = ends[:-1], ends[1:]
+    return math.fsum((2.0 * math.pi / a.size / 6.0 * (a * a + a * b + b * b)).tolist())
+
+
+def bounding_radius_per_kind(E) -> float:
+    """The smallest centered disk radius covering E, from its fields: r,
+    max R, or the largest |center| over every true cell plus half a cell
+    diagonal (0.0 for an empty grid)."""
+    from harmarea.regions import Disk, PixelGrid
+
+    if isinstance(E, Disk):
+        return E.r
+    if isinstance(E, PixelGrid):
+        centers = cell_centers_whole(E.mask)
+        return float(np.max(np.abs(centers))) + math.sqrt(2.0) / E.n if centers.size else 0.0
+    return max(E.profile)
 
 
 def cell_centers_whole(mask: np.ndarray) -> np.ndarray:

@@ -813,6 +813,15 @@ class TestSearch:
         lines = (tmp_path / "search.csv").read_text().strip().split("\n")
         assert lines[0] == "iteration,alpha,value,feasible"
 
+    def test_zero_rawball_bound_prints_zeros(self, capsys, tmp_path):
+        fam = write_json(tmp_path / "fam.json", {"kind": "rawball", "degree": 2, "coeff_bound": 0})
+        code, out, _ = run(capsys, ["search", "--family", fam, "--out", str(tmp_path)])
+        assert code == 0
+        assert "best: h2=0 g1=0 g2=0 value=1\n" in out
+        trace = (tmp_path / "search.csv").read_text()
+        assert trace.splitlines()[1] == "0,0,0,0,1,true"
+        assert "-0" not in trace
+
     def test_fixed_map_sp_objective(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,

@@ -560,6 +560,8 @@ def _huge_map(seed: int):
 # h' vanishes at Z0, which lies between the angular samples of the boundary.
 Z0 = 0.4 * cmath.exp(1j * math.pi / 256)
 CRITICAL_AT_Z0 = raw_polynomial([0, 1, -1 / (2 * Z0)], [0, 1e-4])
+# A grid with no true cell: no sample point, and zero measure.
+EMPTY_GRID = PixelGrid(8, np.zeros((8, 8), dtype=bool))
 
 
 class TestSupDilatationBoundaryRule:
@@ -586,6 +588,9 @@ class TestSupDilatationBoundaryRule:
         # h' = 1e-13 has no zero, but |h'| < CRITICAL_EPS leaves g'/h' undefined.
         with pytest.raises(HypothesisError, match="^dilatation undefined on the region: "):
             sup_dilatation(raw_polynomial([0, 1e-13], [0]), Disk(0.5))
+
+    def test_empty_grid_is_zero(self):
+        assert sup_dilatation(shear(0.3), EMPTY_GRID) == 0.0
 
     def test_automorphism_on_a_star_is_zero(self):
         assert sup_dilatation(automorphism(0.5, 1.0), star_cos3(256, 0.9)) == 0.0
@@ -693,6 +698,10 @@ class TestDiskContraction:
 
 
 class TestRadialBound:
+    def test_radius_one_is_refused(self):
+        with pytest.raises(HypothesisError, match=r"^radius must lie in \(0, 1\)$"):
+            radial_bound_profile(identity_map(), 1.0)
+
     def test_rotation_exact_everywhere(self):
         rows = radial_bound_profile(rotation_map(1.0), 0.5)
         assert len(rows) == 64
@@ -944,6 +953,10 @@ class TestLocalContraction:
 
 
 class TestWorstCase:
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(HypothesisError, match="^domain grid is empty; increase the grid size$"):
+            worst_case_image_area(shear(0.3), EMPTY_GRID, 0.1)
+
     def test_affine_proportional(self):
         total = math.pi * 0.81
         for k in range(1, 21):
@@ -1025,6 +1038,10 @@ THRESHOLD_REGIONS = {
 
 
 class TestSmallSetThreshold:
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(HypothesisError, match="^domain grid is empty; increase the grid size$"):
+            small_set_threshold(shear(0.3), EMPTY_GRID)
+
     @pytest.mark.parametrize("region", sorted(THRESHOLD_REGIONS))
     @pytest.mark.parametrize("name", sorted(THRESHOLD_MAPS))
     def test_matches_the_envelope(self, name, region):
@@ -1223,6 +1240,10 @@ class TestReferenceIntegrals:
 
 
 class TestRigidity:
+    def test_radius_one_is_refused(self):
+        with pytest.raises(HypothesisError, match=r"^radius must lie in \(0, 1\)$"):
+            rigidity_margin(identity_map(), 1.0)
+
     def test_rotation_margin_vanishes(self):
         for r in EXACT_RADII:
             assert rigidity_margin(rotation_map(0.4), r) == 0.0

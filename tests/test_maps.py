@@ -300,6 +300,17 @@ class TestFactories:
         assert f.evaluate(0.3 + 0.2j) == 0.3 + 0.2j
         assert f.jacobian(0.5) == 1.0
 
+    def test_rescaled_affine_needs_alpha_below_one(self):
+        with pytest.raises(ConstructionError, match=r"affine map requires \|alpha\| < 1"):
+            rescaled_affine(1.0)
+
+    def test_unknown_preset_lists_the_known_ones(self):
+        with pytest.raises(ValueError) as excinfo:
+            preset_map("nope")
+        assert str(excinfo.value) == (
+            "unknown preset 'nope'; known presets: " + ", ".join(sorted(preset_names()))
+        )
+
     def test_rescaled_affine_is_self_map(self):
         rep = validate(rescaled_affine(0.5))
         assert rep.sense_preserving

@@ -271,6 +271,20 @@ class TestIntegrateBoundary:
         # 8 segments need 64 nodes each for 260 nodes: levels 64 and 128.
         assert res.evals == 8 * (64 + 128)
 
+    def test_every_batch_has_two_levels_at_both_extremes(self):
+        # min_nodes <= 260 keeps the first level within half the node cap.
+        # Degree 64 on 8 panels starts at 64 nodes a panel: levels 64, 128.
+        f = raw_polynomial([0, 1] + [0] * 62 + [0.01], [0])
+        res = image_area(f, StarShaped((0.99,) * 8))
+        assert res.evals == 8 * (64 + 128)
+        exact = math.pi * (0.99**2 + 64 * 1e-4 * 0.99**128)
+        assert abs(res.value - exact) <= 1e-14 * exact
+        # 40 000 panels leave a cap of 2 * BOUNDARY_M0: levels 4 and 8.
+        res = image_area(automorphism(0.5), StarShaped((0.5,) * 40_000))
+        assert res.evals == 40_000 * (4 + 8)
+        exact = oracles.mobius_disk_area(0.5, 0.5)
+        assert abs(res.value - exact) <= 1e-14 * exact
+
     def test_unresolvable_pole_raises_before_evaluating(self):
         f = automorphism(1.0 - 1e-6)
         calls = []

@@ -3,10 +3,11 @@
 import cmath
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -90,6 +91,9 @@ class TestConstruction:
         assert g1 == g2
         with pytest.raises(ValueError):
             g1.mask[0, 0] = True
+
+    def test_grid_is_not_equal_to_other_types(self):
+        assert (PixelGrid(4, np.zeros((4, 4), dtype=bool)) == 3) is False
 
     def test_grid_shape_checked(self):
         with pytest.raises(ConstructionError):
@@ -247,6 +251,10 @@ class TestRasterize:
         got = region_measure(rasterize(E, 1024))
         assert abs(got - region_measure(E)) <= 0.01 * region_measure(E)
 
+    def test_needs_two_cells_a_side(self):
+        with pytest.raises(ConstructionError, match="grid resolution must be >= 2"):
+            rasterize(Disk(0.5), 1)
+
     def test_raster_of_grid_at_same_resolution_is_identity(self):
         g = rasterize(Disk(0.5), 32)
         assert rasterize(g, 32) == g
@@ -356,6 +364,74 @@ class TestBoundingRadius:
 
     def test_empty_grid(self):
         assert bounding_radius(PixelGrid(8, np.zeros((8, 8), dtype=bool))) == 0.0
+
+
+def _star_values(m: int, seed: int) -> list[float]:
+    # Log-uniform in [1e-300, 1], so samples span the normal range below 1.
+    return np.clip(10.0 ** np.random.default_rng(seed).uniform(-300.0, 0.0, m), 1e-300, 1.0).tolist()
+
+
+class TestComputedWhenBuilt:
+    """region_measure and bounding_radius read what each region works out
+    when built: the bits of the per-kind references."""
+
+    @staticmethod
+    def _same_bits(E):
+        for got, want in (
+            (region_measure(E), oracles.region_measure_per_kind(E)),
+            (bounding_radius(E), oracles.bounding_radius_per_kind(E)),
+        ):
+            assert type(got) is float
+            assert got.hex() == want.hex()
+
+    @given(st.floats(0.0, 1.0, exclude_min=True))
+    @example(5e-324)
+    @example(1.0)
+    def test_disks(self, r):
+        self._same_bits(Disk(r))
+
+    @given(
+        st.lists(st.floats(1e-300, 1.0), min_size=8, max_size=64)
+        | st.builds(_star_values, st.integers(8, 4096), st.integers(0, 2**32 - 1))
+    )
+    @example([1e-300] * 8)
+    @example([1.0] * 4096)
+    def test_stars(self, profile):
+        self._same_bits(StarShaped(profile))
+
+    @given(st.integers(2, 64), st.sampled_from(["empty", "full", "random"]), st.integers(0, 2**32 - 1))
+    def test_grids(self, n, kind, seed):
+        inside = oracles.rasterize_whole(lambda z: np.ones(z.shape, dtype=bool), n)
+        rng = np.random.default_rng(seed)
+        mask = {
+            "empty": np.zeros((n, n), dtype=bool),
+            "full": inside,
+            "random": inside & (rng.random((n, n)) < rng.random()),
+        }[kind]
+        self._same_bits(PixelGrid(n, mask))
+
+    def test_stored_star_profile_is_read_only(self):
+        E = star_cos3(64)
+        with pytest.raises(ValueError):
+            E._closed[0] = 0.5
+        assert E._closed.tolist() == [*E.profile, E.profile[0]]
+
+    def test_replace_works_the_values_out_again(self):
+        E = replace(Disk(0.5), r=0.25)
+        assert region_measure(E) == math.pi / 16
+        assert bounding_radius(E) == 0.25
+        star = replace(star_cos3(64), profile=EIGHT)
+        assert region_measure(star) == region_measure(StarShaped(EIGHT))
+        assert bounding_radius(star) == 0.6
+
+    def test_profile_and_membership_keep_their_bits(self):
+        E = star_cos3(256, 0.9)
+        rng = np.random.default_rng(45)
+        theta = rng.uniform(-10.0, 10.0, 10**4)
+        expected = oracles.profile_interp_whole(E.profile, np.mod(theta, 2.0 * np.pi))
+        assert _bits(radial_profile(E, theta)) == _bits(expected)
+        z = rng.uniform(-1.0, 1.0, 10**4) + 1j * rng.uniform(-1.0, 1.0, 10**4)
+        assert np.array_equal(contains_points(E, z), oracles.star_contains_whole(E.profile, z))
 
 
 def _mask_from_runs(n: int, runs: np.ndarray) -> np.ndarray:

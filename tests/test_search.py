@@ -88,6 +88,12 @@ class TestFamilies:
         with pytest.raises(ConstructionError, match="coefficient bound must be finite and >= 0"):
             RawBall(2, bound)
 
+    def test_zero_rawball_bound_has_no_negative_zero(self):
+        # (-0.0, 0.0) put -0.0 on the lattice, which printed as "-0".
+        for lo, hi in RawBall(2, 0.0).continuous_bounds():
+            assert math.copysign(1.0, lo) == 1.0 and hi == 0.0
+        assert RawBall(2, 0.25).continuous_bounds() == ((-0.25, 0.25),) * 3
+
     def test_rawball_degree_cap(self):
         with pytest.raises(ConstructionError):
             RawBall(degree=0, coeff_bound=0.1)

@@ -77,6 +77,10 @@ class TestMapRoundTrip:
             assert g.evaluate(z) == f.evaluate(z)
             assert g.jacobian(z) == f.jacobian(z)
 
+    def test_region_is_not_a_map(self):
+        with pytest.raises(ParseError, match="cannot serialize map of type Disk"):
+            map_to_json(Disk(0.5))
+
     def test_named_forms_parse(self):
         f = map_from_json({"form": "affine", "alpha": [0.5, 0.0]})
         assert abs(f.jacobian(0.0) - 0.75) < 1e-15
