@@ -224,18 +224,19 @@ def sup_dilatation(f: HarmonicMap, E: Region) -> float:
     On a disk or a star a Schur-Cohn test on h'(bz), b = bounding_radius(E),
     first certifies that h' has no zero on |z| <= b, else HypothesisError.
     So g'/h' is analytic on E and peaks on its boundary (maximum modulus
-    principle).  An automorphism's dilatation is 0 and needs no test.
+    principle).  An automorphism is conformal: its sup is 0.0, with no sample.
     """
+    if isinstance(f, DiskAutomorphism):
+        return 0.0
     if isinstance(E, PixelGrid):
         pts = E.cell_centers()
         if pts.size == 0:
             return 0.0
     else:
-        if not isinstance(f, DiskAutomorphism):
-            b = bounding_radius(E)
-            h_prime = f.h.derivative().coefficients
-            if not _zero_free_closed_disk([c * b**k for k, c in enumerate(h_prime)]):
-                raise HypothesisError(f"h' has a zero on the closed disk |z| <= {b:.6g}")
+        b = bounding_radius(E)
+        h_prime = f.h.derivative().coefficients
+        if not _zero_free_closed_disk([c * b**k for k, c in enumerate(h_prime)]):
+            raise HypothesisError(f"h' has a zero on the closed disk |z| <= {b:.6g}")
         pts = radial_profile(E, _DILATATION_THETA) * np.exp(1j * _DILATATION_THETA)
     try:
         return float(np.max(np.abs(f.dilatation(pts))))

@@ -186,8 +186,6 @@ class DiskAutomorphism:
 
     def _evaluate_unchecked(self, z):
         phase = cmath.exp(1j * self.rotation)
-        if self.a == 0:
-            return phase * z
         # A named numerator keeps numpy from eliding the temporary into an
         # in-place product on long arrays, whose last bit can differ under
         # FMA: the result must not depend on the array's length.
@@ -197,8 +195,6 @@ class DiskAutomorphism:
     def jacobian(self, z):
         """(1 - |a|^2)^2 / |1 - conj(a) z|^4, exact."""
         _check_disk(z)
-        if self.a == 0:
-            return np.ones(z.shape) if isinstance(z, np.ndarray) else 1.0
         denom = self._denominator(z)
         return (1.0 - abs(self.a) ** 2) ** 2 / np.abs(denom) ** 4
 
@@ -283,8 +279,8 @@ class ValidityReport:
     """Sense-preservation and self-map diagnostics for a map.
 
     certified is true when sense_preserving was decided exactly (see
-    validate); it is false only on a sense_preserving map.  self_map_sup,
-    and so self_map, is always sampled.
+    validate); it is false only on a sense_preserving map.  self_map_sup is
+    exactly 1 for an automorphism and sampled for a polynomial map.
     """
 
     sense_preserving: bool
@@ -502,11 +498,12 @@ def _coefficient_certificate(coefficients: np.ndarray, self_map: bool) -> np.nda
 
 
 def validate(f: HarmonicMap) -> ValidityReport:
-    """Decide sense-preservation exactly where possible; sample |f| on the circle.
+    """Decide sense-preservation exactly where possible, and sup |f| on the circle.
 
     sense_preserving means sup |dilatation| < 1 - SENSE_MARGIN on the closed
-    disk.  Automorphisms are conformal (dilatation 0, certified).  A
-    polynomial map is the one-row case of validate_rows: a Schur-Cohn test
+    disk.  An automorphism is certified by its form, with no sample: it is
+    conformal (dilatation 0) and maps the circle onto itself (sup |f| = 1).
+    A polynomial map is the one-row case of validate_rows: a Schur-Cohn test
     first shows that h' has no zero on the closed disk, else
     CriticalPointError (raised too when the samples of h' or g' leave the
     float range); then a Bernstein bound decides the sign of
@@ -515,12 +512,11 @@ def validate(f: HarmonicMap) -> ValidityReport:
     or past the margin certifies the map not sense-preserving; past the cap,
     the samples call it sense-preserving with certified false.
     sup_abs_dilatation is the largest |g'/h'| on the last circle.
-    self_map_sup is the largest |f| at CIRCLE_SAMPLES circle points; self_map
-    means it is <= 1 + SELF_MAP_SLACK.
+    Its self_map_sup is the largest |f| at CIRCLE_SAMPLES circle points;
+    self_map means self_map_sup <= 1 + SELF_MAP_SLACK.
     """
     if isinstance(f, DiskAutomorphism):
-        sup_f = float(np.abs(f.evaluate(_circle(CIRCLE_SAMPLES))).max())
-        return ValidityReport(True, 0.0, sup_f, True)
+        return ValidityReport(True, 0.0, 1.0, True)
     report = validate_rows(*coefficient_rows([f]))[0]
     if isinstance(report, CriticalPointError):
         raise report

@@ -371,14 +371,14 @@ CRITICAL_MAP = {
 }
 # f = z^2: h' = 2z vanishes at 0, which no point of a polar grid hits.
 SQUARE_MAP = {"form": "polynomial", "h": [[0, 0], [0, 0], [1, 0]], "g": [[0, 0]]}
-# The Mobius pole 1/conj(a) lies within 1e-15 of the boundary sample z = 1.
+# The Mobius pole 1/conj(a) lies within 1e-15 of z = 1, which no kernel evaluates.
 NEAR_POLE_MAP = {"form": "automorphism", "a": [0.999999999999999, 0], "rotation": 0}
 
 
 class TestUnevaluableMaps:
     @pytest.mark.parametrize(
         "command, doc",
-        [("area", CRITICAL_MAP), ("verify", CRITICAL_MAP), ("area", NEAR_POLE_MAP)],
+        [("area", CRITICAL_MAP), ("verify", CRITICAL_MAP)],
     )
     def test_precondition_exit_code(self, capsys, tmp_path, command, doc):
         map_path = write_json(tmp_path / "map.json", doc)
@@ -386,6 +386,18 @@ class TestUnevaluableMaps:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_near_pole_automorphism_runs(self, capsys, tmp_path):
+        # validate certifies an automorphism by its form, without sampling
+        # the circle through the pole guard.  mpmath: 5.57612915522967e-30.
+        map_path = write_json(tmp_path / "map.json", NEAR_POLE_MAP)
+        argv = ["area", "--map", map_path, "--r", "0.5", "--out", str(tmp_path / "a")]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert stdout_value(out, "m(f(E))") == "5.5761291552296744e-30"
+        code, _, err = run(capsys, ["verify", "--map", map_path, "--out", str(tmp_path / "v")])
+        assert (code, err) == (0, "")
+        assert len(csv_rows(tmp_path / "v" / "verify.csv")) == 117
 
     @pytest.mark.parametrize("command", ["area", "verify"])
     def test_critical_point_inside_the_disk_exits_two(self, capsys, tmp_path, command):

@@ -149,14 +149,14 @@ DIGESTS = {
     "sweep-rawball-notes": "dae07c5a7c3228e1d31ad9431cd09194994d8e5ec716a0b0062f109809a6e28e",
     "sweep-rawball-star": "a71d8ea3be2afd6108c6d55e34acbc1f020fcbfeb2287a853a01b8996320aba6",
     "sweep-shear-notes": "3caad064f1db568c7844646770a60a5ec28aa333fdc7216c578c8ed0de070a9f",
-    "verify-automorphism-0.5": "79c3bf857a4c597517f4b7539f44b9a46df2687cafc316de522e0ed7530213bd",
+    "verify-automorphism-0.5": "939c243ab39ac065bace7663124a26eae9bf05ef3294864f760e92ca405dba68",
     "verify-example1-affine-0.2": "7c7a80fd0f6df229a96c14072b430991f66e9598155f72d0dc53f42165c92544",
     "verify-example1-affine-0.5": "ab9a76f05e7a3ff56c056069ce5fcdc7b9fb54bfb8ad3bb736fc2e7a91239403",
     "verify-example2-shear-0.1": "20aa2b5b9d599b2212817d4a72c9345c7e928d9ae2430ee7b23533920eee0d7c",
-    "verify-identity": "8b08c1023b904246ef7283ad7ed86f7fc7df80f2eda4cbf3e13ac4bf5701288d",
+    "verify-identity": "00fc271abed5524cc17fe2ab4de3145a5b65f075cc7e671115269cdca77be154",
     "verify-perturbed-identity": "85312615f4e1d46d1bbcb2e4b87ecf587e432499ce8451e25664da9f4ad98271",
     "verify-remark-shear-0.3": "bb6c0b9daa6c6d5ec6a5bde8ef3a574d591142cb7707aedddbf29a6014f4e1d1",
-    "verify-rotation": "8b08c1023b904246ef7283ad7ed86f7fc7df80f2eda4cbf3e13ac4bf5701288d",
+    "verify-rotation": "00fc271abed5524cc17fe2ab4de3145a5b65f075cc7e671115269cdca77be154",
 }
 
 
