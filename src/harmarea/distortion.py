@@ -351,8 +351,10 @@ def _radial_column(f: HarmonicMap, radii) -> tuple[np.ndarray, list[list[float]]
         return theta, lhs, _RADIAL_Q
     coefficients, (d,) = coefficient_rows([f])
     n = np.arange(1, d + 1)
-    r = np.asarray(radii, dtype=float)[:, None]
-    a, b = coefficients[0, :, None, 1:] * (n * r**n)
+    # r^n by one correctly rounded multiply per power: numpy's array power
+    # rounds differently on AVX-512.
+    powers = np.asarray(radii, dtype=float)[:, None].repeat(d, axis=1).cumprod(axis=1)
+    a, b = coefficients[0, :, None, 1:] * (n * powers)
     with np.errstate(over="ignore", invalid="ignore"):
         c = a[:, :, None] * a[:, None].conj() - b[:, :, None] * b[:, None].conj()
         c /= np.add.outer(n, n)

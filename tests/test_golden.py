@@ -154,8 +154,8 @@ DIGESTS = {
     "verify-example1-affine-0.5": "ab9a76f05e7a3ff56c056069ce5fcdc7b9fb54bfb8ad3bb736fc2e7a91239403",
     "verify-example2-shear-0.1": "20aa2b5b9d599b2212817d4a72c9345c7e928d9ae2430ee7b23533920eee0d7c",
     "verify-identity": "00fc271abed5524cc17fe2ab4de3145a5b65f075cc7e671115269cdca77be154",
-    "verify-perturbed-identity": "85312615f4e1d46d1bbcb2e4b87ecf587e432499ce8451e25664da9f4ad98271",
-    "verify-remark-shear-0.3": "bb6c0b9daa6c6d5ec6a5bde8ef3a574d591142cb7707aedddbf29a6014f4e1d1",
+    "verify-perturbed-identity": "acb26069849b08d0649ebe20de30cef870bbafe38ce7f00a2c028dcbfc9bf8ac",
+    "verify-remark-shear-0.3": "cdecbfc92ae15b1043bc215ff421ca62ab899ffac8eac31134ef0a587a24405f",
     "verify-rotation": "00fc271abed5524cc17fe2ab4de3145a5b65f075cc7e671115269cdca77be154",
 }
 
