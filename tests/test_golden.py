@@ -19,6 +19,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -184,6 +187,47 @@ def test_output_bytes(name, tmp_path):
     code, digest = run_case(CASES[name], tmp_path)
     assert code == EXIT_CODES.get(name, 0)
     assert digest == DIGESTS[name]
+
+
+# numpy's AVX-512 dispatch targets.  Its float64 power rounded differently
+# there, so every golden is also pinned with them disabled.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+# A fresh interpreter prints each case's exit code and digest as JSON.
+CHILD = """\
+import json, tempfile
+from pathlib import Path
+import test_golden
+digests = {}
+for name, argv in sorted(test_golden.CASES.items()):
+    with tempfile.TemporaryDirectory() as tmp:
+        digests[name] = test_golden.run_case(argv, Path(tmp))
+print(json.dumps(digests))
+"""
+
+
+def test_output_bytes_without_avx512(tmp_path):
+    """Each case writes the same bytes with numpy's AVX-512 loops disabled
+    as here, and they are the pinned ones."""
+    import harmarea
+
+    paths = [Path(__file__).parent, Path(harmarea.__file__).parents[1]]
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": NO_AVX512,
+        "PYTHONPATH": os.pathsep.join(filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env, timeout=600
+    )
+    if proc.returncode and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+        pytest.skip(proc.stderr.strip().splitlines()[-1])  # numpy refused the variable
+    assert proc.returncode == 0, proc.stderr
+    here = {}
+    for name, argv in sorted(CASES.items()):
+        (tmp_path / name).mkdir()
+        here[name] = list(run_case(argv, tmp_path / name))
+    pinned = {name: [EXIT_CODES.get(name, 0), DIGESTS[name]] for name in CASES}
+    assert json.loads(proc.stdout) == here == pinned
 
 
 if __name__ == "__main__":
