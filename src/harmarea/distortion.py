@@ -218,8 +218,8 @@ def analytic_energy(f: HarmonicMap, E: Region, tol: float = DEFAULT_TOL) -> Quad
 
 
 def sup_dilatation(f: HarmonicMap, E: Region) -> float:
-    """Sampled sup of |dilatation| over E: at a pixel grid's cell centers,
-    else at the DILATATION_ANGULAR boundary points R(theta) e^{i theta}.
+    """Sampled sup of |dilatation| over E (0.0 if empty): at a pixel grid's
+    cell centers, else at the DILATATION_ANGULAR boundary points R e^{i theta}.
 
     On a disk or a star a Schur-Cohn test on h'(bz), b = bounding_radius(E),
     first certifies that h' has no zero on |z| <= b, else HypothesisError.
@@ -230,8 +230,6 @@ def sup_dilatation(f: HarmonicMap, E: Region) -> float:
         return 0.0
     if isinstance(E, PixelGrid):
         pts = E.cell_centers()
-        if pts.size == 0:
-            return 0.0
     else:
         b = bounding_radius(E)
         h_prime = f.h.derivative().coefficients
@@ -239,7 +237,7 @@ def sup_dilatation(f: HarmonicMap, E: Region) -> float:
             raise HypothesisError(f"h' has a zero on the closed disk |z| <= {b:.6g}")
         pts = radial_profile(E, _DILATATION_THETA) * np.exp(1j * _DILATATION_THETA)
     try:
-        return float(np.max(np.abs(f.dilatation(pts))))
+        return float(np.max(np.abs(f.dilatation(pts)), initial=0.0))
     except CriticalPointError as exc:
         raise HypothesisError(f"dilatation undefined on the region: {exc}") from exc
 
@@ -277,7 +275,7 @@ def _sandwich_rows(area: QuadResult, energy: QuadResult, k: float, tol: float):
 
 
 def _hypothesis_detail(validity: ValidityReport) -> str:
-    """Detail text naming the sampled self-map and sense-preserving checks."""
+    """Detail text naming the self-map and sense-preserving checks."""
     return (
         f"self_map_sup={validity.self_map_sup:.17g} "
         f"sense_preserving={validity.sense_preserving}"
@@ -351,8 +349,7 @@ def _radial_column(f: HarmonicMap, radii) -> tuple[np.ndarray, list[list[float]]
         return theta, lhs, _RADIAL_Q
     coefficients, (d,) = coefficient_rows([f])
     n = np.arange(1, d + 1)
-    # r^n by one correctly rounded multiply per power: numpy's array power
-    # rounds differently on AVX-512.
+    # r^n by cumprod, one rounded multiply per power at every SIMD level.
     powers = np.asarray(radii, dtype=float)[:, None].repeat(d, axis=1).cumprod(axis=1)
     a, b = coefficients[0, :, None, 1:] * (n * powers)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -207,9 +207,7 @@ class DiskAutomorphism:
     def dilatation(self, z):
         """Conformal maps have identically zero dilatation."""
         _check_disk(z)
-        if isinstance(z, np.ndarray):
-            return np.zeros_like(z, dtype=complex)
-        return 0j
+        return np.zeros_like(z, dtype=complex) if isinstance(z, np.ndarray) else 0j
 
     def analytic_energy_density(self, z):
         return self.jacobian(z)

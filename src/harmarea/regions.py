@@ -5,8 +5,8 @@ in (0, 1], interpreted by piecewise-linear periodic interpolation.  A pixel
 grid covers [-1,1]^2 with n x n cells; a cell belongs to the region when its
 mask entry is true, and every true cell's center must lie in the open unit
 disk.  Each region works out its measure and reach (region_measure and
-bounding_radius read them) once, when built; a star also keeps its closed
-profile R_0, ..., R_{M-1}, R_0 as a read-only array.
+bounding_radius read them) once, when built; a star also keeps min R, its
+closed profile R_0, ..., R_{M-1}, R_0 and its angles 2 pi j / M, read-only.
 """
 
 from __future__ import annotations
@@ -59,12 +59,15 @@ class StarShaped:
         closed = np.array(prof + prof[:1])
         if not ((closed > 0.0) & (closed <= 1.0)).all():  # a nan fails both
             raise ConstructionError("star profile values must lie in (0, 1]")
-        closed.flags.writeable = False
         a, b = closed[:-1], closed[1:]
         terms = 2.0 * math.pi / a.size / 6.0 * (a * a + a * b + b * b)
+        theta = 2.0 * np.pi * np.arange(closed.size) / a.size
+        closed.flags.writeable = theta.flags.writeable = False
         object.__setattr__(self, "profile", prof)
         object.__setattr__(self, "_closed", closed)
+        object.__setattr__(self, "_theta", theta)
         object.__setattr__(self, "_measure", math.fsum(terms.tolist()))
+        object.__setattr__(self, "_floor", float(closed.min()))
         object.__setattr__(self, "_reach", float(closed.max()))
 
 
@@ -142,8 +145,7 @@ Region = Union[Disk, StarShaped, PixelGrid]
 
 def _interp_profile(E: StarShaped, t) -> np.ndarray:
     """The profile's interpolant at angles t in [0, 2 pi]."""
-    m = len(E.profile)
-    return np.interp(t, 2.0 * np.pi * np.arange(m + 1) / m, E._closed)
+    return np.interp(t, E._theta, E._closed)
 
 
 def radial_profile(E: Region, theta: float):
@@ -180,7 +182,7 @@ def contains_points(E: Region, z: np.ndarray) -> np.ndarray:
         return np.abs(z) <= E.r
     if isinstance(E, StarShaped):
         r = np.abs(z)
-        out = r < min(E.profile) * (1.0 - 1e-12)
+        out = r < E._floor * (1.0 - 1e-12)
         ring = ~out & (r <= E._reach * (1.0 + 1e-12))
         theta = np.angle(z[ring])
         theta[theta < 0.0] += 2.0 * np.pi  # np.mod(theta, 2 pi), to the bit

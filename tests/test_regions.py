@@ -373,7 +373,8 @@ def _star_values(m: int, seed: int) -> list[float]:
 
 class TestComputedWhenBuilt:
     """region_measure and bounding_radius read what each region works out
-    when built: the bits of the per-kind references."""
+    when built, and so do a star's interpolant and membership: the bits of
+    the per-kind references."""
 
     @staticmethod
     def _same_bits(E):
@@ -397,7 +398,16 @@ class TestComputedWhenBuilt:
     @example([1e-300] * 8)
     @example([1.0] * 4096)
     def test_stars(self, profile):
-        self._same_bits(StarShaped(profile))
+        E = StarShaped(profile)
+        self._same_bits(E)
+        # Angles on and between the samples, and points at R(theta) scaled
+        # across both of contains_points' radius margins.
+        theta = np.concatenate((E._theta, np.random.default_rng(len(profile)).uniform(0.0, 2.0 * np.pi, 256)))
+        R = radial_profile(E, theta)
+        assert _bits(R) == _bits(oracles.profile_interp_whole(profile, np.mod(theta, 2.0 * np.pi)))
+        scales = np.array([0.5, 1.0 - 2e-12, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 2e-12, 1.5])
+        z = np.outer(R * np.exp(1j * theta), scales).ravel()
+        assert np.array_equal(contains_points(E, z), oracles.star_contains_whole(profile, z))
 
     @given(st.integers(2, 64), st.sampled_from(["empty", "full", "random"]), st.integers(0, 2**32 - 1))
     def test_grids(self, n, kind, seed):
@@ -412,9 +422,12 @@ class TestComputedWhenBuilt:
 
     def test_stored_star_profile_is_read_only(self):
         E = star_cos3(64)
-        with pytest.raises(ValueError):
-            E._closed[0] = 0.5
+        for stored in (E._closed, E._theta):
+            with pytest.raises(ValueError):
+                stored[0] = 0.5
         assert E._closed.tolist() == [*E.profile, E.profile[0]]
+        assert _bits(E._theta) == _bits(2.0 * np.pi * np.arange(65) / 64)
+        assert E._floor == min(E.profile)
 
     def test_replace_works_the_values_out_again(self):
         E = replace(Disk(0.5), r=0.25)
