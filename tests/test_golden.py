@@ -3,6 +3,8 @@
 Each case runs `cli.main` in process and hashes its stdout together with
 every report file it writes.  A digest changes only when some output byte
 changes, so a refactor that keeps the CLI contract leaves them all intact.
+They hold at each SIMD level numpy may dispatch to on x86-64 with AVX2/FMA:
+test_output_bytes_without_avx512 reruns every case with AVX-512 disabled.
 An intended output change regenerates the digests with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import harmarea
 from harmarea.cli import main
 from harmarea.presets import preset_names
 from harmarea.regions import StarShaped, rasterize
@@ -208,8 +211,6 @@ print(json.dumps(digests))
 def test_output_bytes_without_avx512(tmp_path):
     """Each case writes the same bytes with numpy's AVX-512 loops disabled
     as here, and they are the pinned ones."""
-    import harmarea
-
     paths = [Path(__file__).parent, Path(harmarea.__file__).parents[1]]
     env = {
         **os.environ,
@@ -220,7 +221,8 @@ def test_output_bytes_without_avx512(tmp_path):
         [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env, timeout=600
     )
     if proc.returncode and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
-        pytest.skip(proc.stderr.strip().splitlines()[-1])  # numpy refused the variable
+        # numpy refused the variable at import: skip with its message.
+        pytest.skip(" ".join(proc.stderr.rpartition("Error: ")[2].split()))
     assert proc.returncode == 0, proc.stderr
     here = {}
     for name, argv in sorted(CASES.items()):

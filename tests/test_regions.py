@@ -402,7 +402,8 @@ class TestComputedWhenBuilt:
         self._same_bits(E)
         # Angles on and between the samples, and points at R(theta) scaled
         # across both of contains_points' radius margins.
-        theta = np.concatenate((E._theta, np.random.default_rng(len(profile)).uniform(0.0, 2.0 * np.pi, 256)))
+        between = np.random.default_rng(len(profile)).uniform(0.0, 2.0 * np.pi, 256)
+        theta = np.concatenate((E._theta, between))
         R = radial_profile(E, theta)
         assert _bits(R) == _bits(oracles.profile_interp_whole(profile, np.mod(theta, 2.0 * np.pi)))
         scales = np.array([0.5, 1.0 - 2e-12, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 2e-12, 1.5])
