@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -317,7 +318,8 @@ def _disk_rows(f: HarmonicMap, r: float, tol: float, validity: ValidityReport):
 
 
 RADIAL_DIRECTIONS = 64
-_RADIAL_Q = 128
+# g(u) = sum_{k>=1} (-1)^(k+1) 2k u^(2k-2)/(2k + 1): Horner coefficients in u^2, k = 30 down.
+_G_SERIES = [(-1) ** (k + 1) * 2 * k / (2 * k + 1) for k in range(30, 0, -1)]
 
 
 def _radial_sums(field, radii, theta: np.ndarray, q: int) -> list[list[float]]:
@@ -331,10 +333,33 @@ def _radial_sums(field, radii, theta: np.ndarray, q: int) -> list[list[float]]:
     return [[math.fsum(row) for row in rows] for rows in terms]
 
 
+def _automorphism_radial(a: complex, radii, theta) -> np.ndarray:
+    """int_0^r t (1 - |a|^2)^2 / |1 - conj(a) t e^{i theta}|^4 dt, rows radii, columns theta:
+    (1 - |a|^2)^2 r^2/(2 p^2) (rho cos(phi) g(u)/p + 1/(1 + u^2)), rho = r|a|, phi = theta - arg a,
+    p = 1 - rho + 2 rho sin^2(phi/2), u = rho |sin phi|/p, g(u) = (arctan(u)/u - 1/(1 + u^2))/u^2,
+    by its series below u = 1/2.  1 - |a|^2 and 1 - rho = (1 - rho^2)/(1 + rho) are rounded from
+    exact rationals, so p stays accurate at the pole.  numpy does only +, -, *, /: no SIMD loop."""
+    (nx, dx), (ny, dy) = a.real.as_integer_ratio(), a.imag.as_integer_ratio()
+    num, den = (nx * dy) ** 2 + (ny * dx) ** 2, (dx * dy) ** 2  # |a|^2 = num/den exactly
+    phi = [t - math.atan2(a.imag, a.real) for t in np.ravel(theta).tolist()]
+    half, cos, sin = np.array([[math.sin(t / 2), math.cos(t), abs(math.sin(t))] for t in phi]).T
+    ratios = [x.as_integer_ratio() for x in radii]  # int / int rounds once
+    far = np.array([[(d * d * den - n * n * num) / (d * d * den)] for n, d in ratios])
+    lead, r = ((den - num) / den) ** 2, np.asarray(radii, dtype=float)[:, None]
+    rho = r * abs(a)
+    p = far / (1.0 + rho) + 2.0 * rho * (half * half)
+    u = rho * sin / p
+    s2, big = np.minimum(u * u, 0.25), np.maximum(u, 0.5)
+    atan = np.array([math.atan(x) for x in big.ravel().tolist()]).reshape(big.shape)
+    direct = (atan / big - 1.0 / (1.0 + big * big)) / (big * big)
+    g = np.where(u < 0.5, reduce(lambda s, c: s * s2 + c, _G_SERIES, 0.0), direct)
+    return lead * (r * r) / (2.0 * p * p) * (rho * cos * g / p + 1.0 / (1.0 + u * u))
+
+
 def _radial_column(f: HarmonicMap, radii) -> tuple[np.ndarray, list[list[float]], int]:
     """theta, int_0^r J_f(t e^{i theta}) t dt per direction for each r in radii,
-    and evals per direction: r^2/2 for a rotation (J = 1), the _RADIAL_Q-node
-    rule per radius for another automorphism, else in one pass for all radii
+    and evals per direction, in closed form: _automorphism_radial for an
+    automorphism, else in one pass for all radii
     sum_{j,k} j k (a_j conj(a_k) - b_j conj(b_k)) r^{j+k}/(j+k) e^{i(j-k) theta}
     (Duren 2004, sec. 1) as one fsum per direction of the diagonal sums c_m,
     j - k = m: c_0 and 2 Re(c_m e^{i m theta}).  Past the float range:
@@ -343,10 +368,7 @@ def _radial_column(f: HarmonicMap, radii) -> tuple[np.ndarray, list[list[float]]
         raise HypothesisError("radius must lie in (0, 1)")
     theta = 2.0 * np.pi * np.arange(RADIAL_DIRECTIONS) / RADIAL_DIRECTIONS
     if isinstance(f, DiskAutomorphism):
-        if f.a == 0:
-            return theta, [[r * r / 2.0] * RADIAL_DIRECTIONS for r in radii], 1
-        lhs = [_radial_sums(f.jacobian, [r], theta, _RADIAL_Q)[0] for r in radii]
-        return theta, lhs, _RADIAL_Q
+        return theta, _automorphism_radial(f.a, radii, theta).tolist(), 1
     coefficients, (d,) = coefficient_rows([f])
     n = np.arange(1, d + 1)
     # r^n by cumprod, one rounded multiply per power at every SIMD level.

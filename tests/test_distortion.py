@@ -22,6 +22,7 @@ import oracles
 from harmarea import (
     ConstructionError,
     Disk,
+    DiskAutomorphism,
     DomainError,
     HypothesisError,
     NonConvergenceError,
@@ -734,11 +735,10 @@ class TestRadialBound:
         st.floats(0.05, 0.95),
     )
     def test_closed_form_matches_the_gauss_rule(self, h, g, r):
-        # The 128-node rule, the automorphism path, is exact for J t of
-        # degree <= 15, so the two differ only by rounding.  numpy's
-        # 128-node table integrates t^k with up to 4.5e-14 relative error,
-        # so the rule's error scales with the integral of |h'|^2 + |g'|^2,
-        # not with that of J, which may cancel.
+        # The 128-node rule is exact for J t of degree <= 15, so the two
+        # differ only by rounding.  numpy's 128-node table integrates t^k
+        # with up to 4.5e-14 relative error, so the rule's error scales with
+        # the integral of |h'|^2 + |g'|^2, not with that of J, which may cancel.
         f = raw_polynomial(h, g)
         theta, (lhs,), _ = distortion._radial_column(f, [r])
         (gauss,) = distortion._radial_sums(f.jacobian, [r], theta, 128)
@@ -761,11 +761,15 @@ class TestRadialBound:
         assert len(worst) == 9
         assert all(row.detail.endswith("worst theta=0") for row in worst)
 
-    @pytest.mark.parametrize("f", [shear(0.3, 2), _poly_style_map(0), automorphism(0.5)])
+    @pytest.mark.parametrize(
+        "f", [shear(0.3, 2), _poly_style_map(0), automorphism(0.5), automorphism(-0.9j, 2.0)]
+    )
     def test_suite_row_is_the_profiles_worst(self, f):
         rows = {row.name: row for row in verification_suite(f)}
-        for r in distortion.VERIFY_RADII:
+        _, columns, _ = distortion._radial_column(f, distortion.VERIFY_RADII)
+        for r, column in zip(distortion.VERIFY_RADII, columns):
             profile = radial_bound_profile(f, r)
+            assert [row.lhs for row in profile] == column
             worst = min(profile, key=lambda row: row.margin)
             row = rows[f"radial-worst r={r:.1f}"]
             assert row.lhs == worst.lhs and row.rhs == worst.rhs
@@ -774,9 +778,10 @@ class TestRadialBound:
 
     @pytest.mark.parametrize("a", [0.5, 0.3 + 0.4j, 0.9, -0.7j])
     def test_automorphism_column_meets_adaptive_quadrature(self, a):
-        # The 128-node Gauss rule off the axis, against scipy's quad of
-        # J t = (1 - |a|^2)^2 / |1 - conj(a) z|^4 t on every 4th direction.
-        # The worst case, |a| = 0.9 at r = 0.9 toward the pole, is 3.8e-14.
+        # The closed form off the axis, against scipy's quad of
+        # J t = (1 - |a|^2)^2 / |1 - conj(a) z|^4 t on every 4th direction,
+        # and against the 128-node Gauss rule on the Jacobian in every
+        # direction, which was 3.8e-14 off scipy at |a| = 0.9, r = 0.9.
         f = automorphism(a, rotation=0.4)
         theta, columns, _ = distortion._radial_column(f, distortion.VERIFY_RADII)
         lead, ca = (1.0 - abs(a) ** 2) ** 2, complex(a).conjugate()
@@ -788,6 +793,49 @@ class TestRadialBound:
                     0.0, r, epsabs=0.0, epsrel=1e-13,
                 )
                 assert abs(column[j] - ref) <= 1e-12 * ref
+            (gauss,) = distortion._radial_sums(f.jacobian, [r], theta, 128)
+            assert all(abs(v - ref) <= 1e-13 * ref for v, ref in zip(column, gauss))
+
+    def test_automorphism_column_meets_mpmath_near_the_pole(self):
+        # Seeded |a| from 0 to 1 - 1e-12, each also on the real axis, in
+        # directions at and within 1e-12 of arg a and arg a + pi, where
+        # sin(theta - arg a) -> 0: the series branch of g, against mpmath.
+        rng = random.Random(47)
+        radii = [0.01, 0.3, 0.9, 0.99]
+        for modulus in [0.0, 1e-8, 0.3, 0.9, 0.999, 1 - 1e-6, 1 - 1e-12]:
+            for a in [complex(modulus), cmath.rect(modulus, rng.uniform(-math.pi, math.pi))]:
+                arg = cmath.phase(a)
+                theta = [t + d for t in (arg, arg + math.pi) for d in (0.0, 1e-12, -1e-12)]
+                columns = distortion._automorphism_radial(a, radii, np.array(theta))
+                for r, column in zip(radii, columns.tolist()):
+                    for t, v in zip(theta, column):
+                        ref = oracles.mobius_radial_integral(a, r, t)
+                        assert abs(v - ref) <= 2e-15 * ref, (a, r, t)
+
+    @pytest.mark.parametrize("a", [-0.5, 0.5j])
+    def test_pole_direction_on_the_grid(self, a):
+        # arg a is one of the 64 directions, so u = 0 exactly there (no
+        # RuntimeWarning, which the test settings raise), and arg a + pi is
+        # the direction away from the pole: both are the axis integral.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, columns, _ = distortion._radial_column(automorphism(a), distortion.VERIFY_RADII)
+        toward = round(cmath.phase(a) / (2.0 * math.pi) * distortion.RADIAL_DIRECTIONS)
+        away = (toward + distortion.RADIAL_DIRECTIONS // 2) % distortion.RADIAL_DIRECTIONS
+        for r, column in zip(distortion.VERIFY_RADII, columns):
+            for j, m in ((toward, abs(a)), (away, -abs(a))):
+                exact = oracles.mobius_radial_integral_axis_exact(m, r)
+                assert abs(column[j] - exact) <= 2e-15 * exact
+
+    def test_automorphism_column_evaluates_no_jacobian(self, monkeypatch):
+        def jacobian(self, z):
+            raise AssertionError("the closed form evaluated a Jacobian")
+
+        monkeypatch.setattr(DiskAutomorphism, "jacobian", jacobian)
+        for f in (automorphism(0.5), automorphism(0.3 - 0.4j, 1.0), rotation_map(1.0)):
+            _, columns, evals = distortion._radial_column(f, distortion.VERIFY_RADII)
+            assert evals == 1 and len(columns) == len(distortion.VERIFY_RADII)
+            assert all(row.evals == 1 for row in radial_bound_profile(f, 0.5))
 
     def test_closed_form_past_the_float_range_raises(self):
         with pytest.raises(ConstructionError):
@@ -806,8 +854,8 @@ class TestRadialBound:
         st.lists(st.floats(0.01, 0.99), min_size=1, max_size=9),
     )
     def test_one_pass_equals_each_radius_alone(self, f, radii):
-        # A sequence of radii gives each radius's bits: the polynomial closed
-        # form in one pass, an automorphism's Gauss rule radius by radius.
+        # A sequence of radii gives each radius's bits: both closed forms
+        # take all radii in one pass.
         theta, columns, evals = distortion._radial_column(f, radii)
         assert len(columns) == len(radii)
         for r, column in zip(radii, columns):
@@ -815,10 +863,15 @@ class TestRadialBound:
             assert column == alone and evals == alone_evals
             assert np.array_equal(theta, alone_theta)
 
-    @pytest.mark.parametrize("f", [identity_map(), rotation_map(math.pi / 3)])
+    @pytest.mark.parametrize(
+        "f",
+        [identity_map(), rotation_map(math.pi / 3), rotation_map(-0.0),
+         automorphism(complex(0.0, -0.0), 3.0), raw_polynomial((0.0, 1.0), (0.0,))],
+    )
     def test_area_preserving_rows_are_half_r_squared(self, f):
-        # J = 1: the identity's series and a rotation's closed form both give
-        # r*r/2 bit for bit, which the 128-node rule meets to rounding.
+        # J = 1: the automorphism closed form at a = 0 (signed zeros too) and
+        # the polynomial series of h = z both give r*r/2 bit for bit, which
+        # the 128-node rule meets to rounding.
         theta, columns, evals = distortion._radial_column(f, distortion.VERIFY_RADII)
         assert evals == 1
         for r, column in zip(distortion.VERIFY_RADII, columns):

@@ -155,7 +155,7 @@ DIGESTS = {
     "sweep-rawball-notes": "dae07c5a7c3228e1d31ad9431cd09194994d8e5ec716a0b0062f109809a6e28e",
     "sweep-rawball-star": "a71d8ea3be2afd6108c6d55e34acbc1f020fcbfeb2287a853a01b8996320aba6",
     "sweep-shear-notes": "3caad064f1db568c7844646770a60a5ec28aa333fdc7216c578c8ed0de070a9f",
-    "verify-automorphism-0.5": "939c243ab39ac065bace7663124a26eae9bf05ef3294864f760e92ca405dba68",
+    "verify-automorphism-0.5": "3e741da207d0857aca94e543fb3322a5eaf6d19d28992d32f387a9d9a36ea5a6",
     "verify-example1-affine-0.2": "7c7a80fd0f6df229a96c14072b430991f66e9598155f72d0dc53f42165c92544",
     "verify-example1-affine-0.5": "ab9a76f05e7a3ff56c056069ce5fcdc7b9fb54bfb8ad3bb736fc2e7a91239403",
     "verify-example2-shear-0.1": "20aa2b5b9d599b2212817d4a72c9345c7e928d9ae2430ee7b23533920eee0d7c",

@@ -64,6 +64,25 @@ def test_mobius_radial_integral_against_scipy():
         assert abs(val - oracles.mobius_radial_integral_axis(a, r)) < 1e-12
 
 
+def test_mobius_radial_integral_any_direction():
+    # The mpmath rule meets the exact rational axis value toward the pole
+    # (theta = arg a) and away from it (theta = arg a + pi), and scipy off
+    # the axis.
+    assert oracles.mobius_radial_integral_axis_exact(0.5, 0.5) == 11.0 / 72.0
+    for a, r in ((0.5, 0.5), (-0.9, 0.9), (1 - 1e-12, 0.99)):
+        for theta, sign in ((0.0, 1.0), (math.pi, -1.0)):
+            ref = oracles.mobius_radial_integral_axis_exact(sign * a, r)
+            val = oracles.mobius_radial_integral(complex(a), r, theta)
+            assert abs(val - ref) <= 1e-15 * ref
+    a, theta = 0.3 - 0.4j, 1.0
+    w = a.conjugate() * complex(math.cos(theta), math.sin(theta))
+    val, _ = quad(
+        lambda t: (1.0 - abs(a) ** 2) ** 2 / abs(1.0 - w * t) ** 4 * t, 0.0, 0.9,
+        epsabs=0.0, epsrel=1e-13,
+    )
+    assert abs(oracles.mobius_radial_integral(a, 0.9, theta) - val) <= 1e-12 * val
+
+
 def test_shear_and_hyperbolic_radial_against_scipy():
     for alpha, p, r in ((0.3, 2, 0.5), (0.1, 3, 0.9)):
         val, _ = quad(
